@@ -35,7 +35,6 @@ from .greedy import (
     bounds_to_dict,
     compute_bounds,
     greedy_survivors,
-    greedy_survivors_variant,
 )
 from .instances import feasible_random_instance, hex_instance, random_complete_instance
 from .objective import (
@@ -90,7 +89,6 @@ __all__ = [
     "feasibility_check",
     "feasible_random_instance",
     "greedy_survivors",
-    "greedy_survivors_variant",
     "hex_instance",
     "instance_from_dict",
     "instance_to_dict",

@@ -25,13 +25,7 @@ from .graph import (
     save_instance,
     validate_instance,
 )
-from .greedy import (
-    GreedyConfig,
-    GreedyResult,
-    bounds_to_dict,
-    compute_bounds,
-    greedy_survivors,
-)
+from .greedy import VARIANTS, GreedyConfig, bounds_to_dict, compute_bounds, greedy_survivors
 from .instances import feasible_random_instance, hex_instance, random_complete_instance
 from .objective import paths_from_plan_dict, plan_to_dict, simulate_team, team_plan
 
@@ -106,11 +100,11 @@ def cmd_solve(args) -> int:
         seed=args.seed,
     )
     result = greedy_survivors(g, cfg)
-    cert = compute_bounds(g, cfg, result)
+    cert = compute_bounds(g, cfg, result.paths)
     doc = plan_to_dict(g, result.plan)
     doc["marginal_gains"] = result.team_gains
     doc["bounds"] = bounds_to_dict(cert)
-    if cfg.variant != "node":
+    if result.variant_value is not None:
         doc["variant"] = cfg.variant
         doc["variant_objective"] = result.variant_value
     _write_json(args.out, doc)
@@ -173,55 +167,25 @@ def _bound_for_prefix(g, run, team_size):
     """Certificate for the first team_size paths of an oversized greedy run."""
     oversize = min(OVERSIZE_PER_TEAM * team_size, len(run.paths))
     cfg = GreedyConfig(team_size=team_size, oversize=oversize, oracle="exact")
-    partial = GreedyResult(
-        config=cfg,
-        paths=run.paths[:oversize],
-        gains=run.gains[:oversize],
-        plan=team_plan(g, run.paths[:team_size]),
-        oversize_plan=None,
-    )
-    return partial.plan.objective, compute_bounds(g, cfg, partial)
+    return team_plan(g, run.paths[:team_size]).objective, compute_bounds(g, cfg, run.paths[:oversize])
 
 
-def _ratio_cell(task):
-    master, rep, p_s, timing = task
-    g = feasible_random_instance(RATIO_NODES, 0.3, 1.0, p_s, seed=(master, rep))
+def _bench_cell(task):
+    """CSV rows of one benchmark graph: one greedy run, one row per team prefix."""
+    suite, master, rep, p_s, timing = task
+    if suite == "ratio":
+        g = feasible_random_instance(RATIO_NODES, 0.3, 1.0, p_s, seed=(master, rep))
+        label, max_team = f"ratio-v{RATIO_NODES}-s{rep}", RATIO_MAX_TEAM
+    else:
+        g = hex_instance(p_s=p_s)
+        label, max_team = "hex", HEX_MAX_TEAM
     t0 = time.perf_counter()
-    cfg = GreedyConfig(
-        team_size=RATIO_MAX_TEAM,
-        oversize=OVERSIZE_PER_TEAM * RATIO_MAX_TEAM,
-        oracle="exact",
-        seed=0,
-    )
-    run = greedy_survivors(g, cfg)
-    elapsed = (time.perf_counter() - t0) * 1000.0
+    run = greedy_survivors(g, GreedyConfig(max_team, oversize=OVERSIZE_PER_TEAM * max_team, oracle="exact"))
+    ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
     rows = []
-    for team in range(1, RATIO_MAX_TEAM + 1):
+    for team in range(1, max_team + 1):
         j, cert = _bound_for_prefix(g, run, team)
-        u = cert.upper
-        ms = elapsed if timing else 0.0
-        rows.append((f"ratio-v{RATIO_NODES}-s{rep}", RATIO_NODES, team, p_s, "exact", j, u, j / u, ms))
-    return rows
-
-
-def _hex_cell(task):
-    p_s, timing = task
-    g = hex_instance(p_s=p_s)
-    t0 = time.perf_counter()
-    cfg = GreedyConfig(
-        team_size=HEX_MAX_TEAM,
-        oversize=OVERSIZE_PER_TEAM * HEX_MAX_TEAM,
-        oracle="exact",
-        seed=0,
-    )
-    run = greedy_survivors(g, cfg)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    rows = []
-    for team in range(1, HEX_MAX_TEAM + 1):
-        j, cert = _bound_for_prefix(g, run, team)
-        u = cert.upper
-        ms = elapsed if timing else 0.0
-        rows.append(("hex", 19, team, p_s, "exact", j, u, j / u, ms))
+        rows.append((label, g.num_nodes, team, p_s, "exact", j, cert.upper, j / cert.upper, ms))
     return rows
 
 
@@ -235,13 +199,12 @@ def _run_tasks(worker, tasks):
 
 def bench_rows(suite: str, master_seed: int = 0, timing: bool = False):
     if suite == "ratio":
-        tasks = [(master_seed, rep, p_s, timing) for rep in range(RATIO_SEEDS) for p_s in RATIO_PS_GRID]
-        chunks = _run_tasks(_ratio_cell, tasks)
+        tasks = [(suite, master_seed, rep, p_s, timing) for rep in range(RATIO_SEEDS) for p_s in RATIO_PS_GRID]
     elif suite == "hex":
-        chunks = _run_tasks(_hex_cell, [(0.70, timing)])
+        tasks = [(suite, master_seed, 0, 0.70, timing)]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return [row for chunk in chunks for row in chunk]
+    return [row for chunk in _run_tasks(_bench_cell, tasks) for row in chunk]
 
 
 def cmd_bench(args) -> int:
@@ -278,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--oracle", choices=["exact", "heuristic"], default="exact")
     s.add_argument("--team", type=int, default=0, help="defaults to the instance team size")
     s.add_argument("--oversize", type=int, default=None)
-    s.add_argument("--variant", choices=["node", "edge", "multi_visit"], default="node")
+    s.add_argument("--variant", choices=VARIANTS, default="node")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)

@@ -111,6 +111,9 @@ def validate_instance(g: SurvivalGraph) -> list[str]:
         mv = g.multi_visit
         if mv.M < 1:
             problems.append(f"multi-visit M {mv.M} < 1")
+        missing = [v for v in g.node_ids if v not in mv.d]
+        if missing:
+            problems.append(f"multi-visit table has no row for nodes {missing}")
         for v, row in mv.d.items():
             if v not in seen:
                 problems.append(f"multi-visit row for unknown node {v}")
@@ -363,6 +366,18 @@ def instance_to_dict(g: SurvivalGraph) -> dict:
 
 
 def instance_from_dict(doc: dict) -> SurvivalGraph:
+    """Instance from its JSON document; ValueError on any malformed shape."""
+    if not isinstance(doc, dict):
+        raise ValueError("instance must be a JSON object")
+    try:
+        return _parse_instance(doc)
+    except KeyError as exc:
+        raise ValueError(f"instance lacks field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed instance: {exc}") from None
+
+
+def _parse_instance(doc: dict) -> SurvivalGraph:
     if doc.get("version") != 1:
         raise ValueError(f"unsupported instance version {doc.get('version')!r}")
     directed = bool(doc.get("directed", True))
@@ -381,6 +396,8 @@ def instance_from_dict(doc: dict) -> SurvivalGraph:
     multi = None
     if "multi_visit" in doc:
         mv = doc["multi_visit"]
+        if len(mv["d"]) != len(node_ids):
+            raise ValueError(f"multi-visit table has {len(mv['d'])} rows for {len(node_ids)} nodes")
         rows = {v: [float(x) for x in row] for v, row in zip(node_ids, mv["d"])}
         multi = MultiVisitTable(M=int(mv["M"]), d=rows)
     rewards = None

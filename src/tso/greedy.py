@@ -34,8 +34,6 @@ from .objective import (
 )
 from .orienteering import OrienteeringProblem, solve_arc_exact, solve_exact, solve_heuristic
 
-VARIANTS = ("node", "edge", "multi_visit")
-
 
 @dataclass
 class GreedyConfig:
@@ -67,7 +65,6 @@ class GreedyResult:
     paths: list[tuple[int, ...]]
     gains: list[float]
     plan: TeamPlan
-    oversize_plan: TeamPlan | None
     variant_value: float | None = None
 
     @property
@@ -93,8 +90,127 @@ class BoundCertificate:
         return min(self.u1, self.u2, self.u3)
 
 
+# ---------------------------------------------------------------------------
+# Reward models: everything that differs between the variants.
+
+class RewardModel:
+    """One reward variant and the paths chosen so far.
+
+    It supplies the next robot's oracle problem, each added path's true
+    gain (by default the change in the variant's value), the value of a
+    set of paths, and the U1 caps: one (a, extra, b, p, d) per reward d a
+    walk start ~> a, extra, b ~> terminal could collect with chance <= p.
+    """
+
+    def __init__(self, g: SurvivalGraph, zeta):
+        self.g = g
+        self.zeta = zeta
+        self.paths: list[tuple[int, ...]] = []
+        self.total = 0.0
+        # A visit counts from step 1, so the start only on depot tours.
+        self.visitable = [j for j in g.node_ids if j != g.start or g.start == g.terminal]
+
+    def add(self, path) -> float:
+        """Record the next robot's path and return its true marginal gain."""
+        gain = self.gain(path)
+        self.paths.append(tuple(path))
+        self.reweight(path)
+        return gain
+
+    def gain(self, path) -> float:
+        new_value = self.value(self.paths + [path])
+        gain, self.total = new_value - self.total, new_value
+        return gain
+
+
+class NodeRewards(RewardModel):
+    """Node j pays its priority once, to the first robot that visits it: J itself."""
+
+    def __init__(self, g: SurvivalGraph, zeta):
+        super().__init__(g, zeta)
+        self.nu = {j: zeta[j] * g.priority(j) for j in g.node_ids}
+
+    def problem(self, lg) -> OrienteeringProblem:
+        return OrienteeringProblem(lg, rewards=dict(self.nu))
+
+    def gain(self, path) -> float:
+        return discrete_derivative(self.g, path, self.paths)
+
+    def reweight(self, path):
+        prof = visit_profile(self.g, path)
+        for n in range(1, len(path)):
+            self.nu[path[n]] *= 1.0 - prof.survival_prefix[n]
+
+    def value(self, paths) -> float:
+        return team_plan(self.g, paths).objective
+
+    def caps(self, lg, team_size):
+        return [(j, 0.0, j, self.zeta[j], self.g.priority(j)) for j in self.visitable]
+
+
+class EdgeRewards(RewardModel):
+    """Edge (u, v) pays d_uv once, to the first robot that survives across it."""
+
+    def __init__(self, g: SurvivalGraph, zeta):
+        super().__init__(g, zeta)
+        self.table = dict(g.edge_rewards) if g.edge_rewards else {(u, v): 1.0 for u, v, _w in g.edges}
+        self.w = {(u, v): zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.table.items()}
+
+    def problem(self, lg) -> OrienteeringProblem:
+        return OrienteeringProblem(lg, edge_rewards=dict(self.w))
+
+    def reweight(self, path):
+        for e, a in edge_visit_profile(self.g, path).items():
+            if e in self.w:
+                self.w[e] *= 1.0 - a
+
+    def value(self, paths) -> float:
+        return edge_team_objective(self.g, paths, self.table)
+
+    def caps(self, lg, team_size):
+        # A robot traverses (u, v) with probability at most zeta_u * omega.
+        zeta, survival = self.zeta, self.g.survival
+        return [(u, lg.cost(u, v), v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.table.items()]
+
+
+class MultiVisitRewards(RewardModel):
+    """The m-th robot to visit node j pays d_j[m-1]."""
+
+    def __init__(self, g: SurvivalGraph, zeta):
+        if g.multi_visit is None or any(j not in g.multi_visit.d for j in g.node_ids):
+            raise ValueError("multi-visit planning needs a reward row for every node")
+        super().__init__(g, zeta)
+        self.mv = g.multi_visit
+        self.profiles = []
+
+    def problem(self, lg) -> OrienteeringProblem:
+        # Node j is worth zeta_j times its expected next-visit reward.
+        counts = visit_count_distribution(self.g, self.profiles)
+        nu = {}
+        for j in self.g.node_ids:
+            row, dp = self.mv.d[j], counts[j]
+            nu[j] = self.zeta[j] * sum(row[m] * dp[m] for m in range(min(self.mv.M, len(dp))))
+        return OrienteeringProblem(lg, rewards=nu)
+
+    def reweight(self, path):
+        self.profiles.append(visit_profile(self.g, path))
+
+    def value(self, paths) -> float:
+        return multi_visit_objective(self.g, paths, self.mv.d, self.mv.M)
+
+    def caps(self, lg, team_size):
+        # P(at least m robots visit) vanishes for m > K and is otherwise
+        # at most the team visit probability.
+        top = min(self.mv.M, team_size)
+        return [(j, 0.0, j, self.zeta[j], sum(self.mv.d[j][:top])) for j in self.visitable]
+
+
+MODELS = {"node": NodeRewards, "edge": EdgeRewards, "multi_visit": MultiVisitRewards}
+VARIANTS = tuple(MODELS)
+
+
 def _oracle_call(cfg: GreedyConfig, problem: OrienteeringProblem, iteration: int):
-    if cfg.variant == "edge":
+    if problem.edge_rewards is not None:
         if cfg.oracle != "exact":
             raise ValueError("edge-reward planning requires the exact oracle")
         return solve_arc_exact(problem)
@@ -105,172 +221,57 @@ def _oracle_call(cfg: GreedyConfig, problem: OrienteeringProblem, iteration: int
     return solve_heuristic(problem, seed=(cfg.seed, iteration), restarts=cfg.restarts)
 
 
-def _edge_reward_table(g: SurvivalGraph):
-    if g.edge_rewards:
-        return dict(g.edge_rewards)
-    return {(u, v): 1.0 for u, v, _w in g.edges}
-
-
 def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
     """Plan total_paths paths one robot at a time.
 
     The first team_size paths are the team plan; extra paths only sharpen
     the oversized-team bound. Marginal gains are true objective increments
-    of each path against its predecessors (for the active variant).
+    of each path against its predecessors (for the active variant), and
+    variant_value is the variant's value of the team paths (None for the
+    node variant, whose value is the plan's objective).
     """
-    if cfg.variant == "multi_visit" and g.multi_visit is None:
-        raise ValueError("instance carries no multi-visit reward table")
     lg = log_transform(g)
-    zeta = max_visit_probabilities(lg)
+    model = MODELS[cfg.variant](g, max_visit_probabilities(lg))
     if not feasibility_check(g).x_nonempty:
-        raise InfeasibleInstanceError(
-            "feasibility check found no start-terminal path within the survival budget"
-        )
-
-    chosen: list[tuple[int, ...]] = []
-    profiles = []
-    gains: list[float] = []
-
-    if cfg.variant == "node":
-        nu = {j: zeta[j] * g.priority(j) for j in g.node_ids}
-        for k in range(cfg.total_paths):
-            res = _oracle_call(cfg, OrienteeringProblem(lg, rewards=dict(nu)), k)
-            gains.append(discrete_derivative(g, res.path, chosen))
-            chosen.append(tuple(res.path))
-            prof = visit_profile(g, res.path)
-            profiles.append(prof)
-            for n in range(1, len(res.path)):
-                nu[res.path[n]] *= 1.0 - prof.survival_prefix[n]
-        variant_value = None
-
-    elif cfg.variant == "edge":
-        table = _edge_reward_table(g)
-        w = {(u, v): zeta[u] * g.survival[(u, v)] * d for (u, v), d in table.items()}
-        value = 0.0
-        for k in range(cfg.total_paths):
-            res = _oracle_call(cfg, OrienteeringProblem(lg, edge_rewards=dict(w)), k)
-            new_value = edge_team_objective(g, chosen + [res.path], table)
-            gains.append(new_value - value)
-            value = new_value
-            chosen.append(tuple(res.path))
-            traversal = edge_visit_profile(g, res.path)
-            for e, a in traversal.items():
-                if e in w:
-                    w[e] *= 1.0 - a
-        variant_value = value
-
-    else:  # multi_visit
-        mv = g.multi_visit
-        value = 0.0
-        for k in range(cfg.total_paths):
-            counts = visit_count_distribution(g, profiles)
-            nu = {}
-            for j in g.node_ids:
-                row = mv.d.get(j)
-                if not row:
-                    nu[j] = 0.0
-                    continue
-                dp = counts[j]
-                c = sum(row[m - 1] * dp[m - 1] for m in range(1, mv.M + 1) if m - 1 < len(dp))
-                nu[j] = zeta[j] * c
-            res = _oracle_call(cfg, OrienteeringProblem(lg, rewards=nu), k)
-            new_value = multi_visit_objective(g, chosen + [res.path], mv.d, mv.M)
-            gains.append(new_value - value)
-            value = new_value
-            chosen.append(tuple(res.path))
-            profiles.append(visit_profile(g, res.path))
-        variant_value = value
-
-    plan = team_plan(g, chosen[: cfg.team_size])
-    oversize_plan = team_plan(g, chosen) if cfg.total_paths > cfg.team_size else None
-    return GreedyResult(
-        config=cfg,
-        paths=chosen,
-        gains=gains,
-        plan=plan,
-        oversize_plan=oversize_plan,
-        variant_value=variant_value,
-    )
+        raise InfeasibleInstanceError("feasibility check found no start-terminal path within the survival budget")
+    gains = [model.add(_oracle_call(cfg, model.problem(lg), k).path) for k in range(cfg.total_paths)]
+    team = model.paths[: cfg.team_size]
+    variant_value = None if isinstance(model, NodeRewards) else model.value(team)
+    return GreedyResult(cfg, model.paths, gains, team_plan(g, team), variant_value)
 
 
-def greedy_survivors_variant(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
-    """Alias making the variant entry point explicit."""
-    return greedy_survivors(g, cfg)
+def compute_bounds(g: SurvivalGraph, cfg: GreedyConfig, paths) -> BoundCertificate:
+    """Upper bounds on the best achievable K-team value, given greedy's paths.
 
-
-def _variant_objective(g: SurvivalGraph, cfg: GreedyConfig, paths) -> float:
-    if cfg.variant == "edge":
-        return edge_team_objective(g, paths, _edge_reward_table(g))
-    if cfg.variant == "multi_visit":
-        return multi_visit_objective(g, paths, g.multi_visit.d, g.multi_visit.M)
-    return team_plan(g, paths).objective
-
-
-def compute_bounds(g: SurvivalGraph, cfg: GreedyConfig, result: GreedyResult) -> BoundCertificate:
-    """Upper bounds on the best achievable K-team value.
-
-    u1 caps each node's contribution by the chance that any of K
-    independent robots reaches it: no robot exceeds zeta_j, so the team
-    visit probability is at most 1 - (1 - zeta_j)^K. A node counts only if
-    some budget-feasible walk passes through it (shortest way in plus
-    shortest way out fits the budget; every path visiting the node induces
-    such a walk), and the start is excluded unless the instance is a depot
-    tour (it is only visitable by returning). u2 divides the greedy value
-    by the team factor 1 - exp(-p_s); u3 does the same with the oversized
-    run and its larger factor. Certificates from heuristic oracles are not
-    certified: the factor arguments assume an exact subproblem solver.
+    paths holds cfg.total_paths greedy paths, the team's first. u1 caps each
+    reward by the chance that any of K independent robots collects it: no
+    robot exceeds the model's single-robot cap p, so the team collects it
+    with probability at most 1 - (1 - p)^K. A reward counts only if some
+    budget-feasible walk reaches it (shortest way in plus shortest way out
+    fits the budget; every path collecting it induces such a walk), and the
+    start is excluded unless the instance is a depot tour (it is only
+    visitable by returning). u2 divides the greedy value by the team factor
+    1 - exp(-p_s); u3 does the same with the oversized run and its larger
+    factor. Certificates from heuristic oracles are not certified: the
+    factor arguments assume an exact subproblem solver.
     """
     K = cfg.team_size
-    L = cfg.total_paths
     factor = 1.0 - math.exp(-g.p_s)
-    oversize_factor = 1.0 - math.exp(-g.p_s * L / K)
+    oversize_factor = 1.0 - math.exp(-g.p_s * cfg.total_paths / K)
 
     lg = log_transform(g)
-    zeta = max_visit_probabilities(lg)
+    model = MODELS[cfg.variant](g, max_visit_probabilities(lg))
     dist_in = lg.distances_from(g.start)
     dist_out = lg.distances_to(g.terminal)
-    depot = g.start == g.terminal
-
-    def team_cap(p: float) -> float:
-        return 1.0 - (1.0 - p) ** K
-
-    def on_feasible_walk(j) -> bool:
-        return dist_in[j] + dist_out[j] <= lg.budget + BUDGET_TOL
-
-    if cfg.variant == "edge":
-        # A robot traverses (u, v) with probability at most zeta_u * omega,
-        # and never does if no through-walk over the arc fits the budget.
-        table = _edge_reward_table(g)
-        u1 = sum(
-            team_cap(zeta[u] * g.survival[(u, v)]) * d
-            for (u, v), d in table.items()
-            if dist_in[u] + lg.cost(u, v) + dist_out[v] <= lg.budget + BUDGET_TOL
-        )
-    elif cfg.variant == "multi_visit":
-        # P(at least m robots visit) vanishes for m > K and is otherwise
-        # at most the team visit probability.
-        mv = g.multi_visit
-        u1 = 0.0
-        for j in g.node_ids:
-            if not on_feasible_walk(j) or (j == g.start and not depot):
-                continue
-            row = mv.d.get(j, [])
-            u1 += team_cap(zeta[j]) * sum(row[: min(mv.M, K)])
-    else:
-        u1 = sum(
-            g.priority(j) * team_cap(zeta[j])
-            for j in g.node_ids
-            if on_feasible_walk(j) and (j != g.start or depot)
-        )
-
-    value_k = _variant_objective(g, cfg, result.paths[:K])
-    value_l = _variant_objective(g, cfg, result.paths)
-    u2 = value_k / factor
-    u3 = value_l / oversize_factor
+    u1 = sum(
+        (1.0 - (1.0 - p) ** K) * d
+        for a, extra, b, p, d in model.caps(lg, K)
+        if dist_in[a] + extra + dist_out[b] <= lg.budget + BUDGET_TOL
+    )
     return BoundCertificate(
         u1=u1,
-        u2=u2,
-        u3=u3,
+        u2=model.value(paths[:K]) / factor,
+        u3=model.value(paths) / oversize_factor,
         factor=factor,
         oversize_factor=oversize_factor,
         certified=cfg.oracle == "exact",

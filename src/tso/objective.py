@@ -67,10 +67,8 @@ def team_objective(g: SurvivalGraph, paths):
 
     Returns (J, per-node visit probability dict).
     """
-    profiles = [visit_profile(g, p) for p in paths]
-    x = team_visit_probability(g, profiles)
-    j = sum(g.priority(v) * x[v] for v in g.node_ids)
-    return j, x
+    plan = team_plan(g, paths)
+    return plan.objective, plan.node_visit_prob
 
 
 def team_plan(g: SurvivalGraph, paths) -> TeamPlan:
@@ -244,4 +242,8 @@ def plan_to_dict(g: SurvivalGraph, plan: TeamPlan) -> dict:
 
 
 def paths_from_plan_dict(doc: dict) -> list[tuple[int, ...]]:
-    return [tuple(int(v) for v in p) for p in doc["paths"]]
+    """Paths of a plan document; ValueError unless it holds a list of node-id lists."""
+    try:
+        return [tuple(int(v) for v in p) for p in doc["paths"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"plan needs a 'paths' list of node-id lists ({exc})") from None

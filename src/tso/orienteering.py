@@ -10,7 +10,7 @@ with local search (GRASP).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,43 +61,61 @@ def path_reward(p: OrienteeringProblem, path) -> float:
 
 
 def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
-    """Branch and bound over simple paths; returns a true maximizer.
+    """Branch and bound over simple paths with node rewards; returns a true maximizer."""
+    rewards = p.rewards or {}
+    nodes = p.lg.graph.node_ids
+    items = [(j, 0.0, j, rewards[j]) for j in nodes if rewards.get(j, 0.0) > 0.0]
+    return _branch_and_bound(p, dict.fromkeys(nodes, rewards), items, use_reward_bound)
+
+
+def solve_arc_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
+    """Branch and bound with rewards on edges instead of nodes."""
+    rewards = p.edge_rewards or {}
+    lg = p.lg
+    idx = lg.graph.index
+    gain = {v: {} for v in lg.graph.node_ids}
+    for (a, b), r in rewards.items():
+        gain[a][b] = r
+    ordered = sorted(rewards.items(), key=lambda t: (idx[t[0][0]], idx[t[0][1]]))
+    items = [(a, lg.costs[(a, b)], b, r) for (a, b), r in ordered if r > 0.0]
+    return _branch_and_bound(p, gain, items, use_reward_bound)
+
+
+def _branch_and_bound(p: OrienteeringProblem, gain, items, use_reward_bound: bool) -> OracleResult:
+    """Depth-first branch and bound shared by node and arc rewards.
+
+    A step v -> u pays gain[v].get(u, 0.0). Each bound item (a, extra, b, r)
+    is a reward r that a walk v ~> a, then extra, then b ~> terminal could
+    still collect; a node reward j is the item (j, 0.0, j, r_j), an arc
+    reward the item (a, cost(a, b), b, r). An item whose head b is already
+    visited (and is not the terminal) is out of reach, because a simple path
+    never re-enters a visited node.
 
     Children are explored in ascending node-index order and the incumbent
     only improves strictly, so the first maximizer reached is the
     lexicographically smallest one. Pruning: (a) the cheapest completion
-    exceeds the remaining budget, (b) current reward plus all still
-    reachable rewards cannot beat the incumbent (admissible, so rule (b)
-    never removes the returned optimum; it can be disabled for audits).
+    exceeds the remaining budget, (b) current reward plus every item still
+    in reach cannot beat the incumbent (admissible, so rule (b) never
+    removes the returned optimum; it can be disabled for audits).
     """
     g = p.lg.graph
     lg = p.lg
-    rewards = p.rewards or {}
-    idx = g.index
     start, terminal, budget = p.start, p.terminal, p.budget
     depot = start == terminal
     dist_to_t = lg.distances_to(terminal)
 
-    best_reward = -INF
-    best_path = None
-    if depot:
-        best_reward = 0.0
-        best_path = (start,)
+    # A depot robot may stay home; an open path has no incumbent yet.
+    best_reward, best_path = (0.0, (start,)) if depot else (-INF, None)
     expanded = 0
-
-    order = {v: sorted(g.adjacency[v], key=lambda t: idx[t[0]]) for v in g.node_ids}
 
     def optimistic(v, visited, cost, collected):
         remaining = budget - cost
         bound = collected
-        for j in g.node_ids:
-            r = rewards.get(j, 0.0)
-            if r <= 0.0:
+        dv = lg.distances_from(v)
+        for a, extra, b, r in items:
+            if b in visited and b != terminal:
                 continue
-            if j in visited and not (depot and j == start):
-                continue
-            through = lg.distances_from(v).get(j, INF) + dist_to_t[j]
-            if through <= remaining + BUDGET_TOL:
+            if dv[a] + extra + dist_to_t[b] <= remaining + BUDGET_TOL:
                 bound += r
         return bound
 
@@ -106,11 +124,12 @@ def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> Oracle
         expanded += 1
         if use_reward_bound and optimistic(v, visited, cost, collected) <= best_reward:
             return
-        for u, _w in order[v]:
+        pay = gain[v]
+        for u, _w in g.adjacency[v]:
             c = cost + lg.costs[(v, u)]
             if u == terminal:
                 if c <= budget + BUDGET_TOL:
-                    r = collected + rewards.get(u, 0.0)
+                    r = collected + pay.get(u, 0.0)
                     if r > best_reward:
                         best_reward = r
                         best_path = tuple(path) + (u,)
@@ -120,77 +139,12 @@ def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> Oracle
             if c + dist_to_t[u] > budget + BUDGET_TOL:
                 continue
             path.append(u)
-            dfs(u, c, collected + rewards.get(u, 0.0), visited | {u}, path)
+            dfs(u, c, collected + pay.get(u, 0.0), visited | {u}, path)
             path.pop()
 
     if dist_to_t[start] > budget + BUDGET_TOL and not depot:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
     dfs(start, 0.0, 0.0, {start}, [start])
-    if best_path is None:
-        raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=best_path, reward=best_reward, exact=True, nodes_expanded=expanded)
-
-
-def solve_arc_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
-    """Branch and bound with rewards on edges instead of nodes."""
-    g = p.lg.graph
-    lg = p.lg
-    rewards = p.edge_rewards or {}
-    idx = g.index
-    start, terminal, budget = p.start, p.terminal, p.budget
-    depot = start == terminal
-    dist_to_t = lg.distances_to(terminal)
-
-    best_reward = -INF
-    best_path = None
-    if depot:
-        best_reward = 0.0
-        best_path = (start,)
-    expanded = 0
-
-    order = {v: sorted(g.adjacency[v], key=lambda t: idx[t[0]]) for v in g.node_ids}
-    reward_edges = [(e, r) for e, r in sorted(rewards.items(), key=lambda t: (idx[t[0][0]], idx[t[0][1]])) if r > 0.0]
-
-    def optimistic(v, used, cost, collected):
-        remaining = budget - cost
-        bound = collected
-        dv = lg.distances_from(v)
-        for (a, b), r in reward_edges:
-            if (a, b) in used:
-                continue
-            through = dv.get(a, INF) + lg.costs[(a, b)] + dist_to_t[b]
-            if through <= remaining + BUDGET_TOL:
-                bound += r
-        return bound
-
-    def dfs(v, cost, collected, visited, used, path):
-        nonlocal best_reward, best_path, expanded
-        expanded += 1
-        if use_reward_bound and optimistic(v, used, cost, collected) <= best_reward:
-            return
-        for u, _w in order[v]:
-            c = cost + lg.costs[(v, u)]
-            gain = rewards.get((v, u), 0.0)
-            if u == terminal:
-                if c <= budget + BUDGET_TOL:
-                    r = collected + gain
-                    if r > best_reward:
-                        best_reward = r
-                        best_path = tuple(path) + (u,)
-                continue
-            if u in visited:
-                continue
-            if c + dist_to_t[u] > budget + BUDGET_TOL:
-                continue
-            path.append(u)
-            used.add((v, u))
-            dfs(u, c, collected + gain, visited | {u}, used, path)
-            used.discard((v, u))
-            path.pop()
-
-    if dist_to_t[start] > budget + BUDGET_TOL and not depot:
-        raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    dfs(start, 0.0, 0.0, {start}, set(), [start])
     if best_path is None:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
     return OracleResult(path=best_path, reward=best_reward, exact=True, nodes_expanded=expanded)

@@ -9,7 +9,6 @@ certifies the runtime.
 from __future__ import annotations
 
 import math
-import os
 import time
 
 import numpy as np
@@ -20,24 +19,6 @@ import tso
 from tso.cli import CSV_HEADER, _bound_for_prefix, main
 from tso.graph import brute_force_feasibility
 from tso.orienteering import OrienteeringProblem, solve_exact, solve_heuristic
-
-
-@pytest.fixture(scope="module")
-def ratio_bench(tmp_path_factory):
-    """One single-process ratio-suite run, shared by the bench criteria."""
-    out = tmp_path_factory.mktemp("bench") / "ratio.csv"
-    saved = os.environ.get("TSO_THREADS")
-    os.environ["TSO_THREADS"] = "1"
-    t0 = time.perf_counter()
-    try:
-        rc = main(["bench", "--suite", "ratio", "--out", str(out)])
-    finally:
-        if saved is None:
-            os.environ.pop("TSO_THREADS", None)
-        else:
-            os.environ["TSO_THREADS"] = saved
-    assert rc == 0
-    return out.read_text(encoding="utf-8"), time.perf_counter() - t0
 
 
 def _bench_rows(text):

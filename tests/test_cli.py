@@ -4,11 +4,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import tso
 from tso.cli import CSV_HEADER, fmt, main, thread_count
+
+DATA = Path(__file__).parent / "data"
 
 
 def _gen(tmp_path, name="inst.json", nodes=6, p_s=0.7, seed=0):
@@ -114,6 +117,34 @@ def test_solve_edge_variant_reports_value(tmp_path, capsys):
     assert tso.paths_from_plan_dict(doc) == [(1, 2, 4)]
 
 
+@pytest.mark.parametrize("variant", ["edge", "multi_visit"])
+def test_solve_variant_objective_is_team_value(tmp_path, capsys, variant):
+    # With --oversize the run plans more paths than it writes; the reported
+    # variant value must belong to the written team paths.
+    base = tso.random_complete_instance(6, 0.5, 1.0, 0.6, seed=2)
+    table = tso.MultiVisitTable(M=2, d={v: [1.0, 0.5] for v in base.node_ids})
+    g = tso.SurvivalGraph(
+        node_ids=base.node_ids,
+        priorities=base.priorities,
+        edges=base.edges,
+        start=base.start,
+        terminal=base.terminal,
+        p_s=base.p_s,
+        multi_visit=table,
+    )
+    inst = tmp_path / "inst.json"
+    tso.save_instance(g, inst)
+    assert main(["solve", str(inst), "--team", "2", "--oversize", "6", "--variant", variant]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    paths = tso.paths_from_plan_dict(doc)
+    assert len(paths) == 2
+    if variant == "edge":
+        want = tso.edge_team_objective(g, paths, {(u, v): 1.0 for u, v, _w in g.edges})
+    else:
+        want = tso.multi_visit_objective(g, paths, table.d, table.M)
+    assert doc["variant_objective"] == pytest.approx(want, abs=1e-12)
+
+
 def test_exact_subcommand(tmp_path, capsys):
     inst = _gen(tmp_path, nodes=5, p_s=0.6)
     out = tmp_path / "exact.json"
@@ -204,6 +235,38 @@ def test_exit_code_errors(tmp_path, capsys):
     assert "invalid instance" in capsys.readouterr().err
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_malformed_instance_shapes_exit_one(tmp_path, capsys):
+    good = tso.instance_to_dict(tso.hex_instance())
+    three_rows = dict(good, multi_visit={"M": 2, "d": [[1.0, 0.5]] * 3})
+    bad_docs = [
+        dict(good, nodes=5),
+        dict(good, edges=[[0, 1, 0.9]]),
+        dict(good, start=None),
+        [good],
+        three_rows,
+    ]
+    for k, doc in enumerate(bad_docs):
+        inst = tmp_path / f"bad{k}.json"
+        inst.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["solve", str(inst), "--variant", "multi_visit"]) == 1, k
+        _one_line_error(capsys)
+
+
+def test_malformed_plan_shapes_exit_one(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    for k, doc in enumerate([[[0, 5]], {"paths": 3}, {"paths": [[0, None]]}, {"plan": []}]):
+        plan = tmp_path / f"plan{k}.json"
+        plan.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(inst), "--plan", str(plan), "--trials", "10"]) == 1, k
+        _one_line_error(capsys)
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "inst.json"
     proc = subprocess.run(
@@ -240,3 +303,13 @@ def test_bench_hex_byte_identical(tmp_path, monkeypatch):
 def test_bench_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--suite", "cube"])
+
+
+def test_bench_csvs_match_golden(ratio_bench, tmp_path, monkeypatch):
+    """Bench bytes are pinned across commits, not only across repeat runs."""
+    text, _elapsed = ratio_bench
+    assert text == (DATA / "bench-ratio.csv").read_text(encoding="utf-8")
+    monkeypatch.setenv("TSO_THREADS", "1")
+    out = tmp_path / "hex.csv"
+    assert main(["bench", "--suite", "hex", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "bench-hex.csv").read_bytes()

@@ -66,6 +66,27 @@ def test_validate_multi_visit_rows():
     assert tso.validate_instance(g_bad)
 
 
+def test_multi_visit_table_needs_a_row_per_node(hexg):
+    # A short table used to be accepted, and the nodes past its end earned 0.
+    doc = tso.instance_to_dict(hexg)
+    doc["multi_visit"] = {"M": 2, "d": [[1.0, 0.5]] * 3}
+    with pytest.raises(ValueError, match="3 rows for 19 nodes"):
+        tso.instance_from_dict(doc)
+    g = tso.SurvivalGraph(
+        node_ids=hexg.node_ids,
+        priorities=hexg.priorities,
+        edges=hexg.edges,
+        start=hexg.start,
+        terminal=hexg.terminal,
+        p_s=hexg.p_s,
+        multi_visit=tso.MultiVisitTable(M=2, d={v: [1.0, 0.5] for v in hexg.node_ids[:3]}),
+    )
+    problems = tso.validate_instance(g)
+    assert len(problems) == 1 and "no row for nodes" in problems[0]
+    with pytest.raises(ValueError, match="row for every node"):
+        tso.greedy_survivors(g, tso.GreedyConfig(team_size=1, variant="multi_visit"))
+
+
 def test_check_path_rules(diamond, loop5):
     check_path(diamond, (1, 2, 4))
     check_path(loop5, (1, 3, 5, 2, 1))

@@ -45,7 +45,6 @@ def test_diamond_team_of_two(diamond):
     assert res.gains[0] == pytest.approx(1.71, abs=1e-12)
     assert res.gains[1] == pytest.approx(0.2439, abs=1e-12)
     assert res.variant_value is None
-    assert res.oversize_plan is None
 
 
 def test_gains_are_objective_increments(hexg):
@@ -77,7 +76,6 @@ def test_prefix_consistency(loop5):
         short = tso.greedy_survivors(loop5, tso.GreedyConfig(team_size=k))
         assert short.paths == full.paths[:k]
         assert short.gains == pytest.approx(full.gains[:k], abs=0.0)
-    assert full.oversize_plan is not None
     assert full.team_paths == full.paths[:1]
     assert full.team_gains == full.gains[:1]
 
@@ -145,7 +143,7 @@ def test_multi_visit_single_level_matches_node_variant():
         multi_visit=table,
     )
     node = tso.greedy_survivors(g, tso.GreedyConfig(team_size=3))
-    mv = tso.greedy_survivors_variant(g_mv, tso.GreedyConfig(team_size=3, variant="multi_visit"))
+    mv = tso.greedy_survivors(g_mv, tso.GreedyConfig(team_size=3, variant="multi_visit"))
     assert mv.paths == node.paths
     assert mv.variant_value == pytest.approx(node.plan.objective, abs=1e-12)
 
@@ -163,7 +161,7 @@ def test_multi_visit_worthless_second_visit_matches_node_variant():
         multi_visit=table,
     )
     node = tso.greedy_survivors(g, tso.GreedyConfig(team_size=3))
-    mv = tso.greedy_survivors_variant(g_mv, tso.GreedyConfig(team_size=3, variant="multi_visit"))
+    mv = tso.greedy_survivors(g_mv, tso.GreedyConfig(team_size=3, variant="multi_visit"))
     assert mv.paths == node.paths
     assert mv.variant_value == pytest.approx(node.plan.objective, abs=1e-12)
 
@@ -245,22 +243,22 @@ def test_heuristic_oracle_close_and_uncertified():
         heur = tso.greedy_survivors(g, tso.GreedyConfig(team_size=2, oracle="heuristic", seed=1))
         again = tso.greedy_survivors(g, tso.GreedyConfig(team_size=2, oracle="heuristic", seed=1))
         assert heur.paths == again.paths
-        cert = tso.compute_bounds(g, heur.config, heur)
+        cert = tso.compute_bounds(g, heur.config, heur.paths)
         assert not cert.certified
-        exact_cert = tso.compute_bounds(g, exact.config, exact)
+        exact_cert = tso.compute_bounds(g, exact.config, exact.paths)
         assert exact_cert.certified
 
 
 def test_diamond_bound_values(diamond):
     one = tso.greedy_survivors(diamond, tso.GreedyConfig(team_size=1))
-    cert1 = tso.compute_bounds(diamond, one.config, one)
+    cert1 = tso.compute_bounds(diamond, one.config, one.paths)
     assert cert1.u1 == pytest.approx(1.9, abs=1e-12)
     assert cert1.factor == pytest.approx(1.0 - math.exp(-0.8), abs=1e-15)
     assert cert1.upper == pytest.approx(1.9, abs=1e-12)
     assert one.plan.objective == pytest.approx(1.71, abs=1e-12)
 
     two = tso.greedy_survivors(diamond, tso.GreedyConfig(team_size=2))
-    cert2 = tso.compute_bounds(diamond, two.config, two)
+    cert2 = tso.compute_bounds(diamond, two.config, two.paths)
     # Node 2: 1 - 0.1^2, node 4: capped at 1, node 3 unreachable in budget.
     assert cert2.u1 == pytest.approx(1.99, abs=1e-12)
     assert cert2.u2 == pytest.approx(1.9539 / (1.0 - math.exp(-0.8)), abs=1e-9)
@@ -269,7 +267,7 @@ def test_diamond_bound_values(diamond):
 
 def test_depot_bound_counts_start_once(loop5):
     res = tso.greedy_survivors(loop5, tso.GreedyConfig(team_size=1))
-    cert = tso.compute_bounds(loop5, res.config, res)
+    cert = tso.compute_bounds(loop5, res.config, res.paths)
     expected = sum(
         oracles.best_visit_probability(loop5, j)
         for j in loop5.node_ids
@@ -280,7 +278,7 @@ def test_depot_bound_counts_start_once(loop5):
 
 def test_oversize_run_tightens_factor(loop5):
     res = tso.greedy_survivors(loop5, tso.GreedyConfig(team_size=1, oversize=8))
-    cert = tso.compute_bounds(loop5, res.config, res)
+    cert = tso.compute_bounds(loop5, res.config, res.paths)
     assert cert.oversize_factor == pytest.approx(1.0 - math.exp(-0.75 * 8), abs=1e-15)
     assert cert.oversize_factor > cert.factor
     assert cert.u3 <= cert.u2 * (1.0 + 1e-12)
@@ -291,7 +289,7 @@ def test_bounds_dominate_brute_force_optimum():
         g = tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(87, seed))
         for team in (1, 2):
             res = tso.greedy_survivors(g, tso.GreedyConfig(team_size=team))
-            cert = tso.compute_bounds(g, res.config, res)
+            cert = tso.compute_bounds(g, res.config, res.paths)
             opt, _ = oracles.best_team_brute(g, team)
             assert cert.upper >= opt - 1e-9
             assert res.plan.objective >= cert.factor * opt - 1e-9
@@ -299,7 +297,7 @@ def test_bounds_dominate_brute_force_optimum():
 
 def test_bounds_to_dict_keys(diamond):
     res = tso.greedy_survivors(diamond, tso.GreedyConfig(team_size=1))
-    doc = tso.bounds_to_dict(tso.compute_bounds(diamond, res.config, res))
+    doc = tso.bounds_to_dict(tso.compute_bounds(diamond, res.config, res.paths))
     assert set(doc) == {"U1", "U2", "U3", "factor", "certified"}
 
 

@@ -15,6 +15,25 @@ def _problem(g, rewards=None, edge_rewards=None, budget=None):
     )
 
 
+def _depot_graphs(loop5, seed_tag, count):
+    """loop5 plus random complete digraphs turned into depot tours at node 0."""
+    graphs = [loop5]
+    for seed in range(count):
+        g = tso.random_complete_instance(5, 0.5, 1.0, 0.6, seed=(seed_tag, seed))
+        graphs.append(tso.SurvivalGraph(
+            node_ids=g.node_ids, priorities=g.priorities, edges=g.edges,
+            start=g.start, terminal=g.start, p_s=g.p_s,
+        ))
+    return graphs
+
+
+def _random_rewards(g, rng):
+    """Node rewards on every node and arc rewards on every arc, arcs into the start included."""
+    nodes = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
+    arcs = {(u, v): float(rng.uniform(0.0, 1.0)) for u, v, _ in g.edges}
+    return nodes, arcs
+
+
 def test_rejects_bad_rewards(diamond):
     with pytest.raises(ValueError):
         _problem(diamond, rewards={2: -1.0})
@@ -56,17 +75,20 @@ def test_exact_breaks_ties_toward_smallest_path():
     assert res.path == min(maximizers)
 
 
-def test_reward_bound_only_prunes():
-    for seed in range(6):
-        g = tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(72, seed))
-        rng = np.random.default_rng((73, seed))
-        rewards = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
-        p = _problem(g, rewards=rewards)
-        fast = tso.solve_exact(p)
-        slow = tso.solve_exact(p, use_reward_bound=False)
-        assert fast.path == slow.path
-        assert fast.reward == slow.reward
-        assert fast.nodes_expanded <= slow.nodes_expanded
+def test_reward_bound_only_prunes(loop5):
+    graphs = [tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(72, seed)) for seed in range(6)]
+    graphs += _depot_graphs(loop5, 79, 6)
+    for seed, g in enumerate(graphs):
+        rewards, arc_rewards = _random_rewards(g, np.random.default_rng((73, seed)))
+        for solve, p in (
+            (tso.solve_exact, _problem(g, rewards=rewards)),
+            (tso.solve_arc_exact, _problem(g, edge_rewards=arc_rewards)),
+        ):
+            fast = solve(p)
+            slow = solve(p, use_reward_bound=False)
+            assert fast.path == slow.path, (seed, solve.__name__)
+            assert fast.reward == slow.reward
+            assert fast.nodes_expanded <= slow.nodes_expanded
 
 
 def test_zero_cost_edge_survives_zero_budget(diamond):
@@ -137,15 +159,25 @@ def test_heuristic_paths_stay_feasible():
         assert res.path[0] == g.start and res.path[-1] == g.terminal
 
 
-def test_arc_exact_matches_enumeration():
-    for seed in range(8):
-        g = tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(77, seed))
+def test_arc_exact_matches_enumeration(loop5):
+    graphs = [tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(77, seed)) for seed in range(8)]
+    graphs += _depot_graphs(loop5, 80, 8)
+    tours = 0
+    for seed, g in enumerate(graphs):
         rng = np.random.default_rng((78, seed))
         rewards = {(u, v): float(rng.uniform(0.0, 1.0)) for u, v, _ in g.edges}
-        res = tso.solve_arc_exact(_problem(g, edge_rewards=rewards))
+        p = _problem(g, edge_rewards=rewards)
+        res = tso.solve_arc_exact(p)
+        slow = tso.solve_arc_exact(p, use_reward_bound=False)
+        assert (res.path, res.reward) == (slow.path, slow.reward), seed
         best, maximizers = oracles.arc_orienteering_brute(g, rewards)
+        if g.start == g.terminal and not maximizers:
+            assert res.path == (g.start,) and res.reward == 0.0
+            continue
+        tours += g.start == g.terminal
         assert res.reward == pytest.approx(best, abs=1e-12)
         assert res.path in maximizers
+    assert tours >= 5
 
 
 def test_arc_exact_unit_reward_edge(diamond):
