@@ -85,8 +85,8 @@ def validate_instance(g: SurvivalGraph) -> list[str]:
     for v, d in g.priorities.items():
         if v not in seen:
             problems.append(f"priority for unknown node {v}")
-        elif not d > 0:
-            problems.append(f"node {v} priority {d} not positive")
+        elif not 0 < d < INF:
+            problems.append(f"node {v} priority {d} not positive and finite")
     pairs = set()
     for u, v, w in g.edges:
         if u not in seen or v not in seen:
@@ -119,6 +119,8 @@ def validate_instance(g: SurvivalGraph) -> list[str]:
                 problems.append(f"multi-visit row for unknown node {v}")
             if len(row) != mv.M:
                 problems.append(f"multi-visit row for node {v} has {len(row)} entries, expected {mv.M}")
+            if not all(math.isfinite(x) for x in row):
+                problems.append(f"multi-visit row for node {v} has a non-finite entry")
             for a, b in zip(row, row[1:]):
                 if b > a + 1e-15:
                     problems.append(f"multi-visit rewards for node {v} increase with visit count")
@@ -127,6 +129,8 @@ def validate_instance(g: SurvivalGraph) -> list[str]:
         for (u, v), d in g.edge_rewards.items():
             if (u, v) not in g.survival:
                 problems.append(f"edge reward on missing edge ({u},{v})")
+            elif not math.isfinite(d):
+                problems.append(f"edge reward on ({u},{v}) is {d}, not finite")
             elif d < 0:
                 problems.append(f"edge reward on ({u},{v}) negative")
     return problems
@@ -161,6 +165,8 @@ class LogGraph:
     budget: float
     _from_cache: dict = field(default_factory=dict, repr=False)
     _to_cache: dict = field(default_factory=dict, repr=False)
+    # Exact-oracle search tables per (terminal, reward kind); see orienteering._search_tables.
+    _search_cache: dict = field(default_factory=dict, repr=False)
 
     def cost(self, u, v) -> float:
         return self.costs[(u, v)]

@@ -22,12 +22,17 @@ from .graph import (
     log_transform,
     max_visit_probabilities,
 )
-from .objective import (
+# discrete_derivative and visit_count_distribution are not called here, but
+# perfbench/tracing.py wraps them at tso.greedy.
+from .objective import (  # noqa: F401
     TeamPlan,
     discrete_derivative,
     edge_team_objective,
     edge_visit_profile,
+    fold_visit_counts,
     multi_visit_objective,
+    multi_visit_value,
+    profile_gain,
     team_plan,
     visit_count_distribution,
     visit_profile,
@@ -96,10 +101,11 @@ class BoundCertificate:
 class RewardModel:
     """One reward variant and the paths chosen so far.
 
-    It supplies the next robot's oracle problem, each added path's true
-    gain (by default the change in the variant's value), the value of a
-    set of paths, and the U1 caps: one (a, extra, b, p, d) per reward d a
-    walk start ~> a, extra, b ~> terminal could collect with chance <= p.
+    It supplies the next robot's oracle problem, update(profile), which
+    takes in an added path's visit profile and returns its true gain (the
+    change in the variant's value), the value of a set of paths, and the U1
+    caps: one (a, extra, b, p, d) per reward d a walk start ~> a, extra,
+    b ~> terminal could collect with chance <= p.
     """
 
     def __init__(self, g: SurvivalGraph, zeta):
@@ -112,13 +118,13 @@ class RewardModel:
 
     def add(self, path) -> float:
         """Record the next robot's path and return its true marginal gain."""
-        gain = self.gain(path)
-        self.paths.append(tuple(path))
-        self.reweight(path)
+        prof = visit_profile(self.g, path)
+        gain = self.update(prof)
+        self.paths.append(prof.path)
         return gain
 
-    def gain(self, path) -> float:
-        new_value = self.value(self.paths + [path])
+    def advance(self, new_value) -> float:
+        """Gain from the value of the paths so far to new_value, which becomes that value."""
         gain, self.total = new_value - self.total, new_value
         return gain
 
@@ -129,17 +135,17 @@ class NodeRewards(RewardModel):
     def __init__(self, g: SurvivalGraph, zeta):
         super().__init__(g, zeta)
         self.nu = {j: zeta[j] * g.priority(j) for j in g.node_ids}
+        self.profiles = []
 
     def problem(self, lg) -> OrienteeringProblem:
         return OrienteeringProblem(lg, rewards=dict(self.nu))
 
-    def gain(self, path) -> float:
-        return discrete_derivative(self.g, path, self.paths)
-
-    def reweight(self, path):
-        prof = visit_profile(self.g, path)
-        for n in range(1, len(path)):
-            self.nu[path[n]] *= 1.0 - prof.survival_prefix[n]
+    def update(self, prof) -> float:
+        for n in range(1, len(prof.path)):
+            self.nu[prof.path[n]] *= 1.0 - prof.survival_prefix[n]
+        gain = profile_gain(self.g, prof, self.profiles)
+        self.profiles.append(prof)
+        return gain
 
     def value(self, paths) -> float:
         return team_plan(self.g, paths).objective
@@ -159,10 +165,11 @@ class EdgeRewards(RewardModel):
     def problem(self, lg) -> OrienteeringProblem:
         return OrienteeringProblem(lg, edge_rewards=dict(self.w))
 
-    def reweight(self, path):
-        for e, a in edge_visit_profile(self.g, path).items():
+    def update(self, prof) -> float:
+        for e, a in edge_visit_profile(self.g, prof.path).items():
             if e in self.w:
                 self.w[e] *= 1.0 - a
+        return self.advance(self.value(self.paths + [prof.path]))
 
     def value(self, paths) -> float:
         return edge_team_objective(self.g, paths, self.table)
@@ -181,19 +188,20 @@ class MultiVisitRewards(RewardModel):
             raise ValueError("multi-visit planning needs a reward row for every node")
         super().__init__(g, zeta)
         self.mv = g.multi_visit
-        self.profiles = []
+        # Per node, P(exactly m of the robots so far visit it), one robot folded in at a time.
+        self.counts = {j: [1.0] for j in g.node_ids}
 
     def problem(self, lg) -> OrienteeringProblem:
         # Node j is worth zeta_j times its expected next-visit reward.
-        counts = visit_count_distribution(self.g, self.profiles)
         nu = {}
         for j in self.g.node_ids:
-            row, dp = self.mv.d[j], counts[j]
+            row, dp = self.mv.d[j], self.counts[j]
             nu[j] = self.zeta[j] * sum(row[m] * dp[m] for m in range(min(self.mv.M, len(dp))))
         return OrienteeringProblem(lg, rewards=nu)
 
-    def reweight(self, path):
-        self.profiles.append(visit_profile(self.g, path))
+    def update(self, prof) -> float:
+        fold_visit_counts(self.counts, prof)
+        return self.advance(multi_visit_value(self.g, self.counts, self.mv.d, self.mv.M))
 
     def value(self, paths) -> float:
         return multi_visit_objective(self.g, paths, self.mv.d, self.mv.M)

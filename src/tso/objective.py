@@ -84,12 +84,15 @@ def discrete_derivative(g: SurvivalGraph, candidate, existing) -> float:
     Equals sum_j E[z_j(candidate)] d_j prod_k (1 - E[z_j(rho_k)]), which is
     exactly the objective difference.
     """
-    cand = visit_profile(g, candidate)
-    existing_profiles = [visit_profile(g, p) for p in existing]
+    return profile_gain(g, visit_profile(g, candidate), [visit_profile(g, p) for p in existing])
+
+
+def profile_gain(g: SurvivalGraph, cand: VisitProfile, existing) -> float:
+    """discrete_derivative on profiles already built: cand's gain over the existing profiles."""
     gain = 0.0
     for v, z in cand.visit_prob.items():
         miss = 1.0
-        for pr in existing_profiles:
+        for pr in existing:
             miss *= 1.0 - pr.z(v)
         gain += g.priority(v) * z * miss
     return gain
@@ -99,19 +102,30 @@ def visit_count_distribution(g: SurvivalGraph, profiles) -> dict[int, np.ndarray
     """Per node, P(exactly m robots visit) for m = 0..q.
 
     Successes are independent Bernoulli(E[z_j(rho_k)]); the distribution is
-    Poisson-binomial, computed by the usual in-place dynamic program.
+    Poisson-binomial, computed by the usual dynamic program, one robot at a
+    time (fold_visit_counts).
     """
-    q = len(profiles)
-    out = {}
-    for v in g.node_ids:
-        dp = np.zeros(q + 1)
-        dp[0] = 1.0
-        for pr in profiles:
-            p = pr.z(v)
-            dp[1:] = dp[1:] * (1.0 - p) + dp[:-1] * p
-            dp[0] *= 1.0 - p
-        out[v] = dp
-    return out
+    counts = {v: [1.0] for v in g.node_ids}
+    for pr in profiles:
+        fold_visit_counts(counts, pr)
+    return {v: np.array(dp) for v, dp in counts.items()}
+
+
+def fold_visit_counts(counts: dict[int, list[float]], profile: VisitProfile) -> None:
+    """Add one robot to per-node count distributions (lists), in place.
+
+    Appending a zero and then updating performs exactly the float operations
+    of a table sized for every robot up front, whose tail is still zero. A
+    node the robot never visits (p = 0) keeps its values, since x * 1.0 + 0.0
+    == x, so only the path's nodes are updated.
+    """
+    for dp in counts.values():
+        dp.append(0.0)
+    for v, p in profile.visit_prob.items():
+        dp, q = counts[v], 1.0 - p
+        for m in range(len(dp) - 1, 0, -1):
+            dp[m] = dp[m] * q + dp[m - 1] * p
+        dp[0] *= q
 
 
 def multi_visit_objective(g: SurvivalGraph, paths, table, M: int) -> float:
@@ -120,12 +134,16 @@ def multi_visit_objective(g: SurvivalGraph, paths, table, M: int) -> float:
     Rows must be non-increasing in m (diminishing returns); the value is
     sum_j sum_m table[j][m-1] * P(at least m visits to j).
     """
+    profiles = [visit_profile(g, p) for p in paths]
+    return multi_visit_value(g, visit_count_distribution(g, profiles), table, M)
+
+
+def multi_visit_value(g: SurvivalGraph, counts, table, M: int) -> float:
+    """multi_visit_objective from per-node count distributions already built."""
     for v, row in table.items():
         for a, b in zip(row, row[1:M]):
             if b > a + 1e-15:
                 raise ValueError(f"multi-visit rewards for node {v} increase with visit count")
-    profiles = [visit_profile(g, p) for p in paths]
-    counts = visit_count_distribution(g, profiles)
     total = 0.0
     for v in g.node_ids:
         row = table.get(v)

@@ -42,8 +42,8 @@ class OrienteeringProblem:
             for e, r in self.edge_rewards.items():
                 if e not in self.lg.costs:
                     raise ValueError(f"reward on missing edge {e}")
-                if r < 0:
-                    raise ValueError(f"negative reward on edge {e}")
+                if r < 0 or r != r:
+                    raise ValueError(f"negative or NaN reward on edge {e}")
 
 
 @dataclass
@@ -62,89 +62,118 @@ def path_reward(p: OrienteeringProblem, path) -> float:
 
 def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
     """Branch and bound over simple paths with node rewards; returns a true maximizer."""
-    rewards = p.rewards or {}
-    nodes = p.lg.graph.node_ids
-    items = [(j, 0.0, j, rewards[j]) for j in nodes if rewards.get(j, 0.0) > 0.0]
-    return _branch_and_bound(p, dict.fromkeys(nodes, rewards), items, use_reward_bound)
+    return _branch_and_bound(p, "node", (p.rewards or {}).get, use_reward_bound)
 
 
 def solve_arc_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
     """Branch and bound with rewards on edges instead of nodes."""
-    rewards = p.edge_rewards or {}
-    lg = p.lg
-    idx = lg.graph.index
-    gain = {v: {} for v in lg.graph.node_ids}
-    for (a, b), r in rewards.items():
-        gain[a][b] = r
-    ordered = sorted(rewards.items(), key=lambda t: (idx[t[0][0]], idx[t[0][1]]))
-    items = [(a, lg.costs[(a, b)], b, r) for (a, b), r in ordered if r > 0.0]
-    return _branch_and_bound(p, gain, items, use_reward_bound)
+    return _branch_and_bound(p, "arc", (p.edge_rewards or {}).get, use_reward_bound)
 
 
-def _branch_and_bound(p: OrienteeringProblem, gain, items, use_reward_bound: bool) -> OracleResult:
+def _search_tables(lg: LogGraph, terminal, kind: str):
+    """Search tables of one terminal and reward kind, cached on lg for every later call.
+
+    Returns (reward keys, items, step_item, head bits, per-node tables). Item k
+    is (a, extra, b), paid reward[keys[k]]: one (j, 0.0, j) per node in index
+    order, or one (a, cost(a, b), b) per arc in (tail, head) index order.
+    """
+    key = (terminal, kind)
+    if key not in lg._search_cache:
+        g = lg.graph
+        idx = g.index
+        arcs = sorted(lg.costs, key=lambda e: (idx[e[0]], idx[e[1]]))
+        if kind == "node":
+            keys, items = g.node_ids, [(j, 0.0, j) for j in g.node_ids]
+            step_item = {(a, b): idx[b] for a, b in arcs}
+        else:
+            keys, items = arcs, [(a, lg.costs[(a, b)], b) for a, b in arcs]
+            step_item = {e: k for k, e in enumerate(arcs)}
+        bit = {v: 0 if v == terminal else 1 << i for i, v in enumerate(g.node_ids)}
+        lg._search_cache[key] = (keys, items, step_item, bit, {})
+    return lg._search_cache[key]
+
+
+def _node_table(lg: LogGraph, v, items, step_item, bit, dist_to_t):
+    """Bound items (need, head bit, k) and steps (u, cost, dist_to_t[u], bit of u, k) of node v."""
+    dv = lg.distances_from(v)
+    bound = [(dv[a] + extra + dist_to_t[b], bit[b], k) for k, (a, extra, b) in enumerate(items)]
+    steps = [(u, lg.costs[(v, u)], dist_to_t[u], bit[u], step_item[(v, u)]) for u, _w in lg.graph.adjacency[v]]
+    return bound, steps
+
+
+def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) -> OracleResult:
     """Depth-first branch and bound shared by node and arc rewards.
 
-    A step v -> u pays gain[v].get(u, 0.0). Each bound item (a, extra, b, r)
-    is a reward r that a walk v ~> a, then extra, then b ~> terminal could
-    still collect; a node reward j is the item (j, 0.0, j, r_j), an arc
-    reward the item (a, cost(a, b), b, r). An item whose head b is already
-    visited (and is not the terminal) is out of reach, because a simple path
-    never re-enters a visited node.
+    Each bound item (a, extra, b) is a reward that a walk v ~> a, then extra,
+    then b ~> terminal could still collect, at a need of
+    dist(v, a) + extra + dist(b, terminal); a step v -> u pays its own item.
+    An item whose head b is already visited (and is not the terminal) is out
+    of reach, because a simple path never re-enters a visited node. Needs,
+    steps and head bits depend on the graph only, so a node's table is built
+    on its first expansion and reused by every later call on the same
+    LogGraph; a call builds only its reward list. Visited nodes form an int
+    bitmask in which the terminal's bit is 0.
 
     Children are explored in ascending node-index order and the incumbent
     only improves strictly, so the first maximizer reached is the
     lexicographically smallest one. Pruning: (a) the cheapest completion
     exceeds the remaining budget, (b) current reward plus every item still
     in reach cannot beat the incumbent (admissible, so rule (b) never
-    removes the returned optimum; it can be disabled for audits).
+    removes the returned optimum; it can be disabled for audits). Sums run
+    in item order and every budget test keeps one float expression; items
+    with zero reward stay (x + 0.0 == x). So prunes and results do not
+    depend on which calls built the tables.
     """
-    g = p.lg.graph
     lg = p.lg
     start, terminal, budget = p.start, p.terminal, p.budget
+    limit = budget + BUDGET_TOL
     depot = start == terminal
     dist_to_t = lg.distances_to(terminal)
+    keys, items, step_item, bit, tables = _search_tables(lg, terminal, kind)
+    reward = [lookup(key, 0.0) for key in keys]
 
     # A depot robot may stay home; an open path has no incumbent yet.
     best_reward, best_path = (0.0, (start,)) if depot else (-INF, None)
     expanded = 0
 
-    def optimistic(v, visited, cost, collected):
-        remaining = budget - cost
-        bound = collected
-        dv = lg.distances_from(v)
-        for a, extra, b, r in items:
-            if b in visited and b != terminal:
-                continue
-            if dv[a] + extra + dist_to_t[b] <= remaining + BUDGET_TOL:
-                bound += r
-        return bound
-
     def dfs(v, cost, collected, visited, path):
         nonlocal best_reward, best_path, expanded
         expanded += 1
-        if use_reward_bound and optimistic(v, visited, cost, collected) <= best_reward:
-            return
-        pay = gain[v]
-        for u, _w in g.adjacency[v]:
-            c = cost + lg.costs[(v, u)]
+        try:
+            bound_items, steps = tables[v]
+        except KeyError:
+            bound_items, steps = tables[v] = _node_table(lg, v, items, step_item, bit, dist_to_t)
+        if use_reward_bound:
+            bound = collected
+            room = budget - cost + BUDGET_TOL
+            for need, head, k in bound_items:
+                if need <= room and not visited & head:
+                    bound += reward[k]
+            if bound <= best_reward:
+                return
+        for u, w, to_t, b, k in steps:
+            if visited & b:
+                continue
+            c = cost + w
             if u == terminal:
-                if c <= budget + BUDGET_TOL:
-                    r = collected + pay.get(u, 0.0)
+                if c <= limit:
+                    r = collected + reward[k]
                     if r > best_reward:
                         best_reward = r
                         best_path = tuple(path) + (u,)
                 continue
-            if u in visited:
-                continue
-            if c + dist_to_t[u] > budget + BUDGET_TOL:
+            if c + to_t > limit:
                 continue
             path.append(u)
-            dfs(u, c, collected + pay.get(u, 0.0), visited | {u}, path)
+            dfs(u, c, collected + reward[k], visited | b, path)
             path.pop()
 
-    if dist_to_t[start] > budget + BUDGET_TOL and not depot:
+    if dist_to_t[start] > limit and not depot:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    dfs(start, 0.0, 0.0, {start}, [start])
+    try:
+        dfs(start, 0.0, 0.0, bit[start], [start])
+    finally:
+        dfs = None  # the closure refers to itself; drop the cycle now, not at the next GC
     if best_path is None:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
     return OracleResult(path=best_path, reward=best_reward, exact=True, nodes_expanded=expanded)

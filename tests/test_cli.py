@@ -258,6 +258,35 @@ def test_malformed_instance_shapes_exit_one(tmp_path, capsys):
         _one_line_error(capsys)
 
 
+def _hex_doc_with(field, value):
+    """Hex p_s=0.7 document with unit edge rewards, an M=2 table, and one entry set to value."""
+    doc = tso.instance_to_dict(tso.hex_instance(p_s=0.7))
+    doc["edge_rewards"] = [{"from": e["from"], "to": e["to"], "d": 1.0} for e in doc["edges"]]
+    doc["multi_visit"] = {"M": 2, "d": [[1.0, 0.5] for _ in doc["nodes"]]}
+    if field == "edge":
+        doc["edge_rewards"][3]["d"] = value
+    elif field == "multi_visit":
+        doc["multi_visit"]["d"][4][0] = value
+    else:
+        doc["nodes"][3]["priority"] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value, variant, message", [
+    ("edge", math.nan, "edge", "edge reward on (0,4) is nan, not finite"),
+    ("edge", math.inf, "edge", "edge reward on (0,4) is inf, not finite"),
+    ("multi_visit", math.nan, "multi_visit", "multi-visit row for node 4 has a non-finite entry"),
+    ("priority", math.inf, "node", "node 3 priority inf not positive and finite"),
+], ids=["edge-nan", "edge-inf", "multi-visit-nan", "priority-inf"])
+def test_non_finite_rewards_exit_one(tmp_path, capsys, field, value, variant, message):
+    # Unchecked, these plan to a NaN or infinite value and write it as JSON
+    # that no strict parser reads, or blame the wrong input.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_hex_doc_with(field, value)), encoding="utf-8")
+    assert main(["solve", str(inst), "--variant", variant, "--team", "2"]) == 1
+    assert capsys.readouterr().err == f"error: invalid instance: {message}\n"
+
+
 def test_malformed_plan_shapes_exit_one(tmp_path, capsys):
     inst = _gen(tmp_path)
     for k, doc in enumerate([[[0, 5]], {"paths": 3}, {"paths": [[0, None]]}, {"plan": []}]):

@@ -114,6 +114,13 @@ def test_visit_count_distribution_matches_brute(probs):
     dist = tso.visit_count_distribution(g, profiles)[3]
     brute = oracles.poisson_binomial_brute(probs)
     assert dist == pytest.approx(brute, abs=1e-12)
+    # Folding one robot at a time gives the floats of a table sized up front.
+    table = np.zeros(len(probs) + 1)
+    table[0] = 1.0
+    for p in probs:
+        table[1:] = table[1:] * (1.0 - p) + table[:-1] * p
+        table[0] *= 1.0 - p
+    assert dist.tolist() == table.tolist()
 
 
 def test_multi_visit_example():

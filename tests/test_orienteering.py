@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tso
 from tso.orienteering import path_reward
@@ -41,6 +45,8 @@ def test_rejects_bad_rewards(diamond):
         _problem(diamond, edge_rewards={(4, 1): 1.0})
     with pytest.raises(ValueError):
         _problem(diamond, edge_rewards={(1, 2): -0.5})
+    with pytest.raises(ValueError):
+        _problem(diamond, edge_rewards={(1, 2): float("nan")})
 
 
 def test_diamond_visit_probability_rewards(diamond):
@@ -192,3 +198,128 @@ def test_arc_bound_agreement(diamond):
     slow = tso.solve_arc_exact(p, use_reward_bound=False)
     assert fast.path == slow.path
     assert fast.reward == slow.reward
+
+
+LEVELS = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def adversarial_cases(draw):
+    """Small digraphs with free (survival 1.0) edges, depot tours, tied or all-zero
+    rewards, and p_s sometimes exactly the survival product of a walk from the start."""
+    n = draw(st.integers(3, 6))
+    edges = [
+        (u, v, draw(st.sampled_from([1.0, 1.0, 0.9, 0.8, 0.5])))
+        for u in range(n) for v in range(n) if u != v and draw(st.booleans())
+    ]
+    depot = draw(st.booleans())
+    p_s = draw(st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]))
+    if draw(st.booleans()):
+        walk, v = [], 0
+        for _ in range(draw(st.integers(1, 3))):
+            out = [e for e in edges if e[0] == v]
+            if not out:
+                break
+            e = draw(st.sampled_from(out))
+            walk.append(e[2])
+            v = e[1]
+        p_s = math.prod(walk) if walk else p_s
+    g = tso.SurvivalGraph(
+        node_ids=list(range(n)), priorities={v: 1.0 for v in range(n)}, edges=edges,
+        start=0, terminal=0 if depot else n - 1, p_s=p_s,
+    )
+    rewards = {v: draw(LEVELS) for v in g.node_ids}
+    arcs = {(u, v): draw(LEVELS) for u, v, _ in edges}
+    return g, rewards, arcs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(adversarial_cases())
+def test_exact_oracles_on_adversarial_graphs(case):
+    g, rewards, arcs = case
+    for solve, p, brute in (
+        (tso.solve_exact, _problem(g, rewards=rewards), oracles.orienteering_brute(g, rewards)),
+        (tso.solve_arc_exact, _problem(g, edge_rewards=arcs), oracles.arc_orienteering_brute(g, arcs)),
+    ):
+        best, maximizers = brute
+        try:
+            fast = solve(p)
+        except tso.InfeasibleInstanceError:
+            assert g.start != g.terminal and not maximizers
+            with pytest.raises(tso.InfeasibleInstanceError):
+                solve(p, use_reward_bound=False)
+            continue
+        slow = solve(p, use_reward_bound=False)
+        assert (fast.path, fast.reward) == (slow.path, slow.reward), solve.__name__
+        assert fast.nodes_expanded <= slow.nodes_expanded
+        if fast.path == (g.start,):
+            # A depot robot stays home only when no tour collects anything.
+            assert g.start == g.terminal and fast.reward == 0.0 and best <= 1e-12
+        else:
+            assert fast.reward == pytest.approx(best, abs=1e-12)
+            assert fast.path in maximizers
+
+
+def test_calls_sharing_a_log_graph_match_fresh_ones():
+    # The search tables cached on a LogGraph hold no rewards and no budget,
+    # so a call must not depend on which calls ran on that LogGraph before.
+    for seed in range(4):
+        g = tso.feasible_random_instance(7, 0.4, 1.0, 0.5, seed=(81, seed))
+        rng = np.random.default_rng((82, seed))
+        calls = []
+        for budget in (None, 0.4, 0.9, 0.2):
+            nodes, arcs = _random_rewards(g, rng)
+            nodes[g.node_ids[3]] = 0.0
+            calls.append((tso.solve_exact, dict(rewards=nodes, budget=budget)))
+            calls.append((tso.solve_arc_exact, dict(edge_rewards=arcs, budget=budget)))
+        shared = tso.log_transform(g)
+        for solve, kw in calls:
+            try:
+                fresh = solve(_problem(g, **kw))
+            except tso.InfeasibleInstanceError:
+                with pytest.raises(tso.InfeasibleInstanceError):
+                    solve(tso.OrienteeringProblem(lg=shared, **kw))
+                continue
+            again = solve(tso.OrienteeringProblem(lg=shared, **kw))
+            assert (again.path, again.reward, again.nodes_expanded) == (
+                fresh.path, fresh.reward, fresh.nodes_expanded), (seed, solve.__name__, kw["budget"])
+        assert {key[1] for key in shared._search_cache} == {"node", "arc"}
+
+
+def _count_oracle_nodes(monkeypatch):
+    """Record nodes_expanded of every exact-oracle call greedy makes."""
+    counts = []
+    for name in ("solve_exact", "solve_arc_exact"):
+        solve = getattr(tso.greedy, name)
+
+        def counted(p, solve=solve):
+            res = solve(p)
+            counts.append(res.nodes_expanded)
+            return res
+
+        monkeypatch.setattr(tso.greedy, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("variant, calls, total", [
+    ("node", 30, 122_588),
+    ("edge", 36, 16_020),
+    ("multi_visit", 36, 11_666),
+])
+def test_greedy_search_effort_is_pinned(monkeypatch, variant, calls, total):
+    # Totals of one greedy run per reward kind; a change to the search order,
+    # the bound or its float order moves them.
+    if variant == "node":
+        g = tso.feasible_random_instance(20, 0.3, 1.0, 0.6, seed=(0, 0))
+        cfg = tso.GreedyConfig(5, oversize=30)
+    else:
+        hexg = tso.hex_instance(p_s=0.6)
+        table = tso.MultiVisitTable(M=3, d={v: [1.0, 0.6, 0.3] for v in hexg.node_ids})
+        g = tso.SurvivalGraph(
+            node_ids=hexg.node_ids, priorities=hexg.priorities, edges=hexg.edges,
+            start=hexg.start, terminal=hexg.terminal, p_s=hexg.p_s, multi_visit=table,
+        )
+        cfg = tso.GreedyConfig(6, oversize=36, variant=variant)
+    counts = _count_oracle_nodes(monkeypatch)
+    tso.greedy_survivors(g, cfg)
+    assert (len(counts), sum(counts)) == (calls, total)
