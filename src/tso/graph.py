@@ -167,6 +167,8 @@ class LogGraph:
     _to_cache: dict = field(default_factory=dict, repr=False)
     # Exact-oracle search tables per (terminal, reward kind); see orienteering._search_tables.
     _search_cache: dict = field(default_factory=dict, repr=False)
+    # GRASP cost rows and legs; see orienteering._grasp_tables.
+    _grasp_cache: tuple | None = field(default=None, repr=False)
 
     def cost(self, u, v) -> float:
         return self.costs[(u, v)]
@@ -230,6 +232,11 @@ def shortest_path(lg: LogGraph, source, target, banned=frozenset()):
     dist, parent = dijkstra(lg, source, banned=banned)
     if dist[target] == INF:
         return None
+    return tree_path(parent, source, target)
+
+
+def tree_path(parent, source, target):
+    """Node sequence from source to target in a dijkstra parent tree rooted at source, or None."""
     if source == target:
         return [source]
     path = [target]

@@ -161,6 +161,8 @@ class EdgeRewards(RewardModel):
         super().__init__(g, zeta)
         self.table = dict(g.edge_rewards) if g.edge_rewards else {(u, v): 1.0 for u, v, _w in g.edges}
         self.w = {(u, v): zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.table.items()}
+        # Per rewarded edge, the chance that no robot so far has crossed it.
+        self.miss = dict.fromkeys(self.table, 1.0)
 
     def problem(self, lg) -> OrienteeringProblem:
         return OrienteeringProblem(lg, edge_rewards=dict(self.w))
@@ -169,7 +171,13 @@ class EdgeRewards(RewardModel):
         for e, a in edge_visit_profile(self.g, prof.path).items():
             if e in self.w:
                 self.w[e] *= 1.0 - a
-        return self.advance(self.value(self.paths + [prof.path]))
+                self.miss[e] *= 1.0 - a
+        # An edge off the path keeps its miss (x * (1.0 - 0.0) == x), so this
+        # is edge_team_objective of every path so far, float for float.
+        total = 0.0
+        for e, d in self.table.items():
+            total += d * (1.0 - self.miss[e])
+        return self.advance(total)
 
     def value(self, paths) -> float:
         return edge_team_objective(self.g, paths, self.table)

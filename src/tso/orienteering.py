@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, shortest_path
+from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, dijkstra, shortest_path, tree_path
 
 
 @dataclass
@@ -182,40 +182,66 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
 # ---------------------------------------------------------------------------
 # GRASP heuristic
 
+def _grasp_tables(lg: LogGraph):
+    """(rows, cost_of, legs) of lg, built by its first GRASP call and kept for every later one.
+
+    rows[v] holds v's out-arcs (u, cost) in adjacency order and cost_of[a][b]
+    is the cost of arc (a, b). legs maps (src, dst, frozenset(banned)) to what
+    _leg_avoiding returns for it. None of them holds rewards or a budget, so
+    the calls of a greedy run, which share one LogGraph, share them too.
+    """
+    if lg._grasp_cache is None:
+        costs = lg.costs
+        rows = {v: tuple((u, costs[(v, u)]) for u, _w in nbrs) for v, nbrs in lg.graph.adjacency.items()}
+        lg._grasp_cache = (rows, {v: dict(row) for v, row in rows.items()}, {})
+    return lg._grasp_cache
+
+
 def _base_path(p: OrienteeringProblem):
     """Cheapest feasible skeleton: shortest return for depots, shortest path otherwise."""
-    g = p.lg.graph
     lg = p.lg
     if p.start != p.terminal:
         path = shortest_path(lg, p.start, p.terminal)
         if path is None:
             raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-        cost = sum(lg.costs[(a, b)] for a, b in zip(path, path[1:]))
+        cost = _path_cost(lg, path)
         if cost > p.budget + BUDGET_TOL:
             raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-        return list(path), cost
+        return path, cost
     best = None
-    dist = lg.distances_from(p.start)
-    for v, _w in g.reverse_adjacency[p.start]:
+    dist, parent = dijkstra(lg, p.start)
+    for v, _w in lg.graph.reverse_adjacency[p.start]:
         if v == p.start or dist[v] == INF:
             continue
         cost = dist[v] + lg.costs[(v, p.start)]
         if cost <= p.budget + BUDGET_TOL and (best is None or cost < best[1]):
-            leg = shortest_path(lg, p.start, v)
+            leg = tree_path(parent, p.start, v)
             if leg is not None and len(set(leg)) == len(leg):
                 best = (leg + [p.start], cost)
     if best is None:
         return [p.start], 0.0
-    return list(best[0]), best[1]
+    return best
 
 
 def _path_cost(lg, path):
-    return sum(lg.costs[(a, b)] for a, b in zip(path, path[1:]))
+    # Left to right, as the reversal scan of _local_search sums; sum() of
+    # floats compensates from Python 3.12 on and would not match it there.
+    cost = 0.0
+    for a, b in zip(path, path[1:]):
+        cost += lg.costs[(a, b)]
+    return cost
 
 
 def _leg_avoiding(lg, src, dst, banned):
-    """Cheapest src-to-dst leg whose interior skips the banned nodes."""
-    g = lg.graph
+    """Cheapest src-to-dst leg whose interior skips the banned nodes, as (nodes, cost) or None.
+
+    A leg depends on the graph alone, so it is searched once per LogGraph
+    and kept, with its nodes as a tuple, in the leg cache of _grasp_tables.
+    """
+    rows, _cost_of, legs = _grasp_tables(lg)
+    key = (src, dst, frozenset(banned))
+    if key in legs:
+        return legs[key]
     dist = {src: 0.0}
     prev = {}
     heap = [(0.0, src)]
@@ -225,20 +251,22 @@ def _leg_avoiding(lg, src, dst, banned):
             continue
         if v == dst:
             break
-        for u, _w in g.adjacency[v]:
+        for u, w in rows[v]:
             if u != dst and u in banned:
                 continue
-            nd = d + lg.costs[(v, u)]
+            nd = d + w
             if nd < dist.get(u, INF):
                 dist[u] = nd
                 prev[u] = v
                 heapq.heappush(heap, (nd, u))
-    if dst not in prev:
-        return None
-    leg = [dst]
-    while leg[-1] != src:
-        leg.append(prev[leg[-1]])
-    return leg[::-1], dist[dst]
+    leg = None
+    if dst in prev:
+        nodes = [dst]
+        while nodes[-1] != src:
+            nodes.append(prev[nodes[-1]])
+        leg = (tuple(reversed(nodes)), dist[dst])
+    legs[key] = leg
+    return leg
 
 
 def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
@@ -255,6 +283,7 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
     g = p.lg.graph
     lg = p.lg
     dist_t = lg.distances_to(p.terminal)
+    limit = p.budget + BUDGET_TOL
     path = [p.start]
     used = {p.start}
     waypoints = [0]
@@ -265,14 +294,14 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
         cands = [
             j for j in g.node_ids
             if j not in used and j != p.terminal
-            and cost + dv[j] + dist_t[j] <= p.budget + BUDGET_TOL
+            and cost + dv[j] + dist_t[j] <= limit
         ]
         for _draw in range(3):
             if not cands:
                 break
             j = cands[rng.integers(len(cands))]
             leg = _leg_avoiding(lg, v, j, used | {p.terminal})
-            if leg is not None and cost + leg[1] + dist_t[j] <= p.budget + BUDGET_TOL:
+            if leg is not None and cost + leg[1] + dist_t[j] <= limit:
                 path += leg[0][1:]
                 used.update(leg[0][1:])
                 waypoints.append(len(path) - 1)
@@ -282,8 +311,8 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
             cands.remove(j)
     while len(path) > 1:
         tail = _leg_avoiding(lg, v, p.terminal, used)
-        if tail is not None and cost + tail[1] <= p.budget + BUDGET_TOL:
-            return path + tail[0][1:], cost + tail[1]
+        if tail is not None and cost + tail[1] <= limit:
+            return path + list(tail[0][1:]), cost + tail[1]
         waypoints.pop()
         del path[waypoints[-1] + 1:]
         used = set(path)
@@ -294,86 +323,118 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
 
 def _insertions(p: OrienteeringProblem, path, cost, visited):
     """Feasible (node, position, delta-cost) insertions of positive-reward nodes."""
-    g = p.lg.graph
-    lg = p.lg
+    _rows, cost_of, _legs = _grasp_tables(p.lg)
     rewards = p.rewards or {}
+    limit = p.budget + BUDGET_TOL
+    # Per path arc (a, b): a's cost row, b and cost(a, b).
+    arcs = [(cost_of[a], b, cost_of[a][b]) for a, b in zip(path, path[1:])]
     out = []
-    for j in g.node_ids:
+    for j in p.lg.graph.node_ids:
         if j in visited or rewards.get(j, 0.0) <= 0.0:
             continue
-        for i in range(len(path) - 1):
-            a, b = path[i], path[i + 1]
-            if (a, j) not in lg.costs or (j, b) not in lg.costs:
+        from_j = cost_of[j]
+        for i, (from_a, b, ab) in enumerate(arcs):
+            aj = from_a.get(j)
+            if aj is None:
                 continue
-            delta = lg.costs[(a, j)] + lg.costs[(j, b)] - lg.costs[(a, b)]
-            if cost + delta <= p.budget + BUDGET_TOL:
+            jb = from_j.get(b)
+            if jb is None:
+                continue
+            delta = aj + jb - ab
+            if cost + delta <= limit:
                 out.append((j, i + 1, delta))
     return out
 
 
 def _local_search(p: OrienteeringProblem, path, cost):
-    """Hill-climb: best insertions, free-node drops, and 2-exchanges."""
+    """Hill-climb from a path that admits no insertion.
+
+    Each round drops an interior node that pays nothing but costs something
+    or, failing that, reverses a segment to lower the cost (a 2-exchange),
+    then makes the best reward-per-cost insertion while one fits. It stops
+    at the first round that finds neither a drop nor a reversal.
+    """
     g = p.lg.graph
-    lg = p.lg
+    _rows, cost_of, _legs = _grasp_tables(p.lg)
     rewards = p.rewards or {}
-    improved = True
-    while improved:
+    while True:
         improved = False
-        visited = set(path)
-        # Best reward-per-cost insertion first.
-        cands = _insertions(p, path, cost, visited)
-        if cands:
-            j, pos, delta = max(cands, key=lambda t: (rewards.get(t[0], 0.0) / max(t[2], 1e-12), -t[2], -g.index[t[0]]))
-            path.insert(pos, j)
-            cost += delta
-            improved = True
-            continue
         # Drop interior nodes that pay nothing but cost something.
         for i in range(1, len(path) - 1):
             j = path[i]
             if rewards.get(j, 0.0) > 0.0:
                 continue
             a, b = path[i - 1], path[i + 1]
-            if (a, b) not in lg.costs:
+            ab = cost_of[a].get(b)
+            if ab is None:
                 continue
-            delta = lg.costs[(a, b)] - lg.costs[(a, j)] - lg.costs[(j, b)]
+            delta = ab - cost_of[a][j] - cost_of[j][b]
             if delta < -1e-12:
                 del path[i]
                 cost += delta
                 improved = True
                 break
-        if improved:
-            continue
-        # Segment reversal when every reversed edge exists and cost drops.
-        n = len(path)
-        for i in range(1, n - 1):
-            if improved:
-                break
-            for k in range(i + 1, n - 1):
-                seg = path[i:k + 1]
-                ok = all((seg[t + 1], seg[t]) in lg.costs for t in range(len(seg) - 1))
-                if not ok:
-                    continue
-                a, b = path[i - 1], path[k + 1]
-                if (a, seg[-1]) not in lg.costs or (seg[0], b) not in lg.costs:
-                    continue
-                old = lg.costs[(a, seg[0])] + _path_cost(lg, seg) + lg.costs[(seg[-1], b)]
-                new = lg.costs[(a, seg[-1])] + _path_cost(lg, seg[::-1]) + lg.costs[(seg[0], b)]
-                if new < old - 1e-12:
-                    path[i:k + 1] = seg[::-1]
-                    cost += new - old
-                    improved = True
+        if not improved:
+            # Segment reversal when every reversed edge exists and cost drops.
+            # The segment path[i..k] costs fwd forward and back[k][i] reversed,
+            # each summed along its own direction as _path_cost sums a path.
+            # back[k] stops at the first missing reverse arc, which every
+            # longer segment ending at k also holds.
+            n = len(path)
+            back = []
+            for k in range(n - 1):
+                run, row = 0.0, {}
+                for i in range(k - 1, 0, -1):
+                    w = cost_of[path[i + 1]].get(path[i])
+                    if w is None:
+                        break
+                    run += w
+                    row[i] = run
+                back.append(row)
+            for i in range(1, n - 1):
+                from_a, head = cost_of[path[i - 1]], path[i]
+                fwd = 0.0
+                for k in range(i + 1, n - 1):
+                    tail = path[k]
+                    fwd += cost_of[path[k - 1]][tail]
+                    rev = back[k].get(i)
+                    if rev is None:
+                        break
+                    b = path[k + 1]
+                    a_tail, head_b = from_a.get(tail), cost_of[head].get(b)
+                    if a_tail is None or head_b is None:
+                        continue
+                    old = from_a[head] + fwd + cost_of[tail][b]
+                    new = a_tail + rev + head_b
+                    if new < old - 1e-12:
+                        path[i:k + 1] = path[i:k + 1][::-1]
+                        cost += new - old
+                        improved = True
+                        break
+                if improved:
                     break
-    return path, cost
+        if not improved:
+            return path, cost
+        while cands := _insertions(p, path, cost, set(path)):
+            j, pos, delta = max(cands, key=lambda t: (rewards.get(t[0], 0.0) / max(t[2], 1e-12), -t[2], -g.index[t[0]]))
+            path.insert(pos, j)
+            cost += delta
 
 
 def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> OracleResult:
     """GRASP: randomized greedy insertion plus local search, best of restarts.
 
-    Deterministic for a fixed seed. The first restart grows the cheapest
-    feasible skeleton; later restarts grow a random edge walk of varying
-    depth, then all repeatedly insert a node drawn from the best candidates
-    ranked by reward per added cost.
+    The first restart grows the cheapest feasible skeleton; later restarts
+    grow a random skeleton through 1, 2, 4, 8 or 16 waypoints. Each restart
+    then repeatedly inserts a node drawn from the best quarter of the
+    feasible insertions, ranked by reward per added cost, and ends in local
+    search. The best path by reward wins, ties going to the smaller
+    node-index sequence; nodes_expanded counts the insertions evaluated.
+
+    Deterministic for a fixed seed. The cost rows and legs it reads are
+    cached on p.lg (_grasp_tables) and hold neither rewards nor the budget,
+    so a call returns the same result whichever calls ran on that LogGraph
+    before.
     """
     g = p.lg.graph
     rewards = p.rewards or {}

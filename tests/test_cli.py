@@ -329,6 +329,16 @@ def test_bench_hex_byte_identical(tmp_path, monkeypatch):
     assert js == sorted(js)
 
 
+def test_heuristic_solve_matches_golden(tmp_path, capsys):
+    """A GRASP-oracle plan is pinned across commits, as the exact-oracle bench CSVs are."""
+    inst = tmp_path / "inst.json"
+    tso.save_instance(tso.feasible_random_instance(20, 0.3, 1.0, 0.6, seed=(0, 1)), inst)
+    plan = tmp_path / "plan.json"
+    argv = ["solve", str(inst), "--oracle", "heuristic", "--team", "5", "--seed", "1", "--out", str(plan)]
+    assert main(argv) == 0
+    assert plan.read_bytes() == (DATA / "solve-heuristic.plan.json").read_bytes()
+
+
 def test_bench_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--suite", "cube"])

@@ -220,14 +220,25 @@ def test_edge_variant_steers_toward_rewarded_edges(diamond):
     assert res2.variant_value == pytest.approx(1.0, abs=0.0)
 
 
+def _hex_with_some_edge_rewards():
+    """The hex depot with rewards on every third edge only."""
+    g = tso.hex_instance(p_s=0.6)
+    rewards = {(u, v): 0.5 + 0.1 * (k % 7) for k, (u, v, _w) in enumerate(g.edges) if k % 3 == 0}
+    return tso.SurvivalGraph(
+        node_ids=g.node_ids, priorities=g.priorities, edges=g.edges,
+        start=g.start, terminal=g.terminal, p_s=g.p_s, edge_rewards=rewards,
+    )
+
+
 def test_edge_variant_gains_match_objective_increments():
-    g = tso.feasible_random_instance(6, 0.4, 1.0, 0.7, seed=85)
-    res = tso.greedy_survivors(g, tso.GreedyConfig(team_size=3, variant="edge"))
-    table = {(u, v): 1.0 for u, v, _ in g.edges}
-    for k in range(3):
-        before = tso.edge_team_objective(g, res.paths[:k], table)
-        after = tso.edge_team_objective(g, res.paths[: k + 1], table)
-        assert res.gains[k] == pytest.approx(after - before, abs=1e-12)
+    # Gains are differences of edge_team_objective values, float for float.
+    for g, team in ((tso.feasible_random_instance(6, 0.4, 1.0, 0.7, seed=85), 3), (_hex_with_some_edge_rewards(), 6)):
+        res = tso.greedy_survivors(g, tso.GreedyConfig(team_size=team, oversize=2 * team, variant="edge"))
+        table = g.edge_rewards or {(u, v): 1.0 for u, v, _ in g.edges}
+        for k in range(2 * team):
+            before = tso.edge_team_objective(g, res.paths[:k], table)
+            after = tso.edge_team_objective(g, res.paths[: k + 1], table)
+            assert res.gains[k] == after - before, (g.num_nodes, k)
 
 
 def test_edge_variant_rejects_heuristic_oracle(diamond):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import tso
 from tso.orienteering import path_reward
 
 import oracles
+
+HEURISTIC_PINS = Path(__file__).parent / "data" / "heuristic-pins.json"
 
 
 def _problem(g, rewards=None, edge_rewards=None, budget=None):
@@ -163,6 +167,83 @@ def test_heuristic_paths_stay_feasible():
         prof = tso.visit_profile(g, res.path)
         assert prof.survival >= g.p_s - 1e-9
         assert res.path[0] == g.start and res.path[-1] == g.terminal
+
+
+def _sparse_digraph(seed):
+    """A chain 0 -> ... -> n-1 plus random arcs, so most reverse arcs are missing.
+
+    Every third graph is a depot tour at node 0, which needs a random arc home.
+    """
+    rng = np.random.default_rng((91, seed))
+    n = int(rng.integers(6, 10))
+    edges = [(v, v + 1, float(rng.uniform(0.9, 1.0))) for v in range(n - 1)]
+    edges += [
+        (u, v, float(rng.uniform(0.7, 1.0)))
+        for u in range(n) for v in range(n) if u != v and v != u + 1 and rng.uniform() < 0.3
+    ]
+    return tso.SurvivalGraph(
+        node_ids=list(range(n)), priorities={v: 1.0 for v in range(n)}, edges=sorted(edges),
+        start=0, terminal=0 if seed % 3 == 2 else n - 1, p_s=0.3,
+    )
+
+
+def _heuristic_cases():
+    """(name, graph, rewards): two ratio cells, a hex depot, ten sparse digraphs,
+    and three complete digraphs on a loose budget.
+
+    About 40% of the rewards are 0, so local search has free nodes to drop,
+    and on the complete digraphs its segment reversal finds gains.
+    """
+    graphs = [(f"ratio-p{p_s}", tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, 0))) for p_s in (0.5, 0.8)]
+    graphs.append(("hex-p0.6", tso.hex_instance(p_s=0.6)))
+    graphs += [(f"sparse-{seed}", _sparse_digraph(seed)) for seed in range(10)]
+    graphs += [(f"complete-{seed}", tso.random_complete_instance(9, 0.5, 1.0, 0.3, seed=(94, seed))) for seed in range(3)]
+    for k, (name, g) in enumerate(graphs):
+        rng = np.random.default_rng((92, k))
+        rewards = {v: float(rng.uniform(0.0, 1.0)) if rng.uniform() < 0.6 else 0.0 for v in g.node_ids}
+        yield name, g, rewards
+
+
+def _heuristic_record(p, seed):
+    try:
+        res = tso.solve_heuristic(p, seed=seed)
+    except tso.InfeasibleInstanceError:
+        return {"infeasible": True}
+    return {"path": list(res.path), "reward": repr(res.reward), "nodes_expanded": res.nodes_expanded}
+
+
+def test_heuristic_results_are_pinned():
+    # Paths, rewards and candidate counts of the GRASP oracle, recorded before
+    # its cost rows and leg cache existed. Seeds 0-2 share one LogGraph per case.
+    pins = json.loads(HEURISTIC_PINS.read_text(encoding="utf-8"))
+    seen = set()
+    for name, g, rewards in _heuristic_cases():
+        lg = tso.log_transform(g)
+        got = [_heuristic_record(tso.OrienteeringProblem(lg=lg, rewards=rewards), seed) for seed in range(3)]
+        assert got == pins[name], name
+        seen.add(name)
+    assert seen == set(pins)
+
+
+def test_heuristic_calls_sharing_a_log_graph_match_fresh_ones():
+    # The cost rows and legs cached on a LogGraph hold no rewards and no
+    # budget, so a call must not depend on which calls ran on it before.
+    for seed in range(6):
+        g = _sparse_digraph(seed) if seed % 2 else tso.feasible_random_instance(8, 0.4, 1.0, 0.4, seed=(83, seed))
+        rng = np.random.default_rng((84, seed))
+        shared = tso.log_transform(g)
+        for k, budget in enumerate((None, 0.5, 1.2, 0.25)):
+            rewards = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
+            kw = dict(rewards=rewards, budget=budget)
+            try:
+                fresh = tso.solve_heuristic(_problem(g, **kw), seed=k, restarts=16)
+            except tso.InfeasibleInstanceError:
+                with pytest.raises(tso.InfeasibleInstanceError):
+                    tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, **kw), seed=k, restarts=16)
+                continue
+            again = tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, **kw), seed=k, restarts=16)
+            assert (again.path, again.reward, again.nodes_expanded) == (
+                fresh.path, fresh.reward, fresh.nodes_expanded), (seed, budget)
 
 
 def test_arc_exact_matches_enumeration(loop5):
