@@ -19,6 +19,7 @@ from .graph import (
     brute_force_feasibility,
     dijkstra,
     feasibility_check,
+    has_feasible_path,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -89,6 +90,7 @@ __all__ = [
     "feasibility_check",
     "feasible_random_instance",
     "greedy_survivors",
+    "has_feasible_path",
     "hex_instance",
     "instance_from_dict",
     "instance_to_dict",

@@ -11,14 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    BUDGET_TOL,
-    INF,
-    InfeasibleInstanceError,
-    SizeGuardError,
-    SurvivalGraph,
-    log_transform,
-)
+from . import orienteering
+from .graph import INF, InfeasibleInstanceError, SizeGuardError, SurvivalGraph, log_transform
 from .objective import TeamPlan, VisitProfile, team_plan, visit_profile
 
 
@@ -34,34 +28,19 @@ class PathCatalog:
 def enumerate_feasible_paths(g: SurvivalGraph, max_nodes: int = 12) -> PathCatalog:
     """All start-terminal paths (at least one edge) meeting the survival bound.
 
-    Depth-first with budget pruning; children in node-index order, so the
-    catalog comes out lexicographically sorted. Raises SizeGuardError above
-    max_nodes (callers may raise the limit deliberately; budget pruning is
-    what actually keeps the search small).
+    The leaves of the exact oracle's prefix catalog, in its DFS order, which
+    is lexicographic by node index. Raises SizeGuardError above max_nodes
+    (callers may raise the limit deliberately; budget pruning is what
+    actually keeps the search small) and when the catalog would exceed
+    orienteering.CATALOG_CAP prefixes.
     """
     if g.num_nodes > max_nodes:
         raise SizeGuardError(f"path enumeration limited to {max_nodes} nodes, instance has {g.num_nodes}")
     lg = log_transform(g)
-    dist_to_t = lg.distances_to(g.terminal)
-    budget = lg.budget
-    found: list[tuple[int, ...]] = []
-
-    def dfs(v, cost, visited, path):
-        for u, _w in g.adjacency[v]:
-            c = cost + lg.costs[(v, u)]
-            if c > budget + BUDGET_TOL:
-                continue
-            if u == g.terminal:
-                found.append(tuple(path) + (u,))
-            if u in visited or u == g.terminal:
-                continue
-            if c + dist_to_t[u] > budget + BUDGET_TOL:
-                continue
-            path.append(u)
-            dfs(u, c, visited | {u}, path)
-            path.pop()
-
-    dfs(g.start, 0.0, {g.start}, [g.start])
+    cat = orienteering.prefix_catalog(lg, g.start, g.terminal, lg.budget)
+    if cat is None:
+        raise SizeGuardError(f"path enumeration limited to {orienteering.CATALOG_CAP} prefixes")
+    found = cat.paths()
     return PathCatalog(paths=found, profiles=[visit_profile(g, p) for p in found])
 
 

@@ -167,17 +167,23 @@ class LogGraph:
     _to_cache: dict = field(default_factory=dict, repr=False)
     # Exact-oracle search tables per (terminal, reward kind); see orienteering._search_tables.
     _search_cache: dict = field(default_factory=dict, repr=False)
+    # Exact-oracle path catalogs per (start, terminal, budget); see orienteering.prefix_catalog.
+    _catalog_cache: dict = field(default_factory=dict, repr=False)
     # GRASP cost rows and legs; see orienteering._grasp_tables.
     _grasp_cache: tuple | None = field(default=None, repr=False)
 
     def cost(self, u, v) -> float:
         return self.costs[(u, v)]
 
+    def shortest_tree(self, source):
+        """Memoized (distances, parent tree) of dijkstra from source (no deletions)."""
+        if source not in self._from_cache:
+            self._from_cache[source] = dijkstra(self, source)
+        return self._from_cache[source]
+
     def distances_from(self, source) -> dict[int, float]:
         """Memoized single-source distances (no deletions)."""
-        if source not in self._from_cache:
-            self._from_cache[source] = dijkstra(self, source)[0]
-        return self._from_cache[source]
+        return self.shortest_tree(source)[0]
 
     def distances_to(self, target) -> dict[int, float]:
         """Memoized distances from every node to target."""
@@ -273,6 +279,28 @@ class FeasibilityReport:
     leg_cost: dict[int, float]
 
 
+def _tour_cost(lg: LogGraph, dist_s) -> float:
+    """Cheapest real return to the start (at least one edge), given the distances from it."""
+    start = lg.graph.start
+    return min(
+        (dist_s[v] + lg.costs[(v, start)] for v, _w in lg.graph.reverse_adjacency[start]
+         if v != start and dist_s[v] < INF),
+        default=INF,
+    )
+
+
+def has_feasible_path(lg: LogGraph) -> bool:
+    """Is there a start-terminal path (on depot instances a real tour) within the budget?
+
+    Exact, from one Dijkstra: the distances from the start that
+    lg.distances_from keeps.
+    """
+    g = lg.graph
+    dist_s = lg.distances_from(g.start)
+    cost = _tour_cost(lg, dist_s) if g.start == g.terminal else dist_s[g.terminal]
+    return cost <= lg.budget + BUDGET_TOL
+
+
 def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     """Per-node reachability via the two-leg deletion procedure.
 
@@ -281,27 +309,20 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     when the combined cost fits the budget. A visit only counts from step 1
     on, so the start is never reachable on open instances, and on depot
     instances it needs a real tour (shortest return with at least one edge).
-    The nonemptiness flag uses the same tour test for depots and the plain
-    start->terminal distance otherwise; that flag is exact.
+    The nonemptiness flag is has_feasible_path's, which is exact.
 
     The deletion step can be wrong in both directions on adversarial graphs
     (the legs may share interior nodes, and deleting the first leg can sever
     the only return); brute_force_feasibility is the exact reference.
     """
     lg = log_transform(g)
-    depot = g.start == g.terminal
-    dist_s, parent_s = dijkstra(lg, g.start)
+    dist_s, parent_s = lg.shortest_tree(g.start)
     reachable = {}
     leg_cost = {}
     for j in g.node_ids:
         if j == g.start:
-            best = INF
-            if depot:
-                for v, _w in g.reverse_adjacency[g.start]:
-                    if v != g.start and dist_s[v] < INF:
-                        best = min(best, dist_s[v] + lg.costs[(v, g.start)])
-            leg_cost[j] = best
-            reachable[j] = best <= lg.budget + BUDGET_TOL
+            leg_cost[j] = _tour_cost(lg, dist_s) if g.start == g.terminal else INF
+            reachable[j] = leg_cost[j] <= lg.budget + BUDGET_TOL
             continue
         if dist_s[j] == INF:
             reachable[j] = False
@@ -315,11 +336,7 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
         total = dist_s[j] + back
         leg_cost[j] = total
         reachable[j] = total <= lg.budget + BUDGET_TOL
-    if depot:
-        x_nonempty = reachable[g.start]
-    else:
-        x_nonempty = dist_s[g.terminal] <= lg.budget + BUDGET_TOL
-    return FeasibilityReport(reachable=reachable, x_nonempty=x_nonempty, leg_cost=leg_cost)
+    return FeasibilityReport(reachable=reachable, x_nonempty=has_feasible_path(lg), leg_cost=leg_cost)
 
 
 def brute_force_feasibility(g: SurvivalGraph, node, max_nodes: int = 12) -> bool:

@@ -18,12 +18,13 @@ from .graph import (
     BUDGET_TOL,
     InfeasibleInstanceError,
     SurvivalGraph,
-    feasibility_check,
+    has_feasible_path,
     log_transform,
     max_visit_probabilities,
 )
-# discrete_derivative and visit_count_distribution are not called here, but
-# perfbench/tracing.py wraps them at tso.greedy.
+# feasibility_check, discrete_derivative and visit_count_distribution are
+# not called here, but perfbench/tracing.py wraps them at tso.greedy.
+from .graph import feasibility_check  # noqa: F401
 from .objective import (  # noqa: F401
     TeamPlan,
     discrete_derivative,
@@ -248,7 +249,7 @@ def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
     """
     lg = log_transform(g)
     model = MODELS[cfg.variant](g, max_visit_probabilities(lg))
-    if not feasibility_check(g).x_nonempty:
+    if not has_feasible_path(lg):
         raise InfeasibleInstanceError("feasibility check found no start-terminal path within the survival budget")
     gains = [model.add(_oracle_call(cfg, model.problem(lg), k).path) for k in range(cfg.total_paths)]
     team = model.paths[: cfg.team_size]

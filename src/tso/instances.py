@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import InfeasibleInstanceError, SurvivalGraph, feasibility_check
+from .graph import InfeasibleInstanceError, SurvivalGraph, has_feasible_path, log_transform
+# Not called here, but perfbench/tracing.py wraps it at tso.instances.
+from .graph import feasibility_check  # noqa: F401
 
 HEX_SAFE = 0.98
 HEX_RISKY = 0.91
@@ -75,7 +77,7 @@ def feasible_random_instance(
             num_nodes, weight_min, weight_max, p_s,
             seed=base + (attempt,), team_size=team_size,
         )
-        if feasibility_check(g).x_nonempty:
+        if has_feasible_path(log_transform(g)):
             return g
     raise InfeasibleInstanceError(
         f"no feasible draw in {max_attempts} attempts for p_s={p_s} seed={seed}"

@@ -2,19 +2,21 @@
 
 Maximize summed node (or edge) rewards over a start-terminal path whose
 log-cost stays within the budget. Reward is collected from step 1 onward,
-so the start node pays only when a tour returns to it. The exact solver is
-a depth-first branch and bound; the heuristic is randomized greedy insertion
-with local search (GRASP).
+so the start node pays only when a tour returns to it. The exact solver
+scores a per-graph catalog of every budget-feasible prefix, with a
+depth-first branch and bound for graphs whose catalog would be too large;
+the heuristic is randomized greedy insertion with local search (GRASP).
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, dijkstra, shortest_path, tree_path
+from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, shortest_path, tree_path
 
 
 @dataclass
@@ -61,14 +63,219 @@ def path_reward(p: OrienteeringProblem, path) -> float:
 
 
 def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
-    """Branch and bound over simple paths with node rewards; returns a true maximizer."""
-    return _branch_and_bound(p, "node", (p.rewards or {}).get, use_reward_bound)
+    """Best path for node rewards: the lexicographically smallest maximizer.
+
+    The first call for a (start, terminal, budget) on a LogGraph enumerates
+    every budget-feasible prefix once into a PrefixCatalog kept on that
+    LogGraph; this and every later call there, such as greedy's next robot,
+    only sums its rewards over the catalog in numpy. Each prefix's sum is
+    its parent's sum plus the reward of its last step: the same IEEE
+    additions, in the same order, as the branch and bound's
+    `collected + reward[k]`, so each path's reward is bit-equal to the
+    search's. The first maximum over the leaves in DFS order is the
+    search's first strict improvement, which is the lexicographically
+    smallest maximizer, so both give the same path and the same float. A
+    depot robot stays home unless the best tour collects more than 0.0.
+    nodes_expanded of a catalog call is the number of non-leaf prefixes,
+    root included: what the branch and bound expands without its reward
+    bound.
+
+    A catalog holds at most CATALOG_CAP prefixes. Above that its build
+    stops, and this call and every later one on the same (start, terminal,
+    budget) run the branch and bound with its reward bound.
+    use_reward_bound=False always runs the branch and bound without it, the
+    audit reference. The build costs about one unbounded search, twice the
+    bounded one, so a lone call is slower than the bounded search; the
+    calls of one greedy run share it.
+    """
+    return _exact(p, "node", (p.rewards or {}).get, use_reward_bound)
 
 
 def solve_arc_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
-    """Branch and bound with rewards on edges instead of nodes."""
-    return _branch_and_bound(p, "arc", (p.edge_rewards or {}).get, use_reward_bound)
+    """solve_exact with rewards on edges instead of nodes; the same catalog serves both."""
+    return _exact(p, "arc", (p.edge_rewards or {}).get, use_reward_bound)
 
+
+def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) -> OracleResult:
+    lg = p.lg
+    depot = p.start == p.terminal
+    if not depot and lg.distances_to(p.terminal)[p.start] > p.budget + BUDGET_TOL:
+        raise InfeasibleInstanceError("no start-terminal path within the survival budget")
+    cat = prefix_catalog(lg, p.start, p.terminal, p.budget) if use_reward_bound else None
+    if cat is None:
+        return _branch_and_bound(p, kind, lookup, use_reward_bound)
+    if kind == "node":
+        rew = np.array([lookup(v, 0.0) for v in lg.graph.node_ids], dtype=float)[cat.heads]
+    else:
+        rew = np.array([lookup(e, 0.0) for e in cat.arcs], dtype=float)
+    top = cat.best(rew)
+    if top is not None and (not depot or top[0] > 0.0):
+        reward, d, i = top
+        return OracleResult(path=cat.path(d, i), reward=reward, exact=True, nodes_expanded=cat.prefixes)
+    if not depot:
+        raise InfeasibleInstanceError("no start-terminal path within the survival budget")
+    return OracleResult(path=(p.start,), reward=0.0, exact=True, nodes_expanded=cat.prefixes)
+
+
+# ---------------------------------------------------------------------------
+# Path catalog
+
+# A catalog holds at most this many prefixes. Stored, a prefix takes 3
+# bytes and a leaf 10 (a prefix has at most one step into the terminal, so
+# leaves never outnumber prefixes): about 13 MiB at the cap. A call adds
+# about 40 bytes per prefix of its two largest levels while it runs. The heaviest
+# benchmark graph (ratio draw 0 at p_s = 0.5) has 231,433 prefixes and
+# 71,414 leaves.
+CATALOG_CAP = 1 << 20
+
+
+class _CatalogFull(Exception):
+    pass
+
+
+@dataclass
+class PrefixCatalog:
+    """Every budget-feasible prefix of one (start, terminal, budget), as the unbounded search visits them.
+
+    arcs lists the graph's arcs in (tail, head) index order and heads their
+    heads' node indices. levels[d] describes the steps out of the prefixes
+    of d steps, each list in DFS order: the number of children of each
+    prefix, the arc of each prefix of d + 1 steps, and the leaves (steps
+    into the terminal) as DFS rank among all leaves, position of the parent
+    prefix in its level, and arc. Child counts are uint8, arcs int16 and
+    ranks and positions int32 while they fit. prefixes counts the root too.
+    """
+
+    start: int
+    arcs: list
+    heads: np.ndarray
+    levels: list
+    prefixes: int
+    leaves: int
+
+    def best(self, rew):
+        """(reward, depth, index) of the first best leaf in DFS order, given each arc's reward; None without leaves.
+
+        A prefix's sum is its parent's plus the reward of its last arc, as
+        the search adds collected + reward[k].
+        """
+        top = None
+        col = np.zeros(1)
+        for d, (kid_count, kid_arc, leaf_rank, leaf_parent, leaf_arc) in enumerate(self.levels):
+            if len(leaf_rank):
+                sums = col[leaf_parent] + rew[leaf_arc]
+                i = int(np.argmax(sums))
+                key = (float(sums[i]), -int(leaf_rank[i]))
+                if top is None or key > top[0]:
+                    top = (key, d, i)
+            col = np.repeat(col, kid_count)
+            col += rew[kid_arc]
+        return None if top is None else (top[0][0], top[1], top[2])
+
+    def path(self, d, i) -> tuple:
+        """Node sequence of leaf i of level d."""
+        _kc, _ka, _lr, leaf_parent, leaf_arc = self.levels[d]
+        nodes = [self.arcs[leaf_arc[i]][1]]
+        pos = leaf_parent[i]
+        for kid_count, kid_arc, *_leaves in reversed(self.levels[:d]):
+            nodes.append(self.arcs[kid_arc[pos]][1])
+            pos = np.searchsorted(np.cumsum(kid_count), pos, side="right")
+        nodes.append(self.start)
+        return tuple(reversed(nodes))
+
+    def paths(self) -> list[tuple]:
+        """Every leaf's node sequence, in DFS order: lexicographic by node index."""
+        heads = [b for _a, b in self.arcs]
+        out = [None] * self.leaves
+        level = [(self.start,)]
+        for kid_count, kid_arc, leaf_rank, leaf_parent, leaf_arc in self.levels:
+            for r, q, k in zip(leaf_rank.tolist(), leaf_parent.tolist(), leaf_arc.tolist()):
+                out[r] = level[q] + (heads[k],)
+            parents = np.repeat(np.arange(len(level)), kid_count).tolist()
+            level = [level[q] + (heads[k],) for q, k in zip(parents, kid_arc.tolist())]
+        return out
+
+
+def prefix_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | None:
+    """The catalog of (start, terminal, budget), built on first use and kept on lg; None above CATALOG_CAP."""
+    key = (start, terminal, budget)
+    if key not in lg._catalog_cache:
+        lg._catalog_cache[key] = _build_catalog(lg, start, terminal, budget)
+    return lg._catalog_cache[key]
+
+
+def _build_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | None:
+    """Record the search of _branch_and_bound without its reward bound.
+
+    Same steps in the same order, the same visited bits, `c <= limit` at
+    the terminal and `c + to_t > limit` to cut a prefix; no check on the
+    start, so an infeasible one gives a catalog without leaves. A step
+    that fails its test at cost 0.0 is left out of its node's list: costs
+    are never negative and float addition is monotone, so it would fail at
+    every cost.
+    """
+    g = lg.graph
+    cap = CATALOG_CAP
+    limit = budget + BUDGET_TOL
+    dist_to_t = lg.distances_to(terminal)
+    arcs, _items, arc_of, bit, _tables = _search_tables(lg, terminal, "arc")
+    steps = {
+        v: [(u, lg.costs[(v, u)], dist_to_t[u], bit[u], arc_of[(v, u)]) for u, _w in nbrs
+            if lg.costs[(v, u)] + (0.0 if u == terminal else dist_to_t[u]) <= limit]
+        for v, nbrs in g.adjacency.items()
+    }
+    count = "B" if max(map(len, steps.values())) < 1 << 8 else "i"
+    code = "h" if len(arcs) <= 1 << 15 else "i"
+    levels = [tuple(array(c) for c in (count, code, "i", "i", code)) for _ in g.node_ids]
+    prefixes = leaves = 0
+
+    def dfs(v, cost, visited, d, pos):
+        nonlocal prefixes, leaves
+        prefixes += 1
+        if prefixes > cap:
+            raise _CatalogFull
+        kid_count, kid_arc, leaf_rank, leaf_parent, leaf_arc = levels[d]
+        kids = 0
+        for u, w, to_t, b, k in steps[v]:
+            if visited & b:
+                continue
+            c = cost + w
+            if u == terminal:
+                if c <= limit:
+                    leaf_rank.append(leaves)
+                    leaf_parent.append(pos)
+                    leaf_arc.append(k)
+                    leaves += 1
+                continue
+            if c + to_t > limit:
+                continue
+            kid_arc.append(k)
+            kids += 1
+            dfs(u, c, visited | b, d + 1, len(kid_arc) - 1)
+        # A prefix's count lands when its subtree is done; prefixes of one
+        # depth finish in the order they start, so counts stay in DFS order.
+        kid_count.append(kids)
+
+    try:
+        dfs(start, 0.0, bit[start], 0, 0)
+    except _CatalogFull:
+        return None
+    finally:
+        dfs = None  # the closure refers to itself; drop the cycle now, not at the next GC
+    while len(levels) > 1 and not levels[-1][1] and not levels[-1][2]:
+        levels.pop()
+    return PrefixCatalog(
+        start=start,
+        arcs=arcs,
+        heads=np.array([g.index[b] for _a, b in arcs], dtype=np.intp),
+        levels=[tuple(np.frombuffer(a, dtype=a.typecode) for a in level) for level in levels],
+        prefixes=prefixes,
+        leaves=leaves,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Branch and bound: the fallback above CATALOG_CAP and the audit reference
 
 def _search_tables(lg: LogGraph, terminal, kind: str):
     """Search tables of one terminal and reward kind, cached on lg for every later call.
@@ -104,6 +311,8 @@ def _node_table(lg: LogGraph, v, items, step_item, bit, dist_to_t):
 def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) -> OracleResult:
     """Depth-first branch and bound shared by node and arc rewards.
 
+    It serves the calls whose catalog would exceed CATALOG_CAP and, with
+    use_reward_bound=False, is the reference the catalog is checked against.
     Each bound item (a, extra, b) is a reward that a walk v ~> a, then extra,
     then b ~> terminal could still collect, at a need of
     dist(v, a) + extra + dist(b, terminal); a step v -> u pays its own item.
@@ -168,8 +377,6 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
             dfs(u, c, collected + reward[k], visited | b, path)
             path.pop()
 
-    if dist_to_t[start] > limit and not depot:
-        raise InfeasibleInstanceError("no start-terminal path within the survival budget")
     try:
         dfs(start, 0.0, 0.0, bit[start], [start])
     finally:
@@ -209,7 +416,7 @@ def _base_path(p: OrienteeringProblem):
             raise InfeasibleInstanceError("no start-terminal path within the survival budget")
         return path, cost
     best = None
-    dist, parent = dijkstra(lg, p.start)
+    dist, parent = lg.shortest_tree(p.start)
     for v, _w in lg.graph.reverse_adjacency[p.start]:
         if v == p.start or dist[v] == INF:
             continue

@@ -225,6 +225,26 @@ def test_x_nonempty_exact_on_randoms():
         assert rep.x_nonempty == bool(oracles.feasible_paths(g))
 
 
+def test_has_feasible_path_matches_feasibility_check_and_enumeration(loop5):
+    # Complete digraphs at tight and loose budgets, the same graphs as depot
+    # tours at node 0, and loop5 at its own and a tighter budget.
+    graphs = [loop5, tso.SurvivalGraph(
+        node_ids=loop5.node_ids, priorities=loop5.priorities, edges=loop5.edges,
+        start=loop5.start, terminal=loop5.terminal, p_s=0.9,
+    )]
+    for seed in range(12):
+        g = tso.random_complete_instance(5, 0.3, 1.0, (0.5, 0.8, 0.95)[seed % 3], seed=(46, seed))
+        graphs += [g, tso.SurvivalGraph(
+            node_ids=g.node_ids, priorities=g.priorities, edges=g.edges, start=0, terminal=0, p_s=g.p_s,
+        )]
+    flags = []
+    for g in graphs:
+        flag = tso.has_feasible_path(tso.log_transform(g))
+        assert flag == tso.feasibility_check(g).x_nonempty == bool(oracles.feasible_paths(g))
+        flags.append((g.start == g.terminal, flag))
+    assert set(flags) == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_instance_round_trip(tmp_path, loop5):
     path = tmp_path / "loop5.json"
     tso.save_instance(loop5, path)

@@ -85,7 +85,9 @@ def test_exact_breaks_ties_toward_smallest_path():
     assert res.path == min(maximizers)
 
 
-def test_reward_bound_only_prunes(loop5):
+def test_reward_bound_only_prunes(monkeypatch, loop5):
+    # The bound runs in the branch and bound, so the catalog is off here.
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     graphs = [tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(72, seed)) for seed in range(6)]
     graphs += _depot_graphs(loop5, 79, 6)
     for seed, g in enumerate(graphs):
@@ -317,22 +319,35 @@ def adversarial_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(adversarial_cases())
 def test_exact_oracles_on_adversarial_graphs(case):
+    # The catalog, the branch and bound with and without its reward bound,
+    # and brute force agree on the path and on the reward's bits.
     g, rewards, arcs = case
-    for solve, p, brute in (
-        (tso.solve_exact, _problem(g, rewards=rewards), oracles.orienteering_brute(g, rewards)),
-        (tso.solve_arc_exact, _problem(g, edge_rewards=arcs), oracles.arc_orienteering_brute(g, arcs)),
+    for solve, kw, brute in (
+        (tso.solve_exact, dict(rewards=rewards), oracles.orienteering_brute(g, rewards)),
+        (tso.solve_arc_exact, dict(edge_rewards=arcs), oracles.arc_orienteering_brute(g, arcs)),
     ):
         best, maximizers = brute
+        p = _problem(g, **kw)
         try:
             fast = solve(p)
         except tso.InfeasibleInstanceError:
             assert g.start != g.terminal and not maximizers
             with pytest.raises(tso.InfeasibleInstanceError):
                 solve(p, use_reward_bound=False)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
+                with pytest.raises(tso.InfeasibleInstanceError):
+                    solve(_problem(g, **kw))
             continue
+        assert fast.nodes_expanded == _catalog(p).prefixes
         slow = solve(p, use_reward_bound=False)
-        assert (fast.path, fast.reward) == (slow.path, slow.reward), solve.__name__
-        assert fast.nodes_expanded <= slow.nodes_expanded
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
+            bounded = solve(_problem(g, **kw))
+        for other in (slow, bounded):
+            assert (fast.path, repr(fast.reward)) == (other.path, repr(other.reward)), solve.__name__
+        assert fast.nodes_expanded == slow.nodes_expanded
+        assert bounded.nodes_expanded <= slow.nodes_expanded
         if fast.path == (g.start,):
             # A depot robot stays home only when no tour collects anything.
             assert g.start == g.terminal and fast.reward == 0.0 and best <= 1e-12
@@ -341,30 +356,71 @@ def test_exact_oracles_on_adversarial_graphs(case):
             assert fast.path in maximizers
 
 
-def test_calls_sharing_a_log_graph_match_fresh_ones():
-    # The search tables cached on a LogGraph hold no rewards and no budget,
-    # so a call must not depend on which calls ran on that LogGraph before.
-    for seed in range(4):
-        g = tso.feasible_random_instance(7, 0.4, 1.0, 0.5, seed=(81, seed))
-        rng = np.random.default_rng((82, seed))
-        calls = []
-        for budget in (None, 0.4, 0.9, 0.2):
-            nodes, arcs = _random_rewards(g, rng)
-            nodes[g.node_ids[3]] = 0.0
-            calls.append((tso.solve_exact, dict(rewards=nodes, budget=budget)))
-            calls.append((tso.solve_arc_exact, dict(edge_rewards=arcs, budget=budget)))
-        shared = tso.log_transform(g)
-        for solve, kw in calls:
-            try:
-                fresh = solve(_problem(g, **kw))
-            except tso.InfeasibleInstanceError:
-                with pytest.raises(tso.InfeasibleInstanceError):
-                    solve(tso.OrienteeringProblem(lg=shared, **kw))
-                continue
-            again = solve(tso.OrienteeringProblem(lg=shared, **kw))
-            assert (again.path, again.reward, again.nodes_expanded) == (
-                fresh.path, fresh.reward, fresh.nodes_expanded), (seed, solve.__name__, kw["budget"])
-        assert {key[1] for key in shared._search_cache} == {"node", "arc"}
+def _catalog(p):
+    return p.lg._catalog_cache[(p.start, p.terminal, p.budget)]
+
+
+def test_catalog_over_its_cap_falls_back_to_branch_and_bound(monkeypatch):
+    g = tso.feasible_random_instance(8, 0.5, 1.0, 0.3, seed=(85, 0))
+    nodes, arcs = _random_rewards(g, np.random.default_rng(86))
+
+    def run(cap):
+        monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", cap)
+        lg = tso.log_transform(g)
+        got = [tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=nodes)),
+               tso.solve_arc_exact(tso.OrienteeringProblem(lg=lg, edge_rewards=arcs))]
+        return [(r.path, repr(r.reward)) for r in got], [r.nodes_expanded for r in got], list(lg._catalog_cache.values())
+
+    answers, counts, (cat,) = run(tso.orienteering.CATALOG_CAP)
+    assert counts == [cat.prefixes] * 2 and cat.prefixes > 100
+    fits = run(cat.prefixes)
+    assert fits[0] == answers and fits[1] == counts and fits[2][0] is not None
+    bounded = run(0)
+    over = run(cat.prefixes - 1)
+    assert over == bounded
+    assert over[0] == answers and over[2] == [None]
+    assert all(n <= cat.prefixes for n in over[1])
+    with pytest.raises(tso.SizeGuardError, match=f"{cat.prefixes - 1} prefixes"):
+        tso.enumerate_feasible_paths(g)
+
+
+def test_calls_sharing_a_log_graph_match_fresh_ones(monkeypatch):
+    # The catalogs and search tables cached on a LogGraph hold no rewards, so
+    # a call must not depend on which calls ran on that LogGraph before. A
+    # catalog is keyed by (start, terminal, budget) and serves node and arc
+    # rewards alike; with the catalog off, the branch and bound keeps tables
+    # per (terminal, reward kind).
+    for cap in (tso.orienteering.CATALOG_CAP, 0):
+        monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", cap)
+        for seed in range(4):
+            g = tso.feasible_random_instance(7, 0.4, 1.0, 0.5, seed=(81, seed))
+            rng = np.random.default_rng((82, seed))
+            calls = []
+            for budget in (None, 0.4, 0.9, 0.2):
+                nodes, arcs = _random_rewards(g, rng)
+                nodes[g.node_ids[3]] = 0.0
+                calls.append((tso.solve_exact, dict(rewards=nodes, budget=budget)))
+                calls.append((tso.solve_arc_exact, dict(edge_rewards=arcs, budget=budget)))
+            shared = tso.log_transform(g)
+            served = set()
+            for solve, kw in calls:
+                try:
+                    fresh = solve(_problem(g, **kw))
+                except tso.InfeasibleInstanceError:
+                    with pytest.raises(tso.InfeasibleInstanceError):
+                        solve(tso.OrienteeringProblem(lg=shared, **kw))
+                    continue
+                again = solve(tso.OrienteeringProblem(lg=shared, **kw))
+                assert (again.path, again.reward, again.nodes_expanded) == (
+                    fresh.path, fresh.reward, fresh.nodes_expanded), (seed, solve.__name__, kw["budget"])
+                served.add((g.start, g.terminal, shared.budget if kw["budget"] is None else kw["budget"]))
+            assert set(shared._catalog_cache) == served
+            if cap:
+                assert None not in shared._catalog_cache.values()
+                assert {key[1] for key in shared._search_cache} <= {"arc"}
+            else:
+                assert set(shared._catalog_cache.values()) <= {None}
+                assert {key[1] for key in shared._search_cache} == {"node", "arc"}
 
 
 def _count_oracle_nodes(monkeypatch):
@@ -382,25 +438,47 @@ def _count_oracle_nodes(monkeypatch):
     return counts
 
 
+def _effort_case(variant):
+    if variant == "node":
+        return tso.feasible_random_instance(20, 0.3, 1.0, 0.6, seed=(0, 0)), tso.GreedyConfig(5, oversize=30)
+    hexg = tso.hex_instance(p_s=0.6)
+    table = tso.MultiVisitTable(M=3, d={v: [1.0, 0.6, 0.3] for v in hexg.node_ids})
+    g = tso.SurvivalGraph(
+        node_ids=hexg.node_ids, priorities=hexg.priorities, edges=hexg.edges,
+        start=hexg.start, terminal=hexg.terminal, p_s=hexg.p_s, multi_visit=table,
+    )
+    return g, tso.GreedyConfig(6, oversize=36, variant=variant)
+
+
 @pytest.mark.parametrize("variant, calls, total", [
     ("node", 30, 122_588),
     ("edge", 36, 16_020),
     ("multi_visit", 36, 11_666),
 ])
 def test_greedy_search_effort_is_pinned(monkeypatch, variant, calls, total):
-    # Totals of one greedy run per reward kind; a change to the search order,
-    # the bound or its float order moves them.
-    if variant == "node":
-        g = tso.feasible_random_instance(20, 0.3, 1.0, 0.6, seed=(0, 0))
-        cfg = tso.GreedyConfig(5, oversize=30)
-    else:
-        hexg = tso.hex_instance(p_s=0.6)
-        table = tso.MultiVisitTable(M=3, d={v: [1.0, 0.6, 0.3] for v in hexg.node_ids})
-        g = tso.SurvivalGraph(
-            node_ids=hexg.node_ids, priorities=hexg.priorities, edges=hexg.edges,
-            start=hexg.start, terminal=hexg.terminal, p_s=hexg.p_s, multi_visit=table,
-        )
-        cfg = tso.GreedyConfig(6, oversize=36, variant=variant)
+    # Totals of the branch and bound over one greedy run per reward kind,
+    # with the catalog off; a change to the search order, the bound or its
+    # float order moves them.
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    g, cfg = _effort_case(variant)
     counts = _count_oracle_nodes(monkeypatch)
     tso.greedy_survivors(g, cfg)
     assert (len(counts), sum(counts)) == (calls, total)
+
+
+@pytest.mark.parametrize("variant, calls, prefixes", [
+    ("node", 30, 14_451),
+    ("edge", 36, 517),
+    ("multi_visit", 36, 517),
+])
+def test_greedy_catalog_effort_is_pinned(monkeypatch, variant, calls, prefixes):
+    # The same greedy runs on the catalog: one catalog per run, whose prefix
+    # count every call reports, and the branch and bound's paths and gains.
+    g, cfg = _effort_case(variant)
+    counts = _count_oracle_nodes(monkeypatch)
+    run = tso.greedy_survivors(g, cfg)
+    assert counts == [prefixes] * calls
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    reference = tso.greedy_survivors(g, cfg)
+    assert run.paths == reference.paths
+    assert [repr(x) for x in run.gains] == [repr(x) for x in reference.gains]
