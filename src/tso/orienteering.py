@@ -11,7 +11,6 @@ the heuristic is randomized greedy insertion with local search (GRASP).
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,28 +64,27 @@ def path_reward(p: OrienteeringProblem, path) -> float:
 def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
     """Best path for node rewards: the lexicographically smallest maximizer.
 
-    The first call for a (start, terminal, budget) on a LogGraph enumerates
-    every budget-feasible prefix once into a PrefixCatalog kept on that
-    LogGraph; this and every later call there, such as greedy's next robot,
-    only sums its rewards over the catalog in numpy. Each prefix's sum is
-    its parent's sum plus the reward of its last step: the same IEEE
-    additions, in the same order, as the branch and bound's
+    The first call for a (start, terminal, budget) on a LogGraph lists every
+    budget-feasible prefix once, one depth at a time, into a PrefixCatalog
+    kept on that LogGraph; this and every later call there, such as greedy's
+    next robot, only sums its rewards over the catalog in numpy. Each
+    prefix's sum is its parent's sum plus the reward of its last step: the
+    same IEEE additions, in the same order, as the branch and bound's
     `collected + reward[k]`, so each path's reward is bit-equal to the
-    search's. The first maximum over the leaves in DFS order is the
-    search's first strict improvement, which is the lexicographically
-    smallest maximizer, so both give the same path and the same float. A
-    depot robot stays home unless the best tour collects more than 0.0.
-    nodes_expanded of a catalog call is the number of non-leaf prefixes,
-    root included: what the branch and bound expands without its reward
-    bound.
+    search's. The search keeps its first strict improvement in DFS order,
+    the lexicographically smallest maximizer by node index; the catalog
+    picks the same leaf (PrefixCatalog.best), so both give the same path and
+    the same float. A depot robot stays home unless the best tour collects
+    more than 0.0. nodes_expanded of a catalog call is its number of
+    prefixes, root included: what the branch and bound expands without its
+    reward bound.
 
     A catalog holds at most CATALOG_CAP prefixes. Above that its build
     stops, and this call and every later one on the same (start, terminal,
     budget) run the branch and bound with its reward bound.
     use_reward_bound=False always runs the branch and bound without it, the
-    audit reference. The build costs about one unbounded search, twice the
-    bounded one, so a lone call is slower than the bounded search; the
-    calls of one greedy run share it.
+    audit reference. The build is vectorized: a lone call costs about as
+    much as one bounded search on small graphs and less on large ones.
     """
     return _exact(p, "node", (p.rewards or {}).get, use_reward_bound)
 
@@ -120,30 +118,39 @@ def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) ->
 # ---------------------------------------------------------------------------
 # Path catalog
 
-# A catalog holds at most this many prefixes. Stored, a prefix takes 3
-# bytes and a leaf 10 (a prefix has at most one step into the terminal, so
-# leaves never outnumber prefixes): about 13 MiB at the cap. A call adds
-# about 40 bytes per prefix of its two largest levels while it runs. The heaviest
-# benchmark graph (ratio draw 0 at p_s = 0.5) has 231,433 prefixes and
-# 71,414 leaves.
+# A catalog holds at most this many prefixes. Stored, a prefix takes 4
+# bytes: its parent's position (uint16 while the parent's depth holds at
+# most 2^16 prefixes, uint32 past that) and its last arc (int16 up to 2^15
+# arcs). A leaf takes as much, and a prefix has at most one step into the
+# terminal, so leaves never outnumber prefixes: about 8 MiB at the cap, 12
+# MiB if depths are wide. The build also holds two depths' frontiers, each
+# prefix with a node index, a float64 cost and ceil(V / 64) uint64 words
+# (17 bytes up to 64 nodes), plus one chunk's tables. A call adds up to
+# about 40 bytes per prefix of its widest depth while it runs. The heaviest
+# benchmark graph (ratio draw 0 at p_s = 0.5) has 231,433 prefixes, 44,946
+# at its widest depth, and 71,414 leaves; its build traces a peak of about
+# 2.6 MiB.
 CATALOG_CAP = 1 << 20
 
-
-class _CatalogFull(Exception):
-    pass
+# Parents expanded together by the build. A chunk's (parent, step) cost
+# table takes 8 KiB per step of the node with the most steps: 152 KiB on
+# the 20-node complete benchmark graphs.
+_CHUNK = 1024
 
 
 @dataclass
 class PrefixCatalog:
-    """Every budget-feasible prefix of one (start, terminal, budget), as the unbounded search visits them.
+    """Every budget-feasible prefix of one (start, terminal, budget), one level per depth.
 
     arcs lists the graph's arcs in (tail, head) index order and heads their
-    heads' node indices. levels[d] describes the steps out of the prefixes
-    of d steps, each list in DFS order: the number of children of each
-    prefix, the arc of each prefix of d + 1 steps, and the leaves (steps
-    into the terminal) as DFS rank among all leaves, position of the parent
-    prefix in its level, and arc. Child counts are uint8, arcs int16 and
-    ranks and positions int32 while they fit. prefixes counts the root too.
+    heads' node indices. levels[d] holds four arrays about the steps out of
+    the prefixes of d steps: the parent position in level d and the arc of
+    each prefix of d + 1 steps, then the parent position and the arc of each
+    leaf (a step into the terminal). Each list runs in parent order, then
+    in step order, which is the search's DFS order within one depth:
+    lexicographic by node index. Positions take the smallest unsigned dtype
+    that holds their parent level's width, arcs int16 while they fit.
+    prefixes counts the root too.
     """
 
     start: int
@@ -151,49 +158,59 @@ class PrefixCatalog:
     heads: np.ndarray
     levels: list
     prefixes: int
-    leaves: int
 
     def best(self, rew):
-        """(reward, depth, index) of the first best leaf in DFS order, given each arc's reward; None without leaves.
+        """(reward, depth, index) of the best leaf given each arc's reward; None without leaves.
 
         A prefix's sum is its parent's plus the reward of its last arc, as
-        the search adds collected + reward[k].
+        the search adds collected + reward[k]. The search keeps its first
+        strict improvement in DFS order, so among equal floats the leaf
+        whose node-index sequence is lexicographically smallest wins: within
+        a depth the first maximum, across depths the smaller sequence,
+        whichever depth holds it. Node ids play no part; only their index
+        order does.
         """
         top = None
         col = np.zeros(1)
-        for d, (kid_count, kid_arc, leaf_rank, leaf_parent, leaf_arc) in enumerate(self.levels):
-            if len(leaf_rank):
-                sums = col[leaf_parent] + rew[leaf_arc]
+        for d, (kid_parent, kid_arc, leaf_parent, leaf_arc) in enumerate(self.levels):
+            if len(leaf_arc):
+                sums = col.take(leaf_parent)
+                sums += rew.take(leaf_arc)
                 i = int(np.argmax(sums))
-                key = (float(sums[i]), -int(leaf_rank[i]))
-                if top is None or key > top[0]:
-                    top = (key, d, i)
-            col = np.repeat(col, kid_count)
-            col += rew[kid_arc]
-        return None if top is None else (top[0][0], top[1], top[2])
+                r = float(sums[i])
+                if top is None or r > top[0] or (r == top[0] and self._arc_seq(d, i) < self._arc_seq(*top[1:])):
+                    top = (r, d, i)
+            col = col.take(kid_parent)
+            col += rew.take(kid_arc)
+        return top
+
+    def _arc_seq(self, d, i) -> tuple:
+        """Arc indices of leaf i of level d, from the start on.
+
+        Arcs are numbered in (tail, head) index order and every path leaves
+        the same start, so these tuples order as the node-index sequences.
+        """
+        _kp, _ka, leaf_parent, leaf_arc = self.levels[d]
+        seq = [int(leaf_arc[i])]
+        pos = leaf_parent[i]
+        for kid_parent, kid_arc, _lp, _la in reversed(self.levels[:d]):
+            seq.append(int(kid_arc[pos]))
+            pos = kid_parent[pos]
+        return tuple(reversed(seq))
 
     def path(self, d, i) -> tuple:
         """Node sequence of leaf i of level d."""
-        _kc, _ka, _lr, leaf_parent, leaf_arc = self.levels[d]
-        nodes = [self.arcs[leaf_arc[i]][1]]
-        pos = leaf_parent[i]
-        for kid_count, kid_arc, *_leaves in reversed(self.levels[:d]):
-            nodes.append(self.arcs[kid_arc[pos]][1])
-            pos = np.searchsorted(np.cumsum(kid_count), pos, side="right")
-        nodes.append(self.start)
-        return tuple(reversed(nodes))
+        return (self.start,) + tuple(self.arcs[k][1] for k in self._arc_seq(d, i))
 
     def paths(self) -> list[tuple]:
-        """Every leaf's node sequence, in DFS order: lexicographic by node index."""
-        heads = [b for _a, b in self.arcs]
-        out = [None] * self.leaves
-        level = [(self.start,)]
-        for kid_count, kid_arc, leaf_rank, leaf_parent, leaf_arc in self.levels:
-            for r, q, k in zip(leaf_rank.tolist(), leaf_parent.tolist(), leaf_arc.tolist()):
-                out[r] = level[q] + (heads[k],)
-            parents = np.repeat(np.arange(len(level)), kid_count).tolist()
-            level = [level[q] + (heads[k],) for q, k in zip(parents, kid_arc.tolist())]
-        return out
+        """Every leaf's node sequence in DFS order: lexicographic by node index."""
+        seqs = []
+        level = [()]
+        for kid_parent, kid_arc, leaf_parent, leaf_arc in self.levels:
+            seqs += [level[q] + (k,) for q, k in zip(leaf_parent.tolist(), leaf_arc.tolist())]
+            level = [level[q] + (k,) for q, k in zip(kid_parent.tolist(), kid_arc.tolist())]
+        seqs.sort()
+        return [(self.start,) + tuple(self.arcs[k][1] for k in seq) for seq in seqs]
 
 
 def prefix_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | None:
@@ -205,72 +222,100 @@ def prefix_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | Non
 
 
 def _build_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | None:
-    """Record the search of _branch_and_bound without its reward bound.
+    """The prefixes of _branch_and_bound's search without its reward bound, listed one depth at a time.
 
-    Same steps in the same order, the same visited bits, `c <= limit` at
-    the terminal and `c + to_t > limit` to cut a prefix; no check on the
-    start, so an infeasible one gives a catalog without leaves. A step
-    that fails its test at cost 0.0 is left out of its node's list: costs
-    are never negative and float addition is monotone, so it would fail at
-    every cost.
+    Each depth's frontier holds, per prefix, its node index, its cost and
+    its visited nodes as ceil(V / 64) uint64 words in which the terminal's
+    bit is 0. It is expanded _CHUNK prefixes at a time against a padded
+    (node, step) table in adjacency order. Out of a prefix of cost `cost`,
+    a step of cost w to the terminal is a leaf when `cost + w <= limit`,
+    and a step to a free node u is a child unless
+    `cost + w + to_t[u] > limit`: the search's own float expressions.
+    np.nonzero lists a chunk's children in parent order, then step order,
+    so each depth comes out in the search's order. There is no check on the
+    start, so an infeasible one gives a catalog without leaves. A step to
+    a node other than the terminal that fails its test at cost 0.0 is left
+    out of the table: costs are never negative and float addition is
+    monotone, so it would fail at every cost. The build stops, returning
+    None, as soon as the prefixes counted exceed CATALOG_CAP.
     """
     g = lg.graph
-    cap = CATALOG_CAP
+    idx = g.index
+    n = len(g.node_ids)
     limit = budget + BUDGET_TOL
     dist_to_t = lg.distances_to(terminal)
-    arcs, _items, arc_of, bit, _tables = _search_tables(lg, terminal, "arc")
-    steps = {
-        v: [(u, lg.costs[(v, u)], dist_to_t[u], bit[u], arc_of[(v, u)]) for u, _w in nbrs
-            if lg.costs[(v, u)] + (0.0 if u == terminal else dist_to_t[u]) <= limit]
-        for v, nbrs in g.adjacency.items()
-    }
-    count = "B" if max(map(len, steps.values())) < 1 << 8 else "i"
-    code = "h" if len(arcs) <= 1 << 15 else "i"
-    levels = [tuple(array(c) for c in (count, code, "i", "i", code)) for _ in g.node_ids]
-    prefixes = leaves = 0
+    arcs, _items, arc_of, _bit, _tables = _search_tables(lg, terminal, "arc")
+    node_dt = np.min_scalar_type(n - 1)
+    arc_dt = np.int16 if len(arcs) <= 1 << 15 else np.int32
+    words = -(-n // 64)
 
-    def dfs(v, cost, visited, d, pos):
-        nonlocal prefixes, leaves
-        prefixes += 1
-        if prefixes > cap:
-            raise _CatalogFull
-        kid_count, kid_arc, leaf_rank, leaf_parent, leaf_arc = levels[d]
-        kids = 0
-        for u, w, to_t, b, k in steps[v]:
-            if visited & b:
-                continue
-            c = cost + w
-            if u == terminal:
-                if c <= limit:
-                    leaf_rank.append(leaves)
-                    leaf_parent.append(pos)
-                    leaf_arc.append(k)
-                    leaves += 1
-                continue
-            if c + to_t > limit:
-                continue
-            kid_arc.append(k)
-            kids += 1
-            dfs(u, c, visited | b, d + 1, len(kid_arc) - 1)
-        # A prefix's count lands when its subtree is done; prefixes of one
-        # depth finish in the order they start, so counts stay in DFS order.
-        kid_count.append(kids)
+    # Per node: its steps to other nodes, padded with infinite costs, and
+    # the cost of its step to the terminal, infinite when it has none.
+    rows = [
+        [(u, lg.costs[(v, u)]) for u, _w in g.adjacency[v]
+         if u != terminal and lg.costs[(v, u)] + dist_to_t[u] <= limit]
+        for v in g.node_ids
+    ]
+    width = max(map(len, rows))
+    head = np.zeros((n, width), node_dt)
+    w = np.full((n, width), INF)
+    to_t = np.zeros((n, width))
+    arc = np.zeros((n, width), arc_dt)
+    leaf_w = np.array([lg.costs.get((v, terminal), INF) for v in g.node_ids])
+    leaf_k = np.array([arc_of.get((v, terminal), 0) for v in g.node_ids], arc_dt)
+    for i, (v, row) in enumerate(zip(g.node_ids, rows)):
+        for s, (u, c) in enumerate(row):
+            head[i, s], w[i, s], to_t[i, s], arc[i, s] = idx[u], c, dist_to_t[u], arc_of[(v, u)]
+    word = (head >> 6).astype(np.intp).ravel()
+    bit = np.left_shift(np.uint64(1), (head & 63).astype(np.uint64)).ravel()
+    head, arc, w_flat = head.ravel(), arc.ravel(), w.ravel()
 
-    try:
-        dfs(start, 0.0, bit[start], 0, 0)
-    except _CatalogFull:
+    node = np.array([idx[start]], node_dt)
+    cost = np.zeros(1)
+    vis = np.zeros((1, words), np.uint64)
+    if start != terminal:
+        vis[0, idx[start] >> 6] = np.uint64(1) << np.uint64(idx[start] & 63)
+    prefixes = 1
+    if prefixes > CATALOG_CAP:
         return None
-    finally:
-        dfs = None  # the closure refers to itself; drop the cycle now, not at the next GC
-    while len(levels) > 1 and not levels[-1][1] and not levels[-1][2]:
-        levels.pop()
+    levels = []
+    while len(node):
+        pos_dt = np.min_scalar_type(len(node) - 1)
+        parts = []
+        for lo in range(0, len(node), _CHUNK):
+            nd = node[lo:lo + _CHUNK].astype(np.intp)
+            cs = cost[lo:lo + _CHUNK]
+            leaf = np.flatnonzero(cs + leaf_w.take(nd) <= limit)
+            c = w[nd]
+            c += cs[:, None]
+            c += to_t[nd]
+            r, s = np.nonzero(c <= limit)
+            del c
+            steps = nd.take(r) * width + s
+            r += lo
+            free = (vis[r, word.take(steps)] & bit.take(steps)) == 0
+            r, steps = r[free], steps[free]
+            prefixes += len(r)
+            if prefixes > CATALOG_CAP:
+                return None
+            kid_vis = vis.take(r, axis=0)
+            kid_vis[np.arange(len(r)), word.take(steps)] |= bit.take(steps)
+            parts.append((
+                r.astype(pos_dt), arc.take(steps), (leaf + lo).astype(pos_dt), leaf_k.take(nd.take(leaf)),
+                head.take(steps), cost.take(r) + w_flat.take(steps), kid_vis,
+            ))
+        # Join one field at a time, each freeing its chunks before the next.
+        fields = [list(f) for f in zip(*parts)]
+        del node, cost, vis, parts
+        kid_parent, kid_arc, leaf_parent, leaf_arc, node, cost, vis = (
+            np.concatenate(fields.pop(0)) for _ in range(7))
+        levels.append((kid_parent, kid_arc, leaf_parent, leaf_arc))
     return PrefixCatalog(
         start=start,
         arcs=arcs,
-        heads=np.array([g.index[b] for _a, b in arcs], dtype=np.intp),
-        levels=[tuple(np.frombuffer(a, dtype=a.typecode) for a in level) for level in levels],
+        heads=np.array([idx[b] for _a, b in arcs], dtype=np.intp),
+        levels=levels,
         prefixes=prefixes,
-        leaves=leaves,
     )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,31 @@ def test_exact_breaks_ties_toward_smallest_path():
     assert res.reward == pytest.approx(best, abs=1e-12)
     assert res.path == (0, 1, 4)
     assert res.path == min(maximizers)
+
+
+@pytest.mark.parametrize("s, b, c, d, t, node_ids, deep", [
+    # Index order is id order; (s, b, c, t) is the smaller sequence.
+    (0, 1, 2, 3, 4, [0, 1, 2, 3, 4], True),
+    # d comes before b by index but after it by id: (s, d, t) is smaller.
+    (0, 1, 2, 3, 4, [0, 3, 1, 2, 4], False),
+    # b comes before d by index but after it by id: (s, b, c, t) is smaller.
+    (0, 3, 2, 1, 4, [0, 3, 2, 1, 4], True),
+])
+def test_equal_rewards_at_two_depths_go_to_the_smaller_index_sequence(s, b, c, d, t, node_ids, deep):
+    # (s, d, t) and (s, b, c, t) collect the same float, 0.75 = 0.25 + 0.5, by
+    # node and by arc rewards. The search keeps the first of them in DFS
+    # order, the smaller node-index sequence, whichever depth it ends at.
+    edges = [(s, b, 0.9), (b, c, 0.9), (c, t, 0.9), (s, d, 0.9), (d, t, 0.9)]
+    g = tso.SurvivalGraph(node_ids=node_ids, priorities={v: 1.0 for v in node_ids}, edges=edges,
+                          start=s, terminal=t, p_s=0.5)
+    expected = (s, b, c, t) if deep else (s, d, t)
+    for solve, kw in (
+        (tso.solve_exact, dict(rewards={b: 0.25, c: 0.5, d: 0.75})),
+        (tso.solve_arc_exact, dict(edge_rewards={(s, b): 0.25, (b, c): 0.5, (s, d): 0.75})),
+    ):
+        got = solve(_problem(g, **kw))
+        reference = solve(_problem(g, **kw), use_reward_bound=False)
+        assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)) == (expected, "0.75")
 
 
 def test_reward_bound_only_prunes(monkeypatch, loop5):
@@ -482,3 +508,52 @@ def test_greedy_catalog_effort_is_pinned(monkeypatch, variant, calls, prefixes):
     reference = tso.greedy_survivors(g, cfg)
     assert run.paths == reference.paths
     assert [repr(x) for x in run.gains] == [repr(x) for x in reference.gains]
+
+
+@pytest.mark.parametrize("depot", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_catalog_on_graphs_above_64_nodes(depot, reverse):
+    # Visited sets of more than 64 nodes take two uint64 words. Reversing
+    # the index order moves the start into the second word (and the open
+    # path's terminal into the first); some leaves pass through nodes there.
+    base = tso.feasible_random_instance(70, 0.3, 1.0, 0.9, seed=(64, 70))
+    node_ids = base.node_ids[::-1] if reverse else base.node_ids
+    g = tso.SurvivalGraph(
+        node_ids=node_ids, priorities=base.priorities, edges=base.edges,
+        start=base.start, terminal=base.start if depot else base.terminal, p_s=base.p_s,
+    )
+    nodes, arcs = _random_rewards(g, np.random.default_rng((65, int(depot), int(reverse))))
+    lg = tso.log_transform(g)
+    for solve, kw in ((tso.solve_exact, dict(rewards=nodes)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
+        got = solve(tso.OrienteeringProblem(lg=lg, **kw))
+        reference = solve(_problem(g, **kw), use_reward_bound=False)
+        assert (got.path, repr(got.reward), got.nodes_expanded) == (
+            reference.path, repr(reference.reward), reference.nodes_expanded)
+    cat = _catalog(tso.OrienteeringProblem(lg=lg))
+    assert cat.prefixes > 100
+    assert any(g.index[v] >= 64 for path in cat.paths() for v in path[1:-1])
+
+
+# Per-depth prefix and leaf counts of the heaviest benchmark graph (ratio
+# draw 0 at p_s = 0.5), recorded from the depth-first build that the
+# level-by-level one replaced.
+HEAVY_PREFIXES = [1, 12, 97, 523, 2104, 6314, 14472, 26346, 38351, 44946, 41683, 30518, 17020, 6909, 1820, 304, 13]
+HEAVY_LEAVES = [1, 7, 52, 228, 869, 2328, 4948, 8596, 12045, 13845, 12569, 8892, 4722, 1825, 428, 59, 0]
+
+
+def test_heavy_catalog_shape_and_build_memory():
+    # The build holds two levels and one chunk's tables at a time: about
+    # 2.6 MiB traced at its peak, stored catalog included.
+    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.5, seed=(0, 0))
+    lg = tso.log_transform(g)
+    tracemalloc.start()
+    try:
+        cat = tso.orienteering.prefix_catalog(lg, g.start, g.terminal, lg.budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert [1] + [len(kid_arc) for _kp, kid_arc, _lp, _la in cat.levels] == HEAVY_PREFIXES + [0]
+    assert [len(leaf_arc) for _kp, _ka, _lp, leaf_arc in cat.levels] == HEAVY_LEAVES
+    assert cat.prefixes == sum(HEAVY_PREFIXES) == 231_433
+    assert len(cat.paths()) == sum(HEAVY_LEAVES) == 71_414
