@@ -165,15 +165,10 @@ class LogGraph:
     budget: float
     _from_cache: dict = field(default_factory=dict, repr=False)
     _to_cache: dict = field(default_factory=dict, repr=False)
-    # Exact-oracle search tables per (terminal, reward kind); see orienteering._search_tables.
-    _search_cache: dict = field(default_factory=dict, repr=False)
     # Exact-oracle path catalogs per (start, terminal, budget); see orienteering.prefix_catalog.
     _catalog_cache: dict = field(default_factory=dict, repr=False)
     # GRASP cost rows and legs; see orienteering._grasp_tables.
     _grasp_cache: tuple | None = field(default=None, repr=False)
-
-    def cost(self, u, v) -> float:
-        return self.costs[(u, v)]
 
     def shortest_tree(self, source):
         """Memoized (distances, parent tree) of dijkstra from source (no deletions)."""
@@ -279,13 +274,19 @@ class FeasibilityReport:
     leg_cost: dict[int, float]
 
 
-def _tour_cost(lg: LogGraph, dist_s) -> float:
-    """Cheapest real return to the start (at least one edge), given the distances from it."""
-    start = lg.graph.start
+def _tour_cost(lg: LogGraph, start):
+    """Cheapest real return to start (at least one edge), as (cost, last node before start).
+
+    Reads the memoized distances from start. Among equal costs the first
+    in-neighbour in reverse_adjacency order, that is by node index, wins;
+    (INF, None) when no return exists.
+    """
+    dist_s = lg.distances_from(start)
     return min(
-        (dist_s[v] + lg.costs[(v, start)] for v, _w in lg.graph.reverse_adjacency[start]
+        ((dist_s[v] + lg.costs[(v, start)], v) for v, _w in lg.graph.reverse_adjacency[start]
          if v != start and dist_s[v] < INF),
-        default=INF,
+        key=lambda t: t[0],
+        default=(INF, None),
     )
 
 
@@ -296,8 +297,7 @@ def has_feasible_path(lg: LogGraph) -> bool:
     lg.distances_from keeps.
     """
     g = lg.graph
-    dist_s = lg.distances_from(g.start)
-    cost = _tour_cost(lg, dist_s) if g.start == g.terminal else dist_s[g.terminal]
+    cost = _tour_cost(lg, g.start)[0] if g.start == g.terminal else lg.distances_from(g.start)[g.terminal]
     return cost <= lg.budget + BUDGET_TOL
 
 
@@ -321,17 +321,15 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     leg_cost = {}
     for j in g.node_ids:
         if j == g.start:
-            leg_cost[j] = _tour_cost(lg, dist_s) if g.start == g.terminal else INF
+            leg_cost[j] = _tour_cost(lg, g.start)[0] if g.start == g.terminal else INF
             reachable[j] = leg_cost[j] <= lg.budget + BUDGET_TOL
             continue
         if dist_s[j] == INF:
             reachable[j] = False
             leg_cost[j] = INF
             continue
-        leg = [j]
-        while leg[-1] != g.start:
-            leg.append(parent_s[leg[-1]])
-        banned = frozenset(zip(leg[1:], leg[:-1]))  # leg is terminal-first
+        leg = tree_path(parent_s, g.start, j)
+        banned = frozenset(zip(leg, leg[1:]))
         back = dijkstra(lg, j, banned=banned)[0][g.terminal]
         total = dist_s[j] + back
         leg_cost[j] = total

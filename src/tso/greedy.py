@@ -29,7 +29,6 @@ from .objective import (  # noqa: F401
     TeamPlan,
     discrete_derivative,
     edge_team_objective,
-    edge_visit_profile,
     fold_visit_counts,
     multi_visit_objective,
     multi_visit_value,
@@ -48,7 +47,6 @@ class GreedyConfig:
     oracle: str = "exact"
     variant: str = "node"
     seed: int = 0
-    restarts: int = 64
 
     def __post_init__(self):
         if self.team_size < 1:
@@ -169,7 +167,8 @@ class EdgeRewards(RewardModel):
         return OrienteeringProblem(lg, edge_rewards=dict(self.w))
 
     def update(self, prof) -> float:
-        for e, a in edge_visit_profile(self.g, prof.path).items():
+        path = prof.path
+        for e, a in zip(zip(path, path[1:]), prof.survival_prefix[1:]):
             if e in self.w:
                 self.w[e] *= 1.0 - a
                 self.miss[e] *= 1.0 - a
@@ -186,7 +185,7 @@ class EdgeRewards(RewardModel):
     def caps(self, lg, team_size):
         # A robot traverses (u, v) with probability at most zeta_u * omega.
         zeta, survival = self.zeta, self.g.survival
-        return [(u, lg.cost(u, v), v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.table.items()]
+        return [(u, lg.costs[(u, v)], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.table.items()]
 
 
 class MultiVisitRewards(RewardModel):
@@ -235,7 +234,7 @@ def _oracle_call(cfg: GreedyConfig, problem: OrienteeringProblem, iteration: int
         return solve_exact(problem)
     # Separate stream per iteration keeps later robots independent of how
     # many restarts earlier ones consumed.
-    return solve_heuristic(problem, seed=(cfg.seed, iteration), restarts=cfg.restarts)
+    return solve_heuristic(problem, seed=(cfg.seed, iteration))
 
 
 def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:

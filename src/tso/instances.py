@@ -34,16 +34,8 @@ def random_complete_instance(
         raise ValueError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
     ids = list(range(num_nodes))
-    edges = []
-    for u in ids:
-        for v in ids:
-            if u == v:
-                continue
-            if weight_min == weight_max:
-                w = weight_min
-            else:
-                w = float(rng.uniform(weight_min, weight_max))
-            edges.append((u, v, w))
+    weights = iter(rng.uniform(weight_min, weight_max, num_nodes * (num_nodes - 1)).tolist())
+    edges = [(u, v, next(weights)) for u in ids for v in ids if u != v]
     return SurvivalGraph(
         node_ids=ids,
         priorities={v: 1.0 for v in ids},

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, shortest_path, tree_path
+from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, _tour_cost, tree_path
 
 
 @dataclass
@@ -244,7 +244,8 @@ def _build_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | Non
     n = len(g.node_ids)
     limit = budget + BUDGET_TOL
     dist_to_t = lg.distances_to(terminal)
-    arcs, _items, arc_of, _bit, _tables = _search_tables(lg, terminal, "arc")
+    arcs = _arcs(lg)
+    arc_of = {e: k for k, e in enumerate(arcs)}
     node_dt = np.min_scalar_type(n - 1)
     arc_dt = np.int16 if len(arcs) <= 1 << 15 else np.int32
     words = -(-n // 64)
@@ -322,27 +323,10 @@ def _build_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | Non
 # ---------------------------------------------------------------------------
 # Branch and bound: the fallback above CATALOG_CAP and the audit reference
 
-def _search_tables(lg: LogGraph, terminal, kind: str):
-    """Search tables of one terminal and reward kind, cached on lg for every later call.
-
-    Returns (reward keys, items, step_item, head bits, per-node tables). Item k
-    is (a, extra, b), paid reward[keys[k]]: one (j, 0.0, j) per node in index
-    order, or one (a, cost(a, b), b) per arc in (tail, head) index order.
-    """
-    key = (terminal, kind)
-    if key not in lg._search_cache:
-        g = lg.graph
-        idx = g.index
-        arcs = sorted(lg.costs, key=lambda e: (idx[e[0]], idx[e[1]]))
-        if kind == "node":
-            keys, items = g.node_ids, [(j, 0.0, j) for j in g.node_ids]
-            step_item = {(a, b): idx[b] for a, b in arcs}
-        else:
-            keys, items = arcs, [(a, lg.costs[(a, b)], b) for a, b in arcs]
-            step_item = {e: k for k, e in enumerate(arcs)}
-        bit = {v: 0 if v == terminal else 1 << i for i, v in enumerate(g.node_ids)}
-        lg._search_cache[key] = (keys, items, step_item, bit, {})
-    return lg._search_cache[key]
+def _arcs(lg: LogGraph) -> list:
+    """The graph's arcs in (tail, head) index order: the arc numbering of catalogs and searches."""
+    idx = lg.graph.index
+    return sorted(lg.costs, key=lambda e: (idx[e[0]], idx[e[1]]))
 
 
 def _node_table(lg: LogGraph, v, items, step_item, bit, dist_to_t):
@@ -358,15 +342,15 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
 
     It serves the calls whose catalog would exceed CATALOG_CAP and, with
     use_reward_bound=False, is the reference the catalog is checked against.
-    Each bound item (a, extra, b) is a reward that a walk v ~> a, then extra,
-    then b ~> terminal could still collect, at a need of
-    dist(v, a) + extra + dist(b, terminal); a step v -> u pays its own item.
-    An item whose head b is already visited (and is not the terminal) is out
-    of reach, because a simple path never re-enters a visited node. Needs,
-    steps and head bits depend on the graph only, so a node's table is built
-    on its first expansion and reused by every later call on the same
-    LogGraph; a call builds only its reward list. Visited nodes form an int
-    bitmask in which the terminal's bit is 0.
+    Item k is (a, extra, b), paid reward[k]: one (j, 0.0, j) per node in
+    index order, or one (a, cost(a, b), b) per arc in _arcs order. It is a
+    reward that a walk v ~> a, then extra, then b ~> terminal could still
+    collect, at a need of dist(v, a) + extra + dist(b, terminal); a step
+    v -> u pays its own item. An item whose head b is already visited (and
+    is not the terminal) is out of reach, because a simple path never
+    re-enters a visited node. A node's table of needs and steps is built on
+    its first expansion and kept for the rest of the call. Visited nodes
+    form an int bitmask in which the terminal's bit is 0.
 
     Children are explored in ascending node-index order and the incumbent
     only improves strictly, so the first maximizer reached is the
@@ -374,17 +358,25 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
     exceeds the remaining budget, (b) current reward plus every item still
     in reach cannot beat the incumbent (admissible, so rule (b) never
     removes the returned optimum; it can be disabled for audits). Sums run
-    in item order and every budget test keeps one float expression; items
-    with zero reward stay (x + 0.0 == x). So prunes and results do not
-    depend on which calls built the tables.
+    in item order and every budget test keeps one float expression.
     """
     lg = p.lg
     start, terminal, budget = p.start, p.terminal, p.budget
     limit = budget + BUDGET_TOL
     depot = start == terminal
     dist_to_t = lg.distances_to(terminal)
-    keys, items, step_item, bit, tables = _search_tables(lg, terminal, kind)
+    g = lg.graph
+    idx = g.index
+    arcs = _arcs(lg)
+    if kind == "node":
+        keys, items = g.node_ids, [(j, 0.0, j) for j in g.node_ids]
+        step_item = {(a, b): idx[b] for a, b in arcs}
+    else:
+        keys, items = arcs, [(a, lg.costs[(a, b)], b) for a, b in arcs]
+        step_item = {e: k for k, e in enumerate(arcs)}
+    bit = {v: 0 if v == terminal else 1 << i for i, v in enumerate(g.node_ids)}
     reward = [lookup(key, 0.0) for key in keys]
+    tables = {}
 
     # A depot robot may stay home; an open path has no incumbent yet.
     best_reward, best_path = (0.0, (start,)) if depot else (-INF, None)
@@ -452,27 +444,21 @@ def _grasp_tables(lg: LogGraph):
 def _base_path(p: OrienteeringProblem):
     """Cheapest feasible skeleton: shortest return for depots, shortest path otherwise."""
     lg = p.lg
-    if p.start != p.terminal:
-        path = shortest_path(lg, p.start, p.terminal)
-        if path is None:
-            raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-        cost = _path_cost(lg, path)
-        if cost > p.budget + BUDGET_TOL:
-            raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-        return path, cost
-    best = None
+    limit = p.budget + BUDGET_TOL
+    # Each cost is bit-equal to _path_cost of its path. dijkstra last set
+    # every dist[v] together with parent[v], an equal-distance parent switch
+    # included, as dist[parent[v]] + cost(parent[v], v), with dist[parent[v]]
+    # final by then. So dist[v] sums the tree path's arc costs left to right
+    # from 0.0, and a tour adds its return arc last. Tree paths are simple.
     dist, parent = lg.shortest_tree(p.start)
-    for v, _w in lg.graph.reverse_adjacency[p.start]:
-        if v == p.start or dist[v] == INF:
-            continue
-        cost = dist[v] + lg.costs[(v, p.start)]
-        if cost <= p.budget + BUDGET_TOL and (best is None or cost < best[1]):
-            leg = tree_path(parent, p.start, v)
-            if leg is not None and len(set(leg)) == len(leg):
-                best = (leg + [p.start], cost)
-    if best is None:
+    if p.start != p.terminal:
+        if dist[p.terminal] > limit:
+            raise InfeasibleInstanceError("no start-terminal path within the survival budget")
+        return tree_path(parent, p.start, p.terminal), dist[p.terminal]
+    cost, last = _tour_cost(lg, p.start)
+    if cost > limit:
         return [p.start], 0.0
-    return best
+    return tree_path(parent, p.start, last) + [p.start], cost
 
 
 def _path_cost(lg, path):

@@ -102,8 +102,8 @@ def test_check_path_rules(diamond, loop5):
 
 def test_log_transform_costs(diamond):
     lg = tso.log_transform(diamond)
-    assert lg.cost(1, 2) == pytest.approx(-math.log(0.9), abs=1e-15)
-    assert lg.cost(1, 4) == 0.0
+    assert lg.costs[(1, 2)] == pytest.approx(-math.log(0.9), abs=1e-15)
+    assert lg.costs[(1, 4)] == 0.0
     assert lg.budget == pytest.approx(-math.log(0.8), abs=1e-15)
 
 

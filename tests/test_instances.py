@@ -26,6 +26,17 @@ def test_random_complete_weight_range():
     assert {w for _u, _v, w in flat.edges} == {0.9}
 
 
+def test_random_complete_weights_are_pinned():
+    # One uniform draw per edge in (source, sink) order, recorded before the
+    # per-edge draws became one sized draw; the two give the same stream.
+    g = tso.random_complete_instance(3, 0.5, 1.0, 0.6, seed=(5, 1))
+    assert [(u, v) for u, v, _w in g.edges] == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    assert [repr(w) for _u, _v, w in g.edges] == [
+        "0.8871020901869406", "0.7353613415940465", "0.8479401721710574",
+        "0.9082688229214859", "0.7689684645523596", "0.758648111434913",
+    ]
+
+
 def test_random_complete_rejects_bad_arguments():
     with pytest.raises(ValueError):
         tso.random_complete_instance(1, 0.3, 1.0, 0.7)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tso
-from tso.orienteering import path_reward
+from tso.graph import check_path
+from tso.orienteering import _base_path, _path_cost, path_reward
 
 import oracles
 
@@ -274,6 +275,57 @@ def test_heuristic_calls_sharing_a_log_graph_match_fresh_ones():
                 fresh.path, fresh.reward, fresh.nodes_expanded), (seed, budget)
 
 
+def _base_path_cases(loop5):
+    """(name, graph, start): ratio draws, hex open and as a depot at two starts, loop5, sparse digraphs."""
+    for i in range(3):
+        for p_s in (0.5, 0.8):
+            yield f"ratio-{i}-{p_s}", tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, i)), None
+    hexg = tso.hex_instance(p_s=0.6)
+    yield "hex-depot", hexg, None
+    yield "hex-depot-at-3", tso.SurvivalGraph(
+        node_ids=hexg.node_ids, priorities=hexg.priorities, edges=hexg.edges, start=3, terminal=3, p_s=0.6), 3
+    for t in (9, 14):
+        yield f"hex-open-{t}", tso.SurvivalGraph(
+            node_ids=hexg.node_ids, priorities=hexg.priorities, edges=hexg.edges, start=0, terminal=t, p_s=0.6), None
+    yield "loop5", loop5, None
+    for seed in range(6):
+        yield f"sparse-{seed}", _sparse_digraph(seed), None
+
+
+def test_base_path_cost_is_its_path_cost(loop5):
+    # GRASP's first skeleton reads the memoized Dijkstra tree of the start,
+    # and its cost must be the float _path_cost sums along the path, bit for bit.
+    for name, g, start in _base_path_cases(loop5):
+        lg = tso.log_transform(g)
+        p = tso.OrienteeringProblem(lg=lg, rewards={}, start=start, terminal=start)
+        path, cost = _base_path(p)
+        assert repr(cost) == repr(_path_cost(lg, path)), name
+        assert path[0] == p.start and path[-1] == p.terminal, name
+        if p.start != p.terminal:
+            assert path == tso.shortest_path(lg, p.start, p.terminal), name
+            continue
+        check_path(g, path)
+        dist = lg.distances_from(p.start)
+        returns = [dist[v] + lg.costs[(v, p.start)] for v, _w in g.reverse_adjacency[p.start] if v != p.start]
+        assert len(path) > 1 and cost == min(returns), name
+
+
+def test_base_path_tie_between_returns_goes_to_the_first_in_neighbour():
+    # Two tours home, 0 -> 1 -> 0 and 0 -> 2 -> 0, cost -ln(0.9) - ln(0.8)
+    # in either order, the same float. Node 2 comes before node 1 in
+    # node_ids, so its return is the first in-neighbour of the start by index.
+    edges = [(0, 1, 0.9), (1, 0, 0.8), (0, 2, 0.8), (2, 0, 0.9)]
+    for node_ids, first in (([0, 2, 1], 2), ([0, 1, 2], 1)):
+        g = tso.SurvivalGraph(node_ids=node_ids, priorities={}, edges=edges, start=0, terminal=0, p_s=0.5)
+        lg = tso.log_transform(g)
+        costs = {v: lg.distances_from(0)[v] + lg.costs[(v, 0)] for v in (1, 2)}
+        assert costs[1] == costs[2]
+        assert _base_path(tso.OrienteeringProblem(lg=lg, rewards={})) == ([0, first, 0], costs[first])
+        # Too tight a budget for either tour: the robot stays home.
+        tight = tso.OrienteeringProblem(lg=lg, rewards={}, budget=costs[1] - 1e-6)
+        assert _base_path(tight) == ([0], 0.0)
+
+
 def test_arc_exact_matches_enumeration(loop5):
     graphs = [tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(77, seed)) for seed in range(8)]
     graphs += _depot_graphs(loop5, 80, 8)
@@ -411,11 +463,9 @@ def test_catalog_over_its_cap_falls_back_to_branch_and_bound(monkeypatch):
 
 
 def test_calls_sharing_a_log_graph_match_fresh_ones(monkeypatch):
-    # The catalogs and search tables cached on a LogGraph hold no rewards, so
-    # a call must not depend on which calls ran on that LogGraph before. A
-    # catalog is keyed by (start, terminal, budget) and serves node and arc
-    # rewards alike; with the catalog off, the branch and bound keeps tables
-    # per (terminal, reward kind).
+    # The catalogs cached on a LogGraph hold no rewards, so a call must not
+    # depend on which calls ran on that LogGraph before. A catalog is keyed
+    # by (start, terminal, budget) and serves node and arc rewards alike.
     for cap in (tso.orienteering.CATALOG_CAP, 0):
         monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", cap)
         for seed in range(4):
@@ -443,10 +493,8 @@ def test_calls_sharing_a_log_graph_match_fresh_ones(monkeypatch):
             assert set(shared._catalog_cache) == served
             if cap:
                 assert None not in shared._catalog_cache.values()
-                assert {key[1] for key in shared._search_cache} <= {"arc"}
             else:
                 assert set(shared._catalog_cache.values()) <= {None}
-                assert {key[1] for key in shared._search_cache} == {"node", "arc"}
 
 
 def _count_oracle_nodes(monkeypatch):
