@@ -8,7 +8,7 @@ planner carries a computable upper bound, so every plan ships with a
 worst-case optimality ratio.
 """
 
-from .exact import PathCatalog, enumerate_feasible_paths, solve_exact_tso
+from .exact import PathCatalog, brute_force_feasibility, enumerate_feasible_paths, solve_exact_tso
 from .graph import (
     BUDGET_TOL,
     FeasibilityReport,
@@ -16,7 +16,6 @@ from .graph import (
     MultiVisitTable,
     SizeGuardError,
     SurvivalGraph,
-    brute_force_feasibility,
     dijkstra,
     feasibility_check,
     has_feasible_path,

@@ -14,11 +14,10 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .exact import solve_exact_tso
+from .exact import brute_force_reachable, solve_exact_tso
 from .graph import (
     InfeasibleInstanceError,
     SizeGuardError,
-    brute_force_feasibility,
     feasibility_check,
     instance_to_dict,
     load_instance,
@@ -62,12 +61,15 @@ def _write_json(out, doc):
     _write_text(out, json.dumps(doc, indent=2) + "\n")
 
 
-def _load_checked(path):
-    g = load_instance(path)
+def _checked(g):
     problems = validate_instance(g)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
     return g
+
+
+def _load_checked(path):
+    return _checked(load_instance(path))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,7 @@ def cmd_gen(args) -> int:
         )
     else:
         raise ValueError("choose --complete or --preset hex")
+    _checked(g)
     if args.out:
         save_instance(g, args.out)
     else:
@@ -149,8 +152,9 @@ def cmd_feasible(args) -> int:
     print(f"X nonempty: {str(rep.x_nonempty).lower()}")
     if args.brute_force:
         print("node reachable brute agree")
+        reachable = brute_force_reachable(g)
         for v in g.node_ids:
-            truth = brute_force_feasibility(g, v)
+            truth = v in reachable
             mark = "yes" if rep.reachable[v] == truth else "NO"
             print(f"{v} {str(rep.reachable[v]).lower()} {str(truth).lower()} {mark}")
     else:

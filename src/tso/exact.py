@@ -1,8 +1,9 @@
 """Exhaustive ground truth for small instances.
 
 Enumerates every feasible path, then searches all K-multisets of them for
-the best team objective. Guards are hard errors: a ground-truth oracle must
-never silently approximate.
+the best team objective, or reads off which nodes some feasible path visits.
+Guards are hard errors: a ground-truth oracle must never silently
+approximate.
 """
 
 from __future__ import annotations
@@ -25,23 +26,37 @@ class PathCatalog:
         return len(self.paths)
 
 
-def enumerate_feasible_paths(g: SurvivalGraph, max_nodes: int = 12) -> PathCatalog:
-    """All start-terminal paths (at least one edge) meeting the survival bound.
+def _feasible_paths(g: SurvivalGraph, max_nodes: int, what: str) -> list[tuple]:
+    """The leaves of g's prefix catalog, in its DFS order: lexicographic by node index.
 
-    The leaves of the exact oracle's prefix catalog, in its DFS order, which
-    is lexicographic by node index. Raises SizeGuardError above max_nodes
-    (callers may raise the limit deliberately; budget pruning is what
-    actually keeps the search small) and when the catalog would exceed
+    A path is feasible when its log cost is at most budget + BUDGET_TOL, the
+    test every oracle uses. Raises SizeGuardError, naming what, above
+    max_nodes (callers may raise the limit deliberately; budget pruning is
+    what actually keeps the search small) and when the catalog would exceed
     orienteering.CATALOG_CAP prefixes.
     """
     if g.num_nodes > max_nodes:
-        raise SizeGuardError(f"path enumeration limited to {max_nodes} nodes, instance has {g.num_nodes}")
-    lg = log_transform(g)
-    cat = orienteering.prefix_catalog(lg, g.start, g.terminal, lg.budget)
+        raise SizeGuardError(f"{what} limited to {max_nodes} nodes, instance has {g.num_nodes}")
+    cat = orienteering.prefix_catalog(log_transform(g))
     if cat is None:
-        raise SizeGuardError(f"path enumeration limited to {orienteering.CATALOG_CAP} prefixes")
-    found = cat.paths()
+        raise SizeGuardError(f"{what} limited to {orienteering.CATALOG_CAP} prefixes")
+    return cat.paths()
+
+
+def enumerate_feasible_paths(g: SurvivalGraph, max_nodes: int = 12) -> PathCatalog:
+    """All start-terminal paths (at least one edge) meeting the survival bound, with their profiles."""
+    found = _feasible_paths(g, max_nodes, "path enumeration")
     return PathCatalog(paths=found, profiles=[visit_profile(g, p) for p in found])
+
+
+def brute_force_reachable(g: SurvivalGraph, max_nodes: int = 12) -> set:
+    """Every node some feasible path visits after step 0, from one read of the catalog."""
+    return {v for p in _feasible_paths(g, max_nodes, "brute-force feasibility") for v in p[1:]}
+
+
+def brute_force_feasibility(g: SurvivalGraph, node, max_nodes: int = 12) -> bool:
+    """Exact reachability: does some feasible path visit node after step 0?"""
+    return node in brute_force_reachable(g, max_nodes)
 
 
 def solve_exact_tso(

@@ -165,8 +165,9 @@ class LogGraph:
     budget: float
     _from_cache: dict = field(default_factory=dict, repr=False)
     _to_cache: dict = field(default_factory=dict, repr=False)
-    # Exact-oracle path catalogs per (start, terminal, budget); see orienteering.prefix_catalog.
-    _catalog_cache: dict = field(default_factory=dict, repr=False)
+    # The exact oracle's path catalog: () until built, then (catalog,), with
+    # None above the cap; see orienteering.prefix_catalog.
+    _catalog_cache: tuple = field(default=(), repr=False)
     # GRASP cost rows and legs; see orienteering._grasp_tables.
     _grasp_cache: tuple | None = field(default=None, repr=False)
 
@@ -228,9 +229,13 @@ def dijkstra(lg: LogGraph, source, banned=frozenset(), reverse=False):
     return dist, parent
 
 
-def shortest_path(lg: LogGraph, source, target, banned=frozenset()):
-    """Node sequence of a shortest source-target path, or None if unreachable."""
-    dist, parent = dijkstra(lg, source, banned=banned)
+def shortest_path(lg: LogGraph, source, target):
+    """Node sequence of a shortest source-target path, or None if unreachable.
+
+    It runs its own dijkstra rather than read lg.shortest_tree, so tests can
+    hold it against the memoized tree.
+    """
+    dist, parent = dijkstra(lg, source)
     if dist[target] == INF:
         return None
     return tree_path(parent, source, target)
@@ -274,13 +279,14 @@ class FeasibilityReport:
     leg_cost: dict[int, float]
 
 
-def _tour_cost(lg: LogGraph, start):
-    """Cheapest real return to start (at least one edge), as (cost, last node before start).
+def _tour_cost(lg: LogGraph):
+    """Cheapest real return to the start (at least one edge), as (cost, last node before it).
 
-    Reads the memoized distances from start. Among equal costs the first
+    Reads the memoized distances from the start. Among equal costs the first
     in-neighbour in reverse_adjacency order, that is by node index, wins;
     (INF, None) when no return exists.
     """
+    start = lg.graph.start
     dist_s = lg.distances_from(start)
     return min(
         ((dist_s[v] + lg.costs[(v, start)], v) for v, _w in lg.graph.reverse_adjacency[start]
@@ -297,7 +303,7 @@ def has_feasible_path(lg: LogGraph) -> bool:
     lg.distances_from keeps.
     """
     g = lg.graph
-    cost = _tour_cost(lg, g.start)[0] if g.start == g.terminal else lg.distances_from(g.start)[g.terminal]
+    cost = _tour_cost(lg)[0] if g.start == g.terminal else lg.distances_from(g.start)[g.terminal]
     return cost <= lg.budget + BUDGET_TOL
 
 
@@ -313,7 +319,7 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
 
     The deletion step can be wrong in both directions on adversarial graphs
     (the legs may share interior nodes, and deleting the first leg can sever
-    the only return); brute_force_feasibility is the exact reference.
+    the only return); exact.brute_force_feasibility is the exact reference.
     """
     lg = log_transform(g)
     dist_s, parent_s = lg.shortest_tree(g.start)
@@ -321,7 +327,7 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     leg_cost = {}
     for j in g.node_ids:
         if j == g.start:
-            leg_cost[j] = _tour_cost(lg, g.start)[0] if g.start == g.terminal else INF
+            leg_cost[j] = _tour_cost(lg)[0] if g.start == g.terminal else INF
             reachable[j] = leg_cost[j] <= lg.budget + BUDGET_TOL
             continue
         if dist_s[j] == INF:
@@ -335,41 +341,6 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
         leg_cost[j] = total
         reachable[j] = total <= lg.budget + BUDGET_TOL
     return FeasibilityReport(reachable=reachable, x_nonempty=has_feasible_path(lg), leg_cost=leg_cost)
-
-
-def brute_force_feasibility(g: SurvivalGraph, node, max_nodes: int = 12) -> bool:
-    """Exact reachability: does some feasible path visit node after step 0?
-
-    Exhaustive DFS over simple paths (the final node may equal the start on
-    depot instances). Guarded to small instances; raises SizeGuardError above
-    max_nodes.
-    """
-    if g.num_nodes > max_nodes:
-        raise SizeGuardError(f"brute-force feasibility limited to {max_nodes} nodes, instance has {g.num_nodes}")
-    lg = log_transform(g)
-    dist_to_t = lg.distances_to(g.terminal)
-    threshold = g.p_s - 1e-12
-
-    def best_completion(v):
-        d = dist_to_t[v]
-        return math.exp(-d) if d < INF else 0.0
-
-    def dfs(v, survival, visited, hit):
-        # No completion from here can recover enough survival mass.
-        if survival * best_completion(v) < threshold:
-            return False
-        for u, w in g.adjacency[v]:
-            s = survival * w
-            if u == g.terminal and (u not in visited or u == g.start):
-                if (hit or u == node) and s >= threshold:
-                    return True
-            if u in visited or u == g.terminal:
-                continue
-            if dfs(u, s, visited | {u}, hit or u == node):
-                return True
-        return False
-
-    return dfs(g.start, 1.0, {g.start}, False)
 
 
 # ---------------------------------------------------------------------------

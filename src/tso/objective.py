@@ -157,23 +157,14 @@ def multi_visit_value(g: SurvivalGraph, counts, table, M: int) -> float:
     return total
 
 
-def edge_visit_profile(g: SurvivalGraph, path) -> dict[tuple[int, int], float]:
-    """Per traversed edge, the probability the robot survives through it."""
-    check_path(g, path)
-    run = 1.0
-    out = {}
-    for n in range(1, len(path)):
-        run *= g.survival[(path[n - 1], path[n])]
-        out[(path[n - 1], path[n])] = run
-    return out
-
-
 def edge_team_objective(g: SurvivalGraph, paths, rewards) -> float:
     """Expected reward over edges traversed by at least one robot."""
     for e in rewards:
         if e not in g.survival:
             raise ValueError(f"reward on missing edge {e}")
-    traversals = [edge_visit_profile(g, p) for p in paths]
+    # Per path, edge (path[n-1], path[n]) is crossed with probability survival_prefix[n].
+    profiles = [visit_profile(g, p) for p in paths]
+    traversals = [dict(zip(zip(pr.path, pr.path[1:]), pr.survival_prefix[1:])) for pr in profiles]
     total = 0.0
     for e, d in rewards.items():
         miss = 1.0

@@ -23,18 +23,8 @@ class OrienteeringProblem:
     lg: LogGraph
     rewards: dict[int, float] | None = None
     edge_rewards: dict[tuple[int, int], float] | None = None
-    budget: float | None = None
-    start: int | None = None
-    terminal: int | None = None
 
     def __post_init__(self):
-        g = self.lg.graph
-        if self.budget is None:
-            self.budget = self.lg.budget
-        if self.start is None:
-            self.start = g.start
-        if self.terminal is None:
-            self.terminal = g.terminal
         if self.rewards is not None:
             for v, r in self.rewards.items():
                 if r < 0 or r != r:
@@ -64,9 +54,9 @@ def path_reward(p: OrienteeringProblem, path) -> float:
 def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
     """Best path for node rewards: the lexicographically smallest maximizer.
 
-    The first call for a (start, terminal, budget) on a LogGraph lists every
-    budget-feasible prefix once, one depth at a time, into a PrefixCatalog
-    kept on that LogGraph; this and every later call there, such as greedy's
+    The first call on a LogGraph lists every budget-feasible prefix of its
+    graph once, one depth at a time, into a PrefixCatalog kept on that
+    LogGraph; this and every later call there, such as greedy's
     next robot, only sums its rewards over the catalog in numpy. Each
     prefix's sum is its parent's sum plus the reward of its last step: the
     same IEEE additions, in the same order, as the branch and bound's
@@ -80,8 +70,8 @@ def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> Oracle
     reward bound.
 
     A catalog holds at most CATALOG_CAP prefixes. Above that its build
-    stops, and this call and every later one on the same (start, terminal,
-    budget) run the branch and bound with its reward bound.
+    stops, and this call and every later one on the same LogGraph run the
+    branch and bound with its reward bound.
     use_reward_bound=False always runs the branch and bound without it, the
     audit reference. The build is vectorized: a lone call costs about as
     much as one bounded search on small graphs and less on large ones.
@@ -96,14 +86,15 @@ def solve_arc_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> Or
 
 def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) -> OracleResult:
     lg = p.lg
-    depot = p.start == p.terminal
-    if not depot and lg.distances_to(p.terminal)[p.start] > p.budget + BUDGET_TOL:
+    g = lg.graph
+    depot = g.start == g.terminal
+    if not depot and lg.distances_to(g.terminal)[g.start] > lg.budget + BUDGET_TOL:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    cat = prefix_catalog(lg, p.start, p.terminal, p.budget) if use_reward_bound else None
+    cat = prefix_catalog(lg) if use_reward_bound else None
     if cat is None:
         return _branch_and_bound(p, kind, lookup, use_reward_bound)
     if kind == "node":
-        rew = np.array([lookup(v, 0.0) for v in lg.graph.node_ids], dtype=float)[cat.heads]
+        rew = np.array([lookup(v, 0.0) for v in g.node_ids], dtype=float)[cat.heads]
     else:
         rew = np.array([lookup(e, 0.0) for e in cat.arcs], dtype=float)
     top = cat.best(rew)
@@ -112,7 +103,7 @@ def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) ->
         return OracleResult(path=cat.path(d, i), reward=reward, exact=True, nodes_expanded=cat.prefixes)
     if not depot:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=(p.start,), reward=0.0, exact=True, nodes_expanded=cat.prefixes)
+    return OracleResult(path=(g.start,), reward=0.0, exact=True, nodes_expanded=cat.prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +131,7 @@ _CHUNK = 1024
 
 @dataclass
 class PrefixCatalog:
-    """Every budget-feasible prefix of one (start, terminal, budget), one level per depth.
+    """Every budget-feasible prefix of one LogGraph's start-terminal problem, one level per depth.
 
     arcs lists the graph's arcs in (tail, head) index order and heads their
     heads' node indices. levels[d] holds four arrays about the steps out of
@@ -213,15 +204,14 @@ class PrefixCatalog:
         return [(self.start,) + tuple(self.arcs[k][1] for k in seq) for seq in seqs]
 
 
-def prefix_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | None:
-    """The catalog of (start, terminal, budget), built on first use and kept on lg; None above CATALOG_CAP."""
-    key = (start, terminal, budget)
-    if key not in lg._catalog_cache:
-        lg._catalog_cache[key] = _build_catalog(lg, start, terminal, budget)
-    return lg._catalog_cache[key]
+def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
+    """The catalog of lg, built on first use and kept on lg; None above CATALOG_CAP."""
+    if not lg._catalog_cache:
+        lg._catalog_cache = (_build_catalog(lg),)
+    return lg._catalog_cache[0]
 
 
-def _build_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | None:
+def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
     """The prefixes of _branch_and_bound's search without its reward bound, listed one depth at a time.
 
     Each depth's frontier holds, per prefix, its node index, its cost and
@@ -240,9 +230,10 @@ def _build_catalog(lg: LogGraph, start, terminal, budget) -> PrefixCatalog | Non
     None, as soon as the prefixes counted exceed CATALOG_CAP.
     """
     g = lg.graph
+    start, terminal = g.start, g.terminal
     idx = g.index
     n = len(g.node_ids)
-    limit = budget + BUDGET_TOL
+    limit = lg.budget + BUDGET_TOL
     dist_to_t = lg.distances_to(terminal)
     arcs = _arcs(lg)
     arc_of = {e: k for k, e in enumerate(arcs)}
@@ -361,11 +352,11 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
     in item order and every budget test keeps one float expression.
     """
     lg = p.lg
-    start, terminal, budget = p.start, p.terminal, p.budget
+    g = lg.graph
+    start, terminal, budget = g.start, g.terminal, lg.budget
     limit = budget + BUDGET_TOL
     depot = start == terminal
     dist_to_t = lg.distances_to(terminal)
-    g = lg.graph
     idx = g.index
     arcs = _arcs(lg)
     if kind == "node":
@@ -444,21 +435,22 @@ def _grasp_tables(lg: LogGraph):
 def _base_path(p: OrienteeringProblem):
     """Cheapest feasible skeleton: shortest return for depots, shortest path otherwise."""
     lg = p.lg
-    limit = p.budget + BUDGET_TOL
+    start, terminal = lg.graph.start, lg.graph.terminal
+    limit = lg.budget + BUDGET_TOL
     # Each cost is bit-equal to _path_cost of its path. dijkstra last set
     # every dist[v] together with parent[v], an equal-distance parent switch
     # included, as dist[parent[v]] + cost(parent[v], v), with dist[parent[v]]
     # final by then. So dist[v] sums the tree path's arc costs left to right
     # from 0.0, and a tour adds its return arc last. Tree paths are simple.
-    dist, parent = lg.shortest_tree(p.start)
-    if p.start != p.terminal:
-        if dist[p.terminal] > limit:
+    dist, parent = lg.shortest_tree(start)
+    if start != terminal:
+        if dist[terminal] > limit:
             raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-        return tree_path(parent, p.start, p.terminal), dist[p.terminal]
-    cost, last = _tour_cost(lg, p.start)
+        return tree_path(parent, start, terminal), dist[terminal]
+    cost, last = _tour_cost(lg)
     if cost > limit:
-        return [p.start], 0.0
-    return tree_path(parent, p.start, last) + [p.start], cost
+        return [start], 0.0
+    return tree_path(parent, start, last) + [start], cost
 
 
 def _path_cost(lg, path):
@@ -518,27 +510,28 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
     fails or busts the budget, the walk backtracks one waypoint at a time; a
     walk that cannot leave the start yields None.
     """
-    g = p.lg.graph
     lg = p.lg
-    dist_t = lg.distances_to(p.terminal)
-    limit = p.budget + BUDGET_TOL
-    path = [p.start]
-    used = {p.start}
+    g = lg.graph
+    terminal = g.terminal
+    dist_t = lg.distances_to(terminal)
+    limit = lg.budget + BUDGET_TOL
+    path = [g.start]
+    used = {g.start}
     waypoints = [0]
     cost = 0.0
-    v = p.start
+    v = g.start
     for _ in range(hops):
         dv = lg.distances_from(v)
         cands = [
             j for j in g.node_ids
-            if j not in used and j != p.terminal
+            if j not in used and j != terminal
             and cost + dv[j] + dist_t[j] <= limit
         ]
         for _draw in range(3):
             if not cands:
                 break
             j = cands[rng.integers(len(cands))]
-            leg = _leg_avoiding(lg, v, j, used | {p.terminal})
+            leg = _leg_avoiding(lg, v, j, used | {terminal})
             if leg is not None and cost + leg[1] + dist_t[j] <= limit:
                 path += leg[0][1:]
                 used.update(leg[0][1:])
@@ -548,7 +541,7 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
                 break
             cands.remove(j)
     while len(path) > 1:
-        tail = _leg_avoiding(lg, v, p.terminal, used)
+        tail = _leg_avoiding(lg, v, terminal, used)
         if tail is not None and cost + tail[1] <= limit:
             return path + list(tail[0][1:]), cost + tail[1]
         waypoints.pop()
@@ -563,7 +556,7 @@ def _insertions(p: OrienteeringProblem, path, cost, visited):
     """Feasible (node, position, delta-cost) insertions of positive-reward nodes."""
     _rows, cost_of, _legs = _grasp_tables(p.lg)
     rewards = p.rewards or {}
-    limit = p.budget + BUDGET_TOL
+    limit = p.lg.budget + BUDGET_TOL
     # Per path arc (a, b): a's cost row, b and cost(a, b).
     arcs = [(cost_of[a], b, cost_of[a][b]) for a, b in zip(path, path[1:])]
     out = []

@@ -17,7 +17,7 @@ import pytest
 import oracles
 import tso
 from tso.cli import CSV_HEADER, _bound_for_prefix, main
-from tso.graph import brute_force_feasibility
+from tso.exact import brute_force_feasibility
 from tso.orienteering import OrienteeringProblem, solve_exact, solve_heuristic
 
 

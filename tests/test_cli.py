@@ -65,6 +65,22 @@ def test_gen_needs_a_shape(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--preset", "hex", "--p-s", "1.5"], "p_s 1.5 out of (0,1]"),
+    (["--preset", "hex", "--team", "0"], "team size 0 < 1"),
+    (["--complete", "--nodes", "5", "--team", "-2"], "team size -2 < 1"),
+])
+def test_gen_refuses_an_instance_solve_would_reject(tmp_path, capsys, argv, message):
+    out = tmp_path / "inst.json"
+    assert main(["gen", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid instance: ") and message in err and err.count("\n") == 1, err
+    assert not out.exists()
+    assert main(["gen", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
 def test_solve_writes_plan_with_certificate(tmp_path, capsys):
     inst = _gen(tmp_path, p_s=0.6)
     plan_path = tmp_path / "plan.json"
@@ -219,6 +235,8 @@ def test_exit_code_guard(tmp_path, capsys):
     inst = _gen(tmp_path, nodes=13, p_s=0.5)
     assert main(["exact", str(inst)]) == 3
     assert "guard violation:" in capsys.readouterr().err
+    assert main(["feasible", str(inst), "--brute-force"]) == 3
+    assert "guard violation: brute-force feasibility limited to 12 nodes, instance has 13" in capsys.readouterr().err
 
 
 def test_exit_code_errors(tmp_path, capsys):

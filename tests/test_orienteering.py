@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -19,10 +20,8 @@ import oracles
 HEURISTIC_PINS = Path(__file__).parent / "data" / "heuristic-pins.json"
 
 
-def _problem(g, rewards=None, edge_rewards=None, budget=None):
-    return tso.OrienteeringProblem(
-        lg=tso.log_transform(g), rewards=rewards, edge_rewards=edge_rewards, budget=budget
-    )
+def _problem(g, rewards=None, edge_rewards=None):
+    return tso.OrienteeringProblem(lg=tso.log_transform(g), rewards=rewards, edge_rewards=edge_rewards)
 
 
 def _depot_graphs(loop5, seed_tag, count):
@@ -131,7 +130,7 @@ def test_reward_bound_only_prunes(monkeypatch, loop5):
 
 
 def test_zero_cost_edge_survives_zero_budget(diamond):
-    res = tso.solve_exact(_problem(diamond, rewards={4: 1.0}, budget=0.0))
+    res = tso.solve_exact(_problem(dataclasses.replace(diamond, p_s=1.0), rewards={4: 1.0}))
     assert res.path == (1, 4)
     assert res.reward == pytest.approx(1.0, abs=0.0)
 
@@ -159,7 +158,7 @@ def test_infeasible_instance_raises():
 
 
 def test_depot_with_no_affordable_tour_stays_home(loop5):
-    res = tso.solve_exact(_problem(loop5, rewards={5: 1.0}, budget=0.0))
+    res = tso.solve_exact(_problem(dataclasses.replace(loop5, p_s=1.0), rewards={5: 1.0}))
     assert res.path == (1,)
     assert res.reward == 0.0
 
@@ -255,58 +254,57 @@ def test_heuristic_results_are_pinned():
 
 
 def test_heuristic_calls_sharing_a_log_graph_match_fresh_ones():
-    # The cost rows and legs cached on a LogGraph hold no rewards and no
-    # budget, so a call must not depend on which calls ran on it before.
+    # The cost rows and legs cached on a LogGraph hold no rewards, so a call
+    # must not depend on which calls ran on it before. The rewards vary on
+    # one LogGraph per budget; the budget varies across fresh graphs.
     for seed in range(6):
-        g = _sparse_digraph(seed) if seed % 2 else tso.feasible_random_instance(8, 0.4, 1.0, 0.4, seed=(83, seed))
+        base = _sparse_digraph(seed) if seed % 2 else tso.feasible_random_instance(8, 0.4, 1.0, 0.4, seed=(83, seed))
         rng = np.random.default_rng((84, seed))
-        shared = tso.log_transform(g)
-        for k, budget in enumerate((None, 0.5, 1.2, 0.25)):
-            rewards = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
-            kw = dict(rewards=rewards, budget=budget)
-            try:
-                fresh = tso.solve_heuristic(_problem(g, **kw), seed=k, restarts=16)
-            except tso.InfeasibleInstanceError:
-                with pytest.raises(tso.InfeasibleInstanceError):
-                    tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, **kw), seed=k, restarts=16)
-                continue
-            again = tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, **kw), seed=k, restarts=16)
-            assert (again.path, again.reward, again.nodes_expanded) == (
-                fresh.path, fresh.reward, fresh.nodes_expanded), (seed, budget)
+        for k, p_s in enumerate((base.p_s, math.exp(-0.5), math.exp(-1.2), math.exp(-0.25))):
+            g = dataclasses.replace(base, p_s=p_s)
+            shared = tso.log_transform(g)
+            for call in range(2):
+                rewards = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
+                try:
+                    fresh = tso.solve_heuristic(_problem(g, rewards=rewards), seed=k + call, restarts=16)
+                except tso.InfeasibleInstanceError:
+                    with pytest.raises(tso.InfeasibleInstanceError):
+                        tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, rewards=rewards), seed=k + call, restarts=16)
+                    continue
+                again = tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, rewards=rewards), seed=k + call, restarts=16)
+                assert (again.path, again.reward, again.nodes_expanded) == (
+                    fresh.path, fresh.reward, fresh.nodes_expanded), (seed, p_s, call)
 
 
 def _base_path_cases(loop5):
-    """(name, graph, start): ratio draws, hex open and as a depot at two starts, loop5, sparse digraphs."""
+    """(name, graph): ratio draws, hex open and as a depot at two starts, loop5, sparse digraphs."""
     for i in range(3):
         for p_s in (0.5, 0.8):
-            yield f"ratio-{i}-{p_s}", tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, i)), None
+            yield f"ratio-{i}-{p_s}", tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, i))
     hexg = tso.hex_instance(p_s=0.6)
-    yield "hex-depot", hexg, None
-    yield "hex-depot-at-3", tso.SurvivalGraph(
-        node_ids=hexg.node_ids, priorities=hexg.priorities, edges=hexg.edges, start=3, terminal=3, p_s=0.6), 3
+    yield "hex-depot", hexg
+    yield "hex-depot-at-3", dataclasses.replace(hexg, start=3, terminal=3)
     for t in (9, 14):
-        yield f"hex-open-{t}", tso.SurvivalGraph(
-            node_ids=hexg.node_ids, priorities=hexg.priorities, edges=hexg.edges, start=0, terminal=t, p_s=0.6), None
-    yield "loop5", loop5, None
+        yield f"hex-open-{t}", dataclasses.replace(hexg, start=0, terminal=t)
+    yield "loop5", loop5
     for seed in range(6):
-        yield f"sparse-{seed}", _sparse_digraph(seed), None
+        yield f"sparse-{seed}", _sparse_digraph(seed)
 
 
 def test_base_path_cost_is_its_path_cost(loop5):
     # GRASP's first skeleton reads the memoized Dijkstra tree of the start,
     # and its cost must be the float _path_cost sums along the path, bit for bit.
-    for name, g, start in _base_path_cases(loop5):
+    for name, g in _base_path_cases(loop5):
         lg = tso.log_transform(g)
-        p = tso.OrienteeringProblem(lg=lg, rewards={}, start=start, terminal=start)
-        path, cost = _base_path(p)
+        path, cost = _base_path(tso.OrienteeringProblem(lg=lg, rewards={}))
         assert repr(cost) == repr(_path_cost(lg, path)), name
-        assert path[0] == p.start and path[-1] == p.terminal, name
-        if p.start != p.terminal:
-            assert path == tso.shortest_path(lg, p.start, p.terminal), name
+        assert path[0] == g.start and path[-1] == g.terminal, name
+        if g.start != g.terminal:
+            assert path == tso.shortest_path(lg, g.start, g.terminal), name
             continue
         check_path(g, path)
-        dist = lg.distances_from(p.start)
-        returns = [dist[v] + lg.costs[(v, p.start)] for v, _w in g.reverse_adjacency[p.start] if v != p.start]
+        dist = lg.distances_from(g.start)
+        returns = [dist[v] + lg.costs[(v, g.start)] for v, _w in g.reverse_adjacency[g.start] if v != g.start]
         assert len(path) > 1 and cost == min(returns), name
 
 
@@ -321,9 +319,10 @@ def test_base_path_tie_between_returns_goes_to_the_first_in_neighbour():
         costs = {v: lg.distances_from(0)[v] + lg.costs[(v, 0)] for v in (1, 2)}
         assert costs[1] == costs[2]
         assert _base_path(tso.OrienteeringProblem(lg=lg, rewards={})) == ([0, first, 0], costs[first])
-        # Too tight a budget for either tour: the robot stays home.
-        tight = tso.OrienteeringProblem(lg=lg, rewards={}, budget=costs[1] - 1e-6)
-        assert _base_path(tight) == ([0], 0.0)
+        # A p_s above either tour's survival leaves too tight a budget: the robot stays home.
+        tight = tso.log_transform(dataclasses.replace(g, p_s=math.exp(1e-6 - costs[1])))
+        assert tight.budget < costs[1]
+        assert _base_path(tso.OrienteeringProblem(lg=tight, rewards={})) == ([0], 0.0)
 
 
 def test_arc_exact_matches_enumeration(loop5):
@@ -417,7 +416,7 @@ def test_exact_oracles_on_adversarial_graphs(case):
                 with pytest.raises(tso.InfeasibleInstanceError):
                     solve(_problem(g, **kw))
             continue
-        assert fast.nodes_expanded == _catalog(p).prefixes
+        assert fast.nodes_expanded == _catalog(p.lg).prefixes
         slow = solve(p, use_reward_bound=False)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
@@ -434,8 +433,10 @@ def test_exact_oracles_on_adversarial_graphs(case):
             assert fast.path in maximizers
 
 
-def _catalog(p):
-    return p.lg._catalog_cache[(p.start, p.terminal, p.budget)]
+def _catalog(lg):
+    """The one catalog that calls on lg have built."""
+    (cat,) = lg._catalog_cache
+    return cat
 
 
 def test_catalog_over_its_cap_falls_back_to_branch_and_bound(monkeypatch):
@@ -447,7 +448,7 @@ def test_catalog_over_its_cap_falls_back_to_branch_and_bound(monkeypatch):
         lg = tso.log_transform(g)
         got = [tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=nodes)),
                tso.solve_arc_exact(tso.OrienteeringProblem(lg=lg, edge_rewards=arcs))]
-        return [(r.path, repr(r.reward)) for r in got], [r.nodes_expanded for r in got], list(lg._catalog_cache.values())
+        return [(r.path, repr(r.reward)) for r in got], [r.nodes_expanded for r in got], list(lg._catalog_cache)
 
     answers, counts, (cat,) = run(tso.orienteering.CATALOG_CAP)
     assert counts == [cat.prefixes] * 2 and cat.prefixes > 100
@@ -458,43 +459,52 @@ def test_catalog_over_its_cap_falls_back_to_branch_and_bound(monkeypatch):
     assert over == bounded
     assert over[0] == answers and over[2] == [None]
     assert all(n <= cat.prefixes for n in over[1])
-    with pytest.raises(tso.SizeGuardError, match=f"{cat.prefixes - 1} prefixes"):
+    with pytest.raises(tso.SizeGuardError, match=f"path enumeration limited to {cat.prefixes - 1} prefixes"):
         tso.enumerate_feasible_paths(g)
+    with pytest.raises(tso.SizeGuardError, match=f"brute-force feasibility limited to {cat.prefixes - 1} prefixes"):
+        tso.brute_force_feasibility(g, g.terminal)
 
 
 def test_calls_sharing_a_log_graph_match_fresh_ones(monkeypatch):
-    # The catalogs cached on a LogGraph hold no rewards, so a call must not
-    # depend on which calls ran on that LogGraph before. A catalog is keyed
-    # by (start, terminal, budget) and serves node and arc rewards alike.
+    # The catalog cached on a LogGraph holds no rewards, so a call must not
+    # depend on which calls ran on that LogGraph before. A LogGraph holds one
+    # catalog, which serves node and arc rewards alike. The rewards vary on
+    # one LogGraph per budget; the budget varies across fresh graphs.
     for cap in (tso.orienteering.CATALOG_CAP, 0):
         monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", cap)
+        served = 0
         for seed in range(4):
-            g = tso.feasible_random_instance(7, 0.4, 1.0, 0.5, seed=(81, seed))
+            base = tso.feasible_random_instance(7, 0.4, 1.0, 0.5, seed=(81, seed))
             rng = np.random.default_rng((82, seed))
-            calls = []
-            for budget in (None, 0.4, 0.9, 0.2):
-                nodes, arcs = _random_rewards(g, rng)
-                nodes[g.node_ids[3]] = 0.0
-                calls.append((tso.solve_exact, dict(rewards=nodes, budget=budget)))
-                calls.append((tso.solve_arc_exact, dict(edge_rewards=arcs, budget=budget)))
-            shared = tso.log_transform(g)
-            served = set()
-            for solve, kw in calls:
-                try:
-                    fresh = solve(_problem(g, **kw))
-                except tso.InfeasibleInstanceError:
-                    with pytest.raises(tso.InfeasibleInstanceError):
-                        solve(tso.OrienteeringProblem(lg=shared, **kw))
-                    continue
-                again = solve(tso.OrienteeringProblem(lg=shared, **kw))
-                assert (again.path, again.reward, again.nodes_expanded) == (
-                    fresh.path, fresh.reward, fresh.nodes_expanded), (seed, solve.__name__, kw["budget"])
-                served.add((g.start, g.terminal, shared.budget if kw["budget"] is None else kw["budget"]))
-            assert set(shared._catalog_cache) == served
-            if cap:
-                assert None not in shared._catalog_cache.values()
-            else:
-                assert set(shared._catalog_cache.values()) <= {None}
+            for p_s in (base.p_s, math.exp(-0.4), math.exp(-0.9), math.exp(-0.2)):
+                g = dataclasses.replace(base, p_s=p_s)
+                calls = []
+                for _draw in range(2):
+                    nodes, arcs = _random_rewards(g, rng)
+                    nodes[g.node_ids[3]] = 0.0
+                    calls.append((tso.solve_exact, dict(rewards=nodes)))
+                    calls.append((tso.solve_arc_exact, dict(edge_rewards=arcs)))
+                shared = tso.log_transform(g)
+                held = []
+                for solve, kw in calls:
+                    try:
+                        fresh = solve(_problem(g, **kw))
+                    except tso.InfeasibleInstanceError:
+                        with pytest.raises(tso.InfeasibleInstanceError):
+                            solve(tso.OrienteeringProblem(lg=shared, **kw))
+                        continue
+                    again = solve(tso.OrienteeringProblem(lg=shared, **kw))
+                    assert (again.path, again.reward, again.nodes_expanded) == (
+                        fresh.path, fresh.reward, fresh.nodes_expanded), (seed, solve.__name__, p_s)
+                    held.append(_catalog(shared))
+                # The first call builds the one catalog; node and arc calls after it reuse it.
+                assert all(cat is held[0] for cat in held)
+                if held:
+                    assert (held[0] is None) == (cap == 0)
+                    served += 1
+                else:
+                    assert shared._catalog_cache == ()
+        assert served >= 12
 
 
 def _count_oracle_nodes(monkeypatch):
@@ -577,7 +587,7 @@ def test_catalog_on_graphs_above_64_nodes(depot, reverse):
         reference = solve(_problem(g, **kw), use_reward_bound=False)
         assert (got.path, repr(got.reward), got.nodes_expanded) == (
             reference.path, repr(reference.reward), reference.nodes_expanded)
-    cat = _catalog(tso.OrienteeringProblem(lg=lg))
+    cat = _catalog(lg)
     assert cat.prefixes > 100
     assert any(g.index[v] >= 64 for path in cat.paths() for v in path[1:-1])
 
@@ -596,7 +606,7 @@ def test_heavy_catalog_shape_and_build_memory():
     lg = tso.log_transform(g)
     tracemalloc.start()
     try:
-        cat = tso.orienteering.prefix_catalog(lg, g.start, g.terminal, lg.budget)
+        cat = tso.orienteering.prefix_catalog(lg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
