@@ -26,8 +26,8 @@ class PathCatalog:
         return len(self.paths)
 
 
-def _feasible_paths(g: SurvivalGraph, max_nodes: int, what: str) -> list[tuple]:
-    """The leaves of g's prefix catalog, in its DFS order: lexicographic by node index.
+def _catalog(g: SurvivalGraph, max_nodes: int, what: str) -> orienteering.PrefixCatalog:
+    """g's prefix catalog, whose leaves are its feasible paths.
 
     A path is feasible when its log cost is at most budget + BUDGET_TOL, the
     test every oracle uses. Raises SizeGuardError, naming what, above
@@ -40,18 +40,37 @@ def _feasible_paths(g: SurvivalGraph, max_nodes: int, what: str) -> list[tuple]:
     cat = orienteering.prefix_catalog(log_transform(g))
     if cat is None:
         raise SizeGuardError(f"{what} limited to {orienteering.CATALOG_CAP} prefixes")
-    return cat.paths()
+    return cat
 
 
 def enumerate_feasible_paths(g: SurvivalGraph, max_nodes: int = 12) -> PathCatalog:
-    """All start-terminal paths (at least one edge) meeting the survival bound, with their profiles."""
-    found = _feasible_paths(g, max_nodes, "path enumeration")
+    """All start-terminal paths (at least one edge) meeting the survival bound, with their profiles.
+
+    In the catalog's DFS order: lexicographic by node index.
+    """
+    found = _catalog(g, max_nodes, "path enumeration").paths()
     return PathCatalog(paths=found, profiles=[visit_profile(g, p) for p in found])
 
 
 def brute_force_reachable(g: SurvivalGraph, max_nodes: int = 12) -> set:
-    """Every node some feasible path visits after step 0, from one read of the catalog."""
-    return {v for p in _feasible_paths(g, max_nodes, "brute-force feasibility") for v in p[1:]}
+    """Every node some feasible path visits after step 0, from one backward pass over the catalog.
+
+    A prefix is live when it has a leaf step or a live child. The heads of
+    the leaf steps and of the steps into live children are the nodes on
+    feasible paths; no path is built.
+    """
+    cat = _catalog(g, max_nodes, "brute-force feasibility")
+    on_path = np.zeros(g.num_nodes, bool)
+    live = np.zeros(0, bool)  # per prefix one step deeper than level d; the last level has none
+    for d in reversed(range(len(cat.levels))):
+        kid_parent, kid_arc, leaf_parent, leaf_arc = cat.levels[d]
+        on_path[cat.heads[leaf_arc]] = True
+        on_path[cat.heads[kid_arc[live]]] = True
+        live_here = np.zeros(len(cat.levels[d - 1][1]) if d else 1, bool)
+        live_here[leaf_parent] = True
+        live_here[kid_parent[live]] = True
+        live = live_here
+    return {g.node_ids[i] for i in np.flatnonzero(on_path)}
 
 
 def brute_force_feasibility(g: SurvivalGraph, node, max_nodes: int = 12) -> bool:

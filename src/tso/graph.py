@@ -189,7 +189,14 @@ class LogGraph:
 
 
 def log_transform(g: SurvivalGraph) -> LogGraph:
-    """Edge costs -ln(survival), budget -ln(p_s)."""
+    """Edge costs -ln(survival), budget -ln(p_s).
+
+    Raises ValueError on a survival outside (0, 1]: the searches and their
+    stop rules rely on costs >= 0.
+    """
+    for u, v, w in g.edges:
+        if not 0.0 < w <= 1.0:
+            raise ValueError(f"edge ({u},{v}) survival {w} out of (0,1]")
     costs = {(u, v): -math.log(w) for u, v, w in g.edges}
     return LogGraph(graph=g, costs=costs, budget=-math.log(g.p_s))
 

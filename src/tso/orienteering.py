@@ -420,15 +420,28 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
 def _grasp_tables(lg: LogGraph):
     """(rows, cost_of, legs) of lg, built by its first GRASP call and kept for every later one.
 
-    rows[v] holds v's out-arcs (u, cost) in adjacency order and cost_of[a][b]
-    is the cost of arc (a, b). legs maps (src, dst, frozenset(banned)) to what
-    _leg_avoiding returns for it. None of them holds rewards or a budget, so
-    the calls of a greedy run, which share one LogGraph, share them too.
+    rows[v] holds v's out-arcs as (cost, head), stable-sorted by cost, and
+    cost_of[a][b] is the cost of arc (a, b). legs maps (src, dst,
+    frozenset(banned)) to a (leg, cost) entry of _leg_avoiding. None of them
+    holds rewards, so the calls of a greedy run, which share one LogGraph,
+    share them too.
+
+    The scans over rows stop at the first arc whose bound fails. Costs are
+    -ln(survival) >= 0 (log_transform refuses any other survival), and
+    round-to-nearest is monotone: x <= y gives fl(x + z) <= fl(y + z) and
+    fl(x - z) <= fl(y - z), and fl(x + c) >= x for c >= 0. So a bound built
+    from the same operations as a fit test, with a part >= 0 left out,
+    never exceeds that test's left side, and it grows with the arc's cost:
+    once it fails for one arc it fails for every later one. No float slack
+    is needed.
     """
     if lg._grasp_cache is None:
         costs = lg.costs
-        rows = {v: tuple((u, costs[(v, u)]) for u, _w in nbrs) for v, nbrs in lg.graph.adjacency.items()}
-        lg._grasp_cache = (rows, {v: dict(row) for v, row in rows.items()}, {})
+        rows = {
+            v: tuple(sorted(((costs[(v, u)], u) for u, _w in nbrs), key=lambda t: t[0]))
+            for v, nbrs in lg.graph.adjacency.items()
+        }
+        lg._grasp_cache = (rows, {v: {u: c for c, u in row} for v, row in rows.items()}, {})
     return lg._grasp_cache
 
 
@@ -462,16 +475,34 @@ def _path_cost(lg, path):
     return cost
 
 
-def _leg_avoiding(lg, src, dst, banned):
+def _leg_avoiding(lg, src, dst, banned, cost):
     """Cheapest src-to-dst leg whose interior skips the banned nodes, as (nodes, cost) or None.
 
-    A leg depends on the graph alone, so it is searched once per LogGraph
-    and kept, with its nodes as a tuple, in the leg cache of _grasp_tables.
+    The caller, at cost `cost`, uses a leg only if `cost + leg + extra <=
+    limit`, where extra = dist_to(terminal)[dst]: 0.0 for the closing leg.
+    The search relaxes each node's arcs cheapest first and stops at the
+    first arc with `cost + (d + w) + extra > limit`, that test with the
+    partial distance d + w in place of the leg (see _grasp_tables for why
+    such a bound never rejects what the test accepts). If the leg of the full search fits,
+    every node on it passes, and every relaxation dropped is longer than
+    the leg, so it would pop after dst: the nodes popped before dst get the
+    same dist and prev, and the search returns the same leg. If it does not
+    fit, no relaxation into dst passes and the search returns None, which
+    the caller rejects as it would the leg.
+
+    A leg depends on the graph alone, so each key's (leg, cost) entry is
+    kept in the leg cache of _grasp_tables. A found leg answers every later
+    query, whose caller tests again whether it fits. A None answers only
+    queries at its cost or above, where the leg fits no better; any other
+    query searches again.
     """
     rows, _cost_of, legs = _grasp_tables(lg)
     key = (src, dst, frozenset(banned))
-    if key in legs:
-        return legs[key]
+    hit = legs.get(key)
+    if hit is not None and (hit[0] is not None or cost >= hit[1]):
+        return hit[0]
+    limit = lg.budget + BUDGET_TOL
+    extra = lg.distances_to(lg.graph.terminal)[dst]
     dist = {src: 0.0}
     prev = {}
     heap = [(0.0, src)]
@@ -481,10 +512,12 @@ def _leg_avoiding(lg, src, dst, banned):
             continue
         if v == dst:
             break
-        for u, w in rows[v]:
+        for w, u in rows[v]:
+            nd = d + w
+            if cost + nd + extra > limit:
+                break
             if u != dst and u in banned:
                 continue
-            nd = d + w
             if nd < dist.get(u, INF):
                 dist[u] = nd
                 prev[u] = v
@@ -495,7 +528,7 @@ def _leg_avoiding(lg, src, dst, banned):
         while nodes[-1] != src:
             nodes.append(prev[nodes[-1]])
         leg = (tuple(reversed(nodes)), dist[dst])
-    legs[key] = leg
+    legs[key] = (leg, cost)
     return leg
 
 
@@ -531,7 +564,7 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
             if not cands:
                 break
             j = cands[rng.integers(len(cands))]
-            leg = _leg_avoiding(lg, v, j, used | {terminal})
+            leg = _leg_avoiding(lg, v, j, used | {terminal}, cost)
             if leg is not None and cost + leg[1] + dist_t[j] <= limit:
                 path += leg[0][1:]
                 used.update(leg[0][1:])
@@ -541,7 +574,7 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
                 break
             cands.remove(j)
     while len(path) > 1:
-        tail = _leg_avoiding(lg, v, terminal, used)
+        tail = _leg_avoiding(lg, v, terminal, used, cost)
         if tail is not None and cost + tail[1] <= limit:
             return path + list(tail[0][1:]), cost + tail[1]
         waypoints.pop()
@@ -553,27 +586,33 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
 
 
 def _insertions(p: OrienteeringProblem, path, cost, visited):
-    """Feasible (node, position, delta-cost) insertions of positive-reward nodes."""
-    _rows, cost_of, _legs = _grasp_tables(p.lg)
+    """Feasible (node, position, delta-cost) insertions of positive-reward nodes.
+
+    Listed by node index, then position. Node j fits between a and b when
+    `cost + (aj + jb - ab) <= limit`. Per path arc, the scan reads a's arcs
+    cheapest first and stops at the first with `cost + (aj - ab) > limit`:
+    the same test with jb >= 0 left out, which never fails where the test
+    passes (see _grasp_tables), and fails for every costlier arc after it.
+    """
+    rows, cost_of, _legs = _grasp_tables(p.lg)
     rewards = p.rewards or {}
     limit = p.lg.budget + BUDGET_TOL
-    # Per path arc (a, b): a's cost row, b and cost(a, b).
-    arcs = [(cost_of[a], b, cost_of[a][b]) for a, b in zip(path, path[1:])]
+    index = p.lg.graph.index
     out = []
-    for j in p.lg.graph.node_ids:
-        if j in visited or rewards.get(j, 0.0) <= 0.0:
-            continue
-        from_j = cost_of[j]
-        for i, (from_a, b, ab) in enumerate(arcs):
-            aj = from_a.get(j)
-            if aj is None:
+    for i, (a, b) in enumerate(zip(path, path[1:]), 1):
+        ab = cost_of[a][b]
+        for aj, j in rows[a]:
+            if cost + (aj - ab) > limit:
+                break
+            if j in visited or rewards.get(j, 0.0) <= 0.0:
                 continue
-            jb = from_j.get(b)
+            jb = cost_of[j].get(b)
             if jb is None:
                 continue
             delta = aj + jb - ab
             if cost + delta <= limit:
-                out.append((j, i + 1, delta))
+                out.append((j, i, delta))
+    out.sort(key=lambda t: (index[t[0]], t[1]))
     return out
 
 

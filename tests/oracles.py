@@ -1,13 +1,15 @@
 """Slow reference implementations, kept independent of the library code.
 
-Everything here works by exhaustive enumeration straight off the instance
-data: simple-path DFS, joint-outcome expectations, subset sums. The point
+Everything here works straight off the instance data: simple-path DFS,
+joint-outcome expectations, subset sums, and GRASP's scans without their
+budget stops. The point
 is to pin the fast implementations against code that shares none of their
 machinery, so values these produce are frozen into tests as ground truth.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -239,3 +241,63 @@ def best_team_brute(g, team_size):
 def node_truly_visitable(g, node) -> bool:
     """Does any feasible path visit node at a step past the start?"""
     return any(node in p[1:] for p in feasible_paths(g))
+
+
+def log_costs(g):
+    """Arc costs -ln(survival): the same floats the library's log graph holds."""
+    return {(u, v): -math.log(w) for u, v, w in g.edges}
+
+
+def grasp_insertions(g, rewards, path, cost, visited):
+    """GRASP's feasible (node, position, delta) insertions by a full scan.
+
+    Every positive-reward node off the path, in node_ids order, against
+    every path arc in order; delta is aj + jb - ab, kept when cost + delta
+    fits the budget.
+    """
+    c = log_costs(g)
+    limit = -math.log(g.p_s) + BUDGET_TOL
+    out = []
+    for j in g.node_ids:
+        if j in visited or rewards.get(j, 0.0) <= 0.0:
+            continue
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            if (a, j) in c and (j, b) in c:
+                delta = c[(a, j)] + c[(j, b)] - c[(a, b)]
+                if cost + delta <= limit:
+                    out.append((j, i + 1, delta))
+    return out
+
+
+def grasp_leg(g, src, dst, banned):
+    """Cheapest src-dst leg whose interior skips banned, as (nodes, cost) or None.
+
+    Dijkstra with no budget: heap entries (distance, node), a node's
+    distance and predecessor change only on a strict improvement, and the
+    search stops when dst pops.
+    """
+    c = log_costs(g)
+    adj = _adjacency(g)
+    dist = {src: 0.0}
+    prev = {}
+    heap = [(0.0, src)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist.get(v, math.inf):
+            continue
+        if v == dst:
+            break
+        for u in adj[v]:
+            if u != dst and u in banned:
+                continue
+            nd = d + c[(v, u)]
+            if nd < dist.get(u, math.inf):
+                dist[u] = nd
+                prev[u] = v
+                heapq.heappush(heap, (nd, u))
+    if dst not in prev:
+        return None
+    nodes = [dst]
+    while nodes[-1] != src:
+        nodes.append(prev[nodes[-1]])
+    return tuple(reversed(nodes)), dist[dst]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import tso
+from tso import exact
 
 import oracles
 
@@ -107,3 +110,16 @@ def test_hex_single_robot_exact(hexg):
     plan = tso.solve_exact_tso(hexg, team_size=1, max_nodes=19)
     assert plan.paths == [(0, 1, 6, 16, 5, 0)]
     assert plan.objective == pytest.approx(4.1455671684, abs=5e-10)
+
+
+def test_brute_force_reachable_matches_the_feasible_paths():
+    # The backward pass over the catalog's levels against the nodes read off
+    # its path tuples, on criterion 8's 100 graphs, open and as depot tours.
+    reached = 0
+    for i in range(100):
+        g = tso.random_complete_instance(5 + i % 4, 0.3, 1.0, (0.5, 0.7, 0.9)[i % 3], seed=(300, i))
+        for h in (g, dataclasses.replace(g, terminal=g.start)):
+            want = {v for p in tso.enumerate_feasible_paths(h).paths for v in p[1:]}
+            assert exact.brute_force_reachable(h) == want, (i, h.terminal)
+            reached += len(want)
+    assert 0 < reached < 2 * sum(5 + i % 4 for i in range(100))

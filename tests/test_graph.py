@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -105,6 +106,16 @@ def test_log_transform_costs(diamond):
     assert lg.costs[(1, 2)] == pytest.approx(-math.log(0.9), abs=1e-15)
     assert lg.costs[(1, 4)] == 0.0
     assert lg.budget == pytest.approx(-math.log(0.8), abs=1e-15)
+
+
+@pytest.mark.parametrize("w", [1.0000001, 2.0, 0.0, -0.5, float("nan"), float("inf")])
+def test_log_transform_refuses_survival_outside_unit_interval(diamond, w):
+    # A survival above 1 would give a negative cost, which the searches'
+    # stop rules and the catalog's pruning assume never happens.
+    edges = [(u, v, w if (u, v) == (1, 3) else s) for u, v, s in diamond.edges]
+    g = dataclasses.replace(diamond, edges=edges)
+    with pytest.raises(ValueError, match=r"edge \(1,3\) survival .* out of \(0,1\]"):
+        tso.log_transform(g)
 
 
 def test_dijkstra_matches_enumeration_on_randoms():

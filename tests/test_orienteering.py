@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tso
+from tso import orienteering
 from tso.graph import check_path
 from tso.orienteering import _base_path, _path_cost, path_reward
 
@@ -276,6 +277,114 @@ def test_heuristic_calls_sharing_a_log_graph_match_fresh_ones():
                 again = tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, rewards=rewards), seed=k + call, restarts=16)
                 assert (again.path, again.reward, again.nodes_expanded) == (
                     fresh.path, fresh.reward, fresh.nodes_expanded), (seed, p_s, call)
+
+
+def _scan_graphs():
+    """(name, graph): complete and sparse digraphs, depot tours, arcs of survival
+    1.0 (cost -0.0), and arc costs drawn from four values, so many tie."""
+    for seed in range(3):
+        g = tso.random_complete_instance(8, 0.4, 1.0, 0.3, seed=(95, seed))
+        yield f"complete-{seed}", g
+        yield f"complete-depot-{seed}", dataclasses.replace(g, terminal=g.start)
+    for seed in range(6):
+        yield f"sparse-{seed}", _sparse_digraph(seed)
+    for seed in range(4):
+        rng = np.random.default_rng((96, seed))
+        n = 8
+        edges = [
+            (u, v, float(rng.choice([0.6, 0.8, 0.9, 1.0])))
+            for u in range(n) for v in range(n) if u != v and rng.uniform() < 0.7
+        ]
+        edges += [(v, v + 1, 1.0) for v in range(n - 1) if not any(e[:2] == (v, v + 1) for e in edges)]
+        yield f"ties-{seed}", tso.SurvivalGraph(
+            node_ids=list(range(n)), priorities={v: 1.0 for v in range(n)}, edges=sorted(edges),
+            start=0, terminal=0 if seed % 2 else n - 1, p_s=0.35,
+        )
+
+
+def _leg_verdict(g, leg, cost, extra):
+    """The leg if its caller would use it, else None."""
+    limit = -math.log(g.p_s) + oracles.BUDGET_TOL
+    return leg if leg is not None and cost + leg[1] + extra <= limit else None
+
+
+def test_scans_match_their_full_scan_references(monkeypatch):
+    # Every insertion list and leg GRASP asks for while it runs is held
+    # against the unbounded scans in oracles: the insertion list equal in
+    # content, order and float bits, at the caller's cost and at three other
+    # costs; each leg equal to the reference's, or rejected by both.
+    orig_insertions, orig_leg = orienteering._insertions, orienteering._leg_avoiding
+    seen = {"insertions": 0, "legs": 0, "rejected": 0}
+
+    def insertions(p, path, cost, visited):
+        out = orig_insertions(p, path, cost, visited)
+        limit = p.lg.budget + 1e-9
+        for c in (cost, 0.0, 0.5 * (cost + limit), limit):
+            got = out if c == cost else orig_insertions(p, path, c, visited)
+            assert repr(got) == repr(oracles.grasp_insertions(p.lg.graph, p.rewards, path, c, visited))
+        seen["insertions"] += len(out)
+        return out
+
+    def leg_avoiding(lg, src, dst, banned, cost):
+        got = orig_leg(lg, src, dst, banned, cost)
+        extra = lg.distances_to(lg.graph.terminal)[dst]
+        want = _leg_verdict(lg.graph, oracles.grasp_leg(lg.graph, src, dst, banned), cost, extra)
+        assert repr(_leg_verdict(lg.graph, got, cost, extra)) == repr(want)
+        seen["legs"] += 1
+        seen["rejected"] += want is None
+        return got
+
+    monkeypatch.setattr(orienteering, "_insertions", insertions)
+    monkeypatch.setattr(orienteering, "_leg_avoiding", leg_avoiding)
+    for k, (name, g) in enumerate(_scan_graphs()):
+        rng = np.random.default_rng((97, k))
+        rewards = {v: float(rng.uniform(0.0, 1.0)) if rng.uniform() < 0.6 else 0.0 for v in g.node_ids}
+        try:
+            tso.solve_heuristic(_problem(g, rewards=rewards), seed=k, restarts=24)
+        except tso.InfeasibleInstanceError:
+            continue
+    assert seen["insertions"] > 500 and seen["legs"] > 500 and 0 < seen["rejected"] < seen["legs"], seen
+
+
+def test_legs_match_the_reference_at_every_cost():
+    # Random queries, each on a fresh LogGraph and again on one shared per
+    # graph, at costs from 0 to past the budget. A caller tests a leg's fit
+    # with extra = dist_to(terminal)[dst], 0.0 for the closing leg.
+    for k, (name, g) in enumerate(_scan_graphs()):
+        rng = np.random.default_rng((98, k))
+        shared = tso.log_transform(g)
+        dist_t = shared.distances_to(g.terminal)
+        limit = shared.budget + 1e-9
+        for _ in range(60):
+            src, dst = (g.node_ids[i] for i in rng.choice(len(g.node_ids), 2, replace=False))
+            banned = {v for v in g.node_ids if v != src and rng.uniform() < 0.3} | {src}
+            cost = float(rng.choice([0.0, -0.0, rng.uniform(0.0, 1.2 * limit)]))
+            extra = dist_t[dst]
+            want = _leg_verdict(g, oracles.grasp_leg(g, src, dst, banned), cost, extra)
+            for lg in (tso.log_transform(g), shared):
+                got = orienteering._leg_avoiding(lg, src, dst, banned, cost)
+                assert repr(_leg_verdict(g, got, cost, extra)) == repr(want), (name, src, dst, cost)
+
+
+def test_leg_cache_searches_again_below_a_rejected_cost():
+    # A chain 0 -> 1 -> 2 -> 3 of survival 0.9 and a direct 0 -> 3 of 0.5.
+    g = tso.SurvivalGraph(
+        node_ids=[0, 1, 2, 3], priorities={v: 1.0 for v in range(4)},
+        edges=[(0, 1, 0.9), (0, 3, 0.5), (1, 2, 0.9), (2, 3, 0.9)], start=0, terminal=3, p_s=0.5,
+    )
+    lg = tso.log_transform(g)
+    # 0.5 + leg + dist_to(3)[2] exceeds the budget ln 2; 0.0 + leg + dist_to(3)[2] fits.
+    leg = ((0, 1, 2), -math.log(0.9) + -math.log(0.9))
+    legs = orienteering._grasp_tables(lg)[2]
+    key = (0, 2, frozenset({0, 3}))
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.5) is None
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.6) is None
+    assert legs[key] == (None, 0.5)  # the None at 0.5 answered the query at 0.6
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.0) == leg
+    assert legs[key] == (leg, 0.0)
+    # Found, the leg answers every later query; its caller tests the fit.
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.9) == leg
+    assert oracles.grasp_leg(g, 0, 2, {0, 3}) == leg
 
 
 def _base_path_cases(loop5):
