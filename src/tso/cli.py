@@ -26,7 +26,7 @@ from .graph import (
 )
 from .greedy import VARIANTS, GreedyConfig, bounds_to_dict, compute_bounds, greedy_survivors
 from .instances import feasible_random_instance, hex_instance, random_complete_instance
-from .objective import paths_from_plan_dict, plan_to_dict, simulate_team, team_plan
+from .objective import paths_from_plan_dict, plan_to_dict, simulate_team
 
 RATIO_PS_GRID = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)
 RATIO_SEEDS = 10
@@ -103,7 +103,7 @@ def cmd_solve(args) -> int:
         seed=args.seed,
     )
     result = greedy_survivors(g, cfg)
-    cert = compute_bounds(g, cfg, result.paths)
+    cert = compute_bounds(result, cfg.team_size, cfg.total_paths)
     doc = plan_to_dict(g, result.plan)
     doc["marginal_gains"] = result.team_gains
     doc["bounds"] = bounds_to_dict(cert)
@@ -168,10 +168,9 @@ def cmd_feasible(args) -> int:
 # Benchmark suites
 
 def _bound_for_prefix(g, run, team_size):
-    """Certificate for the first team_size paths of an oversized greedy run."""
-    oversize = min(OVERSIZE_PER_TEAM * team_size, len(run.paths))
-    cfg = GreedyConfig(team_size=team_size, oversize=oversize, oracle="exact")
-    return team_plan(g, run.paths[:team_size]).objective, compute_bounds(g, cfg, run.paths[:oversize])
+    """(J, certificate) of the first team_size paths of an oversized greedy run on g, read through run.lg."""
+    cert = compute_bounds(run, team_size, min(OVERSIZE_PER_TEAM * team_size, len(run.paths)))
+    return cert.value, cert
 
 
 def _bench_cell(task):

@@ -383,6 +383,13 @@ def instance_from_dict(doc: dict) -> SurvivalGraph:
         raise ValueError(f"malformed instance: {exc}") from None
 
 
+def json_int(x, what: str) -> int:
+    """x if it is a JSON integer; ValueError for anything else, bools, floats and strings included."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _parse_instance(doc: dict) -> SurvivalGraph:
     if doc.get("version") != 1:
         raise ValueError(f"unsupported instance version {doc.get('version')!r}")
@@ -390,12 +397,12 @@ def _parse_instance(doc: dict) -> SurvivalGraph:
     node_ids = []
     priorities = {}
     for rec in doc["nodes"]:
-        v = int(rec["id"])
+        v = json_int(rec["id"], "node id")
         node_ids.append(v)
         priorities[v] = float(rec.get("priority", 1.0))
     edges = []
     for rec in doc["edges"]:
-        u, v, w = int(rec["from"]), int(rec["to"]), float(rec["survival"])
+        u, v, w = json_int(rec["from"], "edge endpoint"), json_int(rec["to"], "edge endpoint"), float(rec["survival"])
         edges.append((u, v, w))
         if not directed:
             edges.append((v, u, w))
@@ -405,18 +412,18 @@ def _parse_instance(doc: dict) -> SurvivalGraph:
         if len(mv["d"]) != len(node_ids):
             raise ValueError(f"multi-visit table has {len(mv['d'])} rows for {len(node_ids)} nodes")
         rows = {v: [float(x) for x in row] for v, row in zip(node_ids, mv["d"])}
-        multi = MultiVisitTable(M=int(mv["M"]), d=rows)
+        multi = MultiVisitTable(M=json_int(mv["M"], "multi-visit M"), d=rows)
     rewards = None
     if "edge_rewards" in doc:
-        rewards = {(int(r["from"]), int(r["to"])): float(r["d"]) for r in doc["edge_rewards"]}
+        rewards = {(json_int(r["from"], "edge endpoint"), json_int(r["to"], "edge endpoint")): float(r["d"]) for r in doc["edge_rewards"]}
     return SurvivalGraph(
         node_ids=node_ids,
         priorities=priorities,
         edges=edges,
-        start=int(doc["start"]),
-        terminal=int(doc["terminal"]),
+        start=json_int(doc["start"], "start"),
+        terminal=json_int(doc["terminal"], "terminal"),
         p_s=float(doc["p_s"]),
-        team_size=int(doc.get("team_size", 1)),
+        team_size=json_int(doc.get("team_size", 1), "team_size"),
         multi_visit=multi,
         edge_rewards=rewards,
     )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .graph import (
     BUDGET_TOL,
     InfeasibleInstanceError,
+    LogGraph,
     SurvivalGraph,
     has_feasible_path,
     log_transform,
@@ -66,6 +67,7 @@ class GreedyConfig:
 @dataclass
 class GreedyResult:
     config: GreedyConfig
+    lg: LogGraph  # the log graph the run planned on; its bounds read the same one
     paths: list[tuple[int, ...]]
     gains: list[float]
     plan: TeamPlan
@@ -86,7 +88,7 @@ class BoundCertificate:
     u2: float
     u3: float
     factor: float
-    oversize_factor: float
+    value: float  # the team's value, which u2 divides by factor
     certified: bool
 
     @property
@@ -253,30 +255,25 @@ def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
     gains = [model.add(_oracle_call(cfg, model.problem(lg), k).path) for k in range(cfg.total_paths)]
     team = model.paths[: cfg.team_size]
     variant_value = None if isinstance(model, NodeRewards) else model.value(team)
-    return GreedyResult(cfg, model.paths, gains, team_plan(g, team), variant_value)
+    return GreedyResult(cfg, lg, model.paths, gains, team_plan(g, team), variant_value)
 
 
-def compute_bounds(g: SurvivalGraph, cfg: GreedyConfig, paths) -> BoundCertificate:
-    """Upper bounds on the best achievable K-team value, given greedy's paths.
+def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> BoundCertificate:
+    """Upper bounds on the best team_size-team value, read off a greedy run and its LogGraph.
 
-    paths holds cfg.total_paths greedy paths, the team's first. u1 caps each
-    reward by the chance that any of K independent robots collects it: no
-    robot exceeds the model's single-robot cap p, so the team collects it
-    with probability at most 1 - (1 - p)^K. A reward counts only if some
-    budget-feasible walk reaches it (shortest way in plus shortest way out
-    fits the budget; every path collecting it induces such a walk), and the
-    start is excluded unless the instance is a depot tour (it is only
-    visitable by returning). u2 divides the greedy value by the team factor
-    1 - exp(-p_s); u3 does the same with the oversized run and its larger
-    factor. Certificates from heuristic oracles are not certified: the
-    factor arguments assume an exact subproblem solver.
+    u1 caps each reward by the chance that any of K independent robots
+    collects it, 1 - (1 - p)^K for the model's single-robot cap p, and counts
+    it only if the shortest way in plus the shortest way out fits the budget
+    (every path collecting it induces such a walk); the start counts only on
+    depot tours. u2 divides the value of the run's first K paths by
+    1 - exp(-p_s), u3 that of its first total_paths by their larger factor.
+    ζ and both distance maps are the ones the run memoized on run.lg.
+    Heuristic-oracle certificates are not certified: the factor arguments
+    assume an exact subproblem solver.
     """
-    K = cfg.team_size
+    lg, g, K = run.lg, run.lg.graph, team_size
     factor = 1.0 - math.exp(-g.p_s)
-    oversize_factor = 1.0 - math.exp(-g.p_s * cfg.total_paths / K)
-
-    lg = log_transform(g)
-    model = MODELS[cfg.variant](g, max_visit_probabilities(lg))
+    model = MODELS[run.config.variant](g, max_visit_probabilities(lg))
     dist_in = lg.distances_from(g.start)
     dist_out = lg.distances_to(g.terminal)
     u1 = sum(
@@ -284,13 +281,14 @@ def compute_bounds(g: SurvivalGraph, cfg: GreedyConfig, paths) -> BoundCertifica
         for a, extra, b, p, d in model.caps(lg, K)
         if dist_in[a] + extra + dist_out[b] <= lg.budget + BUDGET_TOL
     )
+    value = model.value(run.paths[:K])
     return BoundCertificate(
         u1=u1,
-        u2=model.value(paths[:K]) / factor,
-        u3=model.value(paths) / oversize_factor,
+        u2=value / factor,
+        u3=model.value(run.paths[:total_paths]) / (1.0 - math.exp(-g.p_s * total_paths / K)),
         factor=factor,
-        oversize_factor=oversize_factor,
-        certified=cfg.oracle == "exact",
+        value=value,
+        certified=run.config.oracle == "exact",
     )
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .graph import SurvivalGraph, check_path
+from .graph import SurvivalGraph, check_path, json_int
 
 
 @dataclass
@@ -251,8 +251,8 @@ def plan_to_dict(g: SurvivalGraph, plan: TeamPlan) -> dict:
 
 
 def paths_from_plan_dict(doc: dict) -> list[tuple[int, ...]]:
-    """Paths of a plan document; ValueError unless it holds a list of node-id lists."""
+    """Paths of a plan document; ValueError unless it holds a list of lists of integer node ids."""
     try:
-        return [tuple(int(v) for v in p) for p in doc["paths"]]
+        return [tuple(json_int(v, "plan entry") for v in p) for p in doc["paths"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"plan needs a 'paths' list of node-id lists ({exc})") from None

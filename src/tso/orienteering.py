@@ -85,12 +85,9 @@ def solve_arc_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> Or
 
 
 def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) -> OracleResult:
-    lg = p.lg
-    g = lg.graph
+    g = p.lg.graph
     depot = g.start == g.terminal
-    if not depot and lg.distances_to(g.terminal)[g.start] > lg.budget + BUDGET_TOL:
-        raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    cat = prefix_catalog(lg) if use_reward_bound else None
+    cat = prefix_catalog(p.lg) if use_reward_bound else None
     if cat is None:
         return _branch_and_bound(p, kind, lookup, use_reward_bound)
     if kind == "node":

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tso
-from tso.cli import CSV_HEADER, fmt, main, thread_count
+from tso.cli import CSV_HEADER, _bench_cell, fmt, main, thread_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -262,18 +262,30 @@ def _one_line_error(capsys):
 def test_malformed_instance_shapes_exit_one(tmp_path, capsys):
     good = tso.instance_to_dict(tso.hex_instance())
     three_rows = dict(good, multi_visit={"M": 2, "d": [[1.0, 0.5]] * 3})
+    # Integer fields take JSON integers only: int() would read the last five
+    # as node 18, start 0, edge (0, 1), team size 1 and M = 2 and solve them.
+    mv = dict(good, multi_visit={"M": 2, "d": [[1.0, 0.5]] * len(good["nodes"])})
+    float_from = [dict(good["edges"][0], **{"from": 0.0})] + good["edges"][1:]
     bad_docs = [
         dict(good, nodes=5),
         dict(good, edges=[[0, 1, 0.9]]),
         dict(good, start=None),
         [good],
         three_rows,
+        dict(mv, nodes=good["nodes"][:-1] + [dict(good["nodes"][-1], id=18.5)]),
+        dict(mv, start="0"),
+        dict(mv, edges=float_from),
+        dict(mv, team_size=True),
+        dict(mv, multi_visit=dict(mv["multi_visit"], M="2")),
     ]
     for k, doc in enumerate(bad_docs):
         inst = tmp_path / f"bad{k}.json"
         inst.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["solve", str(inst), "--variant", "multi_visit"]) == 1, k
         _one_line_error(capsys)
+    inst = tmp_path / "mv.json"
+    inst.write_text(json.dumps(mv), encoding="utf-8")
+    assert main(["solve", str(inst), "--variant", "multi_visit"]) == 0
 
 
 def _hex_doc_with(field, value):
@@ -307,11 +319,18 @@ def test_non_finite_rewards_exit_one(tmp_path, capsys, field, value, variant, me
 
 def test_malformed_plan_shapes_exit_one(tmp_path, capsys):
     inst = _gen(tmp_path)
-    for k, doc in enumerate([[[0, 5]], {"paths": 3}, {"paths": [[0, None]]}, {"plan": []}]):
+    hexi = tmp_path / "hex.json"
+    tso.save_instance(tso.hex_instance(), hexi)
+    cases = [(inst, doc) for doc in [[[0, 5]], {"paths": 3}, {"paths": [[0, None]]}, {"plan": []}]]
+    # int() would read each of these as the hex tour (0, 1, 2, 0).
+    cases += [(hexi, {"paths": p}) for p in (["0120"], [[0, 1.9, 2, 0]], [[0, True, 2, 0]])]
+    for k, (instance, doc) in enumerate(cases):
         plan = tmp_path / f"plan{k}.json"
         plan.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["simulate", str(inst), "--plan", str(plan), "--trials", "10"]) == 1, k
+        assert main(["simulate", str(instance), "--plan", str(plan), "--trials", "10"]) == 1, k
         _one_line_error(capsys)
+    plan.write_text(json.dumps({"paths": [[0, 1, 2, 0]]}), encoding="utf-8")
+    assert main(["simulate", str(hexi), "--plan", str(plan), "--trials", "10"]) == 0
 
 
 def test_module_entry_point(tmp_path):
@@ -323,6 +342,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_one_log_graph_per_run(tmp_path, monkeypatch, capsys):
+    # The bounds read the greedy run's LogGraph: solve builds one, and so
+    # does a bench cell for all of its team prefixes.
+    calls = []
+    real = tso.greedy.log_transform
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(tso.greedy, "log_transform", counted)
+    assert main(["solve", str(_gen(tmp_path)), "--team", "2", "--oversize", "4"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert len(_bench_cell(("hex", 0, 0, 0.70, False))) == 6
+    assert len(calls) == 1
 
 
 def test_bench_hex_byte_identical(tmp_path, monkeypatch):

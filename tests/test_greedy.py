@@ -254,22 +254,22 @@ def test_heuristic_oracle_close_and_uncertified():
         heur = tso.greedy_survivors(g, tso.GreedyConfig(team_size=2, oracle="heuristic", seed=1))
         again = tso.greedy_survivors(g, tso.GreedyConfig(team_size=2, oracle="heuristic", seed=1))
         assert heur.paths == again.paths
-        cert = tso.compute_bounds(g, heur.config, heur.paths)
+        cert = tso.compute_bounds(heur, heur.config.team_size, heur.config.total_paths)
         assert not cert.certified
-        exact_cert = tso.compute_bounds(g, exact.config, exact.paths)
+        exact_cert = tso.compute_bounds(exact, exact.config.team_size, exact.config.total_paths)
         assert exact_cert.certified
 
 
 def test_diamond_bound_values(diamond):
     one = tso.greedy_survivors(diamond, tso.GreedyConfig(team_size=1))
-    cert1 = tso.compute_bounds(diamond, one.config, one.paths)
+    cert1 = tso.compute_bounds(one, one.config.team_size, one.config.total_paths)
     assert cert1.u1 == pytest.approx(1.9, abs=1e-12)
     assert cert1.factor == pytest.approx(1.0 - math.exp(-0.8), abs=1e-15)
     assert cert1.upper == pytest.approx(1.9, abs=1e-12)
     assert one.plan.objective == pytest.approx(1.71, abs=1e-12)
 
     two = tso.greedy_survivors(diamond, tso.GreedyConfig(team_size=2))
-    cert2 = tso.compute_bounds(diamond, two.config, two.paths)
+    cert2 = tso.compute_bounds(two, two.config.team_size, two.config.total_paths)
     # Node 2: 1 - 0.1^2, node 4: capped at 1, node 3 unreachable in budget.
     assert cert2.u1 == pytest.approx(1.99, abs=1e-12)
     assert cert2.u2 == pytest.approx(1.9539 / (1.0 - math.exp(-0.8)), abs=1e-9)
@@ -278,7 +278,7 @@ def test_diamond_bound_values(diamond):
 
 def test_depot_bound_counts_start_once(loop5):
     res = tso.greedy_survivors(loop5, tso.GreedyConfig(team_size=1))
-    cert = tso.compute_bounds(loop5, res.config, res.paths)
+    cert = tso.compute_bounds(res, res.config.team_size, res.config.total_paths)
     expected = sum(
         oracles.best_visit_probability(loop5, j)
         for j in loop5.node_ids
@@ -289,9 +289,11 @@ def test_depot_bound_counts_start_once(loop5):
 
 def test_oversize_run_tightens_factor(loop5):
     res = tso.greedy_survivors(loop5, tso.GreedyConfig(team_size=1, oversize=8))
-    cert = tso.compute_bounds(loop5, res.config, res.paths)
-    assert cert.oversize_factor == pytest.approx(1.0 - math.exp(-0.75 * 8), abs=1e-15)
-    assert cert.oversize_factor > cert.factor
+    cert = tso.compute_bounds(res, res.config.team_size, res.config.total_paths)
+    oversize_factor = 1.0 - math.exp(-0.75 * 8)
+    assert oversize_factor > cert.factor
+    assert cert.value == res.plan.objective
+    assert cert.u3 == tso.team_plan(loop5, res.paths).objective / oversize_factor
     assert cert.u3 <= cert.u2 * (1.0 + 1e-12)
 
 
@@ -300,7 +302,7 @@ def test_bounds_dominate_brute_force_optimum():
         g = tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(87, seed))
         for team in (1, 2):
             res = tso.greedy_survivors(g, tso.GreedyConfig(team_size=team))
-            cert = tso.compute_bounds(g, res.config, res.paths)
+            cert = tso.compute_bounds(res, res.config.team_size, res.config.total_paths)
             opt, _ = oracles.best_team_brute(g, team)
             assert cert.upper >= opt - 1e-9
             assert res.plan.objective >= cert.factor * opt - 1e-9
@@ -308,7 +310,7 @@ def test_bounds_dominate_brute_force_optimum():
 
 def test_bounds_to_dict_keys(diamond):
     res = tso.greedy_survivors(diamond, tso.GreedyConfig(team_size=1))
-    doc = tso.bounds_to_dict(tso.compute_bounds(diamond, res.config, res.paths))
+    doc = tso.bounds_to_dict(tso.compute_bounds(res, res.config.team_size, res.config.total_paths))
     assert set(doc) == {"U1", "U2", "U3", "factor", "certified"}
 
 

@@ -143,8 +143,10 @@ def test_all_zero_rewards_still_feasible(diamond):
     assert res.path[0] == 1 and res.path[-1] == 4
 
 
-def test_infeasible_instance_raises():
-    g = tso.SurvivalGraph(
+def test_infeasible_instance_raises(monkeypatch):
+    # The cheapest start-terminal path exceeds the budget, directly or via
+    # node 3: the catalog has no leaf and the branch and bound no incumbent.
+    direct = tso.SurvivalGraph(
         node_ids=[1, 2],
         priorities={1: 1.0, 2: 1.0},
         edges=[(1, 2, 0.5)],
@@ -152,10 +154,21 @@ def test_infeasible_instance_raises():
         terminal=2,
         p_s=0.9,
     )
-    with pytest.raises(tso.InfeasibleInstanceError):
-        tso.solve_exact(_problem(g, rewards={2: 1.0}))
-    with pytest.raises(tso.InfeasibleInstanceError):
-        tso.solve_heuristic(_problem(g, rewards={2: 1.0}))
+    via = dataclasses.replace(
+        direct, node_ids=[1, 2, 3], priorities={1: 1.0, 2: 1.0, 3: 1.0},
+        edges=[(1, 2, 0.5), (1, 3, 0.8), (3, 2, 0.95)],
+    )
+    message = "no start-terminal path within the survival budget"
+    for g in (direct, via):
+        for cap in (orienteering.CATALOG_CAP, 0):
+            monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
+            for bound in (True, False):
+                with pytest.raises(tso.InfeasibleInstanceError, match=message):
+                    tso.solve_exact(_problem(g, rewards={2: 1.0, 3: 1.0}), use_reward_bound=bound)
+                with pytest.raises(tso.InfeasibleInstanceError, match=message):
+                    tso.solve_arc_exact(_problem(g, edge_rewards={(1, 2): 1.0}), use_reward_bound=bound)
+        with pytest.raises(tso.InfeasibleInstanceError, match=message):
+            tso.solve_heuristic(_problem(g, rewards={2: 1.0}))
 
 
 def test_depot_with_no_affordable_tour_stays_home(loop5):
@@ -614,7 +627,9 @@ def test_calls_sharing_a_log_graph_match_fresh_ones(monkeypatch):
                     assert (held[0] is None) == (cap == 0)
                     served += 1
                 else:
-                    assert shared._catalog_cache == ()
+                    # Infeasible: the one catalog holds the root alone, so no leaf.
+                    cat = _catalog(shared)
+                    assert cat is None if cap == 0 else cat.prefixes == 1
         assert served >= 12
 
 
