@@ -5,6 +5,12 @@ joint-outcome expectations, subset sums, and GRASP's scans without their
 budget stops. The point
 is to pin the fast implementations against code that shares none of their
 machinery, so values these produce are frozen into tests as ground truth.
+
+``simulate_team_reference`` is the one exception: a verbatim copy of the
+library's original trial-major Monte-Carlo loop, result type and path check
+included. A random estimate has no brute-force value to pin, so any faster
+loop is instead held to this one's exact output: the same stream, the same
+chunks and the same ``repr`` of the result.
 """
 
 from __future__ import annotations
@@ -12,6 +18,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+
+import numpy as np
+
+from tso.graph import check_path
+from tso.objective import SimulationResult
 
 BUDGET_TOL = 1e-9
 
@@ -301,3 +312,56 @@ def grasp_leg(g, src, dst, banned):
     while nodes[-1] != src:
         nodes.append(prev[nodes[-1]])
     return tuple(reversed(nodes)), dist[dst]
+
+
+def simulate_team_reference(g, paths, trials: int, seed=0) -> SimulationResult:
+    """Sample the team objective by simulating every edge traversal.
+
+    Each trial draws one Bernoulli per edge per robot. Randomness comes from
+    a single seeded generator consumed in a fixed (trial-major) layout: trial
+    t always sees the same uniform block regardless of chunking, so results
+    are reproducible bit for bit.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    for p in paths:
+        check_path(g, p)
+    weights = [np.array([g.survival[(p[n - 1], p[n])] for n in range(1, len(p))]) for p in paths]
+    slot = np.cumsum([0] + [len(w) for w in weights])
+    width = slot[-1]
+    d_vec = np.array([g.priority(v) for v in g.node_ids])
+    node_pos = g.index
+
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    alive_counts = np.zeros(len(paths))
+    done = 0
+    chunk = 1 << 16
+    while done < trials:
+        rows = min(chunk, trials - done)
+        u = rng.random((rows, width)) if width else np.zeros((rows, 0))
+        visited = np.zeros((rows, g.num_nodes), dtype=bool)
+        for k, p in enumerate(paths):
+            w = weights[k]
+            if len(w) == 0:
+                alive_counts[k] += rows
+                continue
+            ok = u[:, slot[k]:slot[k + 1]] < w
+            reach = np.logical_and.accumulate(ok, axis=1)
+            for n in range(1, len(p)):
+                visited[:, node_pos[p[n]]] |= reach[:, n - 1]
+            alive_counts[k] += reach[:, -1].sum()
+        samples = visited @ d_vec
+        total += samples.sum()
+        total_sq += (samples * samples).sum()
+        done += rows
+
+    mean = total / trials
+    if trials > 1:
+        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+        se = math.sqrt(var / trials)
+    else:
+        se = 0.0
+    freq = [c / trials for c in alive_counts]
+    return SimulationResult(estimate=mean, std_error=se, survival_freq=freq, trials=trials)

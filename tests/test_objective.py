@@ -213,6 +213,49 @@ def test_simulate_team_accuracy(loop5):
         assert abs(res.survival_freq[k] - true_surv) <= 4.0 * se
 
 
+@pytest.fixture(scope="module")
+def sim_plans():
+    """Plans the Monte-Carlo loop is pinned on, by name: (graph, paths).
+
+    The ratio plans are five-robot GRASP teams on the bench suite's first
+    20-node graph at each p_s; at p_s 0.5 the team takes 71 steps. The hex
+    graph gets random non-integer priorities, and its team ends with a robot
+    that stays home.
+    """
+    plans = {}
+    for p_s in (0.5, 0.7, 0.9):
+        g = tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, 0))
+        plans[f"ratio-{p_s}"] = (g, tso.greedy_survivors(g, tso.GreedyConfig(5, oracle="heuristic")).paths)
+    base = tso.hex_instance(p_s=0.5)
+    rng = np.random.default_rng(19)
+    g = tso.SurvivalGraph(
+        node_ids=base.node_ids,
+        priorities={v: float(rng.uniform(0.1, 3.0)) for v in base.node_ids},
+        edges=[(u, v, w) for (u, v), w in base.survival.items()],
+        start=base.start,
+        terminal=base.terminal,
+        p_s=base.p_s,
+    )
+    team = tso.greedy_survivors(g, tso.GreedyConfig(4, oracle="heuristic")).paths
+    plans["hex"] = (g, list(team) + [(g.start,)])
+    plans["empty"] = (g, [])
+    return plans
+
+
+# Trial counts straddle the 1 << 16 chunk: one row, one full chunk, one
+# chunk plus a row, and a chunk plus a partial one.
+@pytest.mark.parametrize("name, trials", [
+    ("ratio-0.5", 20000), ("ratio-0.7", 20000), ("ratio-0.9", 20000), ("ratio-0.5", 65537),
+    ("hex", 1), ("hex", 65536), ("hex", 65537), ("hex", 100001),
+    ("empty", 1), ("empty", 65537),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_simulate_team_matches_reference_bits(sim_plans, name, trials, seed):
+    g, paths = sim_plans[name]
+    got = tso.simulate_team(g, paths, trials, seed=seed)
+    assert repr(got) == repr(oracles.simulate_team_reference(g, paths, trials, seed=seed))
+
+
 def test_simulate_team_rejects_zero_trials(loop5):
     with pytest.raises(ValueError):
         tso.simulate_team(loop5, [(1, 3, 5, 2, 1)], trials=0)
