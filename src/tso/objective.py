@@ -192,13 +192,21 @@ def simulate_team(g: SurvivalGraph, paths, trials: int, seed=0) -> SimulationRes
     a single seeded generator consumed in a fixed (trial-major) layout: trial
     t always sees the same uniform block regardless of chunking, so results
     are reproducible bit for bit.
+
+    The work runs node-major: each chunk's draws are compared once against
+    every step's survival, then turned into one row per step; a path ANDs
+    each step's row into the next in place, and ORs it into its node's row.
+    The output floats are those of the trial-major loop this replaced: the
+    compare is elementwise on the same floats, AND and OR on bools are exact,
+    the matmul sees the same C-order (trials, nodes) bool matrix, so BLAS sums
+    each trial in the same order, and the survival counts are integers.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for p in paths:
         check_path(g, p)
-    weights = [np.array([g.survival[(p[n - 1], p[n])] for n in range(1, len(p))]) for p in paths]
-    slot = np.cumsum([0] + [len(w) for w in weights])
+    w_all = np.array([g.survival[(p[n - 1], p[n])] for p in paths for n in range(1, len(p))])
+    slot = np.cumsum([0] + [len(p) - 1 for p in paths])
     width = slot[-1]
     d_vec = np.array([g.priority(v) for v in g.node_ids])
     node_pos = g.index
@@ -212,18 +220,18 @@ def simulate_team(g: SurvivalGraph, paths, trials: int, seed=0) -> SimulationRes
     while done < trials:
         rows = min(chunk, trials - done)
         u = rng.random((rows, width)) if width else np.zeros((rows, 0))
-        visited = np.zeros((rows, g.num_nodes), dtype=bool)
+        ok = u < w_all
+        del u  # the draws are the chunk's largest block; free them before the copy
+        ok = np.ascontiguousarray(ok.T)
+        visited = np.zeros((g.num_nodes, rows), dtype=bool)
         for k, p in enumerate(paths):
-            w = weights[k]
-            if len(w) == 0:
-                alive_counts[k] += rows
-                continue
-            ok = u[:, slot[k]:slot[k + 1]] < w
-            reach = np.logical_and.accumulate(ok, axis=1)
+            steps = ok[slot[k]:slot[k + 1]]  # row n - 1: path k survived steps 1..n
             for n in range(1, len(p)):
-                visited[:, node_pos[p[n]]] |= reach[:, n - 1]
-            alive_counts[k] += reach[:, -1].sum()
-        samples = visited @ d_vec
+                if n > 1:
+                    steps[n - 1] &= steps[n - 2]
+                visited[node_pos[p[n]]] |= steps[n - 1]
+            alive_counts[k] += np.count_nonzero(steps[-1]) if len(steps) else rows
+        samples = np.ascontiguousarray(visited.T) @ d_vec
         total += samples.sum()
         total_sq += (samples * samples).sum()
         done += rows

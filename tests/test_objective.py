@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,22 @@ def test_simulate_team_matches_reference_bits(sim_plans, name, trials, seed):
     g, paths = sim_plans[name]
     got = tso.simulate_team(g, paths, trials, seed=seed)
     assert repr(got) == repr(oracles.simulate_team_reference(g, paths, trials, seed=seed))
+
+
+def test_simulate_team_peak_memory_within_reference(sim_plans):
+    # numpy reports its buffers to tracemalloc. The draws are the largest
+    # block, so the node-major copies must not be made while they are alive.
+    g, paths = sim_plans["ratio-0.5"]
+    assert sum(len(p) - 1 for p in paths) >= 70
+    peaks = []
+    for simulate in (tso.simulate_team, oracles.simulate_team_reference):
+        tracemalloc.start()
+        try:
+            simulate(g, paths, 20000, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_simulate_team_rejects_zero_trials(loop5):
