@@ -390,6 +390,16 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_float(x, what: str) -> float:
+    """float(x) if x is a JSON number, integer or not; ValueError for anything else, bools and strings included."""
+    if type(x) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} {x} is too large for a float") from None
+
+
 def _parse_instance(doc: dict) -> SurvivalGraph:
     if doc.get("version") != 1:
         raise ValueError(f"unsupported instance version {doc.get('version')!r}")
@@ -399,10 +409,10 @@ def _parse_instance(doc: dict) -> SurvivalGraph:
     for rec in doc["nodes"]:
         v = json_int(rec["id"], "node id")
         node_ids.append(v)
-        priorities[v] = float(rec.get("priority", 1.0))
+        priorities[v] = json_float(rec.get("priority", 1.0), "priority")
     edges = []
     for rec in doc["edges"]:
-        u, v, w = json_int(rec["from"], "edge endpoint"), json_int(rec["to"], "edge endpoint"), float(rec["survival"])
+        u, v, w = json_int(rec["from"], "edge endpoint"), json_int(rec["to"], "edge endpoint"), json_float(rec["survival"], "edge survival")
         edges.append((u, v, w))
         if not directed:
             edges.append((v, u, w))
@@ -411,18 +421,18 @@ def _parse_instance(doc: dict) -> SurvivalGraph:
         mv = doc["multi_visit"]
         if len(mv["d"]) != len(node_ids):
             raise ValueError(f"multi-visit table has {len(mv['d'])} rows for {len(node_ids)} nodes")
-        rows = {v: [float(x) for x in row] for v, row in zip(node_ids, mv["d"])}
+        rows = {v: [json_float(x, "multi-visit entry") for x in row] for v, row in zip(node_ids, mv["d"])}
         multi = MultiVisitTable(M=json_int(mv["M"], "multi-visit M"), d=rows)
     rewards = None
     if "edge_rewards" in doc:
-        rewards = {(json_int(r["from"], "edge endpoint"), json_int(r["to"], "edge endpoint")): float(r["d"]) for r in doc["edge_rewards"]}
+        rewards = {(json_int(r["from"], "edge endpoint"), json_int(r["to"], "edge endpoint")): json_float(r["d"], "edge reward") for r in doc["edge_rewards"]}
     return SurvivalGraph(
         node_ids=node_ids,
         priorities=priorities,
         edges=edges,
         start=json_int(doc["start"], "start"),
         terminal=json_int(doc["terminal"], "terminal"),
-        p_s=float(doc["p_s"]),
+        p_s=json_float(doc["p_s"], "p_s"),
         team_size=json_int(doc.get("team_size", 1), "team_size"),
         multi_visit=multi,
         edge_rewards=rewards,

@@ -278,11 +278,31 @@ def test_malformed_instance_shapes_exit_one(tmp_path, capsys):
         dict(mv, team_size=True),
         dict(mv, multi_visit=dict(mv["multi_visit"], M="2")),
     ]
+    # Number fields take JSON numbers only: float() would read each of these
+    # as 1.0, 0.7, 2.0, 1.0 or 1.0 and solve it.
+    true_survival = [dict(good["edges"][0], survival=True)] + good["edges"][1:]
+    rows = mv["multi_visit"]["d"]
+    number_cases = [
+        (dict(mv, edges=true_survival), "edge survival must be a number, got True"),
+        (dict(mv, p_s="0.7"), "p_s must be a number, got '0.7'"),
+        (dict(mv, nodes=[dict(good["nodes"][0], priority="2")] + good["nodes"][1:]),
+         "priority must be a number, got '2'"),
+        (dict(mv, edge_rewards=[{"from": 0, "to": 1, "d": "1"}]), "edge reward must be a number, got '1'"),
+        (dict(mv, multi_visit=dict(mv["multi_visit"], d=[[True, 0.5]] + rows[1:])),
+         "multi-visit entry must be a number, got True"),
+        (dict(mv, nodes=[dict(good["nodes"][0], priority=10**400)] + good["nodes"][1:]),
+         f"priority {10**400} is too large for a float"),
+    ]
     for k, doc in enumerate(bad_docs):
         inst = tmp_path / f"bad{k}.json"
         inst.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["solve", str(inst), "--variant", "multi_visit"]) == 1, k
         _one_line_error(capsys)
+    for k, (doc, message) in enumerate(number_cases):
+        inst = tmp_path / f"number{k}.json"
+        inst.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["solve", str(inst), "--variant", "multi_visit"]) == 1, message
+        assert capsys.readouterr().err == f"error: {message}\n"
     inst = tmp_path / "mv.json"
     inst.write_text(json.dumps(mv), encoding="utf-8")
     assert main(["solve", str(inst), "--variant", "multi_visit"]) == 0
