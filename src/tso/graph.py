@@ -391,7 +391,7 @@ def json_int(x, what: str) -> int:
 
 
 def json_float(x, what: str) -> float:
-    """float(x) if x is a JSON number, integer or not; ValueError for anything else, bools and strings included."""
+    """float(x) if x is a JSON number (int or float); ValueError for anything else, bools and strings included."""
     if type(x) not in (int, float):
         raise ValueError(f"{what} must be a number, got {x!r}")
     try:

@@ -194,12 +194,13 @@ def simulate_team(g: SurvivalGraph, paths, trials: int, seed=0) -> SimulationRes
     are reproducible bit for bit.
 
     The work runs node-major: each chunk's draws are compared once against
-    every step's survival, then turned into one row per step; a path ANDs
-    each step's row into the next in place, and ORs it into its node's row.
-    The output floats are those of the trial-major loop this replaced: the
-    compare is elementwise on the same floats, AND and OR on bools are exact,
-    the matmul sees the same C-order (trials, nodes) bool matrix, so BLAS sums
-    each trial in the same order, and the survival counts are integers.
+    every step's survival, then copied to one bool row per step; a path ANDs
+    each step's row into the next in place and ORs it into its node's row.
+    Every output float is the one a trial-major loop over the same draws
+    gives: the compare is elementwise on the same floats, AND and OR on bools
+    are exact, the matmul sees the same C-order (trials, nodes) bool matrix,
+    so BLAS sums each trial in the same order, and the survival counts are
+    integers. tests/oracles.py keeps that loop as the reference.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
