@@ -231,7 +231,7 @@ def _sparse_digraph(seed):
 
 def _heuristic_cases():
     """(name, graph, rewards): two ratio cells, a hex depot, ten sparse digraphs,
-    three complete digraphs on a loose budget, and a 100-node complete graph.
+    three complete digraphs on a loose budget, and 100- and 200-node complete graphs.
 
     About 40% of the rewards are 0, so local search has free nodes to drop,
     and on the complete digraphs its segment reversal finds gains.
@@ -240,7 +240,7 @@ def _heuristic_cases():
     graphs.append(("hex-p0.6", tso.hex_instance(p_s=0.6)))
     graphs += [(f"sparse-{seed}", _sparse_digraph(seed)) for seed in range(10)]
     graphs += [(f"complete-{seed}", tso.random_complete_instance(9, 0.5, 1.0, 0.3, seed=(94, seed))) for seed in range(3)]
-    graphs.append(("complete-100", tso.feasible_random_instance(100, 0.3, 1.0, 0.7, seed=(1, 0))))
+    graphs += [(f"complete-{n}", tso.feasible_random_instance(n, 0.3, 1.0, 0.7, seed=(1, 0))) for n in (100, 200)]
     for k, (name, g) in enumerate(graphs):
         rng = np.random.default_rng((92, k))
         rewards = {v: float(rng.uniform(0.0, 1.0)) if rng.uniform() < 0.6 else 0.0 for v in g.node_ids}
@@ -258,7 +258,8 @@ def _heuristic_record(p, seed):
 def test_heuristic_results_are_pinned():
     # Paths, rewards and candidate counts of the GRASP oracle, recorded before
     # its cost rows and leg cache existed; complete-100 was recorded before
-    # its scans read arcs cheapest first. Seeds 0-2 share one LogGraph per case.
+    # its scans read arcs cheapest first, complete-200 before its legs read
+    # per-source trees. Seeds 0-2 share one LogGraph per case.
     pins = json.loads(HEURISTIC_PINS.read_text(encoding="utf-8"))
     seen = set()
     for name, g, rewards in _heuristic_cases():
