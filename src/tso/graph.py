@@ -400,10 +400,17 @@ def json_float(x, what: str) -> float:
         raise ValueError(f"{what} {x} is too large for a float") from None
 
 
+def json_bool(x, what: str) -> bool:
+    """x if it is a JSON boolean; ValueError for anything else, strings, numbers and null included."""
+    if type(x) is not bool:
+        raise ValueError(f"{what} must be true or false, got {x!r}")
+    return x
+
+
 def _parse_instance(doc: dict) -> SurvivalGraph:
     if doc.get("version") != 1:
         raise ValueError(f"unsupported instance version {doc.get('version')!r}")
-    directed = bool(doc.get("directed", True))
+    directed = json_bool(doc.get("directed", True), "directed")
     node_ids = []
     priorities = {}
     for rec in doc["nodes"]:
@@ -425,7 +432,12 @@ def _parse_instance(doc: dict) -> SurvivalGraph:
         multi = MultiVisitTable(M=json_int(mv["M"], "multi-visit M"), d=rows)
     rewards = None
     if "edge_rewards" in doc:
-        rewards = {(json_int(r["from"], "edge endpoint"), json_int(r["to"], "edge endpoint")): json_float(r["d"], "edge reward") for r in doc["edge_rewards"]}
+        rewards = {}
+        for r in doc["edge_rewards"]:
+            e = json_int(r["from"], "edge endpoint"), json_int(r["to"], "edge endpoint")
+            if e in rewards:
+                raise ValueError(f"duplicate edge reward on ({e[0]},{e[1]})")
+            rewards[e] = json_float(r["d"], "edge reward")
     return SurvivalGraph(
         node_ids=node_ids,
         priorities=priorities,

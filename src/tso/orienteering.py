@@ -415,13 +415,13 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
 # GRASP heuristic
 
 def _grasp_tables(lg: LogGraph):
-    """(rows, cost_of, legs) of lg, built by its first GRASP call and kept for every later one.
+    """(rows, cost_of, legs, trees) of lg, built by its first GRASP call and kept for every later one.
 
     rows[v] holds v's out-arcs as (cost, head), stable-sorted by cost, and
     cost_of[a][b] is the cost of arc (a, b). legs maps (src, dst,
-    frozenset(banned)) to a (leg, cost) entry of _leg_avoiding. None of them
-    holds rewards, so the calls of a greedy run, which share one LogGraph,
-    share them too.
+    frozenset(banned)) to a (leg, cost) entry of _leg_avoiding, and trees
+    maps a source to its _leg_tree. None of them holds rewards, so the
+    calls of a greedy run, which share one LogGraph, share them too.
 
     The scans over rows stop at the first arc whose bound fails. Costs are
     -ln(survival) >= 0 (log_transform refuses any other survival), and
@@ -438,7 +438,7 @@ def _grasp_tables(lg: LogGraph):
             v: tuple(sorted(((costs[(v, u)], u) for u, _w in nbrs), key=lambda t: t[0]))
             for v, nbrs in lg.graph.adjacency.items()
         }
-        lg._grasp_cache = (rows, {v: {u: c for c, u in row} for v, row in rows.items()}, {})
+        lg._grasp_cache = (rows, {v: {u: c for c, u in row} for v, row in rows.items()}, {}, {})
     return lg._grasp_cache
 
 
@@ -472,40 +472,19 @@ def _path_cost(lg, path):
     return cost
 
 
-def _leg_avoiding(lg, src, dst, banned, cost):
-    """Cheapest src-to-dst leg whose interior skips the banned nodes, as (nodes, cost) or None.
+def _search(rows, src, dst, banned, cost, extra, limit):
+    """(dist, prev) of a Dijkstra from src whose rows stop at the first arc with `cost + (d + w) + extra > limit`.
 
-    The caller, at cost `cost`, uses a leg only if `cost + leg + extra <=
-    limit`, where extra = dist_to(terminal)[dst]: 0.0 for the closing leg.
-    The search relaxes each node's arcs cheapest first and stops at the
-    first arc with `cost + (d + w) + extra > limit`, that test with the
-    partial distance d + w in place of the leg (see _grasp_tables for why
-    such a bound never rejects what the test accepts). If the leg of the full search fits,
-    every node on it passes, and every relaxation dropped is longer than
-    the leg, so it would pop after dst: the nodes popped before dst get the
-    same dist and prev, and the search returns the same leg. If it does not
-    fit, no relaxation into dst passes and the search returns None, which
-    the caller rejects as it would the leg.
-
-    A leg depends on the graph alone, so each key's (leg, cost) entry is
-    kept in the leg cache of _grasp_tables. A found leg answers every later
-    query, whose caller tests again whether it fits. A None answers only
-    queries at its cost or above, where the leg fits no better; any other
-    query searches again.
+    Heap entries are (dist, node id), and dist and prev change only on a
+    strict improvement. Nodes other than dst that are in banned are never
+    entered, and the search stops when dst pops; dst=None runs it out.
     """
-    rows, _cost_of, legs = _grasp_tables(lg)
-    key = (src, dst, frozenset(banned))
-    hit = legs.get(key)
-    if hit is not None and (hit[0] is not None or cost >= hit[1]):
-        return hit[0]
-    limit = lg.budget + BUDGET_TOL
-    extra = lg.distances_to(lg.graph.terminal)[dst]
     dist = {src: 0.0}
     prev = {}
     heap = [(0.0, src)]
     while heap:
         d, v = heapq.heappop(heap)
-        if d > dist.get(v, INF):
+        if d > dist[v]:
             continue
         if v == dst:
             break
@@ -519,14 +498,108 @@ def _leg_avoiding(lg, src, dst, banned, cost):
                 dist[u] = nd
                 prev[u] = v
                 heapq.heappush(heap, (nd, u))
-    leg = None
-    if dst in prev:
-        nodes = [dst]
-        while nodes[-1] != src:
-            nodes.append(prev[nodes[-1]])
-        leg = (tuple(reversed(nodes)), dist[dst])
+    return dist, prev
+
+
+def _leg_tree(lg, src):
+    """(dist, prev, cands) of src's search with no banned set and no dst, built on first use and kept.
+
+    Its rows stop at the first `d + w > limit` (cost and extra 0.0, which
+    add exactly), the loosest of every query's stop tests. cands lists, in
+    node_ids order, (j, dist[j], dist_to(terminal)[j]) for each j other than
+    the terminal in the tree with `dist[j] + dist_to(terminal)[j] <= limit`:
+    _random_skeleton's candidate test at cost 0.0, for waypoints from src.
+
+    (i) Both this search and a full Dijkstra set dist[v] to the smallest
+    fl(dist[u] + w) over predecessors whose dist[u] is final, and
+    fl(x + w) >= x for w >= 0. So the floats are equal wherever they are at
+    most limit, and a node the tree leaves out has a full distance above
+    limit. Its candidate test fails at every cost, as does the test of a
+    node that fails it at cost 0.0: float addition is monotone and costs
+    are >= 0 (see _grasp_tables).
+    """
+    rows, _cost_of, _legs, trees = _grasp_tables(lg)
+    tree = trees.get(src)
+    if tree is None:
+        g = lg.graph
+        limit = lg.budget + BUDGET_TOL
+        dist_t = lg.distances_to(g.terminal)
+        dist, prev = _search(rows, src, None, (), 0.0, 0.0, limit)
+        cands = [
+            (j, dist[j], dist_t[j]) for j in g.node_ids
+            if j != g.terminal and j in dist and dist[j] + dist_t[j] <= limit
+        ]
+        tree = trees[src] = (dist, prev, cands)
+    return tree
+
+
+def _leg_avoiding(lg, src, dst, banned, cost):
+    """Cheapest src-to-dst leg whose interior skips the banned nodes, as (nodes, cost) or None.
+
+    The caller, at cost `cost`, uses a leg only if `cost + leg + extra <=
+    limit`, where extra = dist_to(terminal)[dst]: 0.0 for the closing leg.
+    The banned search stops each row at the first arc with
+    `cost + (d + w) + extra > limit`, that test with the partial distance
+    d + w in place of the leg (see _grasp_tables for why such a bound never
+    rejects what the test accepts). If the leg of the full search fits,
+    every node on it passes, and every relaxation dropped is longer than
+    the leg, so it would pop after dst: the nodes popped before dst get the
+    same dist and prev, and the search returns the same leg. If it does not
+    fit, no relaxation into dst passes and the search returns None, which
+    the caller rejects as it would the leg.
+
+    When dst is in src's _leg_tree and the tree path's interior avoids
+    banned, that path is the banned search's leg, and it is returned if it
+    fits, else None. (ii) Pops run in (dist, node id) order in both
+    searches, and prev[u] is the first popped predecessor that gives the
+    smallest float. Each node of the path has the same dist in the banned
+    search, as its path survives and (i) holds. Its tree prev is popped
+    first among the surviving predecessors: an earlier banned predecessor
+    with an equal sum would itself have been the tree's prev, and a
+    surviving one whose dist the ban raised reached the same sum from its
+    smaller tree dist, so it popped earlier in the tree too. Nodes popped
+    after dst change no prev on the path, because updates need a strict <
+    and costs are >= 0. (iii) The budget stops are the monotone-rounding
+    argument above: the tree's stop test is the banned search's at cost and
+    extra 0.0, so it keeps every relaxation that search keeps.
+
+    Any other query runs the banned search. A leg depends on the graph
+    alone, so each key's (leg, cost) entry is kept in the leg cache of
+    _grasp_tables. A found leg answers every later query, whose caller
+    tests again whether it fits. A None answers only queries at its cost or
+    above, where the leg fits no better; any other query searches again.
+    """
+    limit = lg.budget + BUDGET_TOL
+    extra = lg.distances_to(lg.graph.terminal)[dst]
+    dist, prev, _cands = _leg_tree(lg, src)
+    nodes = _tree_leg(prev, src, dst, banned)
+    if nodes is not None:
+        return (nodes, dist[dst]) if cost + dist[dst] + extra <= limit else None
+    rows, _cost_of, legs, _trees = _grasp_tables(lg)
+    key = (src, dst, frozenset(banned))
+    hit = legs.get(key)
+    if hit is not None and (hit[0] is not None or cost >= hit[1]):
+        return hit[0]
+    dist, prev = _search(rows, src, dst, banned, cost, extra, limit)
+    nodes = _tree_leg(prev, src, dst, banned)
+    leg = None if nodes is None else (nodes, dist[dst])
     legs[key] = (leg, cost)
     return leg
+
+
+def _tree_leg(prev, src, dst, banned):
+    """Nodes of the src-to-dst path in a _search tree, or None if dst is not in it or the path's interior meets banned."""
+    if dst not in prev:
+        return None
+    nodes = [dst]
+    v = prev[dst]
+    while v != src:
+        if v in banned:
+            return None
+        nodes.append(v)
+        v = prev[v]
+    nodes.append(src)
+    return tuple(reversed(nodes))
 
 
 def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
@@ -551,12 +624,9 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
     cost = 0.0
     v = g.start
     for _ in range(hops):
-        dv = lg.distances_from(v)
-        cands = [
-            j for j in g.node_ids
-            if j not in used and j != terminal
-            and cost + dv[j] + dist_t[j] <= limit
-        ]
+        # v's candidate row, filtered by the same floats in the same order
+        # as cost + dist(v, j) + dist_to(terminal)[j] (see _leg_tree).
+        cands = [j for j, a, b in _leg_tree(lg, v)[2] if j not in used and cost + a + b <= limit]
         for _draw in range(3):
             if not cands:
                 break
@@ -591,7 +661,7 @@ def _insertions(p: OrienteeringProblem, path, cost, visited):
     the same test with jb >= 0 left out, which never fails where the test
     passes (see _grasp_tables), and fails for every costlier arc after it.
     """
-    rows, cost_of, _legs = _grasp_tables(p.lg)
+    rows, cost_of, _legs, _trees = _grasp_tables(p.lg)
     rewards = p.rewards or {}
     limit = p.lg.budget + BUDGET_TOL
     index = p.lg.graph.index
@@ -622,7 +692,7 @@ def _local_search(p: OrienteeringProblem, path, cost):
     at the first round that finds neither a drop nor a reversal.
     """
     g = p.lg.graph
-    _rows, cost_of, _legs = _grasp_tables(p.lg)
+    _rows, cost_of, _legs, _trees = _grasp_tables(p.lg)
     rewards = p.rewards or {}
     while True:
         improved = False
@@ -698,10 +768,10 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     search. The best path by reward wins, ties going to the smaller
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
-    Deterministic for a fixed seed. The cost rows and legs it reads are
-    cached on p.lg (_grasp_tables) and hold neither rewards nor the budget,
-    so a call returns the same result whichever calls ran on that LogGraph
-    before.
+    Deterministic for a fixed seed. The cost rows, leg trees and legs it
+    reads are cached on p.lg (_grasp_tables) and hold no rewards, only
+    facts of the graph and its budget, so a call returns the same result
+    whichever calls ran on that LogGraph before.
     """
     g = p.lg.graph
     rewards = p.rewards or {}

@@ -306,6 +306,26 @@ def test_malformed_instance_shapes_exit_one(tmp_path, capsys):
     inst = tmp_path / "mv.json"
     inst.write_text(json.dumps(mv), encoding="utf-8")
     assert main(["solve", str(inst), "--variant", "multi_visit"]) == 0
+    # "directed" takes a JSON bool only: bool() would read "false" as true
+    # and load hex with 84 arcs. A second reward on one edge would replace
+    # the first: the pair below solved with a gain of 4.9.
+    a, b = good["edges"][0]["from"], good["edges"][0]["to"]
+    once = dict(good, edge_rewards=[{"from": a, "to": b, "d": 1.0}])
+    twice = dict(good, edge_rewards=once["edge_rewards"] + [{"from": a, "to": b, "d": 5.0}])
+    shape_cases = [
+        (dict(once, directed="false"), "directed must be true or false, got 'false'"),
+        (dict(once, directed=0), "directed must be true or false, got 0"),
+        (dict(once, directed=None), "directed must be true or false, got None"),
+        (twice, f"duplicate edge reward on ({a},{b})"),
+    ]
+    for k, (doc, message) in enumerate(shape_cases):
+        inst = tmp_path / f"shape{k}.json"
+        inst.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["solve", str(inst), "--team", "1", "--variant", "edge"]) == 1, message
+        assert capsys.readouterr().err == f"error: {message}\n"
+    inst = tmp_path / "once.json"
+    inst.write_text(json.dumps(once), encoding="utf-8")
+    assert main(["solve", str(inst), "--team", "1", "--variant", "edge"]) == 0
 
 
 def _hex_doc_with(field, value):

@@ -260,6 +260,22 @@ def test_heuristic_oracle_close_and_uncertified():
         assert exact_cert.certified
 
 
+def test_heuristic_run_makes_two_dijkstras(monkeypatch):
+    # A GRASP run reads one Dijkstra from the start and one to the terminal;
+    # each waypoint's skeleton candidates come from its source's leg tree.
+    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.5, seed=(0, 0))
+    calls = []
+    dijkstra = tso.graph.dijkstra
+
+    def counted(lg, source, banned=frozenset(), reverse=False):
+        calls.append((source, reverse))
+        return dijkstra(lg, source, banned, reverse)
+
+    monkeypatch.setattr(tso.graph, "dijkstra", counted)
+    tso.greedy_survivors(g, tso.GreedyConfig(team_size=5, oracle="heuristic"))
+    assert sorted(calls) == [(g.start, False), (g.terminal, True)]
+
+
 def test_diamond_bound_values(diamond):
     one = tso.greedy_survivors(diamond, tso.GreedyConfig(team_size=1))
     cert1 = tso.compute_bounds(one, one.config.team_size, one.config.total_paths)

@@ -360,45 +360,73 @@ def test_scans_match_their_full_scan_references(monkeypatch):
     assert seen["insertions"] > 500 and seen["legs"] > 500 and 0 < seen["rejected"] < seen["legs"], seen
 
 
-def test_legs_match_the_reference_at_every_cost():
+def test_legs_match_the_reference_at_every_cost(monkeypatch):
     # Random queries, each on a fresh LogGraph and again on one shared per
     # graph, at costs from 0 to past the budget. A caller tests a leg's fit
-    # with extra = dist_to(terminal)[dst], 0.0 for the closing leg.
+    # with extra = dist_to(terminal)[dst], 0.0 for the closing leg. A leg
+    # returned is the reference's to the bit; None means it cannot fit. On
+    # every graph, source trees answer some fresh queries and the banned
+    # search the others.
+    banned_searches = []
+    search = orienteering._search
+
+    def counted(rows, src, dst, *args):
+        banned_searches.append(dst is not None)
+        return search(rows, src, dst, *args)
+
+    monkeypatch.setattr(orienteering, "_search", counted)
     for k, (name, g) in enumerate(_scan_graphs()):
         rng = np.random.default_rng((98, k))
         shared = tso.log_transform(g)
         dist_t = shared.distances_to(g.terminal)
         limit = shared.budget + 1e-9
+        answered = {"tree": 0, "search": 0}
         for _ in range(60):
             src, dst = (g.node_ids[i] for i in rng.choice(len(g.node_ids), 2, replace=False))
             banned = {v for v in g.node_ids if v != src and rng.uniform() < 0.3} | {src}
             cost = float(rng.choice([0.0, -0.0, rng.uniform(0.0, 1.2 * limit)]))
             extra = dist_t[dst]
-            want = _leg_verdict(g, oracles.grasp_leg(g, src, dst, banned), cost, extra)
+            ref = oracles.grasp_leg(g, src, dst, banned)
+            want = _leg_verdict(g, ref, cost, extra)
             for lg in (tso.log_transform(g), shared):
+                banned_searches.clear()
                 got = orienteering._leg_avoiding(lg, src, dst, banned, cost)
+                assert got is None or repr(got) == repr(ref), (name, src, dst, cost)
                 assert repr(_leg_verdict(g, got, cost, extra)) == repr(want), (name, src, dst, cost)
+                if lg is not shared:
+                    answered["search" if any(banned_searches) else "tree"] += 1
+        assert answered["tree"] and answered["search"], (name, answered)
 
 
 def test_leg_cache_searches_again_below_a_rejected_cost():
-    # A chain 0 -> 1 -> 2 -> 3 of survival 0.9 and a direct 0 -> 3 of 0.5.
+    # A chain 0 -> 1 -> 2 -> 3 of survival 0.9, a detour 0 -> 4 -> 2 of 0.85
+    # and a direct 0 -> 3 of 0.5. The tree from 0 reaches 2 through 1, so a
+    # query that bans 1 runs the banned search, whose answers are cached.
     g = tso.SurvivalGraph(
-        node_ids=[0, 1, 2, 3], priorities={v: 1.0 for v in range(4)},
-        edges=[(0, 1, 0.9), (0, 3, 0.5), (1, 2, 0.9), (2, 3, 0.9)], start=0, terminal=3, p_s=0.5,
+        node_ids=[0, 1, 2, 3, 4], priorities={v: 1.0 for v in range(5)},
+        edges=[(0, 1, 0.9), (0, 3, 0.5), (0, 4, 0.85), (1, 2, 0.9), (2, 3, 0.9), (4, 2, 0.85)],
+        start=0, terminal=3, p_s=0.5,
     )
     lg = tso.log_transform(g)
     # 0.5 + leg + dist_to(3)[2] exceeds the budget ln 2; 0.0 + leg + dist_to(3)[2] fits.
-    leg = ((0, 1, 2), -math.log(0.9) + -math.log(0.9))
+    leg = ((0, 4, 2), -math.log(0.85) + -math.log(0.85))
     legs = orienteering._grasp_tables(lg)[2]
-    key = (0, 2, frozenset({0, 3}))
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.5) is None
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.6) is None
+    key = (0, 2, frozenset({0, 1, 3}))
+    assert orienteering._leg_tree(lg, 0)[1][2] == 1
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.5) is None
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.6) is None
     assert legs[key] == (None, 0.5)  # the None at 0.5 answered the query at 0.6
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.0) == leg
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.0) == leg
     assert legs[key] == (leg, 0.0)
     # Found, the leg answers every later query; its caller tests the fit.
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.9) == leg
-    assert oracles.grasp_leg(g, 0, 2, {0, 3}) == leg
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.9) == leg
+    assert oracles.grasp_leg(g, 0, 2, {0, 1, 3}) == leg
+    # The tree's own leg keeps the contract: None where it cannot fit, and
+    # the leg cache is not read or written.
+    tree_leg = ((0, 1, 2), -math.log(0.9) + -math.log(0.9))
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.5) is None
+    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.0) == tree_leg == oracles.grasp_leg(g, 0, 2, {0, 3})
+    assert list(legs) == [key]
 
 
 def _base_path_cases(loop5):
