@@ -43,7 +43,11 @@ def fmt(x) -> str:
 
 
 def thread_count() -> int:
-    n = int(os.environ.get("TSO_THREADS", "0"))
+    raw = os.environ.get("TSO_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"TSO_THREADS must be an integer, got {raw!r}") from None
     if n <= 0:
         n = os.cpu_count() or 1
     return n
@@ -281,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -627,6 +627,10 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
         # v's candidate row, filtered by the same floats in the same order
         # as cost + dist(v, j) + dist_to(terminal)[j] (see _leg_tree).
         cands = [j for j, a, b in _leg_tree(lg, v)[2] if j not in used and cost + a + b <= limit]
+        if not cands:
+            # Nothing was drawn and v, cost and used are unchanged, so every
+            # later hop would find this row empty too.
+            break
         for _draw in range(3):
             if not cands:
                 break
@@ -772,11 +776,24 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     reads are cached on p.lg (_grasp_tables) and hold no rewards, only
     facts of the graph and its budget, so a call returns the same result
     whichever calls ran on that LogGraph before.
+
+    Restarts often reach a state an earlier restart of the same call
+    reached, so two memos keyed by (tuple(path), cost) live for the call:
+    rcls holds a state's insertion count and candidate list, ends the
+    ranking key, path and reward its local search ends in. They give the
+    same results as recomputing. Within a call the rewards and the LogGraph
+    are fixed and the sort key is total, and _insertions, _local_search and
+    path_reward draw nothing from rng and read only (path, cost) besides
+    them. Each visit still adds its count to nodes_expanded and draws from
+    rng as before. cost belongs in the key because one node sequence can
+    carry different cost floats after different insertion orders. The
+    memos depend on the rewards, so they must not go on p.lg.
     """
     g = p.lg.graph
     rewards = p.rewards or {}
     rng = np.random.default_rng(seed)
     base, base_cost = _base_path(p)
+    rcls, ends = {}, {}
     best = None
     evaluated = 0
     for restart in range(max(1, restarts)):
@@ -786,19 +803,26 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
         else:
             path, cost = list(skeleton[0]), skeleton[1]
         while True:
-            visited = set(path)
-            cands = _insertions(p, path, cost, visited)
-            evaluated += len(cands)
-            if not cands:
+            at = (tuple(path), cost)
+            hit = rcls.get(at)
+            if hit is None:
+                cands = _insertions(p, path, cost, set(path))
+                cands.sort(key=lambda t: (-(rewards.get(t[0], 0.0) / max(t[2], 1e-12)), t[2], g.index[t[0]], t[1]))
+                # A tuple: the collector stops tracking tuples of plain values,
+                # where every kept list would be walked at each collection.
+                hit = rcls[at] = (len(cands), tuple(cands[:max(1, (len(cands) + 3) // 4)]))
+            count, rcl = hit
+            evaluated += count
+            if not count:
                 break
-            cands.sort(key=lambda t: (-(rewards.get(t[0], 0.0) / max(t[2], 1e-12)), t[2], g.index[t[0]], t[1]))
-            rcl = cands[:max(1, (len(cands) + 3) // 4)]
             j, pos, delta = rcl[rng.integers(len(rcl))]
             path.insert(pos, j)
             cost += delta
-        path, cost = _local_search(p, path, cost)
-        reward = path_reward(p, path)
-        key = (-reward, tuple(g.index[v] for v in path))
-        if best is None or key < best[0]:
-            best = (key, tuple(path), reward)
+        end = ends.get(at)
+        if end is None:
+            path, _cost = _local_search(p, path, cost)
+            reward = path_reward(p, path)
+            end = ends[at] = ((-reward, tuple(g.index[v] for v in path)), tuple(path), reward)
+        if best is None or end[0] < best[0]:
+            best = end
     return OracleResult(path=best[1], reward=best[2], exact=False, nodes_expanded=evaluated)

@@ -30,13 +30,35 @@ def test_fmt_is_short_and_stable():
     assert fmt(4.145567168435) == "4.14556717"
 
 
-def test_thread_count_env(monkeypatch):
+def test_thread_count_env(monkeypatch, capsys):
     monkeypatch.setenv("TSO_THREADS", "3")
     assert thread_count() == 3
     monkeypatch.setenv("TSO_THREADS", "0")
     assert thread_count() >= 1
     monkeypatch.delenv("TSO_THREADS")
     assert thread_count() >= 1
+    monkeypatch.setenv("TSO_THREADS", "abc")
+    assert main(["bench", "--suite", "hex"]) == 1
+    assert capsys.readouterr().err == "error: TSO_THREADS must be an integer, got 'abc'\n"
+
+
+def test_negative_seed_exits_one(tmp_path, capsys):
+    # Every subcommand with --seed names the flag; numpy's own message did
+    # not, and the exact oracle, which draws nothing, used to accept it.
+    inst = _gen(tmp_path)
+    plan = tmp_path / "plan.json"
+    assert main(["solve", str(inst), "--out", str(plan)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["gen", "--complete", "--nodes", "6"],
+        ["solve", str(inst)],
+        ["solve", str(inst), "--oracle", "heuristic"],
+        ["simulate", str(inst), "--plan", str(plan)],
+        ["bench", "--suite", "hex"],
+    ):
+        assert main(argv + ["--seed", "-1"]) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --seed must be >= 0, got -1\n"), argv
 
 
 def test_gen_complete_round_trip(tmp_path):

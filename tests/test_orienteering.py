@@ -293,6 +293,42 @@ def test_heuristic_calls_sharing_a_log_graph_match_fresh_ones():
                     fresh.path, fresh.reward, fresh.nodes_expanded), (seed, p_s, call)
 
 
+def _counted_heuristic_call(monkeypatch, p_s, name):
+    """(result, calls of orienteering.<name>) of one 64-restart seed-0 call on a ratio graph with every reward 1.0."""
+    g = tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, 0))
+    calls = []
+    inner = getattr(orienteering, name)
+
+    def counted(*args):
+        calls.append(name)
+        return inner(*args)
+
+    monkeypatch.setattr(orienteering, name, counted)
+    res = tso.solve_heuristic(_problem(g, rewards={v: 1.0 for v in g.node_ids}), seed=0, restarts=64)
+    return res, len(calls)
+
+
+@pytest.mark.parametrize("p_s, searches, path, reward, expanded", [
+    (0.8, 10, [0, 10, 4, 1, 8, 12, 14, 19], "7.0", 150),
+    (0.95, 1, [0, 19], "1.0", 0),
+])
+def test_restarts_reaching_one_state_share_its_local_search(monkeypatch, p_s, searches, path, reward, expanded):
+    # On a tight budget most of the 64 restarts end in a (path, cost) that an
+    # earlier restart of the call ended in, and local search runs once per
+    # distinct end state. The result was recorded before the memo existed.
+    res, calls = _counted_heuristic_call(monkeypatch, p_s, "_local_search")
+    assert calls == searches
+    assert (list(res.path), repr(res.reward), res.nodes_expanded) == (path, reward, expanded)
+
+
+def test_random_skeleton_stops_at_an_empty_candidate_row(monkeypatch):
+    # At p_s 0.95 no waypoint is affordable from the start, so each of the 63
+    # skeleton restarts reads the start's empty row once and stops.
+    res, calls = _counted_heuristic_call(monkeypatch, 0.95, "_leg_tree")
+    assert calls <= 63
+    assert (list(res.path), res.nodes_expanded) == ([0, 19], 0)
+
+
 def _scan_graphs():
     """(name, graph): complete and sparse digraphs, depot tours, arcs of survival
     1.0 (cost -0.0), and arc costs drawn from four values, so many tie."""
