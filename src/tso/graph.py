@@ -20,6 +20,14 @@ INF = float("inf")
 BUDGET_TOL = 1e-9
 
 
+def ordered_sum(xs) -> float:
+    """xs added left to right from 0.0: builtin sum() of floats is compensated from Python 3.12 on."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 class InfeasibleInstanceError(Exception):
     """No start-terminal path satisfies the survival constraint."""
 

@@ -22,23 +22,13 @@ from .graph import (
     has_feasible_path,
     log_transform,
     max_visit_probabilities,
+    ordered_sum,
 )
-# feasibility_check, discrete_derivative and visit_count_distribution are
-# not called here, but perfbench/tracing.py wraps them at tso.greedy.
-from .graph import feasibility_check  # noqa: F401
-from .objective import (  # noqa: F401
-    TeamPlan,
-    discrete_derivative,
-    edge_team_objective,
-    fold_visit_counts,
-    multi_visit_objective,
-    multi_visit_value,
-    profile_gain,
-    team_plan,
-    visit_count_distribution,
-    visit_profile,
-)
+from .objective import Coverage, TeamPlan, fold_visit_counts, multi_visit_value, node_coverage, team_plan, visit_profile
 from .orienteering import OrienteeringProblem, solve_arc_exact, solve_exact, solve_heuristic
+# Not called here, but perfbench/tracing.py wraps them at tso.greedy.
+from .graph import feasibility_check  # noqa: F401
+from .objective import discrete_derivative, edge_team_objective, multi_visit_objective, visit_count_distribution  # noqa: F401
 
 
 @dataclass
@@ -70,8 +60,13 @@ class GreedyResult:
     lg: LogGraph  # the log graph the run planned on; its bounds read the same one
     paths: list[tuple[int, ...]]
     gains: list[float]
+    values: list[float]  # values[k]: the variant's value of paths[:k + 1]
     plan: TeamPlan
-    variant_value: float | None = None
+
+    @property
+    def variant_value(self) -> float | None:
+        """The variant's value of the team paths; None for the node variant, whose value is the plan's objective."""
+        return None if self.config.variant == "node" else self.values[self.config.team_size - 1]
 
     @property
     def team_paths(self):
@@ -103,30 +98,30 @@ class RewardModel:
     """One reward variant and the paths chosen so far.
 
     It supplies the next robot's oracle problem, update(profile), which
-    takes in an added path's visit profile and returns its true gain (the
-    change in the variant's value), the value of a set of paths, and the U1
-    caps: one (a, extra, b, p, d) per reward d a walk start ~> a, extra,
-    b ~> terminal could collect with chance <= p.
+    takes in an added path's visit profile, appends the variant's value of
+    the paths so far to values and returns the path's true gain (the change
+    in that value), and the U1 caps: one (a, extra, b, p, d) per reward d a
+    walk start ~> a, extra, b ~> terminal could collect with chance <= p.
     """
 
     def __init__(self, g: SurvivalGraph, zeta):
         self.g = g
         self.zeta = zeta
         self.paths: list[tuple[int, ...]] = []
-        self.total = 0.0
+        self.values: list[float] = []
         # A visit counts from step 1, so the start only on depot tours.
         self.visitable = [j for j in g.node_ids if j != g.start or g.start == g.terminal]
 
     def add(self, path) -> float:
         """Record the next robot's path and return its true marginal gain."""
         prof = visit_profile(self.g, path)
-        gain = self.update(prof)
         self.paths.append(prof.path)
-        return gain
+        return self.update(prof)
 
-    def advance(self, new_value) -> float:
-        """Gain from the value of the paths so far to new_value, which becomes that value."""
-        gain, self.total = new_value - self.total, new_value
+    def advance(self, value) -> float:
+        """Record value as the value of the paths so far; return the gain over the last one."""
+        gain = value - (self.values[-1] if self.values else 0.0)
+        self.values.append(value)
         return gain
 
 
@@ -136,7 +131,7 @@ class NodeRewards(RewardModel):
     def __init__(self, g: SurvivalGraph, zeta):
         super().__init__(g, zeta)
         self.nu = {j: zeta[j] * g.priority(j) for j in g.node_ids}
-        self.profiles = []
+        self.cover = node_coverage(g, [])
 
     def problem(self, lg) -> OrienteeringProblem:
         return OrienteeringProblem(lg, rewards=dict(self.nu))
@@ -144,12 +139,11 @@ class NodeRewards(RewardModel):
     def update(self, prof) -> float:
         for n in range(1, len(prof.path)):
             self.nu[prof.path[n]] *= 1.0 - prof.survival_prefix[n]
-        gain = profile_gain(self.g, prof, self.profiles)
-        self.profiles.append(prof)
+        # discrete_derivative's sum of d * z * miss, not a difference of values.
+        gain = self.cover.gain(prof.visit_prob.items())
+        self.cover.fold(prof.visit_prob.items())
+        self.values.append(self.cover.value())
         return gain
-
-    def value(self, paths) -> float:
-        return team_plan(self.g, paths).objective
 
     def caps(self, lg, team_size):
         return [(j, 0.0, j, self.zeta[j], self.g.priority(j)) for j in self.visitable]
@@ -160,34 +154,23 @@ class EdgeRewards(RewardModel):
 
     def __init__(self, g: SurvivalGraph, zeta):
         super().__init__(g, zeta)
-        self.table = dict(g.edge_rewards) if g.edge_rewards else {(u, v): 1.0 for u, v, _w in g.edges}
-        self.w = {(u, v): zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.table.items()}
-        # Per rewarded edge, the chance that no robot so far has crossed it.
-        self.miss = dict.fromkeys(self.table, 1.0)
+        self.cover = Coverage(dict(g.edge_rewards) if g.edge_rewards else {(u, v): 1.0 for u, v, _w in g.edges})
+        self.w = {(u, v): zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.cover.table.items()}
 
     def problem(self, lg) -> OrienteeringProblem:
         return OrienteeringProblem(lg, edge_rewards=dict(self.w))
 
     def update(self, prof) -> float:
-        path = prof.path
-        for e, a in zip(zip(path, path[1:]), prof.survival_prefix[1:]):
+        for e, a in prof.crossings:
             if e in self.w:
                 self.w[e] *= 1.0 - a
-                self.miss[e] *= 1.0 - a
-        # An edge off the path keeps its miss (x * (1.0 - 0.0) == x), so this
-        # is edge_team_objective of every path so far, float for float.
-        total = 0.0
-        for e, d in self.table.items():
-            total += d * (1.0 - self.miss[e])
-        return self.advance(total)
-
-    def value(self, paths) -> float:
-        return edge_team_objective(self.g, paths, self.table)
+        self.cover.fold(prof.crossings)
+        return self.advance(self.cover.value())
 
     def caps(self, lg, team_size):
         # A robot traverses (u, v) with probability at most zeta_u * omega.
         zeta, survival = self.zeta, self.g.survival
-        return [(u, lg.costs[(u, v)], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.table.items()]
+        return [(u, lg.costs[(u, v)], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.cover.table.items()]
 
 
 class MultiVisitRewards(RewardModel):
@@ -203,24 +186,19 @@ class MultiVisitRewards(RewardModel):
 
     def problem(self, lg) -> OrienteeringProblem:
         # Node j is worth zeta_j times its expected next-visit reward.
-        nu = {}
-        for j in self.g.node_ids:
-            row, dp = self.mv.d[j], self.counts[j]
-            nu[j] = self.zeta[j] * sum(row[m] * dp[m] for m in range(min(self.mv.M, len(dp))))
+        nu = {j: self.zeta[j] * ordered_sum(d * p for d, p in zip(self.mv.d[j][: self.mv.M], self.counts[j]))
+              for j in self.g.node_ids}
         return OrienteeringProblem(lg, rewards=nu)
 
     def update(self, prof) -> float:
         fold_visit_counts(self.counts, prof)
         return self.advance(multi_visit_value(self.g, self.counts, self.mv.d, self.mv.M))
 
-    def value(self, paths) -> float:
-        return multi_visit_objective(self.g, paths, self.mv.d, self.mv.M)
-
     def caps(self, lg, team_size):
         # P(at least m robots visit) vanishes for m > K and is otherwise
         # at most the team visit probability.
         top = min(self.mv.M, team_size)
-        return [(j, 0.0, j, self.zeta[j], sum(self.mv.d[j][:top])) for j in self.visitable]
+        return [(j, 0.0, j, self.zeta[j], ordered_sum(self.mv.d[j][:top])) for j in self.visitable]
 
 
 MODELS = {"node": NodeRewards, "edge": EdgeRewards, "multi_visit": MultiVisitRewards}
@@ -245,17 +223,14 @@ def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
     The first team_size paths are the team plan; extra paths only sharpen
     the oversized-team bound. Marginal gains are true objective increments
     of each path against its predecessors (for the active variant), and
-    variant_value is the variant's value of the team paths (None for the
-    node variant, whose value is the plan's objective).
+    values[k] is the variant's value of the first k + 1 paths.
     """
     lg = log_transform(g)
     model = MODELS[cfg.variant](g, max_visit_probabilities(lg))
     if not has_feasible_path(lg):
         raise InfeasibleInstanceError("feasibility check found no start-terminal path within the survival budget")
     gains = [model.add(_oracle_call(cfg, model.problem(lg), k).path) for k in range(cfg.total_paths)]
-    team = model.paths[: cfg.team_size]
-    variant_value = None if isinstance(model, NodeRewards) else model.value(team)
-    return GreedyResult(cfg, lg, model.paths, gains, team_plan(g, team), variant_value)
+    return GreedyResult(cfg, lg, model.paths, gains, model.values, team_plan(g, model.paths[: cfg.team_size]))
 
 
 def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> BoundCertificate:
@@ -266,26 +241,29 @@ def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> Bound
     it only if the shortest way in plus the shortest way out fits the budget
     (every path collecting it induces such a walk); the start counts only on
     depot tours. u2 divides the value of the run's first K paths by
-    1 - exp(-p_s), u3 that of its first total_paths by their larger factor.
+    1 - exp(-p_s), u3 that of its first total_paths by their larger factor;
+    both values are the ones the run recorded as it planned.
     ζ and both distance maps are the ones the run memoized on run.lg.
     Heuristic-oracle certificates are not certified: the factor arguments
     assume an exact subproblem solver.
     """
+    if not (1 <= team_size <= len(run.paths) and 1 <= total_paths <= len(run.paths)):
+        raise ValueError(f"team_size {team_size} and total_paths {total_paths} must be in 1..{len(run.paths)}, the run's paths")
     lg, g, K = run.lg, run.lg.graph, team_size
     factor = 1.0 - math.exp(-g.p_s)
     model = MODELS[run.config.variant](g, max_visit_probabilities(lg))
     dist_in = lg.distances_from(g.start)
     dist_out = lg.distances_to(g.terminal)
-    u1 = sum(
+    u1 = ordered_sum(
         (1.0 - (1.0 - p) ** K) * d
         for a, extra, b, p, d in model.caps(lg, K)
         if dist_in[a] + extra + dist_out[b] <= lg.budget + BUDGET_TOL
     )
-    value = model.value(run.paths[:K])
+    value = run.values[K - 1]
     return BoundCertificate(
         u1=u1,
         u2=value / factor,
-        u3=model.value(run.paths[:total_paths]) / (1.0 - math.exp(-g.p_s * total_paths / K)),
+        u3=run.values[total_paths - 1] / (1.0 - math.exp(-g.p_s * total_paths / K)),
         factor=factor,
         value=value,
         certified=run.config.oracle == "exact",

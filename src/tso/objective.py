@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .graph import SurvivalGraph, check_path, json_int
+from .graph import SurvivalGraph, check_path, json_int, ordered_sum
 
 
 @dataclass
@@ -30,6 +30,11 @@ class VisitProfile:
 
     def z(self, node) -> float:
         return self.visit_prob.get(node, 0.0)
+
+    @property
+    def crossings(self):
+        """(edge, chance the robot crosses it) for each step of the path."""
+        return zip(zip(self.path, self.path[1:]), self.survival_prefix[1:])
 
 
 @dataclass
@@ -51,15 +56,44 @@ def visit_profile(g: SurvivalGraph, path) -> VisitProfile:
     return VisitProfile(path=tuple(path), survival_prefix=tuple(prefix), visit_prob=visit)
 
 
+class Coverage:
+    """Per key of a reward table, the chance that no robot so far collected it.
+
+    Each robot folds in as (key, chance) pairs; keys off the table are
+    skipped. Misses multiply in robot order and a key a robot misses keeps
+    its float (x * (1.0 - 0.0) == x), so greedy's running Coverage reads the
+    same bits as a fresh one folding the same paths.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.miss = dict.fromkeys(table, 1.0)
+
+    def fold(self, chances) -> None:
+        for k, p in chances:
+            if k in self.miss:
+                self.miss[k] *= 1.0 - p
+
+    def gain(self, chances) -> float:
+        """What folding in chances would add to value(): the sum of d * p * miss over them."""
+        return ordered_sum(self.table[k] * p * self.miss[k] for k, p in chances)
+
+    def value(self) -> float:
+        """The sum of d * (1 - miss) in table order."""
+        return ordered_sum(d * (1.0 - self.miss[k]) for k, d in self.table.items())
+
+
+def node_coverage(g: SurvivalGraph, profiles) -> Coverage:
+    """Node priorities covered by the robots of the given visit profiles."""
+    cover = Coverage({v: g.priority(v) for v in g.node_ids})
+    for pr in profiles:
+        cover.fold(pr.visit_prob.items())
+    return cover
+
+
 def team_visit_probability(g: SurvivalGraph, profiles) -> dict[int, float]:
     """Per node, the chance at least one robot visits it: 1 - prod(1 - z)."""
-    x = {}
-    for v in g.node_ids:
-        miss = 1.0
-        for pr in profiles:
-            miss *= 1.0 - pr.z(v)
-        x[v] = 1.0 - miss
-    return x
+    return {v: 1.0 - miss for v, miss in node_coverage(g, profiles).miss.items()}
 
 
 def team_objective(g: SurvivalGraph, paths):
@@ -73,9 +107,9 @@ def team_objective(g: SurvivalGraph, paths):
 
 def team_plan(g: SurvivalGraph, paths) -> TeamPlan:
     profiles = [visit_profile(g, p) for p in paths]
-    x = team_visit_probability(g, profiles)
-    j = sum(g.priority(v) * x[v] for v in g.node_ids)
-    return TeamPlan(paths=[tuple(p) for p in paths], profiles=profiles, objective=j, node_visit_prob=x)
+    cover = node_coverage(g, profiles)
+    x = {v: 1.0 - miss for v, miss in cover.miss.items()}
+    return TeamPlan(paths=[tuple(p) for p in paths], profiles=profiles, objective=cover.value(), node_visit_prob=x)
 
 
 def discrete_derivative(g: SurvivalGraph, candidate, existing) -> float:
@@ -84,18 +118,8 @@ def discrete_derivative(g: SurvivalGraph, candidate, existing) -> float:
     Equals sum_j E[z_j(candidate)] d_j prod_k (1 - E[z_j(rho_k)]), which is
     exactly the objective difference.
     """
-    return profile_gain(g, visit_profile(g, candidate), [visit_profile(g, p) for p in existing])
-
-
-def profile_gain(g: SurvivalGraph, cand: VisitProfile, existing) -> float:
-    """discrete_derivative on profiles already built: cand's gain over the existing profiles."""
-    gain = 0.0
-    for v, z in cand.visit_prob.items():
-        miss = 1.0
-        for pr in existing:
-            miss *= 1.0 - pr.z(v)
-        gain += g.priority(v) * z * miss
-    return gain
+    cover = node_coverage(g, [visit_profile(g, p) for p in existing])
+    return cover.gain(visit_profile(g, candidate).visit_prob.items())
 
 
 def visit_count_distribution(g: SurvivalGraph, profiles) -> dict[int, np.ndarray]:
@@ -144,17 +168,13 @@ def multi_visit_value(g: SurvivalGraph, counts, table, M: int) -> float:
         for a, b in zip(row, row[1:M]):
             if b > a + 1e-15:
                 raise ValueError(f"multi-visit rewards for node {v} increase with visit count")
-    total = 0.0
-    for v in g.node_ids:
-        row = table.get(v)
-        if row is None:
-            continue
-        dp = counts[v]
-        # P(at least m) via reversed cumulative sum of the count distribution.
-        at_least = np.cumsum(dp[::-1])[::-1]
-        for m in range(1, min(M, len(dp) - 1) + 1):
-            total += row[m - 1] * at_least[m]
-    return total
+    # P(at least m) via reversed cumulative sum of the count distribution.
+    at_least = {v: np.cumsum(dp[::-1])[::-1] for v, dp in counts.items()}
+    return ordered_sum(
+        table[v][m - 1] * at_least[v][m]
+        for v in g.node_ids if v in table
+        for m in range(1, min(M, len(at_least[v]) - 1) + 1)
+    )
 
 
 def edge_team_objective(g: SurvivalGraph, paths, rewards) -> float:
@@ -162,16 +182,10 @@ def edge_team_objective(g: SurvivalGraph, paths, rewards) -> float:
     for e in rewards:
         if e not in g.survival:
             raise ValueError(f"reward on missing edge {e}")
-    # Per path, edge (path[n-1], path[n]) is crossed with probability survival_prefix[n].
-    profiles = [visit_profile(g, p) for p in paths]
-    traversals = [dict(zip(zip(pr.path, pr.path[1:]), pr.survival_prefix[1:])) for pr in profiles]
-    total = 0.0
-    for e, d in rewards.items():
-        miss = 1.0
-        for tr in traversals:
-            miss *= 1.0 - tr.get(e, 0.0)
-        total += d * (1.0 - miss)
-    return total
+    cover = Coverage(rewards)
+    for p in paths:
+        cover.fold(visit_profile(g, p).crossings)
+    return cover.value()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, _tour_cost, tree_path
+from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, _tour_cost, ordered_sum, tree_path
 
 
 @dataclass
@@ -48,7 +48,7 @@ class OracleResult:
 def path_reward(p: OrienteeringProblem, path) -> float:
     """Reward actually collected by a path: nodes at steps >= 1, once each."""
     rewards = p.rewards or {}
-    return sum(rewards.get(v, 0.0) for v in path[1:])
+    return ordered_sum(rewards.get(v, 0.0) for v in path[1:])
 
 
 def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
@@ -464,12 +464,8 @@ def _base_path(p: OrienteeringProblem):
 
 
 def _path_cost(lg, path):
-    # Left to right, as the reversal scan of _local_search sums; sum() of
-    # floats compensates from Python 3.12 on and would not match it there.
-    cost = 0.0
-    for a, b in zip(path, path[1:]):
-        cost += lg.costs[(a, b)]
-    return cost
+    # Left to right, as the reversal scan of _local_search sums.
+    return ordered_sum(lg.costs[(a, b)] for a, b in zip(path, path[1:]))
 
 
 def _search(rows, src, dst, banned, cost, extra, limit):

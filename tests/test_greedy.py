@@ -337,3 +337,68 @@ def test_hex_team_paths_respect_survival(hexg):
     values = [tso.team_plan(hexg, res.paths[:k]).objective for k in range(5)]
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-12
+
+
+def _with_tables(g, seed):
+    """g with a non-increasing M=3 multi-visit row per node and a reward on every edge, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    table = tso.MultiVisitTable(M=3, d={v: sorted(rng.uniform(0.2, 1.0, 3).tolist(), reverse=True) for v in g.node_ids})
+    return tso.SurvivalGraph(
+        node_ids=g.node_ids, priorities=g.priorities, edges=g.edges, start=g.start, terminal=g.terminal,
+        p_s=g.p_s, multi_visit=table, edge_rewards={(u, v): float(rng.uniform(0.5, 1.5)) for u, v, _w in g.edges},
+    )
+
+
+def _value_from_scratch(g, variant, paths):
+    if variant == "edge":
+        return tso.edge_team_objective(g, paths, g.edge_rewards)
+    if variant == "multi_visit":
+        return tso.multi_visit_objective(g, paths, g.multi_visit.d, g.multi_visit.M)
+    return tso.team_plan(g, paths).objective
+
+
+_VALUE_CASES = [(f"hex-p{p_s}", tso.hex_instance(p_s=p_s), 6) for p_s in (0.5, 0.6, 0.7, 0.8, 0.9)] + [
+    (f"ratio-p{p_s}-r{rep}", tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, rep)), 3)
+    for p_s in (0.5, 0.7, 0.9) for rep in range(2)
+]
+
+
+@pytest.mark.parametrize("variant", tso.greedy.VARIANTS)
+@pytest.mark.parametrize("name, g0, team", _VALUE_CASES, ids=[c[0] for c in _VALUE_CASES])
+def test_run_values_are_from_scratch_values(variant, name, g0, team):
+    # The value the run records after each robot is the one the objective
+    # functions compute afresh on its paths so far, to the bit; the
+    # certificate's value is the team's entry and u3's the whole run's.
+    g = _with_tables(g0, 7)
+    run = tso.greedy_survivors(g, tso.GreedyConfig(team, oversize=2 * team, variant=variant))
+    assert len(run.values) == len(run.paths) == 2 * team
+    for k in range(len(run.paths)):
+        assert repr(run.values[k]) == repr(_value_from_scratch(g, variant, run.paths[: k + 1])), k
+    cert = tso.compute_bounds(run, team, 2 * team)
+    assert repr(cert.value) == repr(run.values[team - 1])
+    assert repr(run.variant_value) == repr(None if variant == "node" else run.values[team - 1])
+    if variant == "node":
+        assert repr(run.values[team - 1]) == repr(run.plan.objective)
+
+
+def test_bounds_read_the_run_without_replaying_it(monkeypatch):
+    # compute_bounds reads the values the run recorded; it builds no visit
+    # profile and no team plan.
+    g = _with_tables(tso.hex_instance(p_s=0.7), 7)
+    runs = [tso.greedy_survivors(g, tso.GreedyConfig(3, oversize=6, variant=v)) for v in tso.greedy.VARIANTS]
+    calls = []
+    for mod in (tso.greedy, tso.objective):
+        for name in ("visit_profile", "team_plan"):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    for run in runs:
+        tso.compute_bounds(run, 3, 6)
+    assert calls == []
+
+
+def test_bounds_refuse_a_prefix_the_run_does_not_have():
+    run = tso.greedy_survivors(tso.hex_instance(p_s=0.7), tso.GreedyConfig(2))
+    for team_size, total_paths in ((6, 2), (2, 6), (3, 3), (0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="must be in 1..2"):
+            tso.compute_bounds(run, team_size, total_paths)
+    assert tso.compute_bounds(run, 1, 2).value == run.values[0]

@@ -741,6 +741,24 @@ def test_greedy_search_effort_is_pinned(monkeypatch, variant, calls, total):
     assert (len(counts), sum(counts)) == (calls, total)
 
 
+def test_results_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # From Python 3.12 builtin sum() of floats is compensated. Shadowing it
+    # with math.fsum in the planning modules runs that arithmetic here: a GRASP
+    # pin and the multi-visit search effort must not move.
+    for mod in (tso.orienteering, tso.greedy, tso.objective):
+        monkeypatch.setattr(mod, "sum", math.fsum, raising=False)
+    pins = json.loads(HEURISTIC_PINS.read_text(encoding="utf-8"))
+    name, g, rewards = next(case for case in _heuristic_cases() if case[0] == "complete-1")
+    lg = tso.log_transform(g)
+    got = [_heuristic_record(tso.OrienteeringProblem(lg=lg, rewards=rewards), seed) for seed in range(3)]
+    assert got == pins[name]
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    g, cfg = _effort_case("multi_visit")
+    counts = _count_oracle_nodes(monkeypatch)
+    tso.greedy_survivors(g, cfg)
+    assert (len(counts), sum(counts)) == (36, 11_666)
+
+
 @pytest.mark.parametrize("variant, calls, prefixes", [
     ("node", 30, 14_451),
     ("edge", 36, 517),
