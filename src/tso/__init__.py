@@ -25,7 +25,6 @@ from .graph import (
     log_transform,
     max_visit_probabilities,
     save_instance,
-    shortest_path,
     validate_instance,
 )
 from .greedy import (
@@ -101,7 +100,6 @@ __all__ = [
     "plan_to_dict",
     "random_complete_instance",
     "save_instance",
-    "shortest_path",
     "simulate_team",
     "solve_arc_exact",
     "solve_exact",

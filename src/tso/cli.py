@@ -8,6 +8,7 @@ the optional --timing flag on bench is the single documented exception.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -171,8 +172,8 @@ def cmd_feasible(args) -> int:
 # ---------------------------------------------------------------------------
 # Benchmark suites
 
-def _bound_for_prefix(g, run, team_size):
-    """(J, certificate) of the first team_size paths of an oversized greedy run on g, read through run.lg."""
+def _bound_for_prefix(run, team_size):
+    """(J, certificate) of the first team_size paths of an oversized greedy run, read through run.lg."""
     cert = compute_bounds(run, team_size, min(OVERSIZE_PER_TEAM * team_size, len(run.paths)))
     return cert.value, cert
 
@@ -191,7 +192,7 @@ def _bench_cell(task):
     ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
     rows = []
     for team in range(1, max_team + 1):
-        j, cert = _bound_for_prefix(g, run, team)
+        j, cert = _bound_for_prefix(run, team)
         rows.append((label, g.num_nodes, team, p_s, "exact", j, cert.upper, j / cert.upper, ms))
     return rows
 
@@ -227,7 +228,15 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call (not at import) and reused.
+
+    Reuse is safe: parse_args returns a fresh Namespace on each call, no
+    argument has a mutable default, and set_defaults holds this module's
+    cmd_* functions, which look up greedy_survivors, compute_bounds and
+    simulate_team as module globals at call time. Do not change the result.
+    """
     p = argparse.ArgumentParser(prog="tso", description="Survival-constrained team path planning.")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -244,18 +244,6 @@ def dijkstra(lg: LogGraph, source, banned=frozenset(), reverse=False):
     return dist, parent
 
 
-def shortest_path(lg: LogGraph, source, target):
-    """Node sequence of a shortest source-target path, or None if unreachable.
-
-    It runs its own dijkstra rather than read lg.shortest_tree, so tests can
-    hold it against the memoized tree.
-    """
-    dist, parent = dijkstra(lg, source)
-    if dist[target] == INF:
-        return None
-    return tree_path(parent, source, target)
-
-
 def tree_path(parent, source, target):
     """Node sequence from source to target in a dijkstra parent tree rooted at source, or None."""
     if source == target:

@@ -148,7 +148,7 @@ def test_criterion_6_hex_depot_team(hexg):
         assert prof.survival_prefix[-1] >= 0.70 - 1e-9
     values = []
     for team in range(1, 7):
-        j, cert = _bound_for_prefix(hexg, run, team)
+        j, cert = _bound_for_prefix(run, team)
         assert j >= (1.0 - math.exp(-0.70)) * cert.upper - 1e-9
         values.append(j)
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))

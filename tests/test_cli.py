@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tso
-from tso.cli import CSV_HEADER, _bench_cell, fmt, main, thread_count
+from tso.cli import CSV_HEADER, _bench_cell, build_parser, fmt, main, thread_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -404,6 +405,44 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_is_reentrant(tmp_path, monkeypatch, capsys):
+    # One process reuses one parser across calls, an argparse error among
+    # them; each call must give what a fresh `python -m tso` gives, so no
+    # flag or default leaks from one call into the next.
+    calls = [
+        (["solve", "inst.json", "--team", "3", "--out", "plan3.json"], "plan3.json"),
+        (["solve", "inst.json", "--oracle", "nope"], None),
+        (["simulate", "inst.json", "--plan", "plan3.json", "--trials", "500", "--out", "sim.json"], "sim.json"),
+        (["solve", "inst.json", "--variant", "edge", "--out", "edge.json"], "edge.json"),
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for d in (here, fresh):
+        d.mkdir()
+        inst = str(d / "inst.json")
+        assert main(["gen", "--complete", "--nodes", "6", "--p-s", "0.6", "--team", "2", "--out", inst]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(here)
+    src = str(Path(tso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, out in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        got = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "tso", *argv], cwd=fresh, env=env, capture_output=True, text=True)
+        assert (rc, got.out) == (proc.returncode, proc.stdout), argv
+        assert got.err.splitlines()[-1:] == proc.stderr.splitlines()[-1:], argv
+        if out:
+            assert (here / out).read_bytes() == (fresh / out).read_bytes(), argv
+    assert rc == 0
+    assert len(json.loads((here / "edge.json").read_text())["paths"]) == 2
 
 
 def test_one_log_graph_per_run(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import math
 import pytest
 
 import tso
-from tso.graph import check_path
+from tso.graph import INF, check_path, tree_path
 
 import oracles
 
@@ -139,8 +139,9 @@ def test_dijkstra_reverse_agrees_with_forward():
 
 def test_shortest_path_nodes(diamond):
     lg = tso.log_transform(diamond)
-    assert tso.shortest_path(lg, 1, 4) == [1, 4]
-    assert tso.shortest_path(lg, 1, 2) == [1, 2]
+    parent = tso.dijkstra(lg, 1)[1]
+    assert tree_path(parent, 1, 4) == [1, 4]
+    assert tree_path(parent, 1, 2) == [1, 2]
     sparse = tso.SurvivalGraph(
         node_ids=[1, 2, 3],
         priorities={1: 1.0, 2: 1.0, 3: 1.0},
@@ -149,7 +150,9 @@ def test_shortest_path_nodes(diamond):
         terminal=3,
         p_s=0.5,
     )
-    assert tso.shortest_path(tso.log_transform(sparse), 1, 3) is None
+    dist, parent = tso.dijkstra(tso.log_transform(sparse), 1)
+    assert dist[3] == INF
+    assert tree_path(parent, 1, 3) is None
 
 
 def test_zeta_diamond_values(diamond):
