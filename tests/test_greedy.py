@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tso
+from tso.cli import main
 
 import oracles
 
@@ -379,6 +381,18 @@ def test_run_values_are_from_scratch_values(variant, name, g0, team):
     assert repr(run.variant_value) == repr(None if variant == "node" else run.values[team - 1])
     if variant == "node":
         assert repr(run.values[team - 1]) == repr(run.plan.objective)
+
+
+@pytest.mark.parametrize("variant", ["multi_visit", "edge"])
+@pytest.mark.parametrize("p_s", [0.5, 0.7])
+def test_depot_variant_solve_matches_golden(tmp_path, capsys, variant, p_s):
+    """Multi-visit and edge plans of a hex depot team are pinned across commits, as the bench CSVs are."""
+    inst = tmp_path / "inst.json"
+    tso.save_instance(_with_tables(tso.hex_instance(p_s=p_s), 7), inst)
+    plan = tmp_path / "plan.json"
+    assert main(["solve", str(inst), "--team", "6", "--oversize", "36", "--variant", variant, "--out", str(plan)]) == 0
+    golden = Path(__file__).parent / "data" / f"solve-hex-p{p_s}-{variant}.plan.json"
+    assert plan.read_bytes() == golden.read_bytes()
 
 
 def test_bounds_read_the_run_without_replaying_it(monkeypatch):
