@@ -129,10 +129,8 @@ def validate_instance(g: SurvivalGraph) -> list[str]:
                 problems.append(f"multi-visit row for node {v} has {len(row)} entries, expected {mv.M}")
             if not all(math.isfinite(x) for x in row):
                 problems.append(f"multi-visit row for node {v} has a non-finite entry")
-            for a, b in zip(row, row[1:]):
-                if b > a + 1e-15:
-                    problems.append(f"multi-visit rewards for node {v} increase with visit count")
-                    break
+            if any(b > a + 1e-15 for a, b in zip(row, row[1:])):
+                problems.append(f"multi-visit rewards for node {v} increase with visit count")
     if g.edge_rewards:
         for (u, v), d in g.edge_rewards.items():
             if (u, v) not in g.survival:
@@ -331,18 +329,12 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     for j in g.node_ids:
         if j == g.start:
             leg_cost[j] = _tour_cost(lg)[0] if g.start == g.terminal else INF
-            reachable[j] = leg_cost[j] <= lg.budget + BUDGET_TOL
-            continue
-        if dist_s[j] == INF:
-            reachable[j] = False
+        elif dist_s[j] == INF:
             leg_cost[j] = INF
-            continue
-        leg = tree_path(parent_s, g.start, j)
-        banned = frozenset(zip(leg, leg[1:]))
-        back = dijkstra(lg, j, banned=banned)[0][g.terminal]
-        total = dist_s[j] + back
-        leg_cost[j] = total
-        reachable[j] = total <= lg.budget + BUDGET_TOL
+        else:
+            leg = tree_path(parent_s, g.start, j)
+            leg_cost[j] = dist_s[j] + dijkstra(lg, j, banned=frozenset(zip(leg, leg[1:])))[0][g.terminal]
+        reachable[j] = leg_cost[j] <= lg.budget + BUDGET_TOL
     return FeasibilityReport(reachable=reachable, x_nonempty=has_feasible_path(lg), leg_cost=leg_cost)
 
 

@@ -24,7 +24,7 @@ from .graph import (
     max_visit_probabilities,
     ordered_sum,
 )
-from .objective import Coverage, TeamPlan, fold_visit_counts, multi_visit_value, node_coverage, team_plan, visit_profile
+from .objective import Coverage, TeamPlan, VisitCounts, node_coverage, team_plan, visit_profile
 from .orienteering import OrienteeringProblem, solve_arc_exact, solve_exact, solve_heuristic
 # Not called here, but perfbench/tracing.py wraps them at tso.greedy.
 from .graph import feasibility_check  # noqa: F401
@@ -181,18 +181,16 @@ class MultiVisitRewards(RewardModel):
             raise ValueError("multi-visit planning needs a reward row for every node")
         super().__init__(g, zeta)
         self.mv = g.multi_visit
-        # Per node, P(exactly m of the robots so far visit it), one robot folded in at a time.
-        self.counts = {j: [1.0] for j in g.node_ids}
+        self.counts = VisitCounts(g, self.mv.d, self.mv.M, [])
 
     def problem(self, lg) -> OrienteeringProblem:
         # Node j is worth zeta_j times its expected next-visit reward.
-        nu = {j: self.zeta[j] * ordered_sum(d * p for d, p in zip(self.mv.d[j][: self.mv.M], self.counts[j]))
-              for j in self.g.node_ids}
-        return OrienteeringProblem(lg, rewards=nu)
+        nu = zip(self.g.node_ids, self.counts.next_reward().tolist())
+        return OrienteeringProblem(lg, rewards={j: self.zeta[j] * r for j, r in nu})
 
     def update(self, prof) -> float:
-        fold_visit_counts(self.counts, prof)
-        return self.advance(multi_visit_value(self.g, self.counts, self.mv.d, self.mv.M))
+        self.counts.fold([prof])
+        return self.advance(self.counts.value())
 
     def caps(self, lg, team_size):
         # P(at least m robots visit) vanishes for m > K and is otherwise

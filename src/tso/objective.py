@@ -122,34 +122,53 @@ def discrete_derivative(g: SurvivalGraph, candidate, existing) -> float:
     return cover.gain(visit_profile(g, candidate).visit_prob.items())
 
 
+class VisitCounts:
+    """Per node in g.node_ids order, P(exactly m of the robots so far visit it), m = 0..robots: one row of c each.
+
+    fold runs the Poisson-binomial DP's per-node loop, dp[m] = dp[m] * q +
+    dp[m - 1] * p for m = robots..1 and then dp[0] *= q, as whole-row ops on
+    the path's rows: the same products and sums, so the same floats. value
+    and next_reward read table (the m-th visit to j pays table[j][m - 1],
+    checked once here) and add left to right from 0.0, never pairwise.
+    tests/oracles.py keeps the per-node loops as the reference.
+    """
+
+    def __init__(self, g: SurvivalGraph, table, M: int, profiles):
+        rising = [v for v, row in table.items() if any(b > a + 1e-15 for a, b in zip(row, row[1:M]))]
+        if rising:
+            raise ValueError(f"multi-visit rewards for node {rising[0]} increase with visit count")
+        self.index = g.index
+        self.rows = [g.index[v] for v in g.node_ids if v in table]
+        self.d = np.array([table[v][:M] for v in g.node_ids if v in table], dtype=float).reshape(len(self.rows), M)
+        self.c = np.ones((g.num_nodes, 1))
+        self.fold(profiles)
+
+    def fold(self, profiles) -> None:
+        for pr in profiles:
+            rows = [self.index[v] for v in pr.visit_prob]
+            p = np.array(list(pr.visit_prob.values())).reshape(-1, 1)
+            self.c = new = np.hstack([self.c, np.zeros((len(self.c), 1))])
+            old = new[rows]
+            new[rows, 1:] = old[:, 1:] * (1.0 - p) + old[:, :-1] * p
+            new[rows, :1] = old[:, :1] * (1.0 - p)
+
+    def value(self) -> float:
+        """sum_j sum_m table[j][m-1] * P(at least m visits to j), row-major over the table's nodes."""
+        top = min(self.d.shape[1], self.c.shape[1] - 1)
+        at_least = np.cumsum(self.c[self.rows, ::-1], axis=1)[:, ::-1]
+        return ordered_sum((self.d[:, :top] * at_least[:, 1:top + 1]).ravel().tolist())
+
+    def next_reward(self) -> np.ndarray:
+        """Per table node, what one more visit pays in expectation: sum_m table[j][m] * P(exactly m visits)."""
+        total = np.zeros(len(self.rows))
+        for m in range(min(self.d.shape[1], self.c.shape[1])):
+            total += self.d[:, m] * self.c[self.rows, m]
+        return total
+
+
 def visit_count_distribution(g: SurvivalGraph, profiles) -> dict[int, np.ndarray]:
-    """Per node, P(exactly m robots visit) for m = 0..q.
-
-    Successes are independent Bernoulli(E[z_j(rho_k)]); the distribution is
-    Poisson-binomial, computed by the usual dynamic program, one robot at a
-    time (fold_visit_counts).
-    """
-    counts = {v: [1.0] for v in g.node_ids}
-    for pr in profiles:
-        fold_visit_counts(counts, pr)
-    return {v: np.array(dp) for v, dp in counts.items()}
-
-
-def fold_visit_counts(counts: dict[int, list[float]], profile: VisitProfile) -> None:
-    """Add one robot to per-node count distributions (lists), in place.
-
-    Appending a zero and then updating performs exactly the float operations
-    of a table sized for every robot up front, whose tail is still zero. A
-    node the robot never visits (p = 0) keeps its values, since x * 1.0 + 0.0
-    == x, so only the path's nodes are updated.
-    """
-    for dp in counts.values():
-        dp.append(0.0)
-    for v, p in profile.visit_prob.items():
-        dp, q = counts[v], 1.0 - p
-        for m in range(len(dp) - 1, 0, -1):
-            dp[m] = dp[m] * q + dp[m - 1] * p
-        dp[0] *= q
+    """Per node, P(exactly m robots visit) for m = 0..q: Poisson-binomial in the robots' visit chances."""
+    return dict(zip(g.node_ids, VisitCounts(g, {}, 0, profiles).c))
 
 
 def multi_visit_objective(g: SurvivalGraph, paths, table, M: int) -> float:
@@ -158,23 +177,7 @@ def multi_visit_objective(g: SurvivalGraph, paths, table, M: int) -> float:
     Rows must be non-increasing in m (diminishing returns); the value is
     sum_j sum_m table[j][m-1] * P(at least m visits to j).
     """
-    profiles = [visit_profile(g, p) for p in paths]
-    return multi_visit_value(g, visit_count_distribution(g, profiles), table, M)
-
-
-def multi_visit_value(g: SurvivalGraph, counts, table, M: int) -> float:
-    """multi_visit_objective from per-node count distributions already built."""
-    for v, row in table.items():
-        for a, b in zip(row, row[1:M]):
-            if b > a + 1e-15:
-                raise ValueError(f"multi-visit rewards for node {v} increase with visit count")
-    # P(at least m) via reversed cumulative sum of the count distribution.
-    at_least = {v: np.cumsum(dp[::-1])[::-1] for v, dp in counts.items()}
-    return ordered_sum(
-        table[v][m - 1] * at_least[v][m]
-        for v in g.node_ids if v in table
-        for m in range(1, min(M, len(at_least[v]) - 1) + 1)
-    )
+    return VisitCounts(g, table, M, [visit_profile(g, p) for p in paths]).value()
 
 
 def edge_team_objective(g: SurvivalGraph, paths, rewards) -> float:

@@ -6,11 +6,16 @@ budget stops. The point
 is to pin the fast implementations against code that shares none of their
 machinery, so values these produce are frozen into tests as ground truth.
 
-``simulate_team_reference`` is the one exception: a verbatim copy of the
+``simulate_team_reference`` is one exception: a verbatim copy of the
 library's original trial-major Monte-Carlo loop, result type and path check
 included. A random estimate has no brute-force value to pin, so any faster
 loop is instead held to this one's exact output: the same stream, the same
 chunks and the same ``repr`` of the result.
+
+The multi-visit references at the end are the other: verbatim copies of the
+library's original per-node loops over count lists. The brute-force value
+agrees with them only to a tolerance, so the whole-table fold, value and
+next rewards are held to these loops' floats instead.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 
 import numpy as np
 
-from tso.graph import check_path
+from tso.graph import check_path, ordered_sum
 from tso.objective import SimulationResult
 
 BUDGET_TOL = 1e-9
@@ -365,3 +370,34 @@ def simulate_team_reference(g, paths, trials: int, seed=0) -> SimulationResult:
         se = 0.0
     freq = [c / trials for c in alive_counts]
     return SimulationResult(estimate=mean, std_error=se, survival_freq=freq, trials=trials)
+
+
+def fold_visit_counts_reference(counts: dict[int, list[float]], profile) -> None:
+    """Add one robot to per-node count distributions (lists), in place."""
+    for dp in counts.values():
+        dp.append(0.0)
+    for v, p in profile.visit_prob.items():
+        dp, q = counts[v], 1.0 - p
+        for m in range(len(dp) - 1, 0, -1):
+            dp[m] = dp[m] * q + dp[m - 1] * p
+        dp[0] *= q
+
+
+def multi_visit_value_reference(g, counts, table, M: int) -> float:
+    """The multi-visit value from per-node count distributions already built."""
+    for v, row in table.items():
+        for a, b in zip(row, row[1:M]):
+            if b > a + 1e-15:
+                raise ValueError(f"multi-visit rewards for node {v} increase with visit count")
+    # P(at least m) via reversed cumulative sum of the count distribution.
+    at_least = {v: np.cumsum(dp[::-1])[::-1] for v, dp in counts.items()}
+    return ordered_sum(
+        table[v][m - 1] * at_least[v][m]
+        for v in g.node_ids if v in table
+        for m in range(1, min(M, len(at_least[v]) - 1) + 1)
+    )
+
+
+def next_visit_reward_reference(g, counts, table, M: int) -> dict[int, float]:
+    """Per table node, the greedy model's expected next-visit reward before its factor zeta_j."""
+    return {j: ordered_sum(d * p for d, p in zip(table[j][:M], counts[j])) for j in g.node_ids if j in table}

@@ -124,6 +124,41 @@ def test_visit_count_distribution_matches_brute(probs):
     assert dist.tolist() == table.tolist()
 
 
+@st.composite
+def _visit_count_cases(draw):
+    """Shuffled node ids, M, per-robot visit chances and a non-increasing table over some of the nodes."""
+    ids = draw(st.permutations(range(10, 10 + draw(st.integers(1, 6)))))
+    M = draw(st.sampled_from([1, 2, 3, 5]))
+    chance = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    robots = [draw(st.dictionaries(st.sampled_from(ids), chance)) for _ in range(draw(st.integers(0, 7)))]
+    reward = st.floats(min_value=0.0, max_value=2.0)
+    covered = draw(st.lists(st.sampled_from(ids), unique=True))
+    table = {v: sorted(draw(st.lists(reward, min_size=M, max_size=M)), reverse=True) for v in covered}
+    return ids, M, robots, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_visit_count_cases())
+def test_visit_counts_match_the_per_node_loops(case):
+    # Bit for bit, after every robot: the count rows, the value and the next
+    # rewards of the whole-table fold against the original per-node loops.
+    ids, M, robots, table = case
+    g = tso.SurvivalGraph(node_ids=ids, priorities={}, edges=[], start=ids[0], terminal=ids[0], p_s=0.5)
+    counts = tso.objective.VisitCounts(g, table, M, [])
+    ref = {v: [1.0] for v in ids}
+    profiles = [tso.VisitProfile(path=(), survival_prefix=(1.0,), visit_prob=z) for z in robots]
+    for k in range(len(profiles) + 1):
+        if k:
+            counts.fold(profiles[k - 1:k])
+            oracles.fold_visit_counts_reference(ref, profiles[k - 1])
+        assert repr(counts.c.tolist()) == repr([ref[v] for v in ids]), k
+        assert repr(float(counts.value())) == repr(float(oracles.multi_visit_value_reference(g, ref, table, M))), k
+        want = oracles.next_visit_reward_reference(g, ref, table, M)
+        assert repr(counts.next_reward().tolist()) == repr([float(x) for x in want.values()]), k
+    dist = tso.visit_count_distribution(g, profiles)
+    assert repr({v: row.tolist() for v, row in dist.items()}) == repr(ref)
+
+
 def test_multi_visit_example():
     g = _line3()
     paths = [(1, 2, 3), (1, 2, 3)]
