@@ -1,7 +1,7 @@
 """Command-line front end: generate, solve, bound, simulate, benchmark.
 
 Exit codes: 0 success, 2 infeasible instance, 3 size-guard violation,
-1 any other error. All outputs are deterministic for fixed flags and seeds;
+1 any other error, a usage error included. All outputs are deterministic for fixed flags and seeds;
 the optional --timing flag on bench is the single documented exception.
 """
 
@@ -63,7 +63,8 @@ def _write_text(out, text):
 
 
 def _write_json(out, doc):
-    _write_text(out, json.dumps(doc, indent=2) + "\n")
+    # A non-finite float (an overflowed bound, say) raises ValueError here, before any file is opened.
+    _write_text(out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _checked(g):
@@ -145,8 +146,7 @@ def cmd_simulate(args) -> int:
             "trials": res.trials,
         })
     lines = [f"estimate {fmt(res.estimate)}", f"std_error {fmt(res.std_error)}"]
-    for k, f in enumerate(res.survival_freq):
-        lines.append(f"survival robot_{k} {fmt(f)}")
+    lines += [f"survival robot_{k} {fmt(f)}" for k, f in enumerate(res.survival_freq)]
     print("\n".join(lines))
     return 0
 
@@ -155,17 +155,13 @@ def cmd_feasible(args) -> int:
     g = _load_checked(args.instance)
     rep = feasibility_check(g)
     print(f"X nonempty: {str(rep.x_nonempty).lower()}")
-    if args.brute_force:
-        print("node reachable brute agree")
-        reachable = brute_force_reachable(g)
-        for v in g.node_ids:
-            truth = v in reachable
-            mark = "yes" if rep.reachable[v] == truth else "NO"
-            print(f"{v} {str(rep.reachable[v]).lower()} {str(truth).lower()} {mark}")
-    else:
-        print("node reachable")
-        for v in g.node_ids:
-            print(f"{v} {str(rep.reachable[v]).lower()}")
+    print("node reachable brute agree" if args.brute_force else "node reachable")
+    brute = brute_force_reachable(g) if args.brute_force else None
+    for v in g.node_ids:
+        line = f"{v} {str(rep.reachable[v]).lower()}"
+        if brute is not None:
+            line += f" {str(v in brute).lower()} {'yes' if rep.reachable[v] == (v in brute) else 'NO'}"
+        print(line)
     return 0
 
 
@@ -228,6 +224,19 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class UsageError(Exception):
+    """A command line the parser rejected, after it printed its usage and message lines to stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError, for main to return 1, not exit with 2 (infeasible)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise UsageError
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call (not at import) and reused.
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_* functions, which look up greedy_survivors, compute_bounds and
     simulate_team as module globals at call time. Do not change the result.
     """
-    p = argparse.ArgumentParser(prog="tso", description="Survival-constrained team path planning.")
+    p = _Parser(prog="tso", description="Survival-constrained team path planning.")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
@@ -292,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
+    except UsageError:
+        return 1
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

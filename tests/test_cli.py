@@ -431,10 +431,7 @@ def test_main_is_reentrant(tmp_path, monkeypatch, capsys):
     src = str(Path(tso.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv, out in calls:
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+        rc = main(argv)
         got = capsys.readouterr()
         proc = subprocess.run([sys.executable, "-m", "tso", *argv], cwd=fresh, env=env, capture_output=True, text=True)
         assert (rc, got.out) == (proc.returncode, proc.stdout), argv
@@ -496,8 +493,52 @@ def test_heuristic_solve_matches_golden(tmp_path, capsys):
 
 
 def test_bench_rejects_unknown_suite(capsys):
-    with pytest.raises(SystemExit):
-        main(["bench", "--suite", "cube"])
+    assert main(["bench", "--suite", "cube"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: tso bench")
+    assert err[-1] == "tso bench: error: argument --suite: invalid choice: 'cube' (choose from 'ratio', 'hex')"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "inst.json", "--oracle", "nope"], "tso solve: error: argument --oracle: invalid choice: 'nope'"),
+    (["simulate", "inst.json"], "tso simulate: error: the following arguments are required: --plan"),
+    (["cube"], "tso: error: argument command: invalid choice: 'cube'"),
+    (["solve", "inst.json", "--bogus"], "tso: error: unrecognized arguments: --bogus"),
+], ids=["invalid-choice", "missing-required", "unknown-subcommand", "unknown-flag"])
+def test_usage_errors_exit_one(capsys, argv, message):
+    # Exit code 2 means an infeasible instance; a usage error is "any other
+    # error" and returns 1 from main, with argparse's lines on stderr.
+    assert main(argv) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("usage: tso") and got.err.count("usage:") == 1
+    assert got.err.splitlines()[-1].startswith(message)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tso solve")
+
+
+@pytest.mark.parametrize("field, variant", [("priority", "node"), ("multi_visit", "multi_visit")])
+def test_non_json_output_exits_one(tmp_path, capsys, field, variant):
+    # A finite but huge entry passes validation and plans to an infinite
+    # bound; strict JSON has no Infinity or NaN, so nothing is written.
+    doc = _hex_doc_with(field, 1e308)
+    if field == "multi_visit":
+        doc["multi_visit"]["d"][4] = [1e308, 1e308]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    plan = tmp_path / "plan.json"
+    for out in (["--out", str(plan)], []):
+        assert main(["solve", str(inst), "--variant", variant, "--team", "2", *out]) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith("error: Out of range float values are not JSON compliant")
+        assert len(got.err.splitlines()) == 1
+    assert not plan.exists()
 
 
 def test_bench_csvs_match_golden(ratio_bench, tmp_path, monkeypatch):
