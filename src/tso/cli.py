@@ -22,7 +22,6 @@ from .graph import (
     feasibility_check,
     instance_to_dict,
     load_instance,
-    save_instance,
     validate_instance,
 )
 from .greedy import VARIANTS, GreedyConfig, bounds_to_dict, compute_bounds, greedy_survivors
@@ -91,11 +90,7 @@ def cmd_gen(args) -> int:
         )
     else:
         raise ValueError("choose --complete or --preset hex")
-    _checked(g)
-    if args.out:
-        save_instance(g, args.out)
-    else:
-        _write_json(None, instance_to_dict(g))
+    _write_json(args.out, instance_to_dict(_checked(g)))
     return 0
 
 

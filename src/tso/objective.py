@@ -146,11 +146,14 @@ class VisitCounts:
     def fold(self, profiles) -> None:
         for pr in profiles:
             rows = [self.index[v] for v in pr.visit_prob]
-            p = np.array(list(pr.visit_prob.values())).reshape(-1, 1)
-            self.c = new = np.hstack([self.c, np.zeros((len(self.c), 1))])
+            p = np.array(list(pr.visit_prob.values()))[:, None]
+            q = 1.0 - p
+            new = np.zeros((len(self.c), self.c.shape[1] + 1))
+            new[:, :-1] = self.c
             old = new[rows]
-            new[rows, 1:] = old[:, 1:] * (1.0 - p) + old[:, :-1] * p
-            new[rows, :1] = old[:, :1] * (1.0 - p)
+            new[rows, 1:] = old[:, 1:] * q + old[:, :-1] * p
+            new[rows, :1] = old[:, :1] * q
+            self.c = new
 
     def value(self) -> float:
         """sum_j sum_m table[j][m-1] * P(at least m visits to j), row-major over the table's nodes."""
@@ -160,9 +163,10 @@ class VisitCounts:
 
     def next_reward(self) -> np.ndarray:
         """Per table node, what one more visit pays in expectation: sum_m table[j][m] * P(exactly m visits)."""
+        c = self.c[self.rows]
         total = np.zeros(len(self.rows))
-        for m in range(min(self.d.shape[1], self.c.shape[1])):
-            total += self.d[:, m] * self.c[self.rows, m]
+        for m in range(min(self.d.shape[1], c.shape[1])):
+            total += self.d[:, m] * c[:, m]
         return total
 
 
