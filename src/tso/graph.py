@@ -445,6 +445,7 @@ def load_instance(path) -> SurvivalGraph:
 
 
 def save_instance(g: SurvivalGraph, path) -> None:
+    """Write g as strict JSON; ValueError, before the file is opened, on an infinite or NaN float."""
+    text = json.dumps(instance_to_dict(g), indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(g), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

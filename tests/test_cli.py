@@ -496,7 +496,8 @@ def test_bench_rejects_unknown_suite(capsys):
     assert main(["bench", "--suite", "cube"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: tso bench")
-    assert err[-1] == "tso bench: error: argument --suite: invalid choice: 'cube' (choose from 'ratio', 'hex')"
+    # Only the start: how argparse quotes the choices depends on the Python version.
+    assert err[-1].startswith("tso bench: error: argument --suite: invalid choice: 'cube' (choose from ")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -271,6 +271,15 @@ def test_instance_round_trip(tmp_path, loop5):
     assert back.priorities == loop5.priorities
 
 
+def test_save_instance_refuses_non_json_floats(tmp_path, hexg):
+    # json.load reads Infinity back, but strict JSON has no such value.
+    hexg.priorities[3] = math.inf
+    path = tmp_path / "inf.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        tso.save_instance(hexg, path)
+    assert not path.exists()
+
+
 def test_instance_dict_undirected_expansion():
     doc = {
         "version": 1,
