@@ -1,8 +1,8 @@
 """Command-line front end: generate, solve, bound, simulate, benchmark.
 
 Exit codes: 0 success, 2 infeasible instance, 3 size-guard violation,
-1 any other error, a usage error included. All outputs are deterministic for fixed flags and seeds;
-the optional --timing flag on bench is the single documented exception.
+1 any other error, a usage error included. Outputs are deterministic for
+fixed flags and seeds; bench --timing is the single documented exception.
 """
 
 from __future__ import annotations
@@ -141,7 +141,8 @@ def cmd_simulate(args) -> int:
             "trials": res.trials,
         })
     lines = [f"estimate {fmt(res.estimate)}", f"std_error {fmt(res.std_error)}"]
-    lines += [f"survival robot_{k} {fmt(f)}" for k, f in enumerate(res.survival_freq)]
+    for k, f in enumerate(res.survival_freq):
+        lines.append(f"survival robot_{k} {fmt(f)}")
     print("\n".join(lines))
     return 0
 
