@@ -53,24 +53,17 @@ def enumerate_feasible_paths(g: SurvivalGraph, max_nodes: int = 12) -> PathCatal
 
 
 def brute_force_reachable(g: SurvivalGraph, max_nodes: int = 12) -> set:
-    """Every node some feasible path visits after step 0, from one backward pass over the catalog.
+    """Every node some feasible path visits after step 0: the heads of the arcs in the catalog's table.
 
-    A prefix is live when it has a leaf step or a live child. The heads of
-    the leaf steps and of the steps into live children are the nodes on
-    feasible paths; no path is built.
+    Every arc there is a step of a feasible path, and every step of one is
+    there, so no path is built. Marking them a block at a time keeps
+    numpy's index temporaries small.
     """
     cat = _catalog(g, max_nodes, "brute-force feasibility")
-    on_path = np.zeros(g.num_nodes, bool)
-    live = np.zeros(0, bool)  # per prefix one step deeper than level d; the last level has none
-    for d in reversed(range(len(cat.levels))):
-        kid_parent, kid_arc, leaf_parent, leaf_arc = cat.levels[d]
-        on_path[cat.heads[leaf_arc]] = True
-        on_path[cat.heads[kid_arc[live]]] = True
-        live_here = np.zeros(len(cat.levels[d - 1][1]) if d else 1, bool)
-        live_here[leaf_parent] = True
-        live_here[kid_parent[live]] = True
-        live = live_here
-    return {g.node_ids[i] for i in np.flatnonzero(on_path)}
+    used = np.zeros(len(cat.arcs), bool)
+    for _lo, arcs in cat.blocks:
+        used[arcs] = True
+    return {cat.arcs[k][1] for k in np.flatnonzero(used).tolist()}
 
 
 def brute_force_feasibility(g: SurvivalGraph, node, max_nodes: int = 12) -> bool:

@@ -55,19 +55,19 @@ def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> Oracle
     """Best path for node rewards: the lexicographically smallest maximizer.
 
     The first call on a LogGraph lists every budget-feasible prefix of its
-    graph once, one depth at a time, into a PrefixCatalog kept on that
-    LogGraph; this and every later call there, such as greedy's
-    next robot, only sums its rewards over the catalog in numpy. Each
-    prefix's sum is its parent's sum plus the reward of its last step: the
-    same IEEE additions, in the same order, as the branch and bound's
-    `collected + reward[k]`, so each path's reward is bit-equal to the
-    search's. The search keeps its first strict improvement in DFS order,
-    the lexicographically smallest maximizer by node index; the catalog
-    picks the same leaf (PrefixCatalog.best), so both give the same path and
-    the same float. A depot robot stays home unless the best tour collects
-    more than 0.0. nodes_expanded of a catalog call is its number of
-    prefixes, root included: what the branch and bound expands without its
-    reward bound.
+    graph once, one depth at a time, and keeps its leaves, the feasible
+    paths, as one arc table in a PrefixCatalog on that LogGraph; this and
+    every later call there, such as greedy's next robot, only sums its
+    rewards over that table, one gather-add per row. Each leaf's sum adds
+    its arcs' rewards to 0.0 from the start on: the same IEEE additions, in
+    the same order, as the branch and bound's `collected + reward[k]`, so
+    each path's reward is bit-equal to the search's. The search keeps its
+    first strict improvement in DFS order, the lexicographically smallest
+    maximizer by node index; the catalog picks the same leaf
+    (PrefixCatalog.best), so both give the same path and the same float. A
+    depot robot stays home unless the best tour collects more than 0.0.
+    nodes_expanded of a catalog call is its number of prefixes, root
+    included: what the branch and bound expands without its reward bound.
 
     A catalog holds at most CATALOG_CAP prefixes. Above that its build
     stops, and this call and every later one on the same LogGraph run the
@@ -96,8 +96,8 @@ def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) ->
         rew = np.array([lookup(e, 0.0) for e in cat.arcs], dtype=float)
     top = cat.best(rew)
     if top is not None and (not depot or top[0] > 0.0):
-        reward, d, i = top
-        return OracleResult(path=cat.path(d, i), reward=reward, exact=True, nodes_expanded=cat.prefixes)
+        reward, i = top
+        return OracleResult(path=cat.path(i), reward=reward, exact=True, nodes_expanded=cat.prefixes)
     if not depot:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
     return OracleResult(path=(g.start,), reward=0.0, exact=True, nodes_expanded=cat.prefixes)
@@ -106,19 +106,29 @@ def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) ->
 # ---------------------------------------------------------------------------
 # Path catalog
 
-# A catalog holds at most this many prefixes. Stored, a prefix takes 4
-# bytes: its parent's position (uint16 while the parent's depth holds at
-# most 2^16 prefixes, uint32 past that) and its last arc (int16 up to 2^15
-# arcs). A leaf takes as much, and a prefix has at most one step into the
-# terminal, so leaves never outnumber prefixes: about 8 MiB at the cap, 12
-# MiB if depths are wide. The build also holds two depths' frontiers, each
-# prefix with a node index, a float64 cost and ceil(V / 64) uint64 words
-# (17 bytes up to 64 nodes), plus one chunk's tables. A call adds up to
-# about 40 bytes per prefix of its widest depth while it runs. The heaviest
-# benchmark graph (ratio draw 0 at p_s = 0.5) has 231,433 prefixes, 44,946
-# at its widest depth, and 71,414 leaves; its build traces a peak of about
-# 2.6 MiB.
+# A catalog holds at most this many prefixes. What it keeps is one arc per
+# (leaf, step): the sum of its leaves' depths, 2 bytes each (int16 up to
+# 2^15 arcs, int32 past that). A prefix has at most one step into the
+# terminal, so leaves never outnumber prefixes, but a leaf of d steps takes
+# d entries, so the table can outgrow the prefix count many times over.
+# While it runs, the build holds per prefix its parent's position in the
+# previous depth (uint16 while that depth holds at most 2^16 prefixes,
+# uint32 past that) and its last arc, as much per leaf, and two depths'
+# frontiers, each prefix with a node index, a float64 cost and ceil(V / 64)
+# uint64 words (17 bytes up to 64 nodes), plus one chunk's tables; it then
+# walks the leaves back into the table, freeing the depths as it goes. A
+# call holds a float64 sum per leaf and one block's gather while it runs,
+# and on a tie the tied leaves' positions. The heaviest benchmark
+# graph (ratio draw 0 at p_s = 0.5) has 231,433 prefixes, 44,946 at its
+# widest depth, and 71,414 leaves, whose table holds 708,918 arcs (1.4
+# MiB); its build traces a peak of about 2.6 MiB.
 CATALOG_CAP = 1 << 20
+
+# Arcs a call gathers at once: longer rows are scored in pieces, so that
+# no temporary outgrows 64 KiB. Freeing a larger one shrinks the heap, and
+# the next call faults its pages in again: on the heaviest benchmark graph
+# that made a call two to four times slower.
+_BLOCK = 8192
 
 # Parents expanded together by the build. A chunk's (parent, step) cost
 # table takes 8 KiB per step of the node with the most steps: 152 KiB on
@@ -128,75 +138,64 @@ _CHUNK = 1024
 
 @dataclass
 class PrefixCatalog:
-    """Every budget-feasible prefix of one LogGraph's start-terminal problem, one level per depth.
+    """Every budget-feasible start-terminal path of one LogGraph, as one arc table over its leaves.
 
     arcs lists the graph's arcs in (tail, head) index order and heads their
-    heads' node indices. levels[d] holds four arrays about the steps out of
-    the prefixes of d steps: the parent position in level d and the arc of
-    each prefix of d + 1 steps, then the parent position and the arc of each
-    leaf (a step into the terminal). Each list runs in parent order, then
-    in step order, which is the search's DFS order within one depth:
-    lexicographic by node index. Positions take the smallest unsigned dtype
-    that holds their parent level's width, arcs int16 while they fit.
-    prefixes counts the root too.
+    heads' node indices. A leaf, a prefix's step into the terminal, is one
+    feasible path. Leaves run deepest first, and rows[r] holds arc r of
+    every leaf of more than r steps, so no row is padded. blocks cuts rows
+    into (lo, arcs) pieces of at most _BLOCK arcs of leaves lo, lo + 1, ...
+    level_prefixes[d] counts the prefixes of d steps and level_leaves[d]
+    the leaves out of them; prefixes counts the root too.
     """
 
     start: int
     arcs: list
     heads: np.ndarray
-    levels: list
+    rows: list
+    blocks: list
+    level_prefixes: list
+    level_leaves: list
     prefixes: int
 
     def best(self, rew):
-        """(reward, depth, index) of the best leaf given each arc's reward; None without leaves.
+        """(reward, leaf) of the best leaf given each arc's reward; None without leaves.
 
-        A prefix's sum is its parent's plus the reward of its last arc, as
-        the search adds collected + reward[k]. The search keeps its first
-        strict improvement in DFS order, so among equal floats the leaf
-        whose node-index sequence is lexicographically smallest wins: within
-        a depth the first maximum, across depths the smaller sequence,
-        whichever depth holds it. Node ids play no part; only their index
-        order does.
+        Each leaf's sum adds its arcs' rewards to 0.0 from the start on,
+        block by block in row order, as the search adds collected +
+        reward[k]: the same floats. Among equal sums the search keeps the
+        first in DFS order, the smallest node-index sequence, which is the
+        smallest arc sequence, arcs being numbered in (tail, head) index
+        order from one start. Row by row, only the tied leaves with the
+        smallest arc there stay; no prefix enters the terminal, so no leaf
+        is a prefix of another and tied leaves agreeing so far all have the
+        next row.
         """
-        top = None
-        col = np.zeros(1)
-        for d, (kid_parent, kid_arc, leaf_parent, leaf_arc) in enumerate(self.levels):
-            if len(leaf_arc):
-                sums = col.take(leaf_parent)
-                sums += rew.take(leaf_arc)
-                i = int(np.argmax(sums))
-                r = float(sums[i])
-                if top is None or r > top[0] or (r == top[0] and self._arc_seq(d, i) < self._arc_seq(*top[1:])):
-                    top = (r, d, i)
-            col = col.take(kid_parent)
-            col += rew.take(kid_arc)
-        return top
+        if not self.rows:
+            return None
+        sums = np.zeros(len(self.rows[0]))
+        for lo, arcs in self.blocks:
+            sums[lo:lo + len(arcs)] += rew.take(arcs)
+        top = sums.max()
+        tied = np.flatnonzero(sums == top)
+        for row in self.rows:
+            if len(tied) == 1:
+                break
+            step = row.take(tied)
+            tied = tied[step == step.min()]
+        return float(top), int(tied[0])
 
-    def _arc_seq(self, d, i) -> tuple:
-        """Arc indices of leaf i of level d, from the start on.
-
-        Arcs are numbered in (tail, head) index order and every path leaves
-        the same start, so these tuples order as the node-index sequences.
-        """
-        _kp, _ka, leaf_parent, leaf_arc = self.levels[d]
-        seq = [int(leaf_arc[i])]
-        pos = leaf_parent[i]
-        for kid_parent, kid_arc, _lp, _la in reversed(self.levels[:d]):
-            seq.append(int(kid_arc[pos]))
-            pos = kid_parent[pos]
-        return tuple(reversed(seq))
-
-    def path(self, d, i) -> tuple:
-        """Node sequence of leaf i of level d."""
-        return (self.start,) + tuple(self.arcs[k][1] for k in self._arc_seq(d, i))
+    def path(self, i) -> tuple:
+        """Node sequence of leaf i."""
+        return (self.start,) + tuple(self.arcs[row[i]][1] for row in self.rows if i < len(row))
 
     def paths(self) -> list[tuple]:
         """Every leaf's node sequence in DFS order: lexicographic by node index."""
         seqs = []
-        level = [()]
-        for kid_parent, kid_arc, leaf_parent, leaf_arc in self.levels:
-            seqs += [level[q] + (k,) for q, k in zip(leaf_parent.tolist(), leaf_arc.tolist())]
-            level = [level[q] + (k,) for q, k in zip(kid_parent.tolist(), kid_arc.tolist())]
+        ends = [len(row) for row in self.rows]
+        # Leaves ends[k]..ends[k - 1] - 1 take k steps.
+        for k, (lo, hi) in enumerate(zip(ends[1:] + [0], ends), 1):
+            seqs += zip(*(row[lo:hi].tolist() for row in self.rows[:k]))
         seqs.sort()
         return [(self.start,) + tuple(self.arcs[k][1] for k in seq) for seq in seqs]
 
@@ -218,13 +217,14 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
     a step of cost w to the terminal is a leaf when `cost + w <= limit`,
     and a step to a free node u is a child unless
     `cost + w + to_t[u] > limit`: the search's own float expressions.
-    np.nonzero lists a chunk's children in parent order, then step order,
-    so each depth comes out in the search's order. There is no check on the
-    start, so an infeasible one gives a catalog without leaves. A step to
-    a node other than the terminal that fails its test at cost 0.0 is left
-    out of the table: costs are never negative and float addition is
-    monotone, so it would fail at every cost. The build stops, returning
-    None, as soon as the prefixes counted exceed CATALOG_CAP.
+    np.flatnonzero over a chunk's (parent, step) grid lists its children in
+    parent order, then step order, so each depth comes out in the search's
+    order. There is no check on the start, so an infeasible one gives a
+    catalog without leaves. A step to a node other than the terminal that
+    fails its test at cost 0.0 is left out of the table: costs are never
+    negative and float addition is monotone, so it would fail at every
+    cost. The build stops, returning None, as soon as the prefixes counted
+    exceed CATALOG_CAP.
     """
     g = lg.graph
     start, terminal = g.start, g.terminal
@@ -233,28 +233,29 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
     limit = lg.budget + BUDGET_TOL
     dist_to_t = lg.distances_to(terminal)
     arcs = _arcs(lg)
-    arc_of = {e: k for k, e in enumerate(arcs)}
     node_dt = np.min_scalar_type(n - 1)
     arc_dt = np.int16 if len(arcs) <= 1 << 15 else np.int32
     words = -(-n // 64)
 
     # Per node: its steps to other nodes, padded with infinite costs, and
     # the cost of its step to the terminal, infinite when it has none.
-    rows = [
-        [(u, lg.costs[(v, u)]) for u, _w in g.adjacency[v]
-         if u != terminal and lg.costs[(v, u)] + dist_to_t[u] <= limit]
-        for v in g.node_ids
-    ]
-    width = max(map(len, rows))
+    tails = np.repeat(np.arange(n), [len(g.adjacency[v]) for v in g.node_ids])
+    heads = np.array([idx[b] for _a, b in arcs], dtype=np.intp)
+    arc_w = np.array([lg.costs[e] for e in arcs])
+    head_t = np.array([dist_to_t[v] for v in g.node_ids])[heads]
+    into_t = heads == idx[terminal]
+    ks = np.flatnonzero(~into_t & (arc_w + head_t <= limit))
+    cell = tails[ks], np.arange(len(ks)) - tails[ks].searchsorted(tails[ks])
+    width = int(cell[1].max(initial=-1)) + 1
     head = np.zeros((n, width), node_dt)
     w = np.full((n, width), INF)
     to_t = np.zeros((n, width))
     arc = np.zeros((n, width), arc_dt)
-    leaf_w = np.array([lg.costs.get((v, terminal), INF) for v in g.node_ids])
-    leaf_k = np.array([arc_of.get((v, terminal), 0) for v in g.node_ids], arc_dt)
-    for i, (v, row) in enumerate(zip(g.node_ids, rows)):
-        for s, (u, c) in enumerate(row):
-            head[i, s], w[i, s], to_t[i, s], arc[i, s] = idx[u], c, dist_to_t[u], arc_of[(v, u)]
+    head[cell], w[cell], to_t[cell], arc[cell] = heads[ks], arc_w[ks], head_t[ks], ks
+    ks = np.flatnonzero(into_t)
+    leaf_w = np.full(n, INF)
+    leaf_k = np.zeros(n, arc_dt)
+    leaf_w[tails[ks]], leaf_k[tails[ks]] = arc_w[ks], ks
     word = (head >> 6).astype(np.intp).ravel()
     bit = np.left_shift(np.uint64(1), (head & 63).astype(np.uint64)).ravel()
     head, arc, w_flat = head.ravel(), arc.ravel(), w.ravel()
@@ -268,43 +269,61 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
     if prefixes > CATALOG_CAP:
         return None
     levels = []
+    level_prefixes = []
     while len(node):
+        level_prefixes.append(len(node))
         pos_dt = np.min_scalar_type(len(node) - 1)
         parts = []
+        vis_flat = vis.reshape(-1)
         for lo in range(0, len(node), _CHUNK):
             nd = node[lo:lo + _CHUNK].astype(np.intp)
             cs = cost[lo:lo + _CHUNK]
             leaf = np.flatnonzero(cs + leaf_w.take(nd) <= limit)
-            c = w[nd]
+            c = w.take(nd, axis=0)
             c += cs[:, None]
-            c += to_t[nd]
-            r, s = np.nonzero(c <= limit)
+            c += to_t.take(nd, axis=0)
+            fit = np.flatnonzero(c <= limit)
             del c
-            steps = nd.take(r) * width + s
+            r = fit // width
+            steps = nd.take(r) * width + (fit - r * width)
             r += lo
-            free = (vis[r, word.take(steps)] & bit.take(steps)) == 0
-            r, steps = r[free], steps[free]
+            at = r * words + word.take(steps)
+            keep = np.flatnonzero((vis_flat.take(at) & bit.take(steps)) == 0)
+            r, steps = r.take(keep), steps.take(keep)
             prefixes += len(r)
             if prefixes > CATALOG_CAP:
                 return None
             kid_vis = vis.take(r, axis=0)
-            kid_vis[np.arange(len(r)), word.take(steps)] |= bit.take(steps)
+            kid_vis.reshape(-1)[np.arange(0, len(r) * words, words) + word.take(steps)] |= bit.take(steps)
             parts.append((
                 r.astype(pos_dt), arc.take(steps), (leaf + lo).astype(pos_dt), leaf_k.take(nd.take(leaf)),
                 head.take(steps), cost.take(r) + w_flat.take(steps), kid_vis,
             ))
         # Join one field at a time, each freeing its chunks before the next.
         fields = [list(f) for f in zip(*parts)]
-        del node, cost, vis, parts
+        del node, cost, vis, vis_flat, parts
         kid_parent, kid_arc, leaf_parent, leaf_arc, node, cost, vis = (
             np.concatenate(fields.pop(0)) for _ in range(7))
         levels.append((kid_parent, kid_arc, leaf_parent, leaf_arc))
+
+    # Row r holds arc r of the leaves of more than r steps: those out of
+    # depths r and deeper, deepest first. The rows are slices of one array,
+    # which keeps the heap from fragmenting. Walking back from the deepest
+    # depth with a leaf, freeing each once read, pos holds the position in
+    # depth r + 1 of each deeper leaf's prefix of r + 1 steps.
+    level_leaves = [len(leaf_arc) for _kp, _ka, _lp, leaf_arc in levels]
+    lens = [m for m in np.cumsum(level_leaves[::-1])[::-1].tolist() if m]
+    del levels[len(lens):]
+    rows = np.split(np.empty(sum(lens), arc_dt), np.cumsum(lens)[:-1]) if lens else []
+    pos = np.zeros(0, np.intp)
+    for row in reversed(rows):
+        kid_parent, kid_arc, leaf_parent, leaf_arc = levels.pop()
+        np.concatenate((kid_arc.take(pos), leaf_arc), out=row)
+        pos = np.concatenate((kid_parent.take(pos), leaf_parent))
     return PrefixCatalog(
-        start=start,
-        arcs=arcs,
-        heads=np.array([idx[b] for _a, b in arcs], dtype=np.intp),
-        levels=levels,
-        prefixes=prefixes,
+        start=start, arcs=arcs, heads=heads, rows=rows,
+        blocks=[(lo, row[lo:lo + _BLOCK]) for row in rows for lo in range(0, len(row), _BLOCK)],
+        level_prefixes=level_prefixes, level_leaves=level_leaves, prefixes=prefixes,
     )
 
 
@@ -312,9 +331,9 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
 # Branch and bound: the fallback above CATALOG_CAP and the audit reference
 
 def _arcs(lg: LogGraph) -> list:
-    """The graph's arcs in (tail, head) index order: the arc numbering of catalogs and searches."""
-    idx = lg.graph.index
-    return sorted(lg.costs, key=lambda e: (idx[e[0]], idx[e[1]]))
+    """The graph's arcs in (tail, head) index order, as its index-sorted adjacency lists them: the arc numbering of catalogs and searches."""
+    g = lg.graph
+    return [(v, u) for v in g.node_ids for u, _w in g.adjacency[v]]
 
 
 def _node_table(lg: LogGraph, v, items, step_item, bit, dist_to_t):

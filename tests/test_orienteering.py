@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import timeit
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import tso
 from tso import orienteering
-from tso.graph import check_path, tree_path
+from tso.graph import check_path, ordered_sum, tree_path
 from tso.orienteering import _base_path, _path_cost, path_reward
 
 import oracles
@@ -622,6 +623,66 @@ def test_exact_oracles_on_adversarial_graphs(case):
             assert fast.path in maximizers
 
 
+@pytest.mark.parametrize("n, weight_min, p_s, depot", [
+    (8, 0.6, 0.3, True),
+    (9, 0.8, 0.5, False),
+    (10, 0.6, 0.3, False),
+])
+def test_catalog_ties_at_scale(monkeypatch, n, weight_min, p_s, depot):
+    # Thousands of leaves whose rewards come from {0.0, 0.5, 1.0}, half of
+    # them 0.0, so many tie at the top, within a depth and across depths.
+    # The catalog must pick the search's leaf, the first maximizer in
+    # lexicographic order, with the same float. Small blocks cut the long
+    # rows into several pieces, the last one short.
+    monkeypatch.setattr(orienteering, "_BLOCK", 1000)
+    g = tso.random_complete_instance(n, weight_min, 1.0, p_s, seed=(400, n))
+    if depot:
+        g = dataclasses.replace(g, terminal=g.start)
+    lg = tso.log_transform(g)
+    paths = tso.enumerate_feasible_paths(g).paths
+    rng = np.random.default_rng((401, n))
+    levels, odds = [0.0, 0.5, 1.0], [0.5, 0.25, 0.25]
+    most, across = {}, 0
+    for _draw in range(3):
+        nodes = {v: float(rng.choice(levels, p=odds)) for v in g.node_ids}
+        arcs = {(u, v): float(rng.choice(levels, p=odds)) for u, v, _ in g.edges}
+        for solve, kw, value in (
+            (tso.solve_exact, dict(rewards=nodes), lambda path: ordered_sum(nodes[v] for v in path[1:])),
+            (tso.solve_arc_exact, dict(edge_rewards=arcs), lambda path: ordered_sum(arcs[e] for e in zip(path, path[1:]))),
+        ):
+            got = solve(tso.OrienteeringProblem(lg=lg, **kw))
+            reference = solve(_problem(g, **kw), use_reward_bound=False)
+            assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)), solve.__name__
+            sums = [value(path) for path in paths]
+            top = max(sums)
+            tied = [path for path, r in zip(paths, sums) if r == top]
+            assert (got.path, got.reward) == (tied[0], top)
+            most[solve] = max(most.get(solve, 0), len(tied))
+            across += len({len(path) for path in tied}) > 1
+    assert len(paths) >= 2000 and min(most.values()) > 1 and across
+    assert len(_catalog(lg).blocks) > len(_catalog(lg).rows)
+
+
+def test_all_zero_rewards_tie_every_leaf():
+    # On an open path every leaf ties at 0.0, and the search keeps the first
+    # leaf in DFS order: the first of paths(). The tie step works on whole
+    # rows, so it costs about what the sums do, not a pass over 13k leaves.
+    g = tso.random_complete_instance(9, 0.8, 1.0, 0.3, seed=(400, 9))
+    lg = tso.log_transform(g)
+    for solve in (tso.solve_exact, tso.solve_arc_exact):
+        got = solve(tso.OrienteeringProblem(lg=lg))
+        paths = _catalog(lg).paths()
+        assert len(paths) >= 10_000
+        assert (got.path, repr(got.reward)) == (paths[0], "0.0")
+    cat = _catalog(lg)
+    zero, spread = np.zeros(len(cat.arcs)), np.random.default_rng(402).random(len(cat.arcs))
+
+    def fastest(rew):
+        return min(timeit.repeat(lambda: cat.best(rew), number=3, repeat=5))
+
+    assert fastest(zero) < 10 * fastest(spread)
+
+
 def _catalog(lg):
     """The one catalog that calls on lg have built."""
     (cat,) = lg._catalog_cache
@@ -809,7 +870,8 @@ HEAVY_LEAVES = [1, 7, 52, 228, 869, 2328, 4948, 8596, 12045, 13845, 12569, 8892,
 
 
 def test_heavy_catalog_shape_and_build_memory():
-    # The build holds two levels and one chunk's tables at a time: about
+    # The build holds every depth's parent positions and last arcs, two
+    # frontiers and one chunk's tables at a time, then the leaf table: about
     # 2.6 MiB traced at its peak, stored catalog included.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.5, seed=(0, 0))
     lg = tso.log_transform(g)
@@ -820,7 +882,8 @@ def test_heavy_catalog_shape_and_build_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert [1] + [len(kid_arc) for _kp, kid_arc, _lp, _la in cat.levels] == HEAVY_PREFIXES + [0]
-    assert [len(leaf_arc) for _kp, _ka, _lp, leaf_arc in cat.levels] == HEAVY_LEAVES
+    assert cat.level_prefixes == HEAVY_PREFIXES
+    assert cat.level_leaves == HEAVY_LEAVES
+    assert sum(map(len, cat.rows)) == sum(d * n for d, n in enumerate(HEAVY_LEAVES, 1)) == 708_918
     assert cat.prefixes == sum(HEAVY_PREFIXES) == 231_433
     assert len(cat.paths()) == sum(HEAVY_LEAVES) == 71_414
