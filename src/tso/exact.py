@@ -29,7 +29,7 @@ class PathCatalog:
 def _catalog(g: SurvivalGraph, max_nodes: int, what: str) -> orienteering.PrefixCatalog:
     """g's prefix catalog, whose leaves are its feasible paths.
 
-    A path is feasible when its log cost is at most budget + BUDGET_TOL, the
+    A path is feasible when its log cost is at most the LogGraph's limit, the
     test every oracle uses. Raises SizeGuardError, naming what, above
     max_nodes (callers may raise the limit deliberately; budget pruning is
     what actually keeps the search small) and when the catalog would exceed

@@ -59,18 +59,6 @@ class SurvivalGraph:
     def __post_init__(self):
         self.index = {v: i for i, v in enumerate(self.node_ids)}
         self.survival = {(u, v): w for u, v, w in self.edges}
-        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.node_ids}
-        radj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.node_ids}
-        for u, v, w in self.edges:
-            if u in adj and v in adj:
-                adj[u].append((v, w))
-                radj[v].append((u, w))
-        # Neighbor order fixed by node index so every traversal is deterministic.
-        for v in self.node_ids:
-            adj[v].sort(key=lambda t: self.index[t[0]])
-            radj[v].sort(key=lambda t: self.index[t[0]])
-        self.adjacency = adj
-        self.reverse_adjacency = radj
 
     @property
     def num_nodes(self) -> int:
@@ -167,8 +155,13 @@ def check_path(g: SurvivalGraph, path) -> None:
 @dataclass
 class LogGraph:
     graph: SurvivalGraph
-    costs: dict[tuple[int, int], float]
+    # The one arc table: costs[u][v] is the cost of arc (u, v), one dict per
+    # node with its heads in node-index order; into[v][u] is the same cost
+    # per head, its tails in index order.
+    costs: dict[int, dict[int, float]]
+    into: dict[int, dict[int, float]]
     budget: float
+    limit: float  # the budget test of every search: a log cost fits when <= limit
     _from_cache: dict = field(default_factory=dict, repr=False)
     _to_cache: dict = field(default_factory=dict, repr=False)
     # The exact oracle's path catalog: () until built, then (catalog,), with
@@ -195,16 +188,24 @@ class LogGraph:
 
 
 def log_transform(g: SurvivalGraph) -> LogGraph:
-    """Edge costs -ln(survival), budget -ln(p_s).
+    """Arc costs -ln(survival), budget -ln(p_s), and the limit every budget test reads.
 
     Raises ValueError on a survival outside (0, 1]: the searches and their
-    stop rules rely on costs >= 0.
+    stop rules rely on costs >= 0. Edges off node_ids are left out.
     """
+    idx = g.index
+    arcs = []
     for u, v, w in g.edges:
         if not 0.0 < w <= 1.0:
             raise ValueError(f"edge ({u},{v}) survival {w} out of (0,1]")
-    costs = {(u, v): -math.log(w) for u, v, w in g.edges}
-    return LogGraph(graph=g, costs=costs, budget=-math.log(g.p_s))
+        if u in idx and v in idx:
+            arcs.append((idx[u] * len(idx) + idx[v], u, v, -math.log(w)))
+    costs, into = {v: {} for v in g.node_ids}, {v: {} for v in g.node_ids}
+    # One sort by (tail, head) index puts both tables in index order.
+    for _key, u, v, c in sorted(arcs):
+        costs[u][v] = into[v][u] = c
+    budget = -math.log(g.p_s)
+    return LogGraph(graph=g, costs=costs, into=into, budget=budget, limit=budget + BUDGET_TOL)
 
 
 def dijkstra(lg: LogGraph, source, banned=frozenset(), reverse=False):
@@ -217,6 +218,7 @@ def dijkstra(lg: LogGraph, source, banned=frozenset(), reverse=False):
     """
     g = lg.graph
     idx = g.index
+    arcs = lg.into if reverse else lg.costs
     dist = {v: INF for v in g.node_ids}
     parent: dict[int, int | None] = {v: None for v in g.node_ids}
     dist[source] = 0.0
@@ -227,12 +229,10 @@ def dijkstra(lg: LogGraph, source, banned=frozenset(), reverse=False):
         if u in done:
             continue
         done.add(u)
-        nbrs = g.reverse_adjacency[u] if reverse else g.adjacency[u]
-        for v, _w in nbrs:
-            pair = (v, u) if reverse else (u, v)
-            if pair in banned:
+        for v, w in arcs[u].items():
+            if banned and ((v, u) if reverse else (u, v)) in banned:
                 continue
-            nd = d + lg.costs[pair]
+            nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = u
@@ -277,21 +277,19 @@ def max_visit_probabilities(lg: LogGraph) -> dict[int, float]:
 class FeasibilityReport:
     reachable: dict[int, bool]
     x_nonempty: bool
-    leg_cost: dict[int, float]
 
 
 def _tour_cost(lg: LogGraph):
     """Cheapest real return to the start (at least one edge), as (cost, last node before it).
 
     Reads the memoized distances from the start. Among equal costs the first
-    in-neighbour in reverse_adjacency order, that is by node index, wins;
-    (INF, None) when no return exists.
+    in-neighbour in lg.into[start], that is by node index, wins; (INF, None)
+    when no return exists.
     """
     start = lg.graph.start
     dist_s = lg.distances_from(start)
     return min(
-        ((dist_s[v] + lg.costs[(v, start)], v) for v, _w in lg.graph.reverse_adjacency[start]
-         if v != start and dist_s[v] < INF),
+        ((dist_s[v] + w, v) for v, w in lg.into[start].items() if v != start and dist_s[v] < INF),
         key=lambda t: t[0],
         default=(INF, None),
     )
@@ -305,7 +303,7 @@ def has_feasible_path(lg: LogGraph) -> bool:
     """
     g = lg.graph
     cost = _tour_cost(lg)[0] if g.start == g.terminal else lg.distances_from(g.start)[g.terminal]
-    return cost <= lg.budget + BUDGET_TOL
+    return cost <= lg.limit
 
 
 def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
@@ -325,17 +323,16 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     lg = log_transform(g)
     dist_s, parent_s = lg.shortest_tree(g.start)
     reachable = {}
-    leg_cost = {}
     for j in g.node_ids:
         if j == g.start:
-            leg_cost[j] = _tour_cost(lg)[0] if g.start == g.terminal else INF
+            cost = _tour_cost(lg)[0] if g.start == g.terminal else INF
         elif dist_s[j] == INF:
-            leg_cost[j] = INF
+            cost = INF
         else:
             leg = tree_path(parent_s, g.start, j)
-            leg_cost[j] = dist_s[j] + dijkstra(lg, j, banned=frozenset(zip(leg, leg[1:])))[0][g.terminal]
-        reachable[j] = leg_cost[j] <= lg.budget + BUDGET_TOL
-    return FeasibilityReport(reachable=reachable, x_nonempty=has_feasible_path(lg), leg_cost=leg_cost)
+            cost = dist_s[j] + dijkstra(lg, j, banned=frozenset(zip(leg, leg[1:])))[0][g.terminal]
+        reachable[j] = cost <= lg.limit
+    return FeasibilityReport(reachable=reachable, x_nonempty=has_feasible_path(lg))
 
 
 # ---------------------------------------------------------------------------

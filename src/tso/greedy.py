@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 from .graph import (
-    BUDGET_TOL,
     InfeasibleInstanceError,
     LogGraph,
     SurvivalGraph,
@@ -48,6 +47,8 @@ class GreedyConfig:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.variant == "edge" and self.oracle != "exact":
+            raise ValueError("edge-reward planning requires the exact oracle")
 
     @property
     def total_paths(self) -> int:
@@ -170,7 +171,7 @@ class EdgeRewards(RewardModel):
     def caps(self, lg, team_size):
         # A robot traverses (u, v) with probability at most zeta_u * omega.
         zeta, survival = self.zeta, self.g.survival
-        return [(u, lg.costs[(u, v)], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.cover.table.items()]
+        return [(u, lg.costs[u][v], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.cover.table.items()]
 
 
 class MultiVisitRewards(RewardModel):
@@ -205,8 +206,6 @@ VARIANTS = tuple(MODELS)
 
 def _oracle_call(cfg: GreedyConfig, problem: OrienteeringProblem, iteration: int):
     if problem.edge_rewards is not None:
-        if cfg.oracle != "exact":
-            raise ValueError("edge-reward planning requires the exact oracle")
         return solve_arc_exact(problem)
     if cfg.oracle == "exact":
         return solve_exact(problem)
@@ -255,7 +254,7 @@ def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> Bound
     u1 = ordered_sum(
         (1.0 - (1.0 - p) ** K) * d
         for a, extra, b, p, d in model.caps(lg, K)
-        if dist_in[a] + extra + dist_out[b] <= lg.budget + BUDGET_TOL
+        if dist_in[a] + extra + dist_out[b] <= lg.limit
     )
     value = run.values[K - 1]
     return BoundCertificate(

@@ -28,9 +28,6 @@ class VisitProfile:
     def survival(self) -> float:
         return self.survival_prefix[-1]
 
-    def z(self, node) -> float:
-        return self.visit_prob.get(node, 0.0)
-
     @property
     def crossings(self):
         """(edge, chance the robot crosses it) for each step of the path."""

@@ -27,11 +27,13 @@ class OrienteeringProblem:
     def __post_init__(self):
         if self.rewards is not None:
             for v, r in self.rewards.items():
+                if v not in self.lg.graph.index:
+                    raise ValueError(f"reward on unknown node {v}")
                 if r < 0 or r != r:
                     raise ValueError(f"negative or NaN reward on node {v}")
         if self.edge_rewards is not None:
             for e, r in self.edge_rewards.items():
-                if e not in self.lg.costs:
+                if e[1] not in self.lg.costs.get(e[0], ()):
                     raise ValueError(f"reward on missing edge {e}")
                 if r < 0 or r != r:
                     raise ValueError(f"negative or NaN reward on edge {e}")
@@ -85,6 +87,8 @@ def solve_arc_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> Or
 
 
 def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) -> OracleResult:
+    if (p.edge_rewards if kind == "node" else p.rewards) is not None:
+        raise ValueError(f"the {kind} oracle takes {kind} rewards only")
     g = p.lg.graph
     depot = g.start == g.terminal
     cat = prefix_catalog(p.lg) if use_reward_bound else None
@@ -213,7 +217,7 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
     Each depth's frontier holds, per prefix, its node index, its cost and
     its visited nodes as ceil(V / 64) uint64 words in which the terminal's
     bit is 0. It is expanded _CHUNK prefixes at a time against a padded
-    (node, step) table in adjacency order. Out of a prefix of cost `cost`,
+    (node, step) table in lg.costs order. Out of a prefix of cost `cost`,
     a step of cost w to the terminal is a leaf when `cost + w <= limit`,
     and a step to a free node u is a child unless
     `cost + w + to_t[u] > limit`: the search's own float expressions.
@@ -230,7 +234,7 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
     start, terminal = g.start, g.terminal
     idx = g.index
     n = len(g.node_ids)
-    limit = lg.budget + BUDGET_TOL
+    limit = lg.limit
     dist_to_t = lg.distances_to(terminal)
     arcs = _arcs(lg)
     node_dt = np.min_scalar_type(n - 1)
@@ -239,9 +243,9 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
 
     # Per node: its steps to other nodes, padded with infinite costs, and
     # the cost of its step to the terminal, infinite when it has none.
-    tails = np.repeat(np.arange(n), [len(g.adjacency[v]) for v in g.node_ids])
+    tails = np.repeat(np.arange(n), [len(row) for row in lg.costs.values()])
     heads = np.array([idx[b] for _a, b in arcs], dtype=np.intp)
-    arc_w = np.array([lg.costs[e] for e in arcs])
+    arc_w = np.array([c for row in lg.costs.values() for c in row.values()])
     head_t = np.array([dist_to_t[v] for v in g.node_ids])[heads]
     into_t = heads == idx[terminal]
     ks = np.flatnonzero(~into_t & (arc_w + head_t <= limit))
@@ -331,16 +335,15 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
 # Branch and bound: the fallback above CATALOG_CAP and the audit reference
 
 def _arcs(lg: LogGraph) -> list:
-    """The graph's arcs in (tail, head) index order, as its index-sorted adjacency lists them: the arc numbering of catalogs and searches."""
-    g = lg.graph
-    return [(v, u) for v in g.node_ids for u, _w in g.adjacency[v]]
+    """The graph's arcs in (tail, head) index order, as lg.costs lists them: the arc numbering of catalogs and searches."""
+    return [(v, u) for v, row in lg.costs.items() for u in row]
 
 
 def _node_table(lg: LogGraph, v, items, step_item, bit, dist_to_t):
     """Bound items (need, head bit, k) and steps (u, cost, dist_to_t[u], bit of u, k) of node v."""
     dv = lg.distances_from(v)
     bound = [(dv[a] + extra + dist_to_t[b], bit[b], k) for k, (a, extra, b) in enumerate(items)]
-    steps = [(u, lg.costs[(v, u)], dist_to_t[u], bit[u], step_item[(v, u)]) for u, _w in lg.graph.adjacency[v]]
+    steps = [(u, w, dist_to_t[u], bit[u], step_item[(v, u)]) for u, w in lg.costs[v].items()]
     return bound, steps
 
 
@@ -363,14 +366,22 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
     only improves strictly, so the first maximizer reached is the
     lexicographically smallest one. Pruning: (a) the cheapest completion
     exceeds the remaining budget, (b) current reward plus every item still
-    in reach cannot beat the incumbent (admissible, so rule (b) never
-    removes the returned optimum; it can be disabled for audits). Sums run
-    in item order and every budget test keeps one float expression.
+    in reach cannot beat the incumbent; it can be disabled for audits.
+    Every budget test keeps one float expression.
+
+    Rule (b) holds in floats too. A completion pays collected plus some of
+    the terms the bound adds, so its exact sum is at most the bound's. Both
+    floats are left-to-right sums of at most N = len(items) terms >= 0 after
+    collected, each within a factor 1 +- N*u/(1 - N*u) of its exact sum (u =
+    2^-53), so the completion's is at most bound * (1 + 4N*u). Rule (b)
+    prunes only when bound * (1 + 8N*u), the slack factor exact in a float,
+    is at most the incumbent; rounding the product loses at most a factor
+    1 - u. Without the slack, 1e-16 + 1.0 + 1e-16 in item order gave 1.0 and
+    pruned a path that collects 1e-16 + 1e-16 + 1.0 = 1.0000000000000002.
     """
     lg = p.lg
     g = lg.graph
-    start, terminal, budget = g.start, g.terminal, lg.budget
-    limit = budget + BUDGET_TOL
+    start, terminal, budget, limit = g.start, g.terminal, lg.budget, lg.limit
     depot = start == terminal
     dist_to_t = lg.distances_to(terminal)
     idx = g.index
@@ -379,10 +390,11 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
         keys, items = g.node_ids, [(j, 0.0, j) for j in g.node_ids]
         step_item = {(a, b): idx[b] for a, b in arcs}
     else:
-        keys, items = arcs, [(a, lg.costs[(a, b)], b) for a, b in arcs]
+        keys, items = arcs, [(a, lg.costs[a][b], b) for a, b in arcs]
         step_item = {e: k for k, e in enumerate(arcs)}
     bit = {v: 0 if v == terminal else 1 << i for i, v in enumerate(g.node_ids)}
     reward = [lookup(key, 0.0) for key in keys]
+    slack = 1.0 + len(items) * 2.0 ** -50
     tables = {}
 
     # A depot robot may stay home; an open path has no incumbent yet.
@@ -402,7 +414,7 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
             for need, head, k in bound_items:
                 if need <= room and not visited & head:
                     bound += reward[k]
-            if bound <= best_reward:
+            if bound * slack <= best_reward:
                 return
         for u, w, to_t, b, k in steps:
             if visited & b:
@@ -434,10 +446,10 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
 # GRASP heuristic
 
 def _grasp_tables(lg: LogGraph):
-    """(rows, cost_of, legs, trees) of lg, built by its first GRASP call and kept for every later one.
+    """(rows, legs, trees) of lg, built by its first GRASP call and kept for every later one.
 
-    rows[v] holds v's out-arcs as (cost, head), stable-sorted by cost, and
-    cost_of[a][b] is the cost of arc (a, b). legs maps (src, dst,
+    rows[v] holds v's out-arcs as (cost, head), lg.costs[v] stable-sorted by
+    cost, so heads of equal cost stay in index order. legs maps (src, dst,
     frozenset(banned)) to a (leg, cost) entry of _leg_avoiding, and trees
     maps a source to its _leg_tree. None of them holds rewards, so the
     calls of a greedy run, which share one LogGraph, share them too.
@@ -452,20 +464,15 @@ def _grasp_tables(lg: LogGraph):
     is needed.
     """
     if lg._grasp_cache is None:
-        costs = lg.costs
-        rows = {
-            v: tuple(sorted(((costs[(v, u)], u) for u, _w in nbrs), key=lambda t: t[0]))
-            for v, nbrs in lg.graph.adjacency.items()
-        }
-        lg._grasp_cache = (rows, {v: {u: c for c, u in row} for v, row in rows.items()}, {}, {})
+        rows = {v: tuple(sorted(((c, u) for u, c in row.items()), key=lambda t: t[0])) for v, row in lg.costs.items()}
+        lg._grasp_cache = (rows, {}, {})
     return lg._grasp_cache
 
 
 def _base_path(p: OrienteeringProblem):
     """Cheapest feasible skeleton: shortest return for depots, shortest path otherwise."""
     lg = p.lg
-    start, terminal = lg.graph.start, lg.graph.terminal
-    limit = lg.budget + BUDGET_TOL
+    start, terminal, limit = lg.graph.start, lg.graph.terminal, lg.limit
     # Each cost is bit-equal to _path_cost of its path. dijkstra last set
     # every dist[v] together with parent[v], an equal-distance parent switch
     # included, as dist[parent[v]] + cost(parent[v], v), with dist[parent[v]]
@@ -484,7 +491,7 @@ def _base_path(p: OrienteeringProblem):
 
 def _path_cost(lg, path):
     # Left to right, as the reversal scan of _local_search sums.
-    return ordered_sum(lg.costs[(a, b)] for a, b in zip(path, path[1:]))
+    return ordered_sum(lg.costs[a][b] for a, b in zip(path, path[1:]))
 
 
 def _search(rows, src, dst, banned, cost, extra, limit):
@@ -533,16 +540,15 @@ def _leg_tree(lg, src):
     node that fails it at cost 0.0: float addition is monotone and costs
     are >= 0 (see _grasp_tables).
     """
-    rows, _cost_of, _legs, trees = _grasp_tables(lg)
+    rows, _legs, trees = _grasp_tables(lg)
     tree = trees.get(src)
     if tree is None:
         g = lg.graph
-        limit = lg.budget + BUDGET_TOL
         dist_t = lg.distances_to(g.terminal)
-        dist, prev = _search(rows, src, None, (), 0.0, 0.0, limit)
+        dist, prev = _search(rows, src, None, (), 0.0, 0.0, lg.limit)
         cands = [
             (j, dist[j], dist_t[j]) for j in g.node_ids
-            if j != g.terminal and j in dist and dist[j] + dist_t[j] <= limit
+            if j != g.terminal and j in dist and dist[j] + dist_t[j] <= lg.limit
         ]
         tree = trees[src] = (dist, prev, cands)
     return tree
@@ -584,18 +590,17 @@ def _leg_avoiding(lg, src, dst, banned, cost):
     tests again whether it fits. A None answers only queries at its cost or
     above, where the leg fits no better; any other query searches again.
     """
-    limit = lg.budget + BUDGET_TOL
     extra = lg.distances_to(lg.graph.terminal)[dst]
     dist, prev, _cands = _leg_tree(lg, src)
     nodes = _tree_leg(prev, src, dst, banned)
     if nodes is not None:
-        return (nodes, dist[dst]) if cost + dist[dst] + extra <= limit else None
-    rows, _cost_of, legs, _trees = _grasp_tables(lg)
+        return (nodes, dist[dst]) if cost + dist[dst] + extra <= lg.limit else None
+    rows, legs, _trees = _grasp_tables(lg)
     key = (src, dst, frozenset(banned))
     hit = legs.get(key)
     if hit is not None and (hit[0] is not None or cost >= hit[1]):
         return hit[0]
-    dist, prev = _search(rows, src, dst, banned, cost, extra, limit)
+    dist, prev = _search(rows, src, dst, banned, cost, extra, lg.limit)
     nodes = _tree_leg(prev, src, dst, banned)
     leg = None if nodes is None else (nodes, dist[dst])
     legs[key] = (leg, cost)
@@ -632,7 +637,7 @@ def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
     g = lg.graph
     terminal = g.terminal
     dist_t = lg.distances_to(terminal)
-    limit = lg.budget + BUDGET_TOL
+    limit = lg.limit
     path = [g.start]
     used = {g.start}
     waypoints = [0]
@@ -680,19 +685,20 @@ def _insertions(p: OrienteeringProblem, path, cost, visited):
     the same test with jb >= 0 left out, which never fails where the test
     passes (see _grasp_tables), and fails for every costlier arc after it.
     """
-    rows, cost_of, _legs, _trees = _grasp_tables(p.lg)
+    rows = _grasp_tables(p.lg)[0]
+    costs = p.lg.costs
     rewards = p.rewards or {}
-    limit = p.lg.budget + BUDGET_TOL
+    limit = p.lg.limit
     index = p.lg.graph.index
     out = []
     for i, (a, b) in enumerate(zip(path, path[1:]), 1):
-        ab = cost_of[a][b]
+        ab = costs[a][b]
         for aj, j in rows[a]:
             if cost + (aj - ab) > limit:
                 break
             if j in visited or rewards.get(j, 0.0) <= 0.0:
                 continue
-            jb = cost_of[j].get(b)
+            jb = costs[j].get(b)
             if jb is None:
                 continue
             delta = aj + jb - ab
@@ -711,7 +717,7 @@ def _local_search(p: OrienteeringProblem, path, cost):
     at the first round that finds neither a drop nor a reversal.
     """
     g = p.lg.graph
-    _rows, cost_of, _legs, _trees = _grasp_tables(p.lg)
+    costs = p.lg.costs
     rewards = p.rewards or {}
     while True:
         improved = False
@@ -721,10 +727,10 @@ def _local_search(p: OrienteeringProblem, path, cost):
             if rewards.get(j, 0.0) > 0.0:
                 continue
             a, b = path[i - 1], path[i + 1]
-            ab = cost_of[a].get(b)
+            ab = costs[a].get(b)
             if ab is None:
                 continue
-            delta = ab - cost_of[a][j] - cost_of[j][b]
+            delta = ab - costs[a][j] - costs[j][b]
             if delta < -1e-12:
                 del path[i]
                 cost += delta
@@ -741,26 +747,26 @@ def _local_search(p: OrienteeringProblem, path, cost):
             for k in range(n - 1):
                 run, row = 0.0, {}
                 for i in range(k - 1, 0, -1):
-                    w = cost_of[path[i + 1]].get(path[i])
+                    w = costs[path[i + 1]].get(path[i])
                     if w is None:
                         break
                     run += w
                     row[i] = run
                 back.append(row)
             for i in range(1, n - 1):
-                from_a, head = cost_of[path[i - 1]], path[i]
+                from_a, head = costs[path[i - 1]], path[i]
                 fwd = 0.0
                 for k in range(i + 1, n - 1):
                     tail = path[k]
-                    fwd += cost_of[path[k - 1]][tail]
+                    fwd += costs[path[k - 1]][tail]
                     rev = back[k].get(i)
                     if rev is None:
                         break
                     b = path[k + 1]
-                    a_tail, head_b = from_a.get(tail), cost_of[head].get(b)
+                    a_tail, head_b = from_a.get(tail), costs[head].get(b)
                     if a_tail is None or head_b is None:
                         continue
-                    old = from_a[head] + fwd + cost_of[tail][b]
+                    old = from_a[head] + fwd + costs[tail][b]
                     new = a_tail + rev + head_b
                     if new < old - 1e-12:
                         path[i:k + 1] = path[i:k + 1][::-1]
@@ -804,6 +810,8 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     carry different cost floats after different insertion orders. The
     memos depend on the rewards, so they must not go on p.lg.
     """
+    if p.edge_rewards is not None:
+        raise ValueError("the GRASP oracle takes node rewards only")
     g = p.lg.graph
     rewards = p.rewards or {}
     rng = np.random.default_rng(seed)

@@ -36,7 +36,7 @@ def test_criterion_1_pairwise_team_visit(loop5):
     """Two robots passing one node at 0.96 each cover it at 0.9984."""
     tour = (1, 3, 5, 2, 1)
     profiles = [tso.visit_profile(loop5, tour) for _ in range(2)]
-    assert profiles[0].z(5) == pytest.approx(0.96, abs=1e-12)
+    assert profiles[0].visit_prob[5] == pytest.approx(0.96, abs=1e-12)
     x = tso.team_visit_probability(loop5, profiles)
     assert x[5] == pytest.approx(0.9984, abs=1e-12)
 

@@ -4,10 +4,11 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import tso
-from tso.graph import INF, check_path, tree_path
+from tso.graph import INF, _tour_cost, check_path, tree_path
 
 import oracles
 
@@ -103,9 +104,35 @@ def test_check_path_rules(diamond, loop5):
 
 def test_log_transform_costs(diamond):
     lg = tso.log_transform(diamond)
-    assert lg.costs[(1, 2)] == pytest.approx(-math.log(0.9), abs=1e-15)
-    assert lg.costs[(1, 4)] == 0.0
+    assert lg.costs[1][2] == pytest.approx(-math.log(0.9), abs=1e-15)
+    assert lg.costs[1][4] == 0.0
     assert lg.budget == pytest.approx(-math.log(0.8), abs=1e-15)
+
+
+def test_arc_table_is_in_index_order_whatever_the_edge_order():
+    # Index order here runs against the node ids, and the edges come shuffled:
+    # the table, and every search that reads it, must not see the edge order.
+    hexg = tso.hex_instance(p_s=0.6)
+    ids = hexg.node_ids[::-1]
+    index = {v: i for i, v in enumerate(ids)}
+    shuffled = [hexg.edges[i] for i in np.random.default_rng(5).permutation(len(hexg.edges))]
+    ordered = sorted(hexg.edges, key=lambda e: (index[e[0]], index[e[1]]))
+    assert shuffled != ordered
+    runs = []
+    for edges in (shuffled, ordered):
+        g = dataclasses.replace(hexg, node_ids=ids, edges=edges)
+        lg = tso.log_transform(g)
+        for table in (lg.costs, lg.into):
+            assert list(table) == ids
+            for row in table.values():
+                assert list(row) == sorted(row, key=index.get)
+        rewards = {v: 1.0 + (v % 3) for v in ids}
+        runs.append((
+            tso.dijkstra(lg, 0)[1], tso.dijkstra(lg, 0, reverse=True)[1], _tour_cost(lg),
+            tso.orienteering.prefix_catalog(lg).paths(),
+            tso.solve_heuristic(tso.OrienteeringProblem(lg, rewards=rewards), seed=3),
+        ))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("w", [1.0000001, 2.0, 0.0, -0.5, float("nan"), float("inf")])
@@ -189,7 +216,7 @@ def test_feasibility_depot_start_needs_a_tour(loop5):
     assert rep.x_nonempty
     assert rep.reachable[1]
     # Cheapest return tour survives with probability 0.8664.
-    assert math.exp(-rep.leg_cost[1]) == pytest.approx(0.8664, abs=1e-12)
+    assert math.exp(-_tour_cost(tso.log_transform(loop5))[0]) == pytest.approx(0.8664, abs=1e-12)
 
     tight = tso.SurvivalGraph(
         node_ids=loop5.node_ids,
@@ -211,10 +238,14 @@ def test_feasibility_internal_consistency():
     for seed in range(8):
         g = tso.random_complete_instance(7, 0.3, 1.0, 0.7, seed=(43, seed))
         rep = tso.feasibility_check(g)
-        budget = -math.log(g.p_s)
-        for j in g.node_ids:
-            if rep.reachable[j]:
-                assert rep.leg_cost[j] <= budget + 1e-9
+        lg = tso.log_transform(g)
+        dist, parent = tso.dijkstra(lg, g.start)
+        assert not rep.reachable[g.start]  # open instances
+        for j in g.node_ids[1:]:
+            # Shortest start -> j, then shortest j -> terminal off that leg's edges.
+            leg = tree_path(parent, g.start, j)
+            cost = dist[j] + tso.dijkstra(lg, j, banned=frozenset(zip(leg, leg[1:])))[0][g.terminal]
+            assert rep.reachable[j] == (cost <= -math.log(g.p_s) + 1e-9)
 
 
 def test_brute_force_feasibility_diamond(diamond):

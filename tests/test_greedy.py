@@ -101,7 +101,7 @@ def test_second_path_maximizes_discounted_reward(loop5):
     first = tso.visit_profile(loop5, res.paths[0])
     rewards = {}
     for j in loop5.node_ids:
-        rewards[j] = zeta[j] * loop5.priority(j) * (1.0 - first.z(j))
+        rewards[j] = zeta[j] * loop5.priority(j) * (1.0 - first.visit_prob.get(j, 0.0))
     best = max(_linear_reward(loop5, p, rewards) for p in oracles.feasible_paths(loop5))
     assert _linear_reward(loop5, res.paths[1], rewards) == pytest.approx(best, abs=1e-12)
 
@@ -244,9 +244,8 @@ def test_edge_variant_gains_match_objective_increments():
 
 
 def test_edge_variant_rejects_heuristic_oracle(diamond):
-    cfg = tso.GreedyConfig(team_size=1, variant="edge", oracle="heuristic")
-    with pytest.raises(ValueError):
-        tso.greedy_survivors(diamond, cfg)
+    with pytest.raises(ValueError, match="edge-reward planning requires the exact oracle"):
+        tso.GreedyConfig(team_size=1, variant="edge", oracle="heuristic")
 
 
 def test_heuristic_oracle_close_and_uncertified():

@@ -56,6 +56,34 @@ def test_rejects_bad_rewards(diamond):
         _problem(diamond, edge_rewards={(1, 2): float("nan")})
 
 
+def test_reward_on_unknown_node_is_refused(diamond):
+    with pytest.raises(ValueError, match="reward on unknown node 9"):
+        _problem(diamond, rewards={2: 1.0, 9: 1.0})
+
+
+def _unit_arc_problem():
+    # The arc optimum is 3.0; the node oracles used to answer it with a 0.0 path.
+    g = tso.feasible_random_instance(6, 0.3, 1.0, 0.7, seed=(1, 0))
+    p = _problem(g, edge_rewards={(u, v): 1.0 for u, v, _w in g.edges})
+    assert tso.solve_arc_exact(p).reward == 3.0
+    return p
+
+
+def test_node_oracle_refuses_edge_rewards():
+    with pytest.raises(ValueError, match="node oracle takes node rewards only"):
+        tso.solve_exact(_unit_arc_problem())
+
+
+def test_grasp_refuses_edge_rewards():
+    with pytest.raises(ValueError, match="GRASP oracle takes node rewards only"):
+        tso.solve_heuristic(_unit_arc_problem())
+
+
+def test_arc_oracle_refuses_node_rewards(diamond):
+    with pytest.raises(ValueError, match="arc oracle takes arc rewards only"):
+        tso.solve_arc_exact(_problem(diamond, rewards={2: 1.0}))
+
+
 def test_diamond_visit_probability_rewards(diamond):
     lg = tso.log_transform(diamond)
     zeta = tso.max_visit_probabilities(lg)
@@ -165,7 +193,7 @@ def test_infeasible_instance_raises(monkeypatch):
             monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
             for bound in (True, False):
                 with pytest.raises(tso.InfeasibleInstanceError, match=message):
-                    tso.solve_exact(_problem(g, rewards={2: 1.0, 3: 1.0}), use_reward_bound=bound)
+                    tso.solve_exact(_problem(g, rewards={v: 1.0 for v in g.node_ids[1:]}), use_reward_bound=bound)
                 with pytest.raises(tso.InfeasibleInstanceError, match=message):
                     tso.solve_arc_exact(_problem(g, edge_rewards={(1, 2): 1.0}), use_reward_bound=bound)
         with pytest.raises(tso.InfeasibleInstanceError, match=message):
@@ -447,7 +475,7 @@ def test_leg_cache_searches_again_below_a_rejected_cost():
     lg = tso.log_transform(g)
     # 0.5 + leg + dist_to(3)[2] exceeds the budget ln 2; 0.0 + leg + dist_to(3)[2] fits.
     leg = ((0, 4, 2), -math.log(0.85) + -math.log(0.85))
-    legs = orienteering._grasp_tables(lg)[2]
+    legs = orienteering._grasp_tables(lg)[1]
     key = (0, 2, frozenset({0, 1, 3}))
     assert orienteering._leg_tree(lg, 0)[1][2] == 1
     assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.5) is None
@@ -494,7 +522,7 @@ def test_base_path_cost_is_its_path_cost(loop5):
             continue
         check_path(g, path)
         dist = lg.distances_from(g.start)
-        returns = [dist[v] + lg.costs[(v, g.start)] for v, _w in g.reverse_adjacency[g.start] if v != g.start]
+        returns = [dist[v] + w for v, w in lg.into[g.start].items() if v != g.start]
         assert len(path) > 1 and cost == min(returns), name
 
 
@@ -506,7 +534,7 @@ def test_base_path_tie_between_returns_goes_to_the_first_in_neighbour():
     for node_ids, first in (([0, 2, 1], 2), ([0, 1, 2], 1)):
         g = tso.SurvivalGraph(node_ids=node_ids, priorities={}, edges=edges, start=0, terminal=0, p_s=0.5)
         lg = tso.log_transform(g)
-        costs = {v: lg.distances_from(0)[v] + lg.costs[(v, 0)] for v in (1, 2)}
+        costs = {v: lg.distances_from(0)[v] + lg.costs[v][0] for v in (1, 2)}
         assert costs[1] == costs[2]
         assert _base_path(tso.OrienteeringProblem(lg=lg, rewards={})) == ([0, first, 0], costs[first])
         # A p_s above either tour's survival leaves too tight a budget: the robot stays home.
@@ -551,10 +579,13 @@ def test_arc_bound_agreement(diamond):
 
 
 LEVELS = st.sampled_from([0.0, 0.5, 1.0])
+# Rewards whose sums round differently in different orders; with no zeros,
+# every step changes the sum.
+ULP_LEVELS = st.sampled_from([1e-16, 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52])
 
 
 @st.composite
-def adversarial_cases(draw):
+def adversarial_cases(draw, levels=LEVELS):
     """Small digraphs with free (survival 1.0) edges, depot tours, tied or all-zero
     rewards, and p_s sometimes exactly the survival product of a walk from the start."""
     n = draw(st.integers(3, 6))
@@ -578,8 +609,8 @@ def adversarial_cases(draw):
         node_ids=list(range(n)), priorities={v: 1.0 for v in range(n)}, edges=edges,
         start=0, terminal=0 if depot else n - 1, p_s=p_s,
     )
-    rewards = {v: draw(LEVELS) for v in g.node_ids}
-    arcs = {(u, v): draw(LEVELS) for u, v, _ in edges}
+    rewards = {v: draw(levels) for v in g.node_ids}
+    arcs = {(u, v): draw(levels) for u, v, _ in edges}
     return g, rewards, arcs
 
 
@@ -621,6 +652,39 @@ def test_exact_oracles_on_adversarial_graphs(case):
         else:
             assert fast.reward == pytest.approx(best, abs=1e-12)
             assert fast.path in maximizers
+
+
+def test_reward_bound_keeps_an_ulp_better_path(monkeypatch):
+    # In item order the bound at node 2 adds 1e-16 + 1.0 + 1e-16 to 1.0, the
+    # incumbent 0 -> 1 -> 2 -> 3 -> 4; in path order 0 -> 2 -> 3 -> 1 -> 4
+    # collects 1.0000000000000002.
+    g = tso.SurvivalGraph(
+        node_ids=list(range(5)), priorities={}, start=0, terminal=4, p_s=0.5,
+        edges=[(u, v, 0.99) for u in range(5) for v in range(5) if u != v],
+    )
+    rewards = {1: 1.0, 2: 1e-16, 3: 1e-16}
+    answers = [tso.solve_exact(_problem(g, rewards=rewards), use_reward_bound=b) for b in (True, False)]
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    answers.append(tso.solve_exact(_problem(g, rewards=rewards)))
+    for res in answers:
+        assert (res.path, repr(res.reward)) == ((0, 2, 3, 1, 4), "1.0000000000000002")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(adversarial_cases(ULP_LEVELS))
+def test_bounded_search_on_rounding_adversarial_rewards(case):
+    # The bounded branch and bound returns the unbounded search's path and bits.
+    g, rewards, arcs = case
+    for solve, kw in ((tso.solve_exact, dict(rewards=rewards)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
+        try:
+            slow = solve(_problem(g, **kw), use_reward_bound=False)
+        except tso.InfeasibleInstanceError:
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
+            bounded = solve(_problem(g, **kw))
+        assert (bounded.path, repr(bounded.reward)) == (slow.path, repr(slow.reward)), solve.__name__
+        assert bounded.nodes_expanded <= slow.nodes_expanded
 
 
 @pytest.mark.parametrize("n, weight_min, p_s, depot", [
@@ -787,7 +851,7 @@ def _effort_case(variant):
 
 
 @pytest.mark.parametrize("variant, calls, total", [
-    ("node", 30, 122_588),
+    ("node", 30, 122_756),
     ("edge", 36, 16_020),
     ("multi_visit", 36, 11_666),
 ])
