@@ -167,14 +167,15 @@ class LogGraph:
     # The exact oracle's path catalog: () until built, then (catalog,), with
     # None above the cap; see orienteering.prefix_catalog.
     _catalog_cache: tuple = field(default=(), repr=False)
-    # GRASP cost rows and legs; see orienteering._grasp_tables.
+    # GRASP cost rows, legs and candidate rows; see orienteering._grasp_tables.
     _grasp_cache: tuple | None = field(default=None, repr=False)
 
     def shortest_tree(self, source):
         """Memoized (distances, parent tree) of dijkstra from source (no deletions)."""
-        if source not in self._from_cache:
-            self._from_cache[source] = dijkstra(self, source)
-        return self._from_cache[source]
+        tree = self._from_cache.get(source)
+        if tree is None:
+            tree = self._from_cache[source] = dijkstra(self, source)
+        return tree
 
     def distances_from(self, source) -> dict[int, float]:
         """Memoized single-source distances (no deletions)."""
@@ -208,50 +209,83 @@ def log_transform(g: SurvivalGraph) -> LogGraph:
     return LogGraph(graph=g, costs=costs, into=into, budget=budget, limit=budget + BUDGET_TOL)
 
 
-def dijkstra(lg: LogGraph, source, banned=frozenset(), reverse=False):
-    """Single-source shortest paths on the log graph.
+def search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
+    """(dist, prev) of Dijkstra from src over rows; both hold reached nodes only.
 
-    banned is a set of (u, v) edge pairs (original orientation) to skip;
-    reverse runs the search over incoming edges, yielding distances TO source.
-    Ties are broken deterministically: equal-distance relaxations keep the
-    lower-index parent, and the heap pops lower-index nodes first.
+    rows[v] holds v's arcs as (head, cost) pairs, costs >= 0. The one tie
+    rule of every shortest path here: the heap pops by (dist, node id), and
+    dist[u] and prev[u] change only on a strict improvement, so prev[u] is
+    the first popped predecessor that gives u's smallest float. The result
+    depends neither on the order of a row nor on the order of node_ids.
+
+    An arc that would lower dist[u] is tested further. If `cost + (d + w) +
+    extra > limit`, the rest of v's row is dropped; with a finite limit,
+    rows must list heads cheapest first. Float addition is monotone, so
+    every later arc fails the test too, and arcs that lower nothing change
+    nothing. Then u is skipped if it is in banned and is not dst. The
+    search stops when dst pops; dst=None runs it out.
     """
-    g = lg.graph
-    idx = g.index
-    arcs = lg.into if reverse else lg.costs
-    dist = {v: INF for v in g.node_ids}
-    parent: dict[int, int | None] = {v: None for v in g.node_ids}
-    dist[source] = 0.0
-    heap = [(0.0, idx[source], source)]
-    done = set()
+    dist = {src: 0.0}
+    prev = {}
+    heap = [(0.0, src)]
+    get, pop, push = dist.get, heapq.heappop, heapq.heappush
     while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
+        d, v = pop(heap)
+        if d > dist[v]:
             continue
-        done.add(u)
-        for v, w in arcs[u].items():
-            if banned and ((v, u) if reverse else (u, v)) in banned:
-                continue
+        if v == dst:
+            break
+        for u, w in rows[v]:
             nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, idx[v], v))
-            elif nd == dist[v] and v not in done and parent[v] is not None and idx[u] < idx[parent[v]]:
-                parent[v] = u
-    return dist, parent
+            if nd < get(u, INF):
+                if cost + nd + extra > limit:
+                    break
+                if u in banned and u != dst:
+                    continue
+                dist[u] = nd
+                prev[u] = v
+                push(heap, (nd, u))
+    return dist, prev
 
 
-def tree_path(parent, source, target):
-    """Node sequence from source to target in a dijkstra parent tree rooted at source, or None."""
+def dijkstra(lg: LogGraph, source, banned=frozenset(), reverse=False):
+    """Single-source shortest paths on the log graph: search over lg.costs, with no budget.
+
+    Its tie rule is search's: pops by (dist, node id), and each node's
+    parent is the first popped predecessor that gives its smallest float.
+    banned is a set of (u, v) arcs (original orientation) to skip; reverse
+    runs the search over lg.into, yielding distances TO source. Every node
+    gets an entry: INF and a None parent where the search did not reach.
+    """
+    rows = {v: row.items() for v, row in (lg.into if reverse else lg.costs).items()}
+    for arc in banned:
+        tail, head = arc[::-1] if reverse else arc
+        if tail in rows:
+            rows[tail] = [(u, w) for u, w in rows[tail] if u != head]
+    dist, prev = search(rows, source)
+    nodes = lg.graph.node_ids
+    full, parent = dict.fromkeys(nodes, INF), dict.fromkeys(nodes)
+    full.update(dist)
+    parent.update(prev)
+    return full, parent
+
+
+def tree_path(parent, source, target, banned=()):
+    """Node sequence from source to target in a search's parent tree rooted at source.
+
+    None if target is not in the tree or an interior node of the path is in
+    banned. The tree holds each node's first popped predecessor (see search).
+    """
     if source == target:
         return [source]
     path = [target]
-    while path[-1] != source:
-        prev = parent[path[-1]]
-        if prev is None:
+    v = parent.get(target)
+    while v != source:
+        if v is None or v in banned:
             return None
-        path.append(prev)
+        path.append(v)
+        v = parent.get(v)
+    path.append(source)
     path.reverse()
     return path
 

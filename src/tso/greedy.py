@@ -59,6 +59,7 @@ class GreedyConfig:
 class GreedyResult:
     config: GreedyConfig
     lg: LogGraph  # the log graph the run planned on; its bounds read the same one
+    model: RewardModel  # the run's reward model; its bounds read its caps
     paths: list[tuple[int, ...]]
     gains: list[float]
     values: list[float]  # values[k]: the variant's value of paths[:k + 1]
@@ -68,10 +69,6 @@ class GreedyResult:
     def variant_value(self) -> float | None:
         """The variant's value of the team paths; None for the node variant, whose value is the plan's objective."""
         return None if self.config.variant == "node" else self.values[self.config.team_size - 1]
-
-    @property
-    def team_paths(self):
-        return self.paths[: self.config.team_size]
 
     @property
     def team_gains(self):
@@ -103,6 +100,9 @@ class RewardModel:
     the paths so far to values and returns the path's true gain (the change
     in that value), and the U1 caps: one (a, extra, b, p, d) per reward d a
     walk start ~> a, extra, b ~> terminal could collect with chance <= p.
+    caps reads only state that never changes after construction (ζ, the
+    priorities, the edge table, the multi-visit rows), so a run's own model
+    gives the same caps after any number of paths.
     """
 
     def __init__(self, g: SurvivalGraph, zeta):
@@ -227,7 +227,7 @@ def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
     if not has_feasible_path(lg):
         raise InfeasibleInstanceError("feasibility check found no start-terminal path within the survival budget")
     gains = [model.add(_oracle_call(cfg, model.problem(lg), k).path) for k in range(cfg.total_paths)]
-    return GreedyResult(cfg, lg, model.paths, gains, model.values, team_plan(g, model.paths[: cfg.team_size]))
+    return GreedyResult(cfg, lg, model, model.paths, gains, model.values, team_plan(g, model.paths[: cfg.team_size]))
 
 
 def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> BoundCertificate:
@@ -240,7 +240,8 @@ def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> Bound
     depot tours. u2 divides the value of the run's first K paths by
     1 - exp(-p_s), u3 that of its first total_paths by their larger factor;
     both values are the ones the run recorded as it planned.
-    ζ and both distance maps are the ones the run memoized on run.lg.
+    The caps are the run's own model's, and both distance maps are the
+    ones the run memoized on run.lg.
     Heuristic-oracle certificates are not certified: the factor arguments
     assume an exact subproblem solver.
     """
@@ -248,12 +249,11 @@ def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> Bound
         raise ValueError(f"team_size {team_size} and total_paths {total_paths} must be in 1..{len(run.paths)}, the run's paths")
     lg, g, K = run.lg, run.lg.graph, team_size
     factor = 1.0 - math.exp(-g.p_s)
-    model = MODELS[run.config.variant](g, max_visit_probabilities(lg))
     dist_in = lg.distances_from(g.start)
     dist_out = lg.distances_to(g.terminal)
     u1 = ordered_sum(
         (1.0 - (1.0 - p) ** K) * d
-        for a, extra, b, p, d in model.caps(lg, K)
+        for a, extra, b, p, d in run.model.caps(lg, K)
         if dist_in[a] + extra + dist_out[b] <= lg.limit
     )
     value = run.values[K - 1]

@@ -10,12 +10,11 @@ the heuristic is randomized greedy insertion with local search (GRASP).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, _tour_cost, ordered_sum, tree_path
+from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, _tour_cost, ordered_sum, search, tree_path
 
 
 @dataclass
@@ -446,13 +445,14 @@ def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_boun
 # GRASP heuristic
 
 def _grasp_tables(lg: LogGraph):
-    """(rows, legs, trees) of lg, built by its first GRASP call and kept for every later one.
+    """(rows, legs, cands) of lg, built by its first GRASP call and kept for every later one.
 
-    rows[v] holds v's out-arcs as (cost, head), lg.costs[v] stable-sorted by
-    cost, so heads of equal cost stay in index order. legs maps (src, dst,
-    frozenset(banned)) to a (leg, cost) entry of _leg_avoiding, and trees
-    maps a source to its _leg_tree. None of them holds rewards, so the
-    calls of a greedy run, which share one LogGraph, share them too.
+    rows[v] holds lg.costs[v]'s (head, cost) pairs stable-sorted by cost, so
+    heads of equal cost stay in index order. legs maps (src, dst,
+    frozenset(banned)) to a (leg, cost) entry of _leg_avoiding, and cands
+    maps a source to its _leg_tree candidate row. None of them holds
+    rewards, so the calls of a greedy run, which share one LogGraph, share
+    them too.
 
     The scans over rows stop at the first arc whose bound fails. Costs are
     -ln(survival) >= 0 (log_transform refuses any other survival), and
@@ -464,7 +464,7 @@ def _grasp_tables(lg: LogGraph):
     is needed.
     """
     if lg._grasp_cache is None:
-        rows = {v: tuple(sorted(((c, u) for u, c in row.items()), key=lambda t: t[0])) for v, row in lg.costs.items()}
+        rows = {v: tuple(sorted(row.items(), key=lambda t: t[1])) for v, row in lg.costs.items()}
         lg._grasp_cache = (rows, {}, {})
     return lg._grasp_cache
 
@@ -473,11 +473,11 @@ def _base_path(p: OrienteeringProblem):
     """Cheapest feasible skeleton: shortest return for depots, shortest path otherwise."""
     lg = p.lg
     start, terminal, limit = lg.graph.start, lg.graph.terminal, lg.limit
-    # Each cost is bit-equal to _path_cost of its path. dijkstra last set
-    # every dist[v] together with parent[v], an equal-distance parent switch
-    # included, as dist[parent[v]] + cost(parent[v], v), with dist[parent[v]]
-    # final by then. So dist[v] sums the tree path's arc costs left to right
-    # from 0.0, and a tour adds its return arc last. Tree paths are simple.
+    # Each cost is bit-equal to _path_cost of its path. graph.search sets
+    # dist[v] and parent[v] together, dist[v] as dist[parent[v]] +
+    # cost(parent[v], v), with dist[parent[v]] final by then. So dist[v]
+    # sums the tree path's arc costs left to right from 0.0, and a tour adds
+    # its return arc last. Tree paths are simple.
     dist, parent = lg.shortest_tree(start)
     if start != terminal:
         if dist[terminal] > limit:
@@ -494,64 +494,27 @@ def _path_cost(lg, path):
     return ordered_sum(lg.costs[a][b] for a, b in zip(path, path[1:]))
 
 
-def _search(rows, src, dst, banned, cost, extra, limit):
-    """(dist, prev) of a Dijkstra from src whose rows stop at the first arc with `cost + (d + w) + extra > limit`.
-
-    Heap entries are (dist, node id), and dist and prev change only on a
-    strict improvement. Nodes other than dst that are in banned are never
-    entered, and the search stops when dst pops; dst=None runs it out.
-    """
-    dist = {src: 0.0}
-    prev = {}
-    heap = [(0.0, src)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        if v == dst:
-            break
-        for w, u in rows[v]:
-            nd = d + w
-            if cost + nd + extra > limit:
-                break
-            if u != dst and u in banned:
-                continue
-            if nd < dist.get(u, INF):
-                dist[u] = nd
-                prev[u] = v
-                heapq.heappush(heap, (nd, u))
-    return dist, prev
-
-
 def _leg_tree(lg, src):
-    """(dist, prev, cands) of src's search with no banned set and no dst, built on first use and kept.
+    """(dist, prev, cands): src's tree, kept by lg.shortest_tree, and its candidate row, built on first use and kept.
 
-    Its rows stop at the first `d + w > limit` (cost and extra 0.0, which
-    add exactly), the loosest of every query's stop tests. cands lists, in
-    node_ids order, (j, dist[j], dist_to(terminal)[j]) for each j other than
-    the terminal in the tree with `dist[j] + dist_to(terminal)[j] <= limit`:
-    _random_skeleton's candidate test at cost 0.0, for waypoints from src.
-
-    (i) Both this search and a full Dijkstra set dist[v] to the smallest
-    fl(dist[u] + w) over predecessors whose dist[u] is final, and
-    fl(x + w) >= x for w >= 0. So the floats are equal wherever they are at
-    most limit, and a node the tree leaves out has a full distance above
-    limit. Its candidate test fails at every cost, as does the test of a
-    node that fails it at cost 0.0: float addition is monotone and costs
-    are >= 0 (see _grasp_tables).
+    cands lists, in node_ids order, (j, dist[j], dist_to(terminal)[j]) for
+    each j other than the terminal with `dist[j] + dist_to(terminal)[j] <=
+    limit`: _random_skeleton's candidate test at cost 0.0, for waypoints
+    from src. A node that fails it at cost 0.0 fails it at every cost, as
+    float addition is monotone and costs are >= 0 (see _grasp_tables); so
+    does a node with an INF distance.
     """
-    rows, _legs, trees = _grasp_tables(lg)
-    tree = trees.get(src)
-    if tree is None:
+    dist, prev = lg.shortest_tree(src)
+    memo = _grasp_tables(lg)[2]
+    cands = memo.get(src)
+    if cands is None:
         g = lg.graph
         dist_t = lg.distances_to(g.terminal)
-        dist, prev = _search(rows, src, None, (), 0.0, 0.0, lg.limit)
-        cands = [
+        cands = memo[src] = [
             (j, dist[j], dist_t[j]) for j in g.node_ids
-            if j != g.terminal and j in dist and dist[j] + dist_t[j] <= lg.limit
+            if j != g.terminal and dist[j] + dist_t[j] <= lg.limit
         ]
-        tree = trees[src] = (dist, prev, cands)
-    return tree
+    return dist, prev, cands
 
 
 def _leg_avoiding(lg, src, dst, banned, cost):
@@ -559,30 +522,28 @@ def _leg_avoiding(lg, src, dst, banned, cost):
 
     The caller, at cost `cost`, uses a leg only if `cost + leg + extra <=
     limit`, where extra = dist_to(terminal)[dst]: 0.0 for the closing leg.
-    The banned search stops each row at the first arc with
-    `cost + (d + w) + extra > limit`, that test with the partial distance
-    d + w in place of the leg (see _grasp_tables for why such a bound never
-    rejects what the test accepts). If the leg of the full search fits,
-    every node on it passes, and every relaxation dropped is longer than
-    the leg, so it would pop after dst: the nodes popped before dst get the
-    same dist and prev, and the search returns the same leg. If it does not
-    fit, no relaxation into dst passes and the search returns None, which
-    the caller rejects as it would the leg.
+    The banned search stops each row at the first improving arc with `cost
+    + (d + w) + extra > limit`, that test with the partial distance d + w
+    in place of the leg (see _grasp_tables for why such a bound never
+    rejects what the test accepts). If the leg of the unbounded search
+    fits, every node on it passes, and every relaxation dropped is longer
+    than the leg, so it would pop after dst: the nodes popped before dst
+    get the same dist and prev, and the search returns the same leg. If it
+    does not fit, no relaxation into dst passes and the search returns
+    None, which the caller rejects as it would the leg.
 
-    When dst is in src's _leg_tree and the tree path's interior avoids
-    banned, that path is the banned search's leg, and it is returned if it
-    fits, else None. (ii) Pops run in (dist, node id) order in both
-    searches, and prev[u] is the first popped predecessor that gives the
-    smallest float. Each node of the path has the same dist in the banned
-    search, as its path survives and (i) holds. Its tree prev is popped
-    first among the surviving predecessors: an earlier banned predecessor
-    with an equal sum would itself have been the tree's prev, and a
-    surviving one whose dist the ban raised reached the same sum from its
-    smaller tree dist, so it popped earlier in the tree too. Nodes popped
-    after dst change no prev on the path, because updates need a strict <
-    and costs are >= 0. (iii) The budget stops are the monotone-rounding
-    argument above: the tree's stop test is the banned search's at cost and
-    extra 0.0, so it keeps every relaxation that search keeps.
+    When the path to dst in src's tree has an interior that avoids banned,
+    that path is the unbounded banned search's leg, and it is returned if
+    it fits, else None. Both searches pop in (dist, node id) order and keep
+    the first popped predecessor that gives the smallest float (see
+    graph.search). Each node of the path has the same dist in the banned
+    search, as its path survives and a ban only removes relaxations. Its
+    tree prev is popped first among the surviving predecessors: an earlier
+    banned predecessor with an equal sum would itself have been the tree's
+    prev, and a surviving one whose dist the ban raised reached the same
+    sum from its smaller tree dist, so it popped earlier in the tree too.
+    Nodes popped after dst change no prev on the path, because updates need
+    a strict < and costs are >= 0.
 
     Any other query runs the banned search. A leg depends on the graph
     alone, so each key's (leg, cost) entry is kept in the leg cache of
@@ -591,35 +552,20 @@ def _leg_avoiding(lg, src, dst, banned, cost):
     above, where the leg fits no better; any other query searches again.
     """
     extra = lg.distances_to(lg.graph.terminal)[dst]
-    dist, prev, _cands = _leg_tree(lg, src)
-    nodes = _tree_leg(prev, src, dst, banned)
+    dist, prev = lg.shortest_tree(src)
+    nodes = tree_path(prev, src, dst, banned)
     if nodes is not None:
-        return (nodes, dist[dst]) if cost + dist[dst] + extra <= lg.limit else None
-    rows, legs, _trees = _grasp_tables(lg)
+        return (tuple(nodes), dist[dst]) if cost + dist[dst] + extra <= lg.limit else None
+    rows, legs, _cands = _grasp_tables(lg)
     key = (src, dst, frozenset(banned))
     hit = legs.get(key)
     if hit is not None and (hit[0] is not None or cost >= hit[1]):
         return hit[0]
-    dist, prev = _search(rows, src, dst, banned, cost, extra, lg.limit)
-    nodes = _tree_leg(prev, src, dst, banned)
-    leg = None if nodes is None else (nodes, dist[dst])
+    dist, prev = search(rows, src, dst, banned, cost, extra, lg.limit)
+    nodes = tree_path(prev, src, dst, banned)
+    leg = None if nodes is None else (tuple(nodes), dist[dst])
     legs[key] = (leg, cost)
     return leg
-
-
-def _tree_leg(prev, src, dst, banned):
-    """Nodes of the src-to-dst path in a _search tree, or None if dst is not in it or the path's interior meets banned."""
-    if dst not in prev:
-        return None
-    nodes = [dst]
-    v = prev[dst]
-    while v != src:
-        if v in banned:
-            return None
-        nodes.append(v)
-        v = prev[v]
-    nodes.append(src)
-    return tuple(reversed(nodes))
 
 
 def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
@@ -693,7 +639,7 @@ def _insertions(p: OrienteeringProblem, path, cost, visited):
     out = []
     for i, (a, b) in enumerate(zip(path, path[1:]), 1):
         ab = costs[a][b]
-        for aj, j in rows[a]:
+        for j, aj in rows[a]:
             if cost + (aj - ab) > limit:
                 break
             if j in visited or rewards.get(j, 0.0) <= 0.0:
@@ -793,10 +739,10 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     search. The best path by reward wins, ties going to the smaller
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
-    Deterministic for a fixed seed. The cost rows, leg trees and legs it
-    reads are cached on p.lg (_grasp_tables) and hold no rewards, only
-    facts of the graph and its budget, so a call returns the same result
-    whichever calls ran on that LogGraph before.
+    Deterministic for a fixed seed. The trees, cost rows, candidate rows
+    and legs it reads are cached on p.lg (shortest_tree, _grasp_tables) and
+    hold no rewards, only facts of the graph and its budget, so a call
+    returns the same result whichever calls ran on that LogGraph before.
 
     Restarts often reach a state an earlier restart of the same call
     reached, so two memos keyed by (tuple(path), cost) live for the call:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tso
+from tso import orienteering
 from tso.graph import INF, _tour_cost, check_path, tree_path
 
 import oracles
@@ -180,6 +181,51 @@ def test_shortest_path_nodes(diamond):
     dist, parent = tso.dijkstra(tso.log_transform(sparse), 1)
     assert dist[3] == INF
     assert tree_path(parent, 1, 3) is None
+
+
+def _search_readings(g, queries):
+    """Parent trees from every node both ways, feasibility verdicts and GRASP legs of g, keyed by node id."""
+    lg = tso.log_transform(g)
+    trees = {v: (tso.dijkstra(lg, v)[1], tso.dijkstra(lg, v, reverse=True)[1]) for v in g.node_ids}
+    rep = tso.feasibility_check(g)
+    legs = [repr(orienteering._leg_avoiding(lg, *q)) for q in queries]
+    return trees, rep.reachable, rep.x_nonempty, legs
+
+
+def test_searches_ignore_the_order_of_node_ids():
+    # The hex graph's survivals repeat, so many paths tie. Every search pops
+    # by (dist, node id) and keeps the first popped parent, so listing the
+    # same nodes in another order changes no tree, verdict or leg.
+    base = tso.hex_instance(p_s=0.6)
+    rng = np.random.default_rng(31)
+    ids, limit = base.node_ids, -math.log(base.p_s) + 1e-9
+    queries = []
+    for _ in range(300):
+        src, dst = (ids[i] for i in rng.choice(len(ids), 2, replace=False))
+        banned = {v for v in ids if v != src and rng.uniform() < 0.3} | {src}
+        queries.append((src, dst, banned, float(rng.uniform(0.0, 1.2 * limit))))
+    want = _search_readings(base, queries)
+    assert "None" in want[3] and any(leg != "None" for leg in want[3])
+    for k in range(5):
+        order = [ids[i] for i in rng.permutation(len(ids))]
+        assert _search_readings(dataclasses.replace(base, node_ids=order), queries) == want, k
+
+
+def test_equal_sums_keep_the_first_popped_parent():
+    # 0 -> 2 -> 3 and 0 -> 1 -> 3 add the same two costs in another order,
+    # so node 3 gets the same float from node 2 (popped first, at the
+    # smaller distance) and from node 1, which has the smaller id.
+    g = tso.SurvivalGraph(
+        node_ids=[0, 1, 2, 3], priorities={v: 1.0 for v in range(4)},
+        edges=[(0, 1, 0.5), (0, 2, 0.9), (1, 3, 0.9), (2, 3, 0.5)],
+        start=0, terminal=3, p_s=0.4,
+    )
+    lg = tso.log_transform(g)
+    dist, parent = tso.dijkstra(lg, 0)
+    assert dist[2] < dist[1] and dist[2] + lg.costs[2][3] == dist[1] + lg.costs[1][3] == dist[3]
+    assert parent[3] == 2 and tree_path(parent, 0, 3) == [0, 2, 3]
+    leg = orienteering._leg_avoiding(lg, 0, 3, {0}, 0.0)
+    assert leg == oracles.grasp_leg(g, 0, 3, {0}) == ((0, 2, 3), dist[3])
 
 
 def test_zeta_diamond_values(diamond):

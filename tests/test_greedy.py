@@ -78,7 +78,6 @@ def test_prefix_consistency(loop5):
         short = tso.greedy_survivors(loop5, tso.GreedyConfig(team_size=k))
         assert short.paths == full.paths[:k]
         assert short.gains == pytest.approx(full.gains[:k], abs=0.0)
-    assert full.team_paths == full.paths[:1]
     assert full.team_gains == full.gains[:1]
 
 
@@ -261,9 +260,10 @@ def test_heuristic_oracle_close_and_uncertified():
         assert exact_cert.certified
 
 
-def test_heuristic_run_makes_two_dijkstras(monkeypatch):
-    # A GRASP run reads one Dijkstra from the start and one to the terminal;
-    # each waypoint's skeleton candidates come from its source's leg tree.
+def test_heuristic_run_searches_each_source_once(monkeypatch):
+    # A GRASP run reads every tree through the LogGraph's memo: the start's
+    # for ζ and the first skeleton, one per leg source, and one reverse tree,
+    # to the terminal.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.5, seed=(0, 0))
     calls = []
     dijkstra = tso.graph.dijkstra
@@ -274,7 +274,8 @@ def test_heuristic_run_makes_two_dijkstras(monkeypatch):
 
     monkeypatch.setattr(tso.graph, "dijkstra", counted)
     tso.greedy_survivors(g, tso.GreedyConfig(team_size=5, oracle="heuristic"))
-    assert sorted(calls) == [(g.start, False), (g.terminal, True)]
+    assert (g.start, False) in calls and len(calls) == len(set(calls))
+    assert [c for c in calls if c[1]] == [(g.terminal, True)]
 
 
 def test_diamond_bound_values(diamond):

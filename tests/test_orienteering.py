@@ -433,13 +433,13 @@ def test_legs_match_the_reference_at_every_cost(monkeypatch):
     # every graph, source trees answer some fresh queries and the banned
     # search the others.
     banned_searches = []
-    search = orienteering._search
+    search = orienteering.search
 
     def counted(rows, src, dst, *args):
         banned_searches.append(dst is not None)
         return search(rows, src, dst, *args)
 
-    monkeypatch.setattr(orienteering, "_search", counted)
+    monkeypatch.setattr(orienteering, "search", counted)
     for k, (name, g) in enumerate(_scan_graphs()):
         rng = np.random.default_rng((98, k))
         shared = tso.log_transform(g)
