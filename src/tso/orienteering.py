@@ -4,8 +4,9 @@ Maximize summed node (or edge) rewards over a start-terminal path whose
 log-cost stays within the budget. Reward is collected from step 1 onward,
 so the start node pays only when a tour returns to it. The exact solver
 scores a per-graph catalog of every budget-feasible prefix, with a
-depth-first branch and bound for graphs whose catalog would be too large;
-the heuristic is randomized greedy insertion with local search (GRASP).
+depth-first search that prunes by a reward bound for graphs whose catalog
+would be too large; both expand prefixes with one kernel, _Steps.expand.
+The heuristic is randomized greedy insertion with local search (GRASP).
 """
 
 from __future__ import annotations
@@ -52,47 +53,35 @@ def path_reward(p: OrienteeringProblem, path) -> float:
     return ordered_sum(rewards.get(v, 0.0) for v in path[1:])
 
 
-def solve_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
+def solve_exact(p: OrienteeringProblem) -> OracleResult:
     """Best path for node rewards: the lexicographically smallest maximizer.
 
     The first call on a LogGraph lists every budget-feasible prefix of its
-    graph once, one depth at a time, and keeps its leaves, the feasible
-    paths, as one arc table in a PrefixCatalog on that LogGraph; this and
-    every later call there, such as greedy's next robot, only sums its
-    rewards over that table, one gather-add per row. Each leaf's sum adds
-    its arcs' rewards to 0.0 from the start on: the same IEEE additions, in
-    the same order, as the branch and bound's `collected + reward[k]`, so
-    each path's reward is bit-equal to the search's. The search keeps its
-    first strict improvement in DFS order, the lexicographically smallest
-    maximizer by node index; the catalog picks the same leaf
-    (PrefixCatalog.best), so both give the same path and the same float. A
-    depot robot stays home unless the best tour collects more than 0.0.
-    nodes_expanded of a catalog call is its number of prefixes, root
-    included: what the branch and bound expands without its reward bound.
-
-    A catalog holds at most CATALOG_CAP prefixes. Above that its build
-    stops, and this call and every later one on the same LogGraph run the
-    branch and bound with its reward bound.
-    use_reward_bound=False always runs the branch and bound without it, the
-    audit reference. The build is vectorized: a lone call costs about as
-    much as one bounded search on small graphs and less on large ones.
+    graph once and keeps the leaves, the feasible paths, as one arc table
+    in a PrefixCatalog on that LogGraph. This and every later call there
+    sums its rewards over that table (PrefixCatalog.best) and reports the
+    prefixes, root included, as nodes_expanded. A depot robot stays home
+    unless the best tour collects more than 0.0. Above CATALOG_CAP prefixes
+    the build stops, and the calls on that LogGraph run _bounded_search,
+    which expands prefixes with the build's kernel and returns the same
+    path and float.
     """
-    return _exact(p, "node", (p.rewards or {}).get, use_reward_bound)
+    return _exact(p, "node", (p.rewards or {}).get)
 
 
-def solve_arc_exact(p: OrienteeringProblem, use_reward_bound: bool = True) -> OracleResult:
+def solve_arc_exact(p: OrienteeringProblem) -> OracleResult:
     """solve_exact with rewards on edges instead of nodes; the same catalog serves both."""
-    return _exact(p, "arc", (p.edge_rewards or {}).get, use_reward_bound)
+    return _exact(p, "arc", (p.edge_rewards or {}).get)
 
 
-def _exact(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) -> OracleResult:
+def _exact(p: OrienteeringProblem, kind: str, lookup) -> OracleResult:
     if (p.edge_rewards if kind == "node" else p.rewards) is not None:
         raise ValueError(f"the {kind} oracle takes {kind} rewards only")
     g = p.lg.graph
     depot = g.start == g.terminal
-    cat = prefix_catalog(p.lg) if use_reward_bound else None
+    cat = prefix_catalog(p.lg)
     if cat is None:
-        return _branch_and_bound(p, kind, lookup, use_reward_bound)
+        return _bounded_search(p.lg, kind, lookup)
     if kind == "node":
         rew = np.array([lookup(v, 0.0) for v in g.node_ids], dtype=float)[cat.heads]
     else:
@@ -133,9 +122,11 @@ CATALOG_CAP = 1 << 20
 # that made a call two to four times slower.
 _BLOCK = 8192
 
-# Parents expanded together by the build. A chunk's (parent, step) cost
-# table takes 8 KiB per step of the node with the most steps: 152 KiB on
-# the 20-node complete benchmark graphs.
+# Prefixes expanded together by the build and, with node rewards, by the
+# bounded search. A chunk's (prefix, step) cost table takes 8 KiB per step
+# of the node with the most steps: 152 KiB on the 20-node complete
+# benchmark graphs. The search's (prefix, item) mask takes _CHUNK * V
+# entries; with one item per arc its chunks shrink to keep it so.
 _CHUNK = 1024
 
 
@@ -165,14 +156,13 @@ class PrefixCatalog:
         """(reward, leaf) of the best leaf given each arc's reward; None without leaves.
 
         Each leaf's sum adds its arcs' rewards to 0.0 from the start on,
-        block by block in row order, as the search adds collected +
-        reward[k]: the same floats. Among equal sums the search keeps the
-        first in DFS order, the smallest node-index sequence, which is the
-        smallest arc sequence, arcs being numbered in (tail, head) index
-        order from one start. Row by row, only the tied leaves with the
-        smallest arc there stay; no prefix enters the terminal, so no leaf
-        is a prefix of another and tied leaves agreeing so far all have the
-        next row.
+        block by block in row order, as the bounded search adds collected +
+        reward[k]: the same floats. Among equal sums the smallest node-index
+        sequence wins, which is the smallest arc sequence, arcs being
+        numbered in (tail, head) index order from one start. Row by row,
+        only the tied leaves with the smallest arc there stay; no prefix
+        enters the terminal, so no leaf is a prefix of another and tied
+        leaves agreeing so far all have the next row.
         """
         if not self.rows:
             return None
@@ -210,64 +200,106 @@ def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
     return lg._catalog_cache[0]
 
 
-def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
-    """The prefixes of _branch_and_bound's search without its reward bound, listed one depth at a time.
+def _arcs(lg: LogGraph) -> list:
+    """The graph's arcs in (tail, head) index order, as lg.costs lists them: the arc numbering of catalogs and searches."""
+    return [(v, u) for v, row in lg.costs.items() for u in row]
 
-    Each depth's frontier holds, per prefix, its node index, its cost and
-    its visited nodes as ceil(V / 64) uint64 words in which the terminal's
-    bit is 0. It is expanded _CHUNK prefixes at a time against a padded
-    (node, step) table in lg.costs order. Out of a prefix of cost `cost`,
-    a step of cost w to the terminal is a leaf when `cost + w <= limit`,
-    and a step to a free node u is a child unless
-    `cost + w + to_t[u] > limit`: the search's own float expressions.
-    np.flatnonzero over a chunk's (parent, step) grid lists its children in
-    parent order, then step order, so each depth comes out in the search's
-    order. There is no check on the start, so an infeasible one gives a
-    catalog without leaves. A step to a node other than the terminal that
-    fails its test at cost 0.0 is left out of the table: costs are never
-    negative and float addition is monotone, so it would fail at every
-    cost. The build stops, returning None, as soon as the prefixes counted
-    exceed CATALOG_CAP.
+
+class _Steps:
+    """The padded (node, step) table of a LogGraph, and the one kernel that expands prefixes over it.
+
+    A prefix is a node index, a float64 cost and its visited nodes as
+    ceil(V / 64) uint64 words, in which the terminal's bit is 0; root is
+    the one at the start. Per node, the table holds its steps to other
+    nodes in lg.costs order, padded with infinite costs, and the cost of its
+    step to the terminal, infinite when it has none. A step to a node other
+    than the terminal that fails its test at cost 0.0 is left out: costs
+    are never negative and float addition is monotone, so it would fail at
+    every cost. tails, heads and arc_w give each arc of arcs (_arcs order)
+    its tail and head indices and its cost; to_t is each node's distance to
+    the terminal.
     """
-    g = lg.graph
-    start, terminal = g.start, g.terminal
-    idx = g.index
-    n = len(g.node_ids)
-    limit = lg.limit
-    dist_to_t = lg.distances_to(terminal)
-    arcs = _arcs(lg)
-    node_dt = np.min_scalar_type(n - 1)
-    arc_dt = np.int16 if len(arcs) <= 1 << 15 else np.int32
-    words = -(-n // 64)
 
-    # Per node: its steps to other nodes, padded with infinite costs, and
-    # the cost of its step to the terminal, infinite when it has none.
-    tails = np.repeat(np.arange(n), [len(row) for row in lg.costs.values()])
-    heads = np.array([idx[b] for _a, b in arcs], dtype=np.intp)
-    arc_w = np.array([c for row in lg.costs.values() for c in row.values()])
-    head_t = np.array([dist_to_t[v] for v in g.node_ids])[heads]
-    into_t = heads == idx[terminal]
-    ks = np.flatnonzero(~into_t & (arc_w + head_t <= limit))
-    cell = tails[ks], np.arange(len(ks)) - tails[ks].searchsorted(tails[ks])
-    width = int(cell[1].max(initial=-1)) + 1
-    head = np.zeros((n, width), node_dt)
-    w = np.full((n, width), INF)
-    to_t = np.zeros((n, width))
-    arc = np.zeros((n, width), arc_dt)
-    head[cell], w[cell], to_t[cell], arc[cell] = heads[ks], arc_w[ks], head_t[ks], ks
-    ks = np.flatnonzero(into_t)
-    leaf_w = np.full(n, INF)
-    leaf_k = np.zeros(n, arc_dt)
-    leaf_w[tails[ks]], leaf_k[tails[ks]] = arc_w[ks], ks
-    word = (head >> 6).astype(np.intp).ravel()
-    bit = np.left_shift(np.uint64(1), (head & 63).astype(np.uint64)).ravel()
-    head, arc, w_flat = head.ravel(), arc.ravel(), w.ravel()
+    def __init__(self, lg: LogGraph):
+        g = lg.graph
+        idx = g.index
+        n = len(g.node_ids)
+        self.limit = lg.limit
+        self.start, self.terminal, self.depot = idx[g.start], idx[g.terminal], g.start == g.terminal
+        self.arcs = _arcs(lg)
+        self.node_dt = np.min_scalar_type(n - 1)
+        self.arc_dt = np.int16 if len(self.arcs) <= 1 << 15 else np.int32
+        self.words = -(-n // 64)
+        dist_to_t = lg.distances_to(g.terminal)
+        self.to_t = np.array([dist_to_t[v] for v in g.node_ids])
+        self.tails = tails = np.repeat(np.arange(n), [len(row) for row in lg.costs.values()])
+        self.heads = heads = np.array([idx[b] for _a, b in self.arcs], dtype=np.intp)
+        self.arc_w = arc_w = np.array([c for row in lg.costs.values() for c in row.values()])
+        head_t = self.to_t[heads]
+        into_t = heads == self.terminal
+        ks = np.flatnonzero(~into_t & (arc_w + head_t <= self.limit))
+        cell = tails[ks], np.arange(len(ks)) - tails[ks].searchsorted(tails[ks])
+        self.width = width = int(cell[1].max(initial=-1)) + 1
+        head, arc = np.zeros((n, width), self.node_dt), np.zeros((n, width), self.arc_dt)
+        self.w, self.step_t = np.full((n, width), INF), np.zeros((n, width))
+        head[cell], self.w[cell], self.step_t[cell], arc[cell] = heads[ks], arc_w[ks], head_t[ks], ks
+        ks = np.flatnonzero(into_t)
+        self.leaf_w, self.leaf_k = np.full(n, INF), np.zeros(n, self.arc_dt)
+        self.leaf_w[tails[ks]], self.leaf_k[tails[ks]] = arc_w[ks], ks
+        # Flat, as the kernel reads them at flat (node, step) positions.
+        self.word = (head >> 6).astype(np.intp).ravel()
+        self.bit = np.left_shift(np.uint64(1), (head & 63).astype(np.uint64)).ravel()
+        self.head, self.arc, self.w_flat = head.ravel(), arc.ravel(), self.w.ravel()
+        vis = np.zeros((1, self.words), np.uint64)
+        if not self.depot:
+            vis[0, self.start >> 6] = np.uint64(1) << np.uint64(self.start & 63)
+        self.root = np.array([self.start], self.node_dt), np.zeros(1), vis
 
-    node = np.array([idx[start]], node_dt)
-    cost = np.zeros(1)
-    vis = np.zeros((1, words), np.uint64)
-    if start != terminal:
-        vis[0, idx[start] >> 6] = np.uint64(1) << np.uint64(idx[start] & 63)
+    def expand(self, node, cost, vis):
+        """(parent, arc, leaf, leaf_arc, node, cost, vis) out of a chunk of prefixes.
+
+        Out of a prefix of cost `cost`, a step of cost w to the terminal is
+        a leaf when `cost + w <= limit`, and a step to a free node u is a
+        child unless `cost + w + to_t[u] > limit`: every budget test of the
+        exact oracle is one of these float expressions. np.flatnonzero over
+        the chunk's (prefix, step) grid lists the children in prefix order,
+        then step order: parent holds each child's position in the chunk and
+        arc its last arc; node, cost and vis are the children's. leaf lists
+        the chunk's positions with a leaf, leaf_arc their arcs into the
+        terminal.
+        """
+        nd = node.astype(np.intp)
+        leaf = np.flatnonzero(cost + self.leaf_w.take(nd) <= self.limit)
+        c = self.w.take(nd, axis=0)
+        c += cost[:, None]
+        c += self.step_t.take(nd, axis=0)
+        fit = np.flatnonzero(c <= self.limit)
+        del c
+        width, words = self.width, self.words
+        r = fit // width
+        # Flat positions in the (node, step) table.
+        steps = nd.take(r) * width + (fit - r * width)
+        at = r * words + self.word.take(steps)
+        keep = np.flatnonzero((vis.reshape(-1).take(at) & self.bit.take(steps)) == 0)
+        r, steps = r.take(keep), steps.take(keep)
+        kid_vis = vis.take(r, axis=0)
+        kid_vis.reshape(-1)[np.arange(0, len(r) * words, words) + self.word.take(steps)] |= self.bit.take(steps)
+        return (r, self.arc.take(steps), leaf, self.leaf_k.take(nd.take(leaf)), self.head.take(steps),
+                cost.take(r) + self.w_flat.take(steps), kid_vis)
+
+
+def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
+    """Every budget-feasible prefix of lg, listed one depth at a time; None above CATALOG_CAP.
+
+    Each depth's frontier is expanded _CHUNK prefixes at a time by
+    _Steps.expand, which lists a chunk's children in parent order, then
+    step order, so each depth comes out in lexicographic order by node
+    index. There is no check on the start, so an infeasible one gives a
+    catalog without leaves. The build stops, returning None, as soon as the
+    prefixes counted exceed CATALOG_CAP.
+    """
+    st = _Steps(lg)
+    node, cost, vis = st.root
     prefixes = 1
     if prefixes > CATALOG_CAP:
         return None
@@ -277,34 +309,15 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
         level_prefixes.append(len(node))
         pos_dt = np.min_scalar_type(len(node) - 1)
         parts = []
-        vis_flat = vis.reshape(-1)
         for lo in range(0, len(node), _CHUNK):
-            nd = node[lo:lo + _CHUNK].astype(np.intp)
-            cs = cost[lo:lo + _CHUNK]
-            leaf = np.flatnonzero(cs + leaf_w.take(nd) <= limit)
-            c = w.take(nd, axis=0)
-            c += cs[:, None]
-            c += to_t.take(nd, axis=0)
-            fit = np.flatnonzero(c <= limit)
-            del c
-            r = fit // width
-            steps = nd.take(r) * width + (fit - r * width)
-            r += lo
-            at = r * words + word.take(steps)
-            keep = np.flatnonzero((vis_flat.take(at) & bit.take(steps)) == 0)
-            r, steps = r.take(keep), steps.take(keep)
+            r, kid_arc, leaf, *rest = st.expand(node[lo:lo + _CHUNK], cost[lo:lo + _CHUNK], vis[lo:lo + _CHUNK])
             prefixes += len(r)
             if prefixes > CATALOG_CAP:
                 return None
-            kid_vis = vis.take(r, axis=0)
-            kid_vis.reshape(-1)[np.arange(0, len(r) * words, words) + word.take(steps)] |= bit.take(steps)
-            parts.append((
-                r.astype(pos_dt), arc.take(steps), (leaf + lo).astype(pos_dt), leaf_k.take(nd.take(leaf)),
-                head.take(steps), cost.take(r) + w_flat.take(steps), kid_vis,
-            ))
+            parts.append(((r + lo).astype(pos_dt), kid_arc, (leaf + lo).astype(pos_dt), *rest))
         # Join one field at a time, each freeing its chunks before the next.
         fields = [list(f) for f in zip(*parts)]
-        del node, cost, vis, vis_flat, parts
+        del node, cost, vis, parts
         kid_parent, kid_arc, leaf_parent, leaf_arc, node, cost, vis = (
             np.concatenate(fields.pop(0)) for _ in range(7))
         levels.append((kid_parent, kid_arc, leaf_parent, leaf_arc))
@@ -317,128 +330,111 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
     level_leaves = [len(leaf_arc) for _kp, _ka, _lp, leaf_arc in levels]
     lens = [m for m in np.cumsum(level_leaves[::-1])[::-1].tolist() if m]
     del levels[len(lens):]
-    rows = np.split(np.empty(sum(lens), arc_dt), np.cumsum(lens)[:-1]) if lens else []
+    rows = np.split(np.empty(sum(lens), st.arc_dt), np.cumsum(lens)[:-1]) if lens else []
     pos = np.zeros(0, np.intp)
     for row in reversed(rows):
         kid_parent, kid_arc, leaf_parent, leaf_arc = levels.pop()
         np.concatenate((kid_arc.take(pos), leaf_arc), out=row)
         pos = np.concatenate((kid_parent.take(pos), leaf_parent))
     return PrefixCatalog(
-        start=start, arcs=arcs, heads=heads, rows=rows,
+        start=lg.graph.start, arcs=st.arcs, heads=st.heads, rows=rows,
         blocks=[(lo, row[lo:lo + _BLOCK]) for row in rows for lo in range(0, len(row), _BLOCK)],
         level_prefixes=level_prefixes, level_leaves=level_leaves, prefixes=prefixes,
     )
 
 
 # ---------------------------------------------------------------------------
-# Branch and bound: the fallback above CATALOG_CAP and the audit reference
+# Bounded search: the exact oracle above CATALOG_CAP
 
-def _arcs(lg: LogGraph) -> list:
-    """The graph's arcs in (tail, head) index order, as lg.costs lists them: the arc numbering of catalogs and searches."""
-    return [(v, u) for v, row in lg.costs.items() for u in row]
+def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
+    """The best path by a depth-first search over _Steps.expand that prunes by a reward bound.
 
-
-def _node_table(lg: LogGraph, v, items, step_item, bit, dist_to_t):
-    """Bound items (need, head bit, k) and steps (u, cost, dist_to_t[u], bit of u, k) of node v."""
-    dv = lg.distances_from(v)
-    bound = [(dv[a] + extra + dist_to_t[b], bit[b], k) for k, (a, extra, b) in enumerate(items)]
-    steps = [(u, w, dist_to_t[u], bit[u], step_item[(v, u)]) for u, w in lg.costs[v].items()]
-    return bound, steps
-
-
-def _branch_and_bound(p: OrienteeringProblem, kind: str, lookup, use_reward_bound: bool) -> OracleResult:
-    """Depth-first branch and bound shared by node and arc rewards.
-
-    It serves the calls whose catalog would exceed CATALOG_CAP and, with
-    use_reward_bound=False, is the reference the catalog is checked against.
     Item k is (a, extra, b), paid reward[k]: one (j, 0.0, j) per node in
-    index order, or one (a, cost(a, b), b) per arc in _arcs order. It is a
-    reward that a walk v ~> a, then extra, then b ~> terminal could still
-    collect, at a need of dist(v, a) + extra + dist(b, terminal); a step
-    v -> u pays its own item. An item whose head b is already visited (and
-    is not the terminal) is out of reach, because a simple path never
-    re-enters a visited node. A node's table of needs and steps is built on
-    its first expansion and kept for the rest of the call. Visited nodes
-    form an int bitmask in which the terminal's bit is 0.
+    index order, or one (a, cost(a, b), b) per arc in _arcs order. A walk
+    v ~> a, extra, b ~> terminal could still collect it, at a need of
+    dist(v, a) + extra + dist(b, terminal), unless b is visited. The needs
+    come from searches stopped at limit over the arcs of cost <= limit:
+    the same floats up to limit, and a longer distance fails every test.
 
-    Children are explored in ascending node-index order and the incumbent
-    only improves strictly, so the first maximizer reached is the
-    lexicographically smallest one. Pruning: (a) the cheapest completion
-    exceeds the remaining budget, (b) current reward plus every item still
-    in reach cannot beat the incumbent; it can be disabled for audits.
-    Every budget test keeps one float expression.
+    A stack holds chunks of prefixes with their paths (node indices),
+    collected rewards, costs and visited words. A popped chunk is pruned,
+    its leaves are scored and its children are pushed in chunks, the last
+    first; then its arrays are dropped, so memory follows the live stack.
+    A chunk's (prefix, item) mask holds about _CHUNK * V entries.
+    nodes_expanded counts the prefixes popped, whose bound was tested. The
+    incumbent is the best (reward, path) so far by PrefixCatalog.best's
+    order: the larger float, then the smaller node-index sequence. A depot
+    robot starts from (0.0, stay home), which comes before every tour.
 
-    Rule (b) holds in floats too. A completion pays collected plus some of
-    the terms the bound adds, so its exact sum is at most the bound's. Both
-    floats are left-to-right sums of at most N = len(items) terms >= 0 after
-    collected, each within a factor 1 +- N*u/(1 - N*u) of its exact sum (u =
-    2^-53), so the completion's is at most bound * (1 + 4N*u). Rule (b)
-    prunes only when bound * (1 + 8N*u), the slack factor exact in a float,
-    is at most the incumbent; rounding the product loses at most a factor
-    1 - u. Without the slack, 1e-16 + 1.0 + 1e-16 in item order gave 1.0 and
-    pruned a path that collects 1e-16 + 1e-16 + 1.0 = 1.0000000000000002.
+    A prefix's bound is collected plus the masked sum of the rewards with
+    need <= budget - cost + BUDGET_TOL. A completion pays collected plus
+    some of those terms, so its exact sum is at most the bound's. Each
+    float sums at most N + 1 terms >= 0, N = len(items): the completion
+    left to right, the bound as collected plus numpy's pairwise sum of the
+    masked row. In any bracketing a term meets at most N roundings, each
+    within a factor 1 +- u (u = 2^-53), so the completion's float is at
+    most bound * ((1 + u) / (1 - u))^N < bound * (1 + 4N*u). slack = 1 +
+    8N*u is exact, and rounding bound * slack loses at most a factor 1 - u:
+    a completion is below bound * slack if bound is a normal float, and at
+    most bound if it is 0.0 or subnormal, as then every partial sum is
+    exact. A prefix is pruned when bound * slack is below the incumbent, or
+    equals it and the prefix's path does not come before the incumbent's.
+    The tie matters at bound 0.0: chunks find (s, t) before the leaves
+    under (s, a), index(a) < index(t). Without the slack, 1e-16 + 1.0 +
+    1e-16 in item order gave 1.0 and pruned a path that collects 1e-16 +
+    1e-16 + 1.0 = 1.0000000000000002.
     """
-    lg = p.lg
+    st = _Steps(lg)
     g = lg.graph
-    start, terminal, budget, limit = g.start, g.terminal, lg.budget, lg.limit
-    depot = start == terminal
-    dist_to_t = lg.distances_to(terminal)
-    idx = g.index
-    arcs = _arcs(lg)
+    n = len(g.node_ids)
     if kind == "node":
-        keys, items = g.node_ids, [(j, 0.0, j) for j in g.node_ids]
-        step_item = {(a, b): idx[b] for a, b in arcs}
+        item_rew = np.array([lookup(v, 0.0) for v in g.node_ids], dtype=float)
+        rew, a, b, extra = item_rew.take(st.heads), np.arange(n), np.arange(n), np.zeros(n)
     else:
-        keys, items = arcs, [(a, lg.costs[a][b], b) for a, b in arcs]
-        step_item = {e: k for k, e in enumerate(arcs)}
-    bit = {v: 0 if v == terminal else 1 << i for i, v in enumerate(g.node_ids)}
-    reward = [lookup(key, 0.0) for key in keys]
-    slack = 1.0 + len(items) * 2.0 ** -50
-    tables = {}
-
-    # A depot robot may stay home; an open path has no incumbent yet.
-    best_reward, best_path = (0.0, (start,)) if depot else (-INF, None)
+        rew = item_rew = np.array([lookup(e, 0.0) for e in st.arcs], dtype=float)
+        a, b, extra = st.tails, st.heads, st.arc_w
+    rows = {v: sorted(((u, w) for u, w in row.items() if w <= lg.limit), key=lambda t: t[1]) for v, row in lg.costs.items()}
+    need = np.empty((n, len(item_rew)))
+    known = np.zeros(n, bool)
+    slack = 1.0 + len(item_rew) * 2.0 ** -50
+    chunk = max(1, _CHUNK * n // max(1, len(item_rew)))
+    best, best_path = (0.0, (st.start,)) if st.depot else (-INF, None)
     expanded = 0
-
-    def dfs(v, cost, collected, visited, path):
-        nonlocal best_reward, best_path, expanded
-        expanded += 1
-        try:
-            bound_items, steps = tables[v]
-        except KeyError:
-            bound_items, steps = tables[v] = _node_table(lg, v, items, step_item, bit, dist_to_t)
-        if use_reward_bound:
-            bound = collected
-            room = budget - cost + BUDGET_TOL
-            for need, head, k in bound_items:
-                if need <= room and not visited & head:
-                    bound += reward[k]
-            if bound * slack <= best_reward:
-                return
-        for u, w, to_t, b, k in steps:
-            if visited & b:
-                continue
-            c = cost + w
-            if u == terminal:
-                if c <= limit:
-                    r = collected + reward[k]
-                    if r > best_reward:
-                        best_reward = r
-                        best_path = tuple(path) + (u,)
-                continue
-            if c + to_t > limit:
-                continue
-            path.append(u)
-            dfs(u, c, collected + reward[k], visited | b, path)
-            path.pop()
-
-    try:
-        dfs(start, 0.0, 0.0, bit[start], [start])
-    finally:
-        dfs = None  # the closure refers to itself; drop the cycle now, not at the next GC
+    node, cost, vis = st.root
+    stack = [(node, cost, vis, np.zeros(1), node[:, None])]
+    while stack:
+        node, cost, vis, got, paths = stack.pop()
+        expanded += len(node)
+        nd = node.astype(np.intp)
+        for v in np.unique(nd[~known.take(nd)]).tolist():
+            dv = search(rows, g.node_ids[v], limit=lg.limit)[0]
+            need[v] = np.array([dv.get(u, INF) for u in g.node_ids]).take(a) + extra + st.to_t.take(b)
+            known[v] = True
+        # Bit j of a prefix's visited words is column j of bits; the terminal's is 0.
+        reach = need.take(nd, axis=0) <= (lg.budget - cost + BUDGET_TOL)[:, None]
+        bits = np.unpackbits(vis.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
+        reach &= (bits if kind == "node" else bits.take(b, axis=1)) == 0
+        top = (got + (reach * item_rew).sum(axis=1)) * slack
+        live = top > best
+        # A tie with the incumbent survives only ahead of it in index order.
+        for i in np.flatnonzero(top == best).tolist():
+            live[i] = tuple(paths[i].tolist()) < best_path
+        keep = np.flatnonzero(live)
+        node, cost, vis, got, paths = (x.take(keep, axis=0) for x in (node, cost, vis, got, paths))
+        r, kid_arc, leaf, leaf_arc, *kids = st.expand(node, cost, vis)
+        if len(leaf):
+            val = got.take(leaf) + rew.take(leaf_arc)
+            top = val.max()
+            path = tuple(min(paths.take(leaf[val == top], axis=0).tolist())) + (st.terminal,)
+            if top > best or (top == best and path < best_path):
+                best, best_path = top, path
+        # Children as (node, cost, vis, collected, path), pushed last chunk first.
+        kids += got.take(r) + rew.take(kid_arc), np.column_stack((paths.take(r, axis=0), kids[0]))
+        stack += [tuple(x[lo:lo + chunk] for x in kids) for lo in reversed(range(0, len(r), chunk))]
     if best_path is None:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=best_path, reward=best_reward, exact=True, nodes_expanded=expanded)
+    return OracleResult(path=tuple(g.node_ids[i] for i in best_path), reward=float(best), exact=True,
+                        nodes_expanded=expanded)
 
 
 # ---------------------------------------------------------------------------

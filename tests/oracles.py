@@ -12,7 +12,12 @@ included. A random estimate has no brute-force value to pin, so any faster
 loop is instead held to this one's exact output: the same stream, the same
 chunks and the same ``repr`` of the result.
 
-The multi-visit references at the end are the other: verbatim copies of the
+``branch_and_bound`` is another: a verbatim copy of the library's
+recursive branch and bound, which once ran the exact oracle above its
+catalog's cap and is now the audit reference for the catalog and for the
+chunked search that replaced it, to the path and the reward's bits.
+
+The multi-visit references at the end are the last: verbatim copies of the
 library's original per-node loops over count lists. The brute-force value
 agrees with them only to a tolerance, so the whole-table fold, value and
 next rewards are held to these loops' floats instead.
@@ -26,8 +31,9 @@ import math
 
 import numpy as np
 
-from tso.graph import check_path, ordered_sum
+from tso.graph import INF, InfeasibleInstanceError, check_path, ordered_sum
 from tso.objective import SimulationResult
+from tso.orienteering import OracleResult
 
 BUDGET_TOL = 1e-9
 
@@ -238,6 +244,111 @@ def arc_orienteering_brute(g, rewards):
         elif abs(r - best) <= 1e-12:
             arg.append(p)
     return best, arg
+
+
+def _node_table(lg, v, items, step_item, bit, dist_to_t):
+    """Bound items (need, head bit, k) and steps (u, cost, dist_to_t[u], bit of u, k) of node v."""
+    dv = lg.distances_from(v)
+    bound = [(dv[a] + extra + dist_to_t[b], bit[b], k) for k, (a, extra, b) in enumerate(items)]
+    steps = [(u, w, dist_to_t[u], bit[u], step_item[(v, u)]) for u, w in lg.costs[v].items()]
+    return bound, steps
+
+
+def branch_and_bound(p, kind="node", use_reward_bound=False):
+    """Depth-first branch and bound shared by node ("node") and arc ("arc") rewards.
+
+    With use_reward_bound=False it is the reference the catalog and the
+    bounded search are checked against.
+
+    Item k is (a, extra, b), paid reward[k]: one (j, 0.0, j) per node in
+    index order, or one (a, cost(a, b), b) per arc in (tail, head) index order. It is a
+    reward that a walk v ~> a, then extra, then b ~> terminal could still
+    collect, at a need of dist(v, a) + extra + dist(b, terminal); a step
+    v -> u pays its own item. An item whose head b is already visited (and
+    is not the terminal) is out of reach, because a simple path never
+    re-enters a visited node. A node's table of needs and steps is built on
+    its first expansion and kept for the rest of the call. Visited nodes
+    form an int bitmask in which the terminal's bit is 0.
+
+    Children are explored in ascending node-index order and the incumbent
+    only improves strictly, so the first maximizer reached is the
+    lexicographically smallest one. Pruning: (a) the cheapest completion
+    exceeds the remaining budget, (b) current reward plus every item still
+    in reach cannot beat the incumbent; it can be disabled for audits.
+    Every budget test keeps one float expression.
+
+    Rule (b) holds in floats too. A completion pays collected plus some of
+    the terms the bound adds, so its exact sum is at most the bound's. Both
+    floats are left-to-right sums of at most N = len(items) terms >= 0 after
+    collected, each within a factor 1 +- N*u/(1 - N*u) of its exact sum (u =
+    2^-53), so the completion's is at most bound * (1 + 4N*u). Rule (b)
+    prunes only when bound * (1 + 8N*u), the slack factor exact in a float,
+    is at most the incumbent; rounding the product loses at most a factor
+    1 - u. Without the slack, 1e-16 + 1.0 + 1e-16 in item order gave 1.0 and
+    pruned a path that collects 1e-16 + 1e-16 + 1.0 = 1.0000000000000002.
+    """
+    lookup = ((p.rewards if kind == "node" else p.edge_rewards) or {}).get
+    lg = p.lg
+    g = lg.graph
+    start, terminal, budget, limit = g.start, g.terminal, lg.budget, lg.limit
+    depot = start == terminal
+    dist_to_t = lg.distances_to(terminal)
+    idx = g.index
+    arcs = [(v, u) for v, row in lg.costs.items() for u in row]
+    if kind == "node":
+        keys, items = g.node_ids, [(j, 0.0, j) for j in g.node_ids]
+        step_item = {(a, b): idx[b] for a, b in arcs}
+    else:
+        keys, items = arcs, [(a, lg.costs[a][b], b) for a, b in arcs]
+        step_item = {e: k for k, e in enumerate(arcs)}
+    bit = {v: 0 if v == terminal else 1 << i for i, v in enumerate(g.node_ids)}
+    reward = [lookup(key, 0.0) for key in keys]
+    slack = 1.0 + len(items) * 2.0 ** -50
+    tables = {}
+
+    # A depot robot may stay home; an open path has no incumbent yet.
+    best_reward, best_path = (0.0, (start,)) if depot else (-INF, None)
+    expanded = 0
+
+    def dfs(v, cost, collected, visited, path):
+        nonlocal best_reward, best_path, expanded
+        expanded += 1
+        try:
+            bound_items, steps = tables[v]
+        except KeyError:
+            bound_items, steps = tables[v] = _node_table(lg, v, items, step_item, bit, dist_to_t)
+        if use_reward_bound:
+            bound = collected
+            room = budget - cost + BUDGET_TOL
+            for need, head, k in bound_items:
+                if need <= room and not visited & head:
+                    bound += reward[k]
+            if bound * slack <= best_reward:
+                return
+        for u, w, to_t, b, k in steps:
+            if visited & b:
+                continue
+            c = cost + w
+            if u == terminal:
+                if c <= limit:
+                    r = collected + reward[k]
+                    if r > best_reward:
+                        best_reward = r
+                        best_path = tuple(path) + (u,)
+                continue
+            if c + to_t > limit:
+                continue
+            path.append(u)
+            dfs(u, c, collected + reward[k], visited | b, path)
+            path.pop()
+
+    try:
+        dfs(start, 0.0, 0.0, bit[start], [start])
+    finally:
+        dfs = None  # the closure refers to itself; drop the cycle now, not at the next GC
+    if best_path is None:
+        raise InfeasibleInstanceError("no start-terminal path within the survival budget")
+    return OracleResult(path=best_path, reward=best_reward, exact=True, nodes_expanded=expanded)
 
 
 def best_team_brute(g, team_size):

@@ -38,6 +38,11 @@ def _depot_graphs(loop5, seed_tag, count):
     return graphs
 
 
+def _reference(solve, p):
+    """The recursive branch and bound of oracles, unbounded, for the oracle solve."""
+    return oracles.branch_and_bound(p, "node" if solve is tso.solve_exact else "arc")
+
+
 def _random_rewards(g, rng):
     """Node rewards on every node and arc rewards on every arc, arcs into the start included."""
     nodes = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
@@ -137,12 +142,12 @@ def test_equal_rewards_at_two_depths_go_to_the_smaller_index_sequence(s, b, c, d
         (tso.solve_arc_exact, dict(edge_rewards={(s, b): 0.25, (b, c): 0.5, (s, d): 0.75})),
     ):
         got = solve(_problem(g, **kw))
-        reference = solve(_problem(g, **kw), use_reward_bound=False)
+        reference = _reference(solve, _problem(g, **kw))
         assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)) == (expected, "0.75")
 
 
 def test_reward_bound_only_prunes(monkeypatch, loop5):
-    # The bound runs in the branch and bound, so the catalog is off here.
+    # The bound runs in the bounded search, so the catalog is off here.
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     graphs = [tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(72, seed)) for seed in range(6)]
     graphs += _depot_graphs(loop5, 79, 6)
@@ -153,7 +158,7 @@ def test_reward_bound_only_prunes(monkeypatch, loop5):
             (tso.solve_arc_exact, _problem(g, edge_rewards=arc_rewards)),
         ):
             fast = solve(p)
-            slow = solve(p, use_reward_bound=False)
+            slow = _reference(solve, p)
             assert fast.path == slow.path, (seed, solve.__name__)
             assert fast.reward == slow.reward
             assert fast.nodes_expanded <= slow.nodes_expanded
@@ -174,7 +179,8 @@ def test_all_zero_rewards_still_feasible(diamond):
 
 def test_infeasible_instance_raises(monkeypatch):
     # The cheapest start-terminal path exceeds the budget, directly or via
-    # node 3: the catalog has no leaf and the branch and bound no incumbent.
+    # node 3: the catalog has no leaf, and the bounded search and the
+    # reference no incumbent.
     direct = tso.SurvivalGraph(
         node_ids=[1, 2],
         priorities={1: 1.0, 2: 1.0},
@@ -191,11 +197,13 @@ def test_infeasible_instance_raises(monkeypatch):
     for g in (direct, via):
         for cap in (orienteering.CATALOG_CAP, 0):
             monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
-            for bound in (True, False):
-                with pytest.raises(tso.InfeasibleInstanceError, match=message):
-                    tso.solve_exact(_problem(g, rewards={v: 1.0 for v in g.node_ids[1:]}), use_reward_bound=bound)
-                with pytest.raises(tso.InfeasibleInstanceError, match=message):
-                    tso.solve_arc_exact(_problem(g, edge_rewards={(1, 2): 1.0}), use_reward_bound=bound)
+            for solve, kw in (
+                (tso.solve_exact, dict(rewards={v: 1.0 for v in g.node_ids[1:]})),
+                (tso.solve_arc_exact, dict(edge_rewards={(1, 2): 1.0})),
+            ):
+                for run in (solve, lambda p, solve=solve: _reference(solve, p)):
+                    with pytest.raises(tso.InfeasibleInstanceError, match=message):
+                        run(_problem(g, **kw))
         with pytest.raises(tso.InfeasibleInstanceError, match=message):
             tso.solve_heuristic(_problem(g, rewards={2: 1.0}))
 
@@ -552,7 +560,7 @@ def test_arc_exact_matches_enumeration(loop5):
         rewards = {(u, v): float(rng.uniform(0.0, 1.0)) for u, v, _ in g.edges}
         p = _problem(g, edge_rewards=rewards)
         res = tso.solve_arc_exact(p)
-        slow = tso.solve_arc_exact(p, use_reward_bound=False)
+        slow = oracles.branch_and_bound(p, "arc")
         assert (res.path, res.reward) == (slow.path, slow.reward), seed
         best, maximizers = oracles.arc_orienteering_brute(g, rewards)
         if g.start == g.terminal and not maximizers:
@@ -573,7 +581,7 @@ def test_arc_exact_unit_reward_edge(diamond):
 def test_arc_bound_agreement(diamond):
     p = _problem(diamond, edge_rewards={(1, 2): 1.0, (2, 4): 0.5})
     fast = tso.solve_arc_exact(p)
-    slow = tso.solve_arc_exact(p, use_reward_bound=False)
+    slow = oracles.branch_and_bound(p, "arc")
     assert fast.path == slow.path
     assert fast.reward == slow.reward
 
@@ -617,8 +625,8 @@ def adversarial_cases(draw, levels=LEVELS):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(adversarial_cases())
 def test_exact_oracles_on_adversarial_graphs(case):
-    # The catalog, the branch and bound with and without its reward bound,
-    # and brute force agree on the path and on the reward's bits.
+    # The catalog, the bounded search, the recursive reference and brute
+    # force agree on the path and on the reward's bits.
     g, rewards, arcs = case
     for solve, kw, brute in (
         (tso.solve_exact, dict(rewards=rewards), oracles.orienteering_brute(g, rewards)),
@@ -631,14 +639,14 @@ def test_exact_oracles_on_adversarial_graphs(case):
         except tso.InfeasibleInstanceError:
             assert g.start != g.terminal and not maximizers
             with pytest.raises(tso.InfeasibleInstanceError):
-                solve(p, use_reward_bound=False)
+                _reference(solve, p)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
                 with pytest.raises(tso.InfeasibleInstanceError):
                     solve(_problem(g, **kw))
             continue
         assert fast.nodes_expanded == _catalog(p.lg).prefixes
-        slow = solve(p, use_reward_bound=False)
+        slow = _reference(solve, p)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
             bounded = solve(_problem(g, **kw))
@@ -663,7 +671,8 @@ def test_reward_bound_keeps_an_ulp_better_path(monkeypatch):
         edges=[(u, v, 0.99) for u in range(5) for v in range(5) if u != v],
     )
     rewards = {1: 1.0, 2: 1e-16, 3: 1e-16}
-    answers = [tso.solve_exact(_problem(g, rewards=rewards), use_reward_bound=b) for b in (True, False)]
+    answers = [tso.solve_exact(_problem(g, rewards=rewards))]
+    answers += [oracles.branch_and_bound(_problem(g, rewards=rewards), use_reward_bound=b) for b in (False, True)]
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     answers.append(tso.solve_exact(_problem(g, rewards=rewards)))
     for res in answers:
@@ -673,11 +682,11 @@ def test_reward_bound_keeps_an_ulp_better_path(monkeypatch):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(adversarial_cases(ULP_LEVELS))
 def test_bounded_search_on_rounding_adversarial_rewards(case):
-    # The bounded branch and bound returns the unbounded search's path and bits.
+    # The bounded search returns the unbounded reference's path and bits.
     g, rewards, arcs = case
     for solve, kw in ((tso.solve_exact, dict(rewards=rewards)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
         try:
-            slow = solve(_problem(g, **kw), use_reward_bound=False)
+            slow = _reference(solve, _problem(g, **kw))
         except tso.InfeasibleInstanceError:
             continue
         with pytest.MonkeyPatch.context() as mp:
@@ -715,7 +724,7 @@ def test_catalog_ties_at_scale(monkeypatch, n, weight_min, p_s, depot):
             (tso.solve_arc_exact, dict(edge_rewards=arcs), lambda path: ordered_sum(arcs[e] for e in zip(path, path[1:]))),
         ):
             got = solve(tso.OrienteeringProblem(lg=lg, **kw))
-            reference = solve(_problem(g, **kw), use_reward_bound=False)
+            reference = _reference(solve, _problem(g, **kw))
             assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)), solve.__name__
             sums = [value(path) for path in paths]
             top = max(sums)
@@ -751,6 +760,52 @@ def _catalog(lg):
     """The one catalog that calls on lg have built."""
     (cat,) = lg._catalog_cache
     return cat
+
+
+@pytest.mark.parametrize("terminal", [1, 5])
+def test_bounded_search_ties_go_to_the_first_index_sequence(monkeypatch, terminal):
+    # Chunks do not find leaves in index order: the root's chunk yields the
+    # leaf (0, t) before any leaf under (0, a), a < t. With every reward 0.0
+    # each bound is 0.0 and equals the incumbent; with equal rewards many
+    # paths tie at the top. The search must still return the reference's
+    # path, the smallest node-index sequence among the maximizers, and its
+    # float: at terminal 5 and all-zero rewards, (0, 1, 2, 3, 4, 5).
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    g = tso.random_complete_instance(6, 0.8, 1.0, 0.5, seed=(403, 0))
+    g = dataclasses.replace(g, terminal=terminal)
+    cases = [
+        (tso.solve_exact, dict(rewards={})),
+        (tso.solve_exact, dict(rewards={v: 1.0 for v in g.node_ids})),
+        (tso.solve_arc_exact, dict(edge_rewards={})),
+        (tso.solve_arc_exact, dict(edge_rewards={(u, v): 0.5 for u, v, _w in g.edges})),
+    ]
+    for solve, kw in cases:
+        got = solve(_problem(g, **kw))
+        reference = _reference(solve, _problem(g, **kw))
+        assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)), (solve.__name__, kw)
+    first = tso.solve_exact(_problem(g, rewards={}))
+    assert (first.path, repr(first.reward)) == ({1: (0, 1), 5: (0, 1, 2, 3, 4, 5)}[terminal], "0.0")
+
+
+def test_bounded_search_memory(monkeypatch):
+    # The search holds its live stack of chunks, each with its prefixes'
+    # paths, and drops a chunk once expanded; it keeps nothing per prefix
+    # expanded. Greedy's first call here tests 82,662 prefixes' bounds and
+    # traced a peak of 1.9 MiB.
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.4, seed=(1, 0))
+    lg = tso.log_transform(g)
+    p = tso.greedy.NodeRewards(g, tso.max_visit_probabilities(lg)).problem(lg)
+    tracemalloc.start()
+    try:
+        res = tso.solve_exact(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.nodes_expanded == 82_662
+    assert peak < 3 * 2**20
+    reference = oracles.branch_and_bound(p)
+    assert (res.path, repr(res.reward)) == (reference.path, repr(reference.reward))
 
 
 def test_catalog_over_its_cap_falls_back_to_branch_and_bound(monkeypatch):
@@ -851,14 +906,17 @@ def _effort_case(variant):
 
 
 @pytest.mark.parametrize("variant, calls, total", [
-    ("node", 30, 122_756),
-    ("edge", 36, 16_020),
-    ("multi_visit", 36, 11_666),
+    ("node", 30, 176_412),
+    ("edge", 36, 17_702),
+    ("multi_visit", 36, 16_800),
 ])
 def test_greedy_search_effort_is_pinned(monkeypatch, variant, calls, total):
-    # Totals of the branch and bound over one greedy run per reward kind,
-    # with the catalog off; a change to the search order, the bound or its
-    # float order moves them.
+    # Totals of the bounded search over one greedy run per reward kind, with
+    # the catalog off: the prefixes whose bound was tested. A change to the
+    # chunk size, the push order, the bound or its float order moves them.
+    # The recursive search this one replaced tested 122,756, 16,020 and
+    # 11,666 bounds: it tested each prefix against every leaf found before
+    # it, where all the prefixes of a chunk meet the incumbent of its pop.
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     g, cfg = _effort_case(variant)
     counts = _count_oracle_nodes(monkeypatch)
@@ -881,7 +939,7 @@ def test_results_do_not_depend_on_the_builtin_sum(monkeypatch):
     g, cfg = _effort_case("multi_visit")
     counts = _count_oracle_nodes(monkeypatch)
     tso.greedy_survivors(g, cfg)
-    assert (len(counts), sum(counts)) == (36, 11_666)
+    assert (len(counts), sum(counts)) == (36, 16_800)
 
 
 @pytest.mark.parametrize("variant, calls, prefixes", [
@@ -891,7 +949,7 @@ def test_results_do_not_depend_on_the_builtin_sum(monkeypatch):
 ])
 def test_greedy_catalog_effort_is_pinned(monkeypatch, variant, calls, prefixes):
     # The same greedy runs on the catalog: one catalog per run, whose prefix
-    # count every call reports, and the branch and bound's paths and gains.
+    # count every call reports, and the bounded search's paths and gains.
     g, cfg = _effort_case(variant)
     counts = _count_oracle_nodes(monkeypatch)
     run = tso.greedy_survivors(g, cfg)
@@ -908,6 +966,7 @@ def test_catalog_on_graphs_above_64_nodes(depot, reverse):
     # Visited sets of more than 64 nodes take two uint64 words. Reversing
     # the index order moves the start into the second word (and the open
     # path's terminal into the first); some leaves pass through nodes there.
+    # The bounded search reads the same words.
     base = tso.feasible_random_instance(70, 0.3, 1.0, 0.9, seed=(64, 70))
     node_ids = base.node_ids[::-1] if reverse else base.node_ids
     g = tso.SurvivalGraph(
@@ -918,9 +977,13 @@ def test_catalog_on_graphs_above_64_nodes(depot, reverse):
     lg = tso.log_transform(g)
     for solve, kw in ((tso.solve_exact, dict(rewards=nodes)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
         got = solve(tso.OrienteeringProblem(lg=lg, **kw))
-        reference = solve(_problem(g, **kw), use_reward_bound=False)
+        reference = _reference(solve, _problem(g, **kw))
         assert (got.path, repr(got.reward), got.nodes_expanded) == (
             reference.path, repr(reference.reward), reference.nodes_expanded)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
+            bounded = solve(_problem(g, **kw))
+        assert (bounded.path, repr(bounded.reward)) == (reference.path, repr(reference.reward)), solve.__name__
     cat = _catalog(lg)
     assert cat.prefixes > 100
     assert any(g.index[v] >= 64 for path in cat.paths() for v in path[1:-1])
