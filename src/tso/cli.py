@@ -97,7 +97,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     g = _load_checked(args.instance)
     cfg = GreedyConfig(
-        team_size=args.team if args.team else g.team_size,
+        team_size=g.team_size if args.team is None else args.team,
         oversize=args.oversize,
         oracle=args.oracle,
         variant=args.variant,
@@ -119,7 +119,7 @@ def cmd_solve(args) -> int:
 
 def cmd_exact(args) -> int:
     g = _load_checked(args.instance)
-    plan = solve_exact_tso(g, args.team if args.team else g.team_size)
+    plan = solve_exact_tso(g, g.team_size if args.team is None else args.team)
     doc = plan_to_dict(g, plan)
     doc["exact"] = True
     _write_json(args.out, doc)
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="greedy team plan with bound certificate")
     s.add_argument("instance")
     s.add_argument("--oracle", choices=["exact", "heuristic"], default="exact")
-    s.add_argument("--team", type=int, default=0, help="defaults to the instance team size")
+    s.add_argument("--team", type=int, help="defaults to the instance team size")
     s.add_argument("--oversize", type=int, default=None)
     s.add_argument("--variant", choices=VARIANTS, default="node")
     s.add_argument("--seed", type=int, default=0)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("exact", help="exhaustive optimum (small instances only)")
     e.add_argument("instance")
-    e.add_argument("--team", type=int, default=0)
+    e.add_argument("--team", type=int, help="defaults to the instance team size")
     e.add_argument("--out")
     e.set_defaults(func=cmd_exact)
 

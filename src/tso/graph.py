@@ -167,7 +167,9 @@ class LogGraph:
     # The exact oracle's path catalog: () until built, then (catalog,), with
     # None above the cap; see orienteering.prefix_catalog.
     _catalog_cache: tuple = field(default=(), repr=False)
-    # GRASP cost rows, legs and candidate rows; see orienteering._grasp_tables.
+    # The bounded search's steps and distance rows; see orienteering._search_tables.
+    _search_cache: tuple | None = field(default=None, repr=False)
+    # GRASP cost rows, legs, candidate rows and skeleton trie; see orienteering._grasp_tables.
     _grasp_cache: tuple | None = field(default=None, repr=False)
 
     def shortest_tree(self, source):

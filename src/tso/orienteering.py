@@ -346,6 +346,22 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
 # ---------------------------------------------------------------------------
 # Bounded search: the exact oracle above CATALOG_CAP
 
+def _search_tables(lg: LogGraph):
+    """(steps, rows, dist, known) of lg's bounded search, built by its first call and kept for every later one.
+
+    steps is lg's _Steps; rows[v] holds lg.costs[v]'s arcs of cost <= limit,
+    cheapest first; dist[v] is the row of node v's distances (node_ids
+    order) from a search over rows stopped at limit, filled on the first
+    call that expands a prefix at v, and known[v] says it is filled. None of
+    them holds rewards, so the calls of a greedy run share them.
+    """
+    if lg._search_cache is None:
+        n = len(lg.graph.node_ids)
+        rows = {v: sorted(((u, w) for u, w in row.items() if w <= lg.limit), key=lambda t: t[1]) for v, row in lg.costs.items()}
+        lg._search_cache = (_Steps(lg), rows, np.empty((n, n)), np.zeros(n, bool))
+    return lg._search_cache
+
+
 def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
     """The best path by a depth-first search over _Steps.expand that prunes by a reward bound.
 
@@ -384,7 +400,7 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
     1e-16 in item order gave 1.0 and pruned a path that collects 1e-16 +
     1e-16 + 1.0 = 1.0000000000000002.
     """
-    st = _Steps(lg)
+    st, rows, dist, known = _search_tables(lg)
     g = lg.graph
     n = len(g.node_ids)
     if kind == "node":
@@ -393,9 +409,8 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
     else:
         rew = item_rew = np.array([lookup(e, 0.0) for e in st.arcs], dtype=float)
         a, b, extra = st.tails, st.heads, st.arc_w
-    rows = {v: sorted(((u, w) for u, w in row.items() if w <= lg.limit), key=lambda t: t[1]) for v, row in lg.costs.items()}
     need = np.empty((n, len(item_rew)))
-    known = np.zeros(n, bool)
+    filled = np.zeros(n, bool)
     slack = 1.0 + len(item_rew) * 2.0 ** -50
     chunk = max(1, _CHUNK * n // max(1, len(item_rew)))
     best, best_path = (0.0, (st.start,)) if st.depot else (-INF, None)
@@ -406,10 +421,13 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
         node, cost, vis, got, paths = stack.pop()
         expanded += len(node)
         nd = node.astype(np.intp)
-        for v in np.unique(nd[~known.take(nd)]).tolist():
-            dv = search(rows, g.node_ids[v], limit=lg.limit)[0]
-            need[v] = np.array([dv.get(u, INF) for u in g.node_ids]).take(a) + extra + st.to_t.take(b)
-            known[v] = True
+        for v in np.unique(nd[~filled.take(nd)]).tolist():
+            if not known[v]:
+                dv = search(rows, g.node_ids[v], limit=lg.limit)[0]
+                dist[v] = [dv.get(u, INF) for u in g.node_ids]
+                known[v] = True
+            need[v] = dist[v].take(a) + extra + st.to_t.take(b)
+            filled[v] = True
         # Bit j of a prefix's visited words is column j of bits; the terminal's is 0.
         reach = need.take(nd, axis=0) <= (lg.budget - cost + BUDGET_TOL)[:, None]
         bits = np.unpackbits(vis.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
@@ -441,14 +459,28 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
 # GRASP heuristic
 
 def _grasp_tables(lg: LogGraph):
-    """(rows, legs, cands) of lg, built by its first GRASP call and kept for every later one.
+    """(rows, legs, cands, trie) of lg, built by its first GRASP call and kept for every later one.
 
     rows[v] holds lg.costs[v]'s (head, cost) pairs stable-sorted by cost, so
     heads of equal cost stay in index order. legs maps (src, dst,
-    frozenset(banned)) to a (leg, cost) entry of _leg_avoiding, and cands
-    maps a source to its _leg_tree candidate row. None of them holds
-    rewards, so the calls of a greedy run, which share one LogGraph, share
-    them too.
+    frozenset(banned)) to a (leg, cost) entry of _leg_avoiding, cands maps a
+    source to its _leg_tree candidate row, and trie is the root _Walk of
+    the skeleton walks. None of them holds rewards, so the calls of a greedy
+    run, which share one LogGraph, share them too.
+
+    The trie gives the skeletons and draws of a walk that recomputes every
+    state. A state is the walk's path and cost float, and it is a function
+    of the waypoints accepted since the start: a leg's verdict and nodes
+    depend only on the graph and the query (see _leg_avoiding), so a
+    node's child for waypoint j, or its rejection, is the same whichever
+    walk asks first. A node's candidate row is a function of its path and
+    cost, so a kept row equals a recomputed one. Each hop then calls
+    rng.integers(len(row)) on the row, and again on the row less each
+    waypoint rejected so far, in the same order: a kept row is copied before
+    its first removal, so it never changes. The closing phase draws nothing
+    and reads only the states on the one trie path to its node, so its
+    result is kept on the node. Equal calls on the generator leave it in
+    equal states, so the walks that follow draw the same numbers too.
 
     The scans over rows stop at the first arc whose bound fails. Costs are
     -ln(survival) >= 0 (log_transform refuses any other survival), and
@@ -461,7 +493,7 @@ def _grasp_tables(lg: LogGraph):
     """
     if lg._grasp_cache is None:
         rows = {v: tuple(sorted(row.items(), key=lambda t: t[1])) for v, row in lg.costs.items()}
-        lg._grasp_cache = (rows, {}, {})
+        lg._grasp_cache = (rows, {}, {}, _Walk((lg.graph.start,), 0.0))
     return lg._grasp_cache
 
 
@@ -552,7 +584,7 @@ def _leg_avoiding(lg, src, dst, banned, cost):
     nodes = tree_path(prev, src, dst, banned)
     if nodes is not None:
         return (tuple(nodes), dist[dst]) if cost + dist[dst] + extra <= lg.limit else None
-    rows, legs, _cands = _grasp_tables(lg)
+    rows, legs = _grasp_tables(lg)[:2]
     key = (src, dst, frozenset(banned))
     hit = legs.get(key)
     if hit is not None and (hit[0] is not None or cost >= hit[1]):
@@ -564,58 +596,109 @@ def _leg_avoiding(lg, src, dst, banned, cost):
     return leg
 
 
-def _random_skeleton(p: OrienteeringProblem, rng, hops: int):
-    """Random affordable detour: collision-free legs through sampled waypoints.
+class _Walk:
+    """A state of the skeleton walk: a node of the trie that _grasp_tables keeps.
+
+    leg holds the nodes the state's last leg added (the start, at the root)
+    and cost the walk's float. row is the candidate row, None before the
+    first visit, False after it and a tuple from the second visit on, as
+    most states of a large graph are visited once. kids maps each waypoint
+    drawn here to its state, or to None where the leg was rejected; end is
+    the closing phase's result, None until a walk first closes here. Nodes
+    point only to their kids, so a dropped LogGraph frees its trie without
+    the cycle collector.
+    """
+
+    __slots__ = ("leg", "cost", "row", "kids", "end")
+
+    def __init__(self, leg, cost):
+        self.leg, self.cost = leg, cost
+        self.row = self.end = None
+        self.kids = {}
+
+
+def _random_skeleton(lg: LogGraph, rng, hops: int):
+    """Random affordable detour, as a new (path list, cost) or None: collision-free legs through sampled waypoints.
 
     Pure insertion cannot leave the direct skeleton when the straight edge
     already eats most of the budget; routing restarts through waypoints
-    reaches path shapes insertion alone never builds. Each waypoint is drawn
-    from the nodes still affordable with a straight run home afterwards, and
-    each leg avoids nodes the skeleton already holds. If the closing leg
-    fails or busts the budget, the walk backtracks one waypoint at a time; a
-    walk that cannot leave the start yields None.
+    reaches path shapes insertion alone never builds. Each hop draws a
+    waypoint from the nodes still affordable with a straight run home
+    afterwards, up to three times, dropping each whose leg (avoiding the
+    nodes the skeleton holds) fails; a hop with an empty row ends the walk.
+    Then, if the closing leg fails or busts the budget, the walk backtracks
+    one waypoint at a time; a walk that cannot leave the start yields None.
+
+    The walk moves down the trie of _grasp_tables(lg), whose nodes (_Walk)
+    keep what a state's row, legs and closing computed; see _grasp_tables
+    for why that gives the same draws and skeletons.
     """
-    lg = p.lg
-    g = lg.graph
-    terminal = g.terminal
+    terminal, limit = lg.graph.terminal, lg.limit
     dist_t = lg.distances_to(terminal)
-    limit = lg.limit
-    path = [g.start]
-    used = {g.start}
-    waypoints = [0]
-    cost = 0.0
-    v = g.start
+    node = _grasp_tables(lg)[3]
+    trail, path = [node], list(node.leg)
     for _ in range(hops):
-        # v's candidate row, filtered by the same floats in the same order
-        # as cost + dist(v, j) + dist_to(terminal)[j] (see _leg_tree).
-        cands = [j for j, a, b in _leg_tree(lg, v)[2] if j not in used and cost + a + b <= limit]
-        if not cands:
-            # Nothing was drawn and v, cost and used are unchanged, so every
-            # later hop would find this row empty too.
+        cost, row, kids = node.cost, node.row, node.kids
+        used = None
+        if not isinstance(row, tuple):
+            # path[-1]'s candidate row, filtered by the same floats in the
+            # same order as cost + dist(v, j) + dist_to(terminal)[j] (see _leg_tree).
+            used = set(path)
+            cands = [j for j, a, b in _leg_tree(lg, path[-1])[2] if j not in used and cost + a + b <= limit]
+            node.row = False if row is None else tuple(cands)
+            row = cands
+        if not row:
+            # Nothing is drawn and the state is unchanged, so every later
+            # hop would find this row empty too.
             break
+        cands = row
         for _draw in range(3):
             if not cands:
                 break
-            j = cands[rng.integers(len(cands))]
-            leg = _leg_avoiding(lg, v, j, used | {terminal}, cost)
-            if leg is not None and cost + leg[1] + dist_t[j] <= limit:
-                path += leg[0][1:]
-                used.update(leg[0][1:])
-                waypoints.append(len(path) - 1)
-                cost += leg[1]
-                v = j
+            k = rng.integers(len(cands))
+            j = cands[k]
+            if j not in kids:
+                if used is None:
+                    used = set(path)
+                leg = _leg_avoiding(lg, path[-1], j, used | {terminal}, cost)
+                fits = leg is not None and cost + leg[1] + dist_t[j] <= limit
+                kids[j] = _Walk(leg[0][1:], cost + leg[1]) if fits else None
+            if kids[j] is not None:
+                node = kids[j]
+                trail.append(node)
+                path += node.leg
                 break
-            cands.remove(j)
-    while len(path) > 1:
-        tail = _leg_avoiding(lg, v, terminal, used, cost)
+            if isinstance(cands, tuple):
+                cands = list(cands)
+            del cands[k]
+    if node.end is None:
+        node.end = _closing(lg, trail, path)
+    if not node.end:
+        return None
+    kept, tail, cost = node.end
+    return path[:kept] + list(tail[1:]), cost
+
+
+def _closing(lg, trail, path):
+    """(kept, tail, cost) of the closing phase of a walk down the trie nodes trail to path; () if it backs up to the start.
+
+    The skeleton is path[:kept], then the tail leg after its first node.
+    The first tail is tried at the last node's cost. Each backtrack drops
+    the last leg and tries again at _path_cost of the shorter path, a
+    left-to-right sum that may differ in its last bits from the cost its
+    state carries, so a closing is not its ancestors' closing and is kept
+    per node.
+    """
+    terminal, limit = lg.graph.terminal, lg.limit
+    cost = trail[-1].cost
+    kept = len(path)
+    for node in trail[:0:-1]:
+        tail = _leg_avoiding(lg, path[kept - 1], terminal, set(path[:kept]), cost)
         if tail is not None and cost + tail[1] <= limit:
-            return path + list(tail[0][1:]), cost + tail[1]
-        waypoints.pop()
-        del path[waypoints[-1] + 1:]
-        used = set(path)
-        cost = _path_cost(lg, path)
-        v = path[-1]
-    return None
+            return kept, tail[0], cost + tail[1]
+        kept -= len(node.leg)
+        cost = _path_cost(lg, path[:kept])
+    return ()
 
 
 def _insertions(p: OrienteeringProblem, path, cost, visited):
@@ -735,10 +818,15 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     search. The best path by reward wins, ties going to the smaller
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
-    Deterministic for a fixed seed. The trees, cost rows, candidate rows
-    and legs it reads are cached on p.lg (shortest_tree, _grasp_tables) and
-    hold no rewards, only facts of the graph and its budget, so a call
-    returns the same result whichever calls ran on that LogGraph before.
+    Deterministic for a fixed seed. The trees, cost rows, candidate rows,
+    legs and skeleton trie it reads are kept on p.lg (shortest_tree,
+    _grasp_tables) and hold no rewards, only facts of the graph and its
+    budget. A walk that reaches a trie node an earlier walk made, in this
+    call or an earlier one, reads its row, its children and its closing
+    instead of recomputing them, and makes the same rng.integers calls with
+    the same arguments (see _grasp_tables). So a call returns the same
+    result, to the bits of its reward, whichever calls ran on that LogGraph
+    before.
 
     Restarts often reach a state an earlier restart of the same call
     reached, so two memos keyed by (tuple(path), cost) live for the call:
@@ -762,11 +850,11 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     best = None
     evaluated = 0
     for restart in range(max(1, restarts)):
-        skeleton = _random_skeleton(p, rng, 2 ** ((restart - 1) % 5)) if restart else None
+        skeleton = _random_skeleton(p.lg, rng, 2 ** ((restart - 1) % 5)) if restart else None
         if skeleton is None:
             path, cost = list(base), base_cost
         else:
-            path, cost = list(skeleton[0]), skeleton[1]
+            path, cost = skeleton
         while True:
             at = (tuple(path), cost)
             hit = rcls.get(at)

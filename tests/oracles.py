@@ -16,6 +16,9 @@ chunks and the same ``repr`` of the result.
 recursive branch and bound, which once ran the exact oracle above its
 catalog's cap and is now the audit reference for the catalog and for the
 chunked search that replaced it, to the path and the reward's bits.
+``random_skeleton`` is a third: GRASP's skeleton walk as it ran before its
+states were kept in a trie, the reference for the trie's draws and
+skeletons.
 
 The multi-visit references at the end are the last: verbatim copies of the
 library's original per-node loops over count lists. The brute-force value
@@ -31,6 +34,7 @@ import math
 
 import numpy as np
 
+from tso import orienteering
 from tso.graph import INF, InfeasibleInstanceError, check_path, ordered_sum
 from tso.objective import SimulationResult
 from tso.orienteering import OracleResult
@@ -428,6 +432,53 @@ def grasp_leg(g, src, dst, banned):
     while nodes[-1] != src:
         nodes.append(prev[nodes[-1]])
     return tuple(reversed(nodes)), dist[dst]
+
+
+def random_skeleton(lg, rng, hops: int):
+    """GRASP's random skeleton walk as the library ran it before its states were kept in a trie.
+
+    Each hop rebuilds its candidate row and asks for its legs afresh, and
+    the closing phase backtracks over a list of waypoints. It reads the
+    library's candidate rows and legs (_leg_tree, _leg_avoiding), which
+    test_orienteering holds against grasp_leg, and returns (path list, cost)
+    or None.
+    """
+    g = lg.graph
+    terminal = g.terminal
+    dist_t = lg.distances_to(terminal)
+    limit = lg.limit
+    path = [g.start]
+    used = {g.start}
+    waypoints = [0]
+    cost = 0.0
+    v = g.start
+    for _ in range(hops):
+        cands = [j for j, a, b in orienteering._leg_tree(lg, v)[2] if j not in used and cost + a + b <= limit]
+        if not cands:
+            break
+        for _draw in range(3):
+            if not cands:
+                break
+            j = cands[rng.integers(len(cands))]
+            leg = orienteering._leg_avoiding(lg, v, j, used | {terminal}, cost)
+            if leg is not None and cost + leg[1] + dist_t[j] <= limit:
+                path += leg[0][1:]
+                used.update(leg[0][1:])
+                waypoints.append(len(path) - 1)
+                cost += leg[1]
+                v = j
+                break
+            cands.remove(j)
+    while len(path) > 1:
+        tail = orienteering._leg_avoiding(lg, v, terminal, used, cost)
+        if tail is not None and cost + tail[1] <= limit:
+            return path + list(tail[0][1:]), cost + tail[1]
+        waypoints.pop()
+        del path[waypoints[-1] + 1:]
+        used = set(path)
+        cost = orienteering._path_cost(lg, path)
+        v = path[-1]
+    return None
 
 
 def simulate_team_reference(g, paths, trials: int, seed=0) -> SimulationResult:

@@ -196,6 +196,25 @@ def test_exact_subcommand(tmp_path, capsys):
     assert doc["objective"] == pytest.approx(want.objective, abs=1e-12)
 
 
+@pytest.mark.parametrize("command", ["solve", "exact"])
+def test_team_zero_is_refused_and_no_team_means_the_instance_size(tmp_path, capsys, command):
+    # --team 0 is a team size like any other, so it is refused as gen refuses
+    # it; only a missing --team falls back to the instance's team size.
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--complete", "--nodes", "5", "--p-s", "0.6", "--team", "2", "--out", str(inst)]) == 0
+    out = tmp_path / "plan.json"
+    assert main([command, str(inst), "--team", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: team size must be >= 1\n"
+    assert not out.exists()
+    assert main([command, str(inst), "--out", str(out)]) == 0
+    capsys.readouterr()
+    default = out.read_bytes()
+    assert len(tso.paths_from_plan_dict(json.loads(default))) == 2
+    assert main([command, str(inst), "--team", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == default
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     inst = _gen(tmp_path, p_s=0.6)
     plan_path = tmp_path / "plan.json"

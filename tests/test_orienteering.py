@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import timeit
@@ -364,6 +365,88 @@ def test_random_skeleton_stops_at_an_empty_candidate_row(monkeypatch):
     res, calls = _counted_heuristic_call(monkeypatch, 0.95, "_leg_tree")
     assert calls <= 63
     assert (list(res.path), res.nodes_expanded) == ([0, 19], 0)
+
+
+def _skeleton_graphs():
+    """(name, graph): ratio draws from loose to tight, sparse digraphs, and hex as a depot tour and open."""
+    for i in range(2):
+        for p_s in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95):
+            yield f"ratio-{i}-{p_s}", tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, i))
+    for seed in range(6):
+        yield f"sparse-{seed}", _sparse_digraph(seed)
+    for p_s in (0.5, 0.7, 0.9):
+        hexg = tso.hex_instance(p_s=p_s)
+        yield f"hex-depot-{p_s}", hexg
+        yield f"hex-open-{p_s}", dataclasses.replace(hexg, terminal=14)
+
+
+def test_skeleton_trie_matches_the_reference_walk():
+    # The walk down the trie kept on a LogGraph against the walk that
+    # recomputed every state. Per graph, one LogGraph and one generator
+    # serve 80 calls at hops 1-16, as the restarts of several solve_heuristic
+    # calls do; the reference runs on its own LogGraph with an equal
+    # generator. Skeleton, cost bits and the generator's state must agree
+    # after every call, and over all graphs the trie must hold rejected
+    # draws, closings that backtrack, and walks that end at the start.
+    seen = {"rejected": 0, "backtracked": 0, "none": 0}
+    for k, (name, g) in enumerate(_skeleton_graphs()):
+        shared, own = tso.log_transform(g), tso.log_transform(g)
+        a, b = np.random.default_rng((99, k)), np.random.default_rng((99, k))
+        for call in range(80):
+            hops = 1 + (call * 7) % 16
+            want = oracles.random_skeleton(own, a, hops)
+            got = orienteering._random_skeleton(shared, b, hops)
+            assert (got is None) == (want is None), (name, call)
+            if got is not None:
+                assert (list(got[0]), repr(got[1])) == (want[0], repr(want[1])), (name, call)
+            assert b.bit_generator.state == a.bit_generator.state, (name, call)
+        stack = [(orienteering._grasp_tables(shared)[3], 0)]
+        while stack:
+            node, length = stack.pop()
+            length += len(node.leg)
+            seen["rejected"] += sum(kid is None for kid in node.kids.values())
+            seen["backtracked"] += bool(node.end) and node.end[0] < length
+            seen["none"] += node.end == ()
+            stack += [(kid, length) for kid in node.kids.values() if kid is not None]
+    assert all(seen.values()), seen
+
+
+def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
+    # The K=5 GRASP greedy run on the seed-0 ratio graph at p_s 0.8 makes 5
+    # calls of 63 skeleton walks each, on one LogGraph. Walks repeat states
+    # across calls, so the trie answers most candidate rows and legs; the
+    # reward-dependent work does not move. Before the trie the run made
+    # 1,216 _leg_tree and 2,205 _leg_avoiding calls.
+    calls = {name: 0 for name in ("_leg_tree", "_leg_avoiding", "search", "_insertions", "_local_search")}
+    for name in calls:
+        inner = getattr(orienteering, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(orienteering, name, counted)
+    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
+    run = tso.greedy_survivors(g, tso.GreedyConfig(5, oracle="heuristic"))
+    assert calls == {"_leg_tree": 154, "_leg_avoiding": 282, "search": 64, "_insertions": 78, "_local_search": 50}
+    assert repr(run.plan.objective) == "10.806457809382373"
+
+
+def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
+    # Trie nodes point only to their kids. With parent pointers each node
+    # made a cycle, and every op's trie waited for the cycle collector: the
+    # benchmark's peak RSS rose by 2 MB.
+    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
+    gc.collect()
+    gc.disable()
+    try:
+        lg = tso.log_transform(g)
+        tso.solve_heuristic(tso.OrienteeringProblem(lg=lg, rewards={v: 1.0 for v in g.node_ids}), seed=0)
+        assert orienteering._grasp_tables(lg)[3].kids
+        del lg
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _scan_graphs():
@@ -922,6 +1005,36 @@ def test_greedy_search_effort_is_pinned(monkeypatch, variant, calls, total):
     counts = _count_oracle_nodes(monkeypatch)
     tso.greedy_survivors(g, cfg)
     assert (len(counts), sum(counts)) == (calls, total)
+
+
+def test_bounded_search_keeps_its_tables_on_the_log_graph(monkeypatch):
+    # The steps and the per-node distance rows hold no rewards, so a greedy
+    # run's 30 calls search from each node at most once. A call on a
+    # LogGraph that earlier calls of either reward kind filled returns what
+    # a call on a fresh one returns, to the float and the effort.
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    sources = []
+    search = orienteering.search
+
+    def counted(rows, src, *args, **kwargs):
+        sources.append(src)
+        return search(rows, src, *args, **kwargs)
+
+    monkeypatch.setattr(orienteering, "search", counted)
+    g, cfg = _effort_case("node")
+    tso.greedy_survivors(g, cfg)
+    assert 0 < len(sources) == len(set(sources)) <= g.num_nodes
+    for seed in range(4):
+        g = tso.feasible_random_instance(8, 0.4, 1.0, 0.5, seed=(86, seed))
+        shared = tso.log_transform(g)
+        rng = np.random.default_rng((87, seed))
+        for _call in range(3):
+            rewards, arc_rewards = _random_rewards(g, rng)
+            for solve, kw in ((tso.solve_exact, dict(rewards=rewards)), (tso.solve_arc_exact, dict(edge_rewards=arc_rewards))):
+                fresh = solve(_problem(g, **kw))
+                again = solve(tso.OrienteeringProblem(lg=shared, **kw))
+                assert (again.path, repr(again.reward), again.nodes_expanded) == (
+                    fresh.path, repr(fresh.reward), fresh.nodes_expanded), (seed, solve.__name__)
 
 
 def test_results_do_not_depend_on_the_builtin_sum(monkeypatch):
