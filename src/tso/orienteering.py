@@ -458,6 +458,45 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
 # ---------------------------------------------------------------------------
 # GRASP heuristic
 
+class _Draws:
+    """GRASP's random indices: integers(n) returns, as an int, what np.random.default_rng(seed).integers(n) returns.
+
+    default_rng(seed) draws from PCG64(seed). For 1 < n <= 2**32 numpy's
+    integers(n) reads 32-bit halves of the bit generator's 64-bit words,
+    the low half first, and maps each half u by Lemire's multiply-shift
+    (ACM TOMACS 29(1), 2019): with m = u * n, the draw is m >> 32, and a
+    half whose m mod 2**32 is below 2**32 mod n is rejected for the next
+    one. At n == 2**32 that gives u, as numpy returns it; n == 1 gives 0
+    and reads no half. Here the words come in batches from random_raw and
+    the rule runs on plain ints, without the numpy argument handling that
+    costs most of a scalar Generator.integers call. Larger n, which numpy
+    serves from whole 64-bit words, is refused, as is n < 1.
+    """
+
+    __slots__ = ("_bits", "_halves")
+
+    def __init__(self, seed):
+        self._bits = np.random.PCG64(seed)
+        self._halves = []
+
+    def integers(self, n: int) -> int:
+        if not 1 < n <= 1 << 32:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers(n) takes 1 <= n <= 2**32, not {n}")
+        halves = self._halves
+        while True:
+            if not halves:
+                # Little-endian words viewed as pairs of halves, low first,
+                # reversed so that pop() takes them in order.
+                halves += self._bits.random_raw(256).astype("<u8", copy=False).view("<u4")[::-1].tolist()
+            m = halves.pop() * n
+            low = m & 0xFFFFFFFF
+            # 2**32 mod n < n, so a low part >= n never needs the modulo.
+            if low >= n or low >= (1 << 32) % n:
+                return m >> 32
+
+
 def _grasp_tables(lg: LogGraph):
     """(rows, legs, cands, trie) of lg, built by its first GRASP call and kept for every later one.
 
@@ -474,12 +513,12 @@ def _grasp_tables(lg: LogGraph):
     depend only on the graph and the query (see _leg_avoiding), so a
     node's child for waypoint j, or its rejection, is the same whichever
     walk asks first. A node's candidate row is a function of its path and
-    cost, so a kept row equals a recomputed one. Each hop then calls
+    cost, so a kept row equals a recomputed one. Each hop then draws
     rng.integers(len(row)) on the row, and again on the row less each
     waypoint rejected so far, in the same order: a kept row is copied before
     its first removal, so it never changes. The closing phase draws nothing
     and reads only the states on the one trie path to its node, so its
-    result is kept on the node. Equal calls on the generator leave it in
+    result is kept on the node. Equal draw calls leave the draw source in
     equal states, so the walks that follow draw the same numbers too.
 
     The scans over rows stop at the first arc whose bound fails. Costs are
@@ -629,7 +668,8 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
     Then, if the closing leg fails or busts the budget, the walk backtracks
     one waypoint at a time; a walk that cannot leave the start yields None.
 
-    The walk moves down the trie of _grasp_tables(lg), whose nodes (_Walk)
+    Only rng.integers(n) is called, so rng is a _Draws or a Generator. The
+    walk moves down the trie of _grasp_tables(lg), whose nodes (_Walk)
     keep what a state's row, legs and closing computed; see _grasp_tables
     for why that gives the same draws and skeletons.
     """
@@ -823,10 +863,11 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     _grasp_tables) and hold no rewards, only facts of the graph and its
     budget. A walk that reaches a trie node an earlier walk made, in this
     call or an earlier one, reads its row, its children and its closing
-    instead of recomputing them, and makes the same rng.integers calls with
-    the same arguments (see _grasp_tables). So a call returns the same
-    result, to the bits of its reward, whichever calls ran on that LogGraph
-    before.
+    instead of recomputing them, and makes the same draws with the same
+    arguments (see _grasp_tables). So a call returns the same result, to
+    the bits of its reward, whichever calls ran on that LogGraph before.
+    The draws come from _Draws(seed), which gives the values of
+    np.random.default_rng(seed).integers at a fifth of the cost.
 
     Restarts often reach a state an earlier restart of the same call
     reached, so two memos keyed by (tuple(path), cost) live for the call:
@@ -844,7 +885,7 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
         raise ValueError("the GRASP oracle takes node rewards only")
     g = p.lg.graph
     rewards = p.rewards or {}
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     base, base_cost = _base_path(p)
     rcls, ends = {}, {}
     best = None

@@ -411,6 +411,55 @@ def test_skeleton_trie_matches_the_reference_walk():
     assert all(seen.values()), seen
 
 
+def test_skeleton_trie_on_the_draw_source_matches_the_generator_walk():
+    # solve_heuristic's walks draw from _Draws; the reference walk draws
+    # from default_rng with the same seed. Skeleton, cost bits and one
+    # probe draw from each source after every call must agree, so both
+    # sources stay in step whatever the walks drew.
+    for k, (name, g) in enumerate(_skeleton_graphs()):
+        shared, own = tso.log_transform(g), tso.log_transform(g)
+        a, b = np.random.default_rng((98, k)), orienteering._Draws((98, k))
+        for call in range(40):
+            hops = 1 + (call * 5) % 16
+            want = oracles.random_skeleton(own, a, hops)
+            got = orienteering._random_skeleton(shared, b, hops)
+            assert (got is None) == (want is None), (name, call)
+            if got is not None:
+                assert (list(got[0]), repr(got[1])) == (want[0], repr(want[1])), (name, call)
+            n = 2 + call * 7919
+            assert b.integers(n) == int(a.integers(n)), (name, call)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, (1, 0), (5, 3)])
+def test_draws_match_generator_integers(seed):
+    # _Draws reproduces numpy's 32-bit Lemire path of Generator.integers:
+    # int and tuple seeds, n == 1 (no half read), small n, n whose
+    # rejection zone is large (3 * 2**30 rejects a quarter of the halves)
+    # and n == 2**32 (the raw half), interleaved, over more draws than one
+    # batch of 512 halves holds.
+    sizes = [1, 2, 3, 5, 20, 63, 1000, 3 << 30, (1 << 31) + 1, (1 << 32) - 1, 1 << 32]
+    want, got = np.random.default_rng(seed), orienteering._Draws(seed)
+    order = np.random.default_rng(11)
+    for i in range(3000):
+        n = sizes[i % len(sizes)] if i < 2 * len(sizes) else int(order.choice(sizes))
+        x = got.integers(n)
+        assert type(x) is int
+        assert x == int(want.integers(n)), (i, n)
+        if n == 1:
+            # No half was read: the next draw still matches.
+            assert got.integers(1 << 32) == int(want.integers(1 << 32)), i
+
+
+@pytest.mark.parametrize("n", [0, -3, (1 << 32) + 1, 1 << 40])
+def test_draws_refuse_n_outside_the_32_bit_path(n):
+    draws = orienteering._Draws(0)
+    with pytest.raises(ValueError):
+        draws.integers(n)
+    if n < 1:
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(n)
+
+
 def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
     # The K=5 GRASP greedy run on the seed-0 ratio graph at p_s 0.8 makes 5
     # calls of 63 skeleton walks each, on one LogGraph. Walks repeat states
