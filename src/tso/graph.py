@@ -154,6 +154,8 @@ def check_path(g: SurvivalGraph, path) -> None:
 
 @dataclass
 class LogGraph:
+    """A SurvivalGraph's arc costs and budget in the log domain, with the trees and tables kept on them."""
+
     graph: SurvivalGraph
     # The one arc table: costs[u][v] is the cost of arc (u, v), one dict per
     # node with its heads in node-index order; into[v][u] is the same cost
@@ -164,13 +166,13 @@ class LogGraph:
     limit: float  # the budget test of every search: a log cost fits when <= limit
     _from_cache: dict = field(default_factory=dict, repr=False)
     _to_cache: dict = field(default_factory=dict, repr=False)
-    # The exact oracle's path catalog: () until built, then (catalog,), with
-    # None above the cap; see orienteering.prefix_catalog.
-    _catalog_cache: tuple = field(default=(), repr=False)
-    # The bounded search's steps and distance rows; see orienteering._search_tables.
-    _search_cache: tuple | None = field(default=None, repr=False)
-    # GRASP cost rows, legs, candidate rows and skeleton trie; see orienteering._grasp_tables.
-    _grasp_cache: tuple | None = field(default=None, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
+
+    def table(self, build):
+        """build(self), called on first use and kept, None too: an oracle's table, with no rewards and no reference back to self."""
+        if build not in self._tables:
+            self._tables[build] = build(self)
+        return self._tables[build]
 
     def shortest_tree(self, source):
         """Memoized (distances, parent tree) of dijkstra from source (no deletions)."""

@@ -243,12 +243,16 @@ def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> Bound
     The caps are the run's own model's, and both distance maps are the
     ones the run memoized on run.lg.
     Heuristic-oracle certificates are not certified: the factor arguments
-    assume an exact subproblem solver.
+    assume an exact subproblem solver. Raises ValueError where a factor
+    rounds to 0.0, as it does for p_s below about 5.5e-17.
     """
     if not (1 <= team_size <= len(run.paths) and 1 <= total_paths <= len(run.paths)):
         raise ValueError(f"team_size {team_size} and total_paths {total_paths} must be in 1..{len(run.paths)}, the run's paths")
     lg, g, K = run.lg, run.lg.graph, team_size
     factor = 1.0 - math.exp(-g.p_s)
+    factor3 = 1.0 - math.exp(-g.p_s * total_paths / K)
+    if factor == 0.0 or factor3 == 0.0:
+        raise ValueError(f"p_s {g.p_s!r} is too small for the bounds: 1 - exp(-p_s) rounds to 0.0")
     dist_in = lg.distances_from(g.start)
     dist_out = lg.distances_to(g.terminal)
     u1 = ordered_sum(
@@ -260,7 +264,7 @@ def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> Bound
     return BoundCertificate(
         u1=u1,
         u2=value / factor,
-        u3=run.values[total_paths - 1] / (1.0 - math.exp(-g.p_s * total_paths / K)),
+        u3=run.values[total_paths - 1] / factor3,
         factor=factor,
         value=value,
         certified=run.config.oracle == "exact",

@@ -79,7 +79,7 @@ def _exact(p: OrienteeringProblem, kind: str, lookup) -> OracleResult:
         raise ValueError(f"the {kind} oracle takes {kind} rewards only")
     g = p.lg.graph
     depot = g.start == g.terminal
-    cat = prefix_catalog(p.lg)
+    cat = p.lg.table(prefix_catalog)
     if cat is None:
         return _bounded_search(p.lg, kind, lookup)
     if kind == "node":
@@ -193,18 +193,6 @@ class PrefixCatalog:
         return [(self.start,) + tuple(self.arcs[k][1] for k in seq) for seq in seqs]
 
 
-def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
-    """The catalog of lg, built on first use and kept on lg; None above CATALOG_CAP."""
-    if not lg._catalog_cache:
-        lg._catalog_cache = (_build_catalog(lg),)
-    return lg._catalog_cache[0]
-
-
-def _arcs(lg: LogGraph) -> list:
-    """The graph's arcs in (tail, head) index order, as lg.costs lists them: the arc numbering of catalogs and searches."""
-    return [(v, u) for v, row in lg.costs.items() for u in row]
-
-
 class _Steps:
     """The padded (node, step) table of a LogGraph, and the one kernel that expands prefixes over it.
 
@@ -215,9 +203,13 @@ class _Steps:
     step to the terminal, infinite when it has none. A step to a node other
     than the terminal that fails its test at cost 0.0 is left out: costs
     are never negative and float addition is monotone, so it would fail at
-    every cost. tails, heads and arc_w give each arc of arcs (_arcs order)
-    its tail and head indices and its cost; to_t is each node's distance to
-    the terminal.
+    every cost. arcs lists lg's arcs in (tail, head) index order, as
+    lg.costs lists them: the arc numbering of catalogs and searches. tails,
+    heads and arc_w give each its tail and head indices and its cost; to_t
+    is each node's distance to the terminal, and dist_from maps a node
+    index to its distance row (node_ids order), which _bounded_search
+    fills. The catalog build makes lg's one _Steps (lg.table(_Steps)),
+    which the bounded search reads above CATALOG_CAP.
     """
 
     def __init__(self, lg: LogGraph):
@@ -226,12 +218,13 @@ class _Steps:
         n = len(g.node_ids)
         self.limit = lg.limit
         self.start, self.terminal, self.depot = idx[g.start], idx[g.terminal], g.start == g.terminal
-        self.arcs = _arcs(lg)
+        self.arcs = [(v, u) for v, row in lg.costs.items() for u in row]
         self.node_dt = np.min_scalar_type(n - 1)
         self.arc_dt = np.int16 if len(self.arcs) <= 1 << 15 else np.int32
         self.words = -(-n // 64)
         dist_to_t = lg.distances_to(g.terminal)
         self.to_t = np.array([dist_to_t[v] for v in g.node_ids])
+        self.dist_from = {}
         self.tails = tails = np.repeat(np.arange(n), [len(row) for row in lg.costs.values()])
         self.heads = heads = np.array([idx[b] for _a, b in self.arcs], dtype=np.intp)
         self.arc_w = arc_w = np.array([c for row in lg.costs.values() for c in row.values()])
@@ -288,17 +281,18 @@ class _Steps:
                 cost.take(r) + self.w_flat.take(steps), kid_vis)
 
 
-def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
+def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
     """Every budget-feasible prefix of lg, listed one depth at a time; None above CATALOG_CAP.
 
-    Each depth's frontier is expanded _CHUNK prefixes at a time by
-    _Steps.expand, which lists a chunk's children in parent order, then
+    Callers read it as lg.table(prefix_catalog), which builds it once per
+    LogGraph. Each depth's frontier is expanded _CHUNK prefixes at a time
+    by _Steps.expand, which lists a chunk's children in parent order, then
     step order, so each depth comes out in lexicographic order by node
     index. There is no check on the start, so an infeasible one gives a
     catalog without leaves. The build stops, returning None, as soon as the
     prefixes counted exceed CATALOG_CAP.
     """
-    st = _Steps(lg)
+    st = lg.table(_Steps)
     node, cost, vis = st.root
     prefixes = 1
     if prefixes > CATALOG_CAP:
@@ -346,31 +340,29 @@ def _build_catalog(lg: LogGraph) -> PrefixCatalog | None:
 # ---------------------------------------------------------------------------
 # Bounded search: the exact oracle above CATALOG_CAP
 
-def _search_tables(lg: LogGraph):
-    """(steps, rows, dist, known) of lg's bounded search, built by its first call and kept for every later one.
+def _rows(lg: LogGraph) -> dict:
+    """rows[v]: lg.costs[v]'s (head, cost) pairs stable-sorted by cost, so heads of equal cost stay in index order.
 
-    steps is lg's _Steps; rows[v] holds lg.costs[v]'s arcs of cost <= limit,
-    cheapest first; dist[v] is the row of node v's distances (node_ids
-    order) from a search over rows stopped at limit, filled on the first
-    call that expands a prefix at v, and known[v] says it is filled. None of
-    them holds rewards, so the calls of a greedy run share them.
+    lg.table(_rows) is the one cost-sorted table of lg: GRASP reads it, and _search_rows cuts it.
     """
-    if lg._search_cache is None:
-        n = len(lg.graph.node_ids)
-        rows = {v: sorted(((u, w) for u, w in row.items() if w <= lg.limit), key=lambda t: t[1]) for v, row in lg.costs.items()}
-        lg._search_cache = (_Steps(lg), rows, np.empty((n, n)), np.zeros(n, bool))
-    return lg._search_cache
+    return {v: tuple(sorted(row.items(), key=lambda t: t[1])) for v, row in lg.costs.items()}
+
+
+def _search_rows(lg: LogGraph) -> dict:
+    """_rows cut at limit for the bounded search's stopped searches, which relax no later arc but would scan those that lower nothing."""
+    return {v: tuple(t for t in row if t[1] <= lg.limit) for v, row in lg.table(_rows).items()}
 
 
 def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
     """The best path by a depth-first search over _Steps.expand that prunes by a reward bound.
 
     Item k is (a, extra, b), paid reward[k]: one (j, 0.0, j) per node in
-    index order, or one (a, cost(a, b), b) per arc in _arcs order. A walk
-    v ~> a, extra, b ~> terminal could still collect it, at a need of
+    index order, or one (a, cost(a, b), b) per arc in _Steps.arcs order. A
+    walk v ~> a, extra, b ~> terminal could still collect it, at a need of
     dist(v, a) + extra + dist(b, terminal), unless b is visited. The needs
-    come from searches stopped at limit over the arcs of cost <= limit:
-    the same floats up to limit, and a longer distance fails every test.
+    come from searches over _search_rows stopped at limit, kept in
+    _Steps.dist_from: the same floats up to limit, and a longer distance
+    fails every test.
 
     A stack holds chunks of prefixes with their paths (node indices),
     collected rewards, costs and visited words. A popped chunk is pruned,
@@ -400,7 +392,7 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
     1e-16 in item order gave 1.0 and pruned a path that collects 1e-16 +
     1e-16 + 1.0 = 1.0000000000000002.
     """
-    st, rows, dist, known = _search_tables(lg)
+    st = lg.table(_Steps)
     g = lg.graph
     n = len(g.node_ids)
     if kind == "node":
@@ -422,11 +414,11 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
         expanded += len(node)
         nd = node.astype(np.intp)
         for v in np.unique(nd[~filled.take(nd)]).tolist():
-            if not known[v]:
-                dv = search(rows, g.node_ids[v], limit=lg.limit)[0]
-                dist[v] = [dv.get(u, INF) for u in g.node_ids]
-                known[v] = True
-            need[v] = dist[v].take(a) + extra + st.to_t.take(b)
+            dv = st.dist_from.get(v)
+            if dv is None:
+                reached = search(lg.table(_search_rows), g.node_ids[v], limit=lg.limit)[0]
+                dv = st.dist_from[v] = np.array([reached.get(u, INF) for u in g.node_ids])
+            need[v] = dv.take(a) + extra + st.to_t.take(b)
             filled[v] = True
         # Bit j of a prefix's visited words is column j of bits; the terminal's is 0.
         reach = need.take(nd, axis=0) <= (lg.budget - cost + BUDGET_TOL)[:, None]
@@ -497,15 +489,14 @@ class _Draws:
                 return m >> 32
 
 
-def _grasp_tables(lg: LogGraph):
-    """(rows, legs, cands, trie) of lg, built by its first GRASP call and kept for every later one.
+class _GraspTables:
+    """GRASP's legs, candidate rows and skeleton trie of lg (lg.table(_GraspTables)), built by its first call and kept.
 
-    rows[v] holds lg.costs[v]'s (head, cost) pairs stable-sorted by cost, so
-    heads of equal cost stay in index order. legs maps (src, dst,
-    frozenset(banned)) to a (leg, cost) entry of _leg_avoiding, cands maps a
-    source to its _leg_tree candidate row, and trie is the root _Walk of
-    the skeleton walks. None of them holds rewards, so the calls of a greedy
-    run, which share one LogGraph, share them too.
+    legs maps (src, dst, frozenset(banned)) to a (leg, cost) entry of
+    _leg_avoiding, cands maps a source to its _leg_tree candidate row, and
+    trie is the root _Walk of the skeleton walks. None of them holds
+    rewards, so the calls of a greedy run, which share one LogGraph, share
+    them too.
 
     The trie gives the skeletons and draws of a walk that recomputes every
     state. A state is the walk's path and cost float, and it is a function
@@ -530,10 +521,9 @@ def _grasp_tables(lg: LogGraph):
     once it fails for one arc it fails for every later one. No float slack
     is needed.
     """
-    if lg._grasp_cache is None:
-        rows = {v: tuple(sorted(row.items(), key=lambda t: t[1])) for v, row in lg.costs.items()}
-        lg._grasp_cache = (rows, {}, {}, _Walk((lg.graph.start,), 0.0))
-    return lg._grasp_cache
+
+    def __init__(self, lg: LogGraph):
+        self.legs, self.cands, self.trie = {}, {}, _Walk((lg.graph.start,), 0.0)
 
 
 def _base_path(p: OrienteeringProblem):
@@ -562,26 +552,25 @@ def _path_cost(lg, path):
 
 
 def _leg_tree(lg, src):
-    """(dist, prev, cands): src's tree, kept by lg.shortest_tree, and its candidate row, built on first use and kept.
+    """src's candidate row, built on first use and kept in _GraspTables.cands.
 
-    cands lists, in node_ids order, (j, dist[j], dist_to(terminal)[j]) for
+    It lists, in node_ids order, (j, dist[j], dist_to(terminal)[j]) for
     each j other than the terminal with `dist[j] + dist_to(terminal)[j] <=
-    limit`: _random_skeleton's candidate test at cost 0.0, for waypoints
-    from src. A node that fails it at cost 0.0 fails it at every cost, as
-    float addition is monotone and costs are >= 0 (see _grasp_tables); so
-    does a node with an INF distance.
+    limit`, dist from src: _random_skeleton's candidate test at cost 0.0.
+    A node that fails it at cost 0.0 fails it at every cost, as float
+    addition is monotone and costs are >= 0 (see _GraspTables); so does a
+    node with an INF distance.
     """
-    dist, prev = lg.shortest_tree(src)
-    memo = _grasp_tables(lg)[2]
+    memo = lg.table(_GraspTables).cands
     cands = memo.get(src)
     if cands is None:
         g = lg.graph
-        dist_t = lg.distances_to(g.terminal)
+        dist, dist_t = lg.distances_from(src), lg.distances_to(g.terminal)
         cands = memo[src] = [
             (j, dist[j], dist_t[j]) for j in g.node_ids
             if j != g.terminal and dist[j] + dist_t[j] <= lg.limit
         ]
-    return dist, prev, cands
+    return cands
 
 
 def _leg_avoiding(lg, src, dst, banned, cost):
@@ -591,7 +580,7 @@ def _leg_avoiding(lg, src, dst, banned, cost):
     limit`, where extra = dist_to(terminal)[dst]: 0.0 for the closing leg.
     The banned search stops each row at the first improving arc with `cost
     + (d + w) + extra > limit`, that test with the partial distance d + w
-    in place of the leg (see _grasp_tables for why such a bound never
+    in place of the leg (see _GraspTables for why such a bound never
     rejects what the test accepts). If the leg of the unbounded search
     fits, every node on it passes, and every relaxation dropped is longer
     than the leg, so it would pop after dst: the nodes popped before dst
@@ -613,22 +602,22 @@ def _leg_avoiding(lg, src, dst, banned, cost):
     a strict < and costs are >= 0.
 
     Any other query runs the banned search. A leg depends on the graph
-    alone, so each key's (leg, cost) entry is kept in the leg cache of
-    _grasp_tables. A found leg answers every later query, whose caller
-    tests again whether it fits. A None answers only queries at its cost or
-    above, where the leg fits no better; any other query searches again.
+    alone, so each key's (leg, cost) entry is kept in _GraspTables.legs. A
+    found leg answers every later query, whose caller tests again whether
+    it fits. A None answers only queries at its cost or above, where the
+    leg fits no better; any other query searches again.
     """
     extra = lg.distances_to(lg.graph.terminal)[dst]
     dist, prev = lg.shortest_tree(src)
     nodes = tree_path(prev, src, dst, banned)
     if nodes is not None:
         return (tuple(nodes), dist[dst]) if cost + dist[dst] + extra <= lg.limit else None
-    rows, legs = _grasp_tables(lg)[:2]
+    legs = lg.table(_GraspTables).legs
     key = (src, dst, frozenset(banned))
     hit = legs.get(key)
     if hit is not None and (hit[0] is not None or cost >= hit[1]):
         return hit[0]
-    dist, prev = search(rows, src, dst, banned, cost, extra, lg.limit)
+    dist, prev = search(lg.table(_rows), src, dst, banned, cost, extra, lg.limit)
     nodes = tree_path(prev, src, dst, banned)
     leg = None if nodes is None else (tuple(nodes), dist[dst])
     legs[key] = (leg, cost)
@@ -636,7 +625,7 @@ def _leg_avoiding(lg, src, dst, banned, cost):
 
 
 class _Walk:
-    """A state of the skeleton walk: a node of the trie that _grasp_tables keeps.
+    """A state of the skeleton walk: a node of the trie that _GraspTables keeps.
 
     leg holds the nodes the state's last leg added (the start, at the root)
     and cost the walk's float. row is the candidate row, None before the
@@ -669,13 +658,13 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
     one waypoint at a time; a walk that cannot leave the start yields None.
 
     Only rng.integers(n) is called, so rng is a _Draws or a Generator. The
-    walk moves down the trie of _grasp_tables(lg), whose nodes (_Walk)
-    keep what a state's row, legs and closing computed; see _grasp_tables
-    for why that gives the same draws and skeletons.
+    walk moves down the trie of _GraspTables, whose nodes (_Walk) keep what
+    a state's row, legs and closing computed; see _GraspTables for why that
+    gives the same draws and skeletons.
     """
     terminal, limit = lg.graph.terminal, lg.limit
     dist_t = lg.distances_to(terminal)
-    node = _grasp_tables(lg)[3]
+    node = lg.table(_GraspTables).trie
     trail, path = [node], list(node.leg)
     for _ in range(hops):
         cost, row, kids = node.cost, node.row, node.kids
@@ -684,7 +673,7 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
             # path[-1]'s candidate row, filtered by the same floats in the
             # same order as cost + dist(v, j) + dist_to(terminal)[j] (see _leg_tree).
             used = set(path)
-            cands = [j for j, a, b in _leg_tree(lg, path[-1])[2] if j not in used and cost + a + b <= limit]
+            cands = [j for j, a, b in _leg_tree(lg, path[-1]) if j not in used and cost + a + b <= limit]
             node.row = False if row is None else tuple(cands)
             row = cands
         if not row:
@@ -748,9 +737,9 @@ def _insertions(p: OrienteeringProblem, path, cost, visited):
     `cost + (aj + jb - ab) <= limit`. Per path arc, the scan reads a's arcs
     cheapest first and stops at the first with `cost + (aj - ab) > limit`:
     the same test with jb >= 0 left out, which never fails where the test
-    passes (see _grasp_tables), and fails for every costlier arc after it.
+    passes (see _GraspTables), and fails for every costlier arc after it.
     """
-    rows = _grasp_tables(p.lg)[0]
+    rows = p.lg.table(_rows)
     costs = p.lg.costs
     rewards = p.rewards or {}
     limit = p.lg.limit
@@ -859,12 +848,12 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
     Deterministic for a fixed seed. The trees, cost rows, candidate rows,
-    legs and skeleton trie it reads are kept on p.lg (shortest_tree,
-    _grasp_tables) and hold no rewards, only facts of the graph and its
+    legs and skeleton trie it reads are kept on p.lg (shortest_tree, _rows,
+    _GraspTables) and hold no rewards, only facts of the graph and its
     budget. A walk that reaches a trie node an earlier walk made, in this
     call or an earlier one, reads its row, its children and its closing
     instead of recomputing them, and makes the same draws with the same
-    arguments (see _grasp_tables). So a call returns the same result, to
+    arguments (see _GraspTables). So a call returns the same result, to
     the bits of its reward, whichever calls ran on that LogGraph before.
     The draws come from _Draws(seed), which gives the values of
     np.random.default_rng(seed).integers at a fifth of the cost.

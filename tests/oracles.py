@@ -453,7 +453,7 @@ def random_skeleton(lg, rng, hops: int):
     cost = 0.0
     v = g.start
     for _ in range(hops):
-        cands = [j for j, a, b in orienteering._leg_tree(lg, v)[2] if j not in used and cost + a + b <= limit]
+        cands = [j for j, a, b in orienteering._leg_tree(lg, v) if j not in used and cost + a + b <= limit]
         if not cands:
             break
         for _draw in range(3):

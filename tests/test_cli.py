@@ -301,6 +301,15 @@ def _one_line_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("p_s", ["1e-17", "5e-324"])
+def test_solve_on_a_p_s_too_small_for_the_bounds_exits_one(tmp_path, capsys, p_s):
+    inst = _gen(tmp_path, nodes=5, p_s=p_s)
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--team", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: p_s {float(p_s)!r} is too small for the bounds: 1 - exp(-p_s) rounds to 0.0\n", err
+
+
 def test_malformed_instance_shapes_exit_one(tmp_path, capsys):
     good = tso.instance_to_dict(tso.hex_instance())
     three_rows = dict(good, multi_visit={"M": 2, "d": [[1.0, 0.5]] * 3})

@@ -416,3 +416,14 @@ def test_bounds_refuse_a_prefix_the_run_does_not_have():
         with pytest.raises(ValueError, match="must be in 1..2"):
             tso.compute_bounds(run, team_size, total_paths)
     assert tso.compute_bounds(run, 1, 2).value == run.values[0]
+
+
+@pytest.mark.parametrize("p_s, team_size, total_paths", [(1e-17, 2, 2), (5e-324, 2, 2), (1e-16, 2, 1)])
+def test_bounds_refuse_a_p_s_whose_factor_rounds_to_zero(p_s, team_size, total_paths):
+    # 1 - exp(-x) is 0.0 for x below about 5.5e-17. At p_s 1e-16 only U3's
+    # factor, at p_s * total_paths / team_size, is 0.0.
+    run = tso.greedy_survivors(tso.random_complete_instance(5, 0.5, 1.0, p_s, seed=3), tso.GreedyConfig(2))
+    with pytest.raises(ValueError, match=f"p_s {p_s!r} is too small"):
+        tso.compute_bounds(run, team_size, total_paths)
+    if p_s == 1e-16:
+        assert tso.compute_bounds(run, 2, 2).factor == 1.0 - math.exp(-1e-16) > 0.0

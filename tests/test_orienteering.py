@@ -400,7 +400,7 @@ def test_skeleton_trie_matches_the_reference_walk():
             if got is not None:
                 assert (list(got[0]), repr(got[1])) == (want[0], repr(want[1])), (name, call)
             assert b.bit_generator.state == a.bit_generator.state, (name, call)
-        stack = [(orienteering._grasp_tables(shared)[3], 0)]
+        stack = [(shared.table(orienteering._GraspTables).trie, 0)]
         while stack:
             node, length = stack.pop()
             length += len(node.leg)
@@ -484,14 +484,24 @@ def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
 def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
     # Trie nodes point only to their kids. With parent pointers each node
     # made a cycle, and every op's trie waited for the cycle collector: the
-    # benchmark's peak RSS rose by 2 MB.
+    # benchmark's peak RSS rose by 2 MB. No other table on the LogGraph
+    # points back to it either: the catalog, its _Steps, the cost-sorted
+    # rows and the bounded search's distance rows.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
+    rewards = {v: 1.0 for v in g.node_ids}
+    # The first bounded search of a process leaves numpy's one-time cyclic
+    # garbage (signature parsing), which is not the LogGraph's.
+    orienteering._bounded_search(tso.log_transform(g), "node", rewards.get)
     gc.collect()
     gc.disable()
     try:
         lg = tso.log_transform(g)
-        tso.solve_heuristic(tso.OrienteeringProblem(lg=lg, rewards={v: 1.0 for v in g.node_ids}), seed=0)
-        assert orienteering._grasp_tables(lg)[3].kids
+        tso.solve_heuristic(tso.OrienteeringProblem(lg=lg, rewards=rewards), seed=0)
+        assert lg.table(orienteering._GraspTables).trie.kids
+        tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=rewards))
+        orienteering._bounded_search(lg, "node", rewards.get)
+        assert lg._tables[orienteering.prefix_catalog] is not None
+        assert lg._tables[orienteering._Steps].dist_from
         del lg
         assert gc.collect() == 0
     finally:
@@ -615,9 +625,9 @@ def test_leg_cache_searches_again_below_a_rejected_cost():
     lg = tso.log_transform(g)
     # 0.5 + leg + dist_to(3)[2] exceeds the budget ln 2; 0.0 + leg + dist_to(3)[2] fits.
     leg = ((0, 4, 2), -math.log(0.85) + -math.log(0.85))
-    legs = orienteering._grasp_tables(lg)[1]
+    legs = lg.table(orienteering._GraspTables).legs
     key = (0, 2, frozenset({0, 1, 3}))
-    assert orienteering._leg_tree(lg, 0)[1][2] == 1
+    assert lg.shortest_tree(0)[1][2] == 1
     assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.5) is None
     assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.6) is None
     assert legs[key] == (None, 0.5)  # the None at 0.5 answered the query at 0.6
@@ -890,8 +900,7 @@ def test_all_zero_rewards_tie_every_leaf():
 
 def _catalog(lg):
     """The one catalog that calls on lg have built."""
-    (cat,) = lg._catalog_cache
-    return cat
+    return lg._tables[orienteering.prefix_catalog]
 
 
 @pytest.mark.parametrize("terminal", [1, 5])
@@ -949,7 +958,7 @@ def test_catalog_over_its_cap_falls_back_to_branch_and_bound(monkeypatch):
         lg = tso.log_transform(g)
         got = [tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=nodes)),
                tso.solve_arc_exact(tso.OrienteeringProblem(lg=lg, edge_rewards=arcs))]
-        return [(r.path, repr(r.reward)) for r in got], [r.nodes_expanded for r in got], list(lg._catalog_cache)
+        return [(r.path, repr(r.reward)) for r in got], [r.nodes_expanded for r in got], [lg._tables[orienteering.prefix_catalog]]
 
     answers, counts, (cat,) = run(tso.orienteering.CATALOG_CAP)
     assert counts == [cat.prefixes] * 2 and cat.prefixes > 100
@@ -1084,6 +1093,66 @@ def test_bounded_search_keeps_its_tables_on_the_log_graph(monkeypatch):
                 again = solve(tso.OrienteeringProblem(lg=shared, **kw))
                 assert (again.path, repr(again.reward), again.nodes_expanded) == (
                     fresh.path, repr(fresh.reward), fresh.nodes_expanded), (seed, solve.__name__)
+
+
+def test_one_steps_table_and_one_row_table_per_log_graph(monkeypatch):
+    # The catalog build makes lg's _Steps before it stops at the cap, and
+    # the bounded search reads that one. GRASP reads the one cost-sorted
+    # row table, and the bounded search reads it cut at limit.
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    made = {"_Steps": 0, "_rows": 0}
+    init, rows = orienteering._Steps.__init__, orienteering._rows
+
+    def counted_init(self, lg):
+        made["_Steps"] += 1
+        init(self, lg)
+
+    def counted_rows(lg):
+        made["_rows"] += 1
+        return rows(lg)
+
+    monkeypatch.setattr(orienteering._Steps, "__init__", counted_init)
+    monkeypatch.setattr(orienteering, "_rows", counted_rows)
+    g = tso.feasible_random_instance(8, 0.4, 1.0, 0.5, seed=(86, 0))
+    run = tso.greedy_survivors(g, tso.GreedyConfig(3))
+    assert made == {"_Steps": 1, "_rows": 1}
+    tso.solve_heuristic(tso.OrienteeringProblem(lg=run.lg, rewards={v: 1.0 for v in g.node_ids}))
+    assert made == {"_Steps": 1, "_rows": 1}
+
+
+def test_stopped_searches_read_the_shared_rows_cut_at_limit(monkeypatch):
+    # The bounded search's rows are the one cost-sorted row table cut at
+    # limit: the rows it used to sort and filter for itself. The cut
+    # changes no search from cost 0.0: the shared rows give the same dist
+    # and prev bits from every source.
+    graphs = [tso.feasible_random_instance(150, 0.3, 1.0, 0.9, seed=(1, 0))]
+    graphs += [tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, i))
+               for i in range(3) for p_s in (0.3, 0.5, 0.7, 0.9, 0.95)]
+    dropped = 0
+    for g in graphs:
+        lg = tso.log_transform(g)
+        shared, cut = lg.table(orienteering._rows), lg.table(orienteering._search_rows)
+        filtered = {v: sorted(((u, w) for u, w in row.items() if w <= lg.limit), key=lambda t: t[1])
+                    for v, row in lg.costs.items()}
+        assert {v: list(row) for v, row in cut.items()} == filtered
+        dropped += sum(map(len, shared.values())) > sum(map(len, cut.values()))
+        for v in g.node_ids:
+            got = orienteering.search(shared, v, limit=lg.limit)
+            assert repr(got) == repr(orienteering.search(cut, v, limit=lg.limit)), v
+    assert dropped
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    read = []
+    search = orienteering.search
+
+    def recorded(rows, *args, **kwargs):
+        read.append(rows)
+        return search(rows, *args, **kwargs)
+
+    monkeypatch.setattr(orienteering, "search", recorded)
+    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.7, seed=(0, 0))
+    lg = tso.log_transform(g)
+    tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards={v: 1.0 for v in g.node_ids}))
+    assert read and all(rows is lg.table(orienteering._search_rows) for rows in read)
 
 
 def test_results_do_not_depend_on_the_builtin_sum(monkeypatch):
