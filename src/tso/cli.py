@@ -310,7 +310,9 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # json.load raises RecursionError on a file nested too deeply; nothing
+    # else in tso recurses.
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

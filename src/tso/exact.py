@@ -9,6 +9,7 @@ approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -80,9 +81,10 @@ def solve_exact_tso(
     """Best K-multiset of feasible paths by exhaustive search.
 
     The objective only depends on the multiset, so enumeration runs over
-    non-decreasing index tuples; the innermost level is vectorized. Ties go
-    to the lexicographically smallest multiset. Guarded by catalog^K against
-    the enumeration limit.
+    non-decreasing index tuples in lexicographic order, the first K-1
+    indices from itertools and the last one vectorized. Ties go to the
+    lexicographically smallest multiset. Guarded by catalog^K against the
+    enumeration limit; a power too large for a float exceeds it.
     """
     if team_size < 1:
         raise ValueError("team size must be >= 1")
@@ -90,7 +92,11 @@ def solve_exact_tso(
     n = len(catalog)
     if n == 0:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    if float(n) ** team_size > enumeration_limit:
+    try:
+        teams = float(n) ** team_size
+    except OverflowError:
+        teams = INF
+    if teams > enumeration_limit:
         raise SizeGuardError(
             f"{n}^{team_size} candidate teams exceed the enumeration limit {enumeration_limit}"
         )
@@ -102,22 +108,18 @@ def solve_exact_tso(
             miss[i, g.index[v]] = 1.0 - z
     weight_total = d.sum()
 
-    best = {"value": -INF, "team": None}
-
-    def consider(value, team):
-        if value > best["value"]:
-            best["value"] = value
-            best["team"] = team
-
-    def recurse(first, prod, chosen):
-        if len(chosen) == team_size - 1:
-            vals = weight_total - (miss[first:] * prod) @ d
-            i = int(np.argmax(vals))
-            consider(float(vals[i]), chosen + (first + i,))
-            return
-        for i in range(first, n):
-            recurse(i, prod * miss[i], chosen + (i,))
-
-    recurse(0, np.ones(g.num_nodes), ())
-    team = [catalog.paths[i] for i in best["team"]]
-    return team_plan(g, team)
+    best, team, head = -INF, None, None
+    for chosen in combinations_with_replacement(range(n), team_size - 1):
+        if chosen[:-1] != head:
+            # The product over a new head, left to right; each of its
+            # tuples multiplies its last index in.
+            head, base = chosen[:-1], np.ones(g.num_nodes)
+            for i in head:
+                base = base * miss[i]
+        first = chosen[-1] if chosen else 0
+        prod = base * miss[first] if chosen else base
+        vals = weight_total - (miss[first:] * prod) @ d
+        i = int(np.argmax(vals))
+        if float(vals[i]) > best:
+            best, team = float(vals[i]), chosen + (first + i,)
+    return team_plan(g, [catalog.paths[i] for i in team])

@@ -29,14 +29,14 @@ class OrienteeringProblem:
             for v, r in self.rewards.items():
                 if v not in self.lg.graph.index:
                     raise ValueError(f"reward on unknown node {v}")
-                if r < 0 or r != r:
-                    raise ValueError(f"negative or NaN reward on node {v}")
+                if not 0.0 <= r < INF:
+                    raise ValueError(f"negative, infinite or NaN reward on node {v}")
         if self.edge_rewards is not None:
             for e, r in self.edge_rewards.items():
                 if e[1] not in self.lg.costs.get(e[0], ()):
                     raise ValueError(f"reward on missing edge {e}")
-                if r < 0 or r != r:
-                    raise ValueError(f"negative or NaN reward on edge {e}")
+                if not 0.0 <= r < INF:
+                    raise ValueError(f"negative, infinite or NaN reward on edge {e}")
 
 
 @dataclass
@@ -490,13 +490,12 @@ class _Draws:
 
 
 class _GraspTables:
-    """GRASP's legs, candidate rows and skeleton trie of lg (lg.table(_GraspTables)), built by its first call and kept.
+    """GRASP's legs and skeleton trie of lg (lg.table(_GraspTables)), built by its first call and kept.
 
     legs maps (src, dst, frozenset(banned)) to a (leg, cost) entry of
-    _leg_avoiding, cands maps a source to its _leg_tree candidate row, and
-    trie is the root _Walk of the skeleton walks. None of them holds
-    rewards, so the calls of a greedy run, which share one LogGraph, share
-    them too.
+    _leg_avoiding, and trie is the root _Walk of the skeleton walks. Neither
+    holds rewards, so the calls of a greedy run, which share one LogGraph,
+    share them too. GRASP's only per-source table is lg.shortest_tree.
 
     The trie gives the skeletons and draws of a walk that recomputes every
     state. A state is the walk's path and cost float, and it is a function
@@ -523,7 +522,7 @@ class _GraspTables:
     """
 
     def __init__(self, lg: LogGraph):
-        self.legs, self.cands, self.trie = {}, {}, _Walk((lg.graph.start,), 0.0)
+        self.legs, self.trie = {}, _Walk((lg.graph.start,), 0.0)
 
 
 def _base_path(p: OrienteeringProblem):
@@ -549,28 +548,6 @@ def _base_path(p: OrienteeringProblem):
 def _path_cost(lg, path):
     # Left to right, as the reversal scan of _local_search sums.
     return ordered_sum(lg.costs[a][b] for a, b in zip(path, path[1:]))
-
-
-def _leg_tree(lg, src):
-    """src's candidate row, built on first use and kept in _GraspTables.cands.
-
-    It lists, in node_ids order, (j, dist[j], dist_to(terminal)[j]) for
-    each j other than the terminal with `dist[j] + dist_to(terminal)[j] <=
-    limit`, dist from src: _random_skeleton's candidate test at cost 0.0.
-    A node that fails it at cost 0.0 fails it at every cost, as float
-    addition is monotone and costs are >= 0 (see _GraspTables); so does a
-    node with an INF distance.
-    """
-    memo = lg.table(_GraspTables).cands
-    cands = memo.get(src)
-    if cands is None:
-        g = lg.graph
-        dist, dist_t = lg.distances_from(src), lg.distances_to(g.terminal)
-        cands = memo[src] = [
-            (j, dist[j], dist_t[j]) for j in g.node_ids
-            if j != g.terminal and dist[j] + dist_t[j] <= lg.limit
-        ]
-    return cands
 
 
 def _leg_avoiding(lg, src, dst, banned, cost):
@@ -628,13 +605,13 @@ class _Walk:
     """A state of the skeleton walk: a node of the trie that _GraspTables keeps.
 
     leg holds the nodes the state's last leg added (the start, at the root)
-    and cost the walk's float. row is the candidate row, None before the
-    first visit, False after it and a tuple from the second visit on, as
-    most states of a large graph are visited once. kids maps each waypoint
-    drawn here to its state, or to None where the leg was rejected; end is
-    the closing phase's result, None until a walk first closes here. Nodes
-    point only to their kids, so a dropped LogGraph frees its trie without
-    the cycle collector.
+    and cost the walk's float. row is None before the first visit, False
+    after it, which built a row and dropped it, and from the second visit
+    on the tuple that visit built, as most states of a large graph are
+    visited once. kids maps each waypoint drawn here to its state, or to
+    None where the leg was rejected; end is the closing phase's result,
+    None until a walk first closes here. Nodes point only to their kids, so
+    a dropped LogGraph frees its trie without the cycle collector.
     """
 
     __slots__ = ("leg", "cost", "row", "kids", "end")
@@ -651,29 +628,30 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
     Pure insertion cannot leave the direct skeleton when the straight edge
     already eats most of the budget; routing restarts through waypoints
     reaches path shapes insertion alone never builds. Each hop draws a
-    waypoint from the nodes still affordable with a straight run home
-    afterwards, up to three times, dropping each whose leg (avoiding the
-    nodes the skeleton holds) fails; a hop with an empty row ends the walk.
-    Then, if the closing leg fails or busts the budget, the walk backtracks
-    one waypoint at a time; a walk that cannot leave the start yields None.
+    waypoint from its candidate row, up to three times, dropping each whose
+    leg (avoiding the nodes the skeleton holds) fails; a hop with an empty
+    row ends the walk. The row lists in node_ids order each j off the path,
+    other than the terminal, with `cost + dist[j] + dist_to(terminal)[j] <=
+    limit`, dist from the path's last node: still affordable with a
+    straight run home afterwards. Then, if the closing leg fails or busts
+    the budget, the walk backtracks one waypoint at a time; a walk that
+    cannot leave the start yields None.
 
     Only rng.integers(n) is called, so rng is a _Draws or a Generator. The
     walk moves down the trie of _GraspTables, whose nodes (_Walk) keep what
     a state's row, legs and closing computed; see _GraspTables for why that
     gives the same draws and skeletons.
     """
-    terminal, limit = lg.graph.terminal, lg.limit
+    node_ids, terminal, limit = lg.graph.node_ids, lg.graph.terminal, lg.limit
     dist_t = lg.distances_to(terminal)
     node = lg.table(_GraspTables).trie
     trail, path = [node], list(node.leg)
     for _ in range(hops):
         cost, row, kids = node.cost, node.row, node.kids
-        used = None
         if not isinstance(row, tuple):
-            # path[-1]'s candidate row, filtered by the same floats in the
-            # same order as cost + dist(v, j) + dist_to(terminal)[j] (see _leg_tree).
             used = set(path)
-            cands = [j for j, a, b in _leg_tree(lg, path[-1]) if j not in used and cost + a + b <= limit]
+            dist = lg.distances_from(path[-1])
+            cands = [j for j in node_ids if j not in used and j != terminal and cost + dist[j] + dist_t[j] <= limit]
             node.row = False if row is None else tuple(cands)
             row = cands
         if not row:
@@ -687,9 +665,7 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
             k = rng.integers(len(cands))
             j = cands[k]
             if j not in kids:
-                if used is None:
-                    used = set(path)
-                leg = _leg_avoiding(lg, path[-1], j, used | {terminal}, cost)
+                leg = _leg_avoiding(lg, path[-1], j, {terminal, *path}, cost)
                 fits = leg is not None and cost + leg[1] + dist_t[j] <= limit
                 kids[j] = _Walk(leg[0][1:], cost + leg[1]) if fits else None
             if kids[j] is not None:
@@ -847,13 +823,13 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     search. The best path by reward wins, ties going to the smaller
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
-    Deterministic for a fixed seed. The trees, cost rows, candidate rows,
-    legs and skeleton trie it reads are kept on p.lg (shortest_tree, _rows,
-    _GraspTables) and hold no rewards, only facts of the graph and its
-    budget. A walk that reaches a trie node an earlier walk made, in this
-    call or an earlier one, reads its row, its children and its closing
-    instead of recomputing them, and makes the same draws with the same
-    arguments (see _GraspTables). So a call returns the same result, to
+    Deterministic for a fixed seed. The trees, cost rows, legs and skeleton
+    trie with its candidate rows it reads are kept on p.lg (shortest_tree,
+    _rows, _GraspTables) and hold no rewards, only facts of the graph and
+    its budget. A walk that reaches a trie node an earlier walk made, in
+    this call or an earlier one, reads its row, its children and its
+    closing instead of recomputing them, and makes the same draws with the
+    same arguments (see _GraspTables). So a call returns the same result, to
     the bits of its reward, whichever calls ran on that LogGraph before.
     The draws come from _Draws(seed), which gives the values of
     np.random.default_rng(seed).integers at a fifth of the cost.

@@ -438,10 +438,10 @@ def random_skeleton(lg, rng, hops: int):
     """GRASP's random skeleton walk as the library ran it before its states were kept in a trie.
 
     Each hop rebuilds its candidate row and asks for its legs afresh, and
-    the closing phase backtracks over a list of waypoints. It reads the
-    library's candidate rows and legs (_leg_tree, _leg_avoiding), which
-    test_orienteering holds against grasp_leg, and returns (path list, cost)
-    or None.
+    the closing phase backtracks over a list of waypoints. It filters
+    node_ids by the distances of the LogGraph's trees and reads the
+    library's legs (_leg_avoiding), which test_orienteering holds against
+    grasp_leg, and returns (path list, cost) or None.
     """
     g = lg.graph
     terminal = g.terminal
@@ -453,7 +453,8 @@ def random_skeleton(lg, rng, hops: int):
     cost = 0.0
     v = g.start
     for _ in range(hops):
-        cands = [j for j, a, b in orienteering._leg_tree(lg, v) if j not in used and cost + a + b <= limit]
+        dist = lg.distances_from(v)
+        cands = [j for j in g.node_ids if j not in used and j != terminal and cost + dist[j] + dist_t[j] <= limit]
         if not cands:
             break
         for _draw in range(3):

@@ -279,6 +279,11 @@ def test_exit_code_guard(tmp_path, capsys):
     assert "guard violation:" in capsys.readouterr().err
     assert main(["feasible", str(inst), "--brute-force"]) == 3
     assert "guard violation: brute-force feasibility limited to 12 nodes, instance has 13" in capsys.readouterr().err
+    # n ** 2000 teams overflow a float, which counts as over the limit.
+    six = _gen(tmp_path, name="six.json", nodes=6, p_s=0.6)
+    assert main(["exact", str(six), "--team", "2000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard violation: ") and err.endswith("^2000 candidate teams exceed the enumeration limit 10000000\n"), err
 
 
 def test_exit_code_errors(tmp_path, capsys):
@@ -299,6 +304,27 @@ def _one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_json_nested_too_deeply_exits_one(tmp_path, capsys):
+    # json.load raises RecursionError on it.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    inst = _gen(tmp_path)
+    for argv in (["solve", str(deep)], ["feasible", str(deep)], ["simulate", str(inst), "--plan", str(deep)]):
+        assert main(argv) == 1, argv
+        _one_line_error(capsys)
+
+
+def test_exact_team_deeper_than_the_recursion_limit(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    tso.save_instance(tso.SurvivalGraph(
+        node_ids=[1, 2], priorities={1: 1.0, 2: 1.0}, edges=[(1, 2, 0.9)], start=1, terminal=2, p_s=0.5,
+    ), one)
+    out = tmp_path / "one.plan.json"
+    assert main(["exact", str(one), "--team", "3000", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "J=1\n"
+    assert json.loads(out.read_text())["paths"] == [[1, 2]] * 3000
 
 
 @pytest.mark.parametrize("p_s", ["1e-17", "5e-324"])

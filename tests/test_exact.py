@@ -43,6 +43,20 @@ def test_team_enumeration_guard():
     g = tso.feasible_random_instance(6, 0.4, 1.0, 0.6, seed=91)
     with pytest.raises(tso.SizeGuardError):
         tso.solve_exact_tso(g, team_size=3, enumeration_limit=10)
+    # n ** 2000 overflows a float; the guard counts that as over the limit.
+    n = len(tso.enumerate_feasible_paths(g))
+    assert n > 1
+    with pytest.raises(tso.SizeGuardError, match=rf"^{n}\^2000 candidate teams exceed the enumeration limit 10000000$"):
+        tso.solve_exact_tso(g, team_size=2000)
+
+
+def test_one_path_serves_a_team_deeper_than_the_recursion_limit():
+    # A one-path catalog passes the guard at any team size, and the
+    # multisets are enumerated without one stack frame per robot.
+    g = tso.SurvivalGraph(node_ids=[1, 2], priorities={1: 1.0, 2: 1.0}, edges=[(1, 2, 0.9)], start=1, terminal=2, p_s=0.5)
+    plan = tso.solve_exact_tso(g, team_size=5000)
+    assert plan.paths == [(1, 2)] * 5000
+    assert plan.objective == 1.0
 
 
 def test_exact_team_empty_catalog_raises():

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import timeit
 import tracemalloc
 from pathlib import Path
@@ -65,6 +66,25 @@ def test_rejects_bad_rewards(diamond):
 def test_reward_on_unknown_node_is_refused(diamond):
     with pytest.raises(ValueError, match="reward on unknown node 9"):
         _problem(diamond, rewards={2: 1.0, 9: 1.0})
+
+
+@pytest.mark.parametrize("cap", [orienteering.CATALOG_CAP, 0])
+def test_infinite_rewards_are_refused_on_both_sides_of_the_cap(monkeypatch, diamond, cap):
+    # Node 3 and arc (1, 3) lie on no feasible path. An inf there would give
+    # (1, 2, 4) from the catalog, but 0 * inf = NaN in the bounded search's
+    # reward bound, which then finds no path. The largest finite reward
+    # there gives (1, 2, 4) on both sides.
+    monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
+    for solve, key, what, other in (
+        (tso.solve_exact, 3, "node 3", {2: 1.0}),
+        (tso.solve_arc_exact, (1, 3), "edge (1, 3)", {(1, 2): 1.0}),
+    ):
+        field = "rewards" if solve is tso.solve_exact else "edge_rewards"
+        for r in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"negative, infinite or NaN reward on {re.escape(what)}"):
+                solve(_problem(diamond, **{field: {**other, key: r}}))
+        res = solve(_problem(diamond, **{field: {**other, key: 1.7976931348623157e308}}))
+        assert (res.path, res.reward) == ((1, 2, 4), 1.0)
 
 
 def _unit_arc_problem():
@@ -359,11 +379,24 @@ def test_restarts_reaching_one_state_share_its_local_search(monkeypatch, p_s, se
     assert (list(res.path), repr(res.reward), res.nodes_expanded) == (path, reward, expanded)
 
 
-def test_random_skeleton_stops_at_an_empty_candidate_row(monkeypatch):
+def _row_builds(lg):
+    """Candidate rows _random_skeleton built on lg: once at a trie node whose row is False, twice at a tuple."""
+    builds, stack = 0, [lg.table(orienteering._GraspTables).trie]
+    while stack:
+        node = stack.pop()
+        builds += 0 if node.row is None else 1 if node.row is False else 2
+        stack += [kid for kid in node.kids.values() if kid is not None]
+    return builds
+
+
+def test_random_skeleton_stops_at_an_empty_candidate_row():
     # At p_s 0.95 no waypoint is affordable from the start, so each of the 63
     # skeleton restarts reads the start's empty row once and stops.
-    res, calls = _counted_heuristic_call(monkeypatch, 0.95, "_leg_tree")
-    assert calls <= 63
+    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.95, seed=(0, 0))
+    p = _problem(g, rewards={v: 1.0 for v in g.node_ids})
+    res = tso.solve_heuristic(p, seed=0, restarts=64)
+    assert _row_builds(p.lg) <= 63
+    assert not p.lg.table(orienteering._GraspTables).trie.kids
     assert (list(res.path), res.nodes_expanded) == ([0, 19], 0)
 
 
@@ -464,9 +497,9 @@ def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
     # The K=5 GRASP greedy run on the seed-0 ratio graph at p_s 0.8 makes 5
     # calls of 63 skeleton walks each, on one LogGraph. Walks repeat states
     # across calls, so the trie answers most candidate rows and legs; the
-    # reward-dependent work does not move. Before the trie the run made
-    # 1,216 _leg_tree and 2,205 _leg_avoiding calls.
-    calls = {name: 0 for name in ("_leg_tree", "_leg_avoiding", "search", "_insertions", "_local_search")}
+    # reward-dependent work does not move. Before the trie the run built
+    # 1,216 candidate rows and made 2,205 _leg_avoiding calls.
+    calls = {name: 0 for name in ("_leg_avoiding", "search", "_insertions", "_local_search")}
     for name in calls:
         inner = getattr(orienteering, name)
 
@@ -477,7 +510,8 @@ def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
         monkeypatch.setattr(orienteering, name, counted)
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
     run = tso.greedy_survivors(g, tso.GreedyConfig(5, oracle="heuristic"))
-    assert calls == {"_leg_tree": 154, "_leg_avoiding": 282, "search": 64, "_insertions": 78, "_local_search": 50}
+    assert calls == {"_leg_avoiding": 282, "search": 64, "_insertions": 78, "_local_search": 50}
+    assert _row_builds(run.lg) == 154
     assert repr(run.plan.objective) == "10.806457809382373"
 
 
