@@ -54,17 +54,14 @@ def enumerate_feasible_paths(g: SurvivalGraph, max_nodes: int = 12) -> PathCatal
 
 
 def brute_force_reachable(g: SurvivalGraph, max_nodes: int = 12) -> set:
-    """Every node some feasible path visits after step 0: the heads of the arcs in the catalog's table.
+    """Every node some feasible path visits after step 0: the heads of the arcs in the catalog's tiles.
 
-    Every arc there is a step of a feasible path, and every step of one is
-    there, so no path is built. Marking them a block at a time keeps
-    numpy's index temporaries small.
+    Every arc there, the sentinel aside, is a step of a feasible path, and
+    every step of one is there, so no path is built. Reading the arcs a
+    tile at a time keeps numpy's temporaries small.
     """
     cat = _catalog(g, max_nodes, "brute-force feasibility")
-    used = np.zeros(len(cat.arcs), bool)
-    for _lo, arcs in cat.blocks:
-        used[arcs] = True
-    return {cat.arcs[k][1] for k in np.flatnonzero(used).tolist()}
+    return {cat.arcs[k][1] for _lo, tile in cat.tiles for k in np.unique(tile).tolist() if k < len(cat.arcs)}
 
 
 def brute_force_feasibility(g: SurvivalGraph, node, max_nodes: int = 12) -> bool:
@@ -83,28 +80,29 @@ def solve_exact_tso(
     The objective only depends on the multiset, so enumeration runs over
     non-decreasing index tuples in lexicographic order, the first K-1
     indices from itertools and the last one vectorized. Ties go to the
-    lexicographically smallest multiset. Guarded by catalog^K against the
-    enumeration limit; a power too large for a float exceeds it.
+    lexicographically smallest multiset. Guarded, before any visit profile
+    is built, by catalog^K teams times K robots against the enumeration
+    limit; a count too large for a float exceeds it.
     """
     if team_size < 1:
         raise ValueError("team size must be >= 1")
-    catalog = enumerate_feasible_paths(g, max_nodes=max_nodes)
-    n = len(catalog)
+    paths = _catalog(g, max_nodes, "path enumeration").paths()
+    n = len(paths)
     if n == 0:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
     try:
-        teams = float(n) ** team_size
+        work = float(n) ** team_size * team_size
     except OverflowError:
-        teams = INF
-    if teams > enumeration_limit:
+        work = INF
+    if work > enumeration_limit:
         raise SizeGuardError(
-            f"{n}^{team_size} candidate teams exceed the enumeration limit {enumeration_limit}"
+            f"{n}^{team_size} candidate teams times {team_size} robots exceed the enumeration limit {enumeration_limit}"
         )
 
     d = np.array([g.priority(v) for v in g.node_ids])
     miss = np.ones((n, g.num_nodes))
-    for i, prof in enumerate(catalog.profiles):
-        for v, z in prof.visit_prob.items():
+    for i, path in enumerate(paths):
+        for v, z in visit_profile(g, path).visit_prob.items():
             miss[i, g.index[v]] = 1.0 - z
     weight_total = d.sum()
 
@@ -122,4 +120,4 @@ def solve_exact_tso(
         i = int(np.argmax(vals))
         if float(vals[i]) > best:
             best, team = float(vals[i]), chosen + (first + i,)
-    return team_plan(g, [catalog.paths[i] for i in team])
+    return team_plan(g, [paths[i] for i in team])

@@ -82,11 +82,9 @@ def _exact(p: OrienteeringProblem, kind: str, lookup) -> OracleResult:
     cat = p.lg.table(prefix_catalog)
     if cat is None:
         return _bounded_search(p.lg, kind, lookup)
-    if kind == "node":
-        rew = np.array([lookup(v, 0.0) for v in g.node_ids], dtype=float)[cat.heads]
-    else:
-        rew = np.array([lookup(e, 0.0) for e in cat.arcs], dtype=float)
-    top = cat.best(rew)
+    # One reward per arc, then the sentinel arc's 0.0 (see PrefixCatalog).
+    keys, per_arc = (g.node_ids, cat.heads) if kind == "node" else (cat.arcs, slice(None))
+    top = cat.best(np.array([lookup(k, 0.0) for k in keys] + [0.0], dtype=float)[per_arc])
     if top is not None and (not depot or top[0] > 0.0):
         reward, i = top
         return OracleResult(path=cat.path(i), reward=reward, exact=True, nodes_expanded=cat.prefixes)
@@ -98,28 +96,29 @@ def _exact(p: OrienteeringProblem, kind: str, lookup) -> OracleResult:
 # ---------------------------------------------------------------------------
 # Path catalog
 
-# A catalog holds at most this many prefixes. What it keeps is one arc per
-# (leaf, step): the sum of its leaves' depths, 2 bytes each (int16 up to
-# 2^15 arcs, int32 past that). A prefix has at most one step into the
-# terminal, so leaves never outnumber prefixes, but a leaf of d steps takes
-# d entries, so the table can outgrow the prefix count many times over.
-# While it runs, the build holds per prefix its parent's position in the
-# previous depth (uint16 while that depth holds at most 2^16 prefixes,
-# uint32 past that) and its last arc, as much per leaf, and two depths'
-# frontiers, each prefix with a node index, a float64 cost and ceil(V / 64)
-# uint64 words (17 bytes up to 64 nodes), plus one chunk's tables; it then
-# walks the leaves back into the table, freeing the depths as it goes. A
-# call holds a float64 sum per leaf and one block's gather while it runs,
-# and on a tie the tied leaves' positions. The heaviest benchmark
-# graph (ratio draw 0 at p_s = 0.5) has 231,433 prefixes, 44,946 at its
-# widest depth, and 71,414 leaves, whose table holds 708,918 arcs (1.4
-# MiB); its build traces a peak of about 2.6 MiB.
+# A catalog holds at most this many prefixes. What it keeps is its tiles:
+# one arc per (leaf, step), 2 bytes each (int16 below 2^15 arcs, int32 from
+# there), plus a sentinel after each leaf shorter than its tile's first. A
+# prefix has at most one step into the terminal, so leaves never outnumber
+# prefixes, but a leaf of d steps takes d entries, so the tiles can outgrow
+# the prefix count many times over. While it runs, the build holds per
+# prefix its parent's position in the previous depth (uint16 while that
+# depth holds at most 2^16 prefixes, uint32 past that) and its last arc, as
+# much per leaf, and two depths' frontiers, each prefix with a node index, a
+# float64 cost and ceil(V / 64) uint64 words (17 bytes up to 64 nodes),
+# plus one chunk's tables; it then walks the leaves back into the tiles,
+# freeing the depths as it goes. A call holds a float64 sum per leaf and one
+# tile's gather while it runs, and on a tie the tied leaves' positions. The
+# heaviest benchmark graph (ratio draw 0 at p_s = 0.5) has 231,433
+# prefixes, 44,946 at its widest depth, and 71,414 leaves of 708,918 arcs,
+# whose tiles hold 713,406 entries (1.4 MiB); its build traces a peak of
+# about 2.6 MiB.
 CATALOG_CAP = 1 << 20
 
-# Arcs a call gathers at once: longer rows are scored in pieces, so that
-# no temporary outgrows 64 KiB. Freeing a larger one shrinks the heap, and
-# the next call faults its pages in again: on the heaviest benchmark graph
-# that made a call two to four times slower.
+# Entries of a tile, and so of a call's gather: no gather outgrows 64 KiB
+# unless a single leaf takes more steps. Freeing a larger temporary shrinks
+# the heap, and the next call faults its pages in again: on the heaviest
+# benchmark graph that made a call two to four times slower.
 _BLOCK = 8192
 
 # Prefixes expanded together by the build and, with node rewards, by the
@@ -132,13 +131,14 @@ _CHUNK = 1024
 
 @dataclass
 class PrefixCatalog:
-    """Every budget-feasible start-terminal path of one LogGraph, as one arc table over its leaves.
+    """Every budget-feasible start-terminal path of one LogGraph, as depth-major tiles of arcs.
 
-    arcs lists the graph's arcs in (tail, head) index order and heads their
-    heads' node indices. A leaf, a prefix's step into the terminal, is one
-    feasible path. Leaves run deepest first, and rows[r] holds arc r of
-    every leaf of more than r steps, so no row is padded. blocks cuts rows
-    into (lo, arcs) pieces of at most _BLOCK arcs of leaves lo, lo + 1, ...
+    arcs lists the graph's arcs in (tail, head) index order, and heads their
+    heads' node indices, then V for the sentinel arc len(arcs). A leaf, a
+    prefix's step into the terminal, is one feasible path. Leaves run
+    deepest first, in runs of w = max(1, _BLOCK // d), d the depth of a
+    run's first leaf. tiles holds (lo, tile) per run, tile a C-order (d, w)
+    array whose column c lists leaf lo + c's arcs, padded with the sentinel.
     level_prefixes[d] counts the prefixes of d steps and level_leaves[d]
     the leaves out of them; prefixes counts the root too.
     """
@@ -146,51 +146,55 @@ class PrefixCatalog:
     start: int
     arcs: list
     heads: np.ndarray
-    rows: list
-    blocks: list
+    tiles: list
     level_prefixes: list
     level_leaves: list
     prefixes: int
 
     def best(self, rew):
-        """(reward, leaf) of the best leaf given each arc's reward; None without leaves.
+        """(reward, leaf) of the best leaf given each arc's reward, the sentinel's 0.0 last; None without leaves.
 
-        Each leaf's sum adds its arcs' rewards to 0.0 from the start on,
-        block by block in row order, as the bounded search adds collected +
-        reward[k]: the same floats. Among equal sums the smallest node-index
-        sequence wins, which is the smallest arc sequence, arcs being
-        numbered in (tail, head) index order from one start. Row by row,
-        only the tied leaves with the smallest arc there stay; no prefix
-        enters the terminal, so no leaf is a prefix of another and tied
-        leaves agreeing so far all have the next row.
+        Each leaf's sum adds its arcs' rewards to 0.0 in path order, as the
+        bounded search adds collected + reward[k]: the same floats. numpy
+        sums a tile's columns row by row (pairwise summation runs only
+        along the fast axis, so a lone column is added in Python), and a
+        sentinel's +0.0 moves no bit of a sum begun at +0.0. Ties go to the
+        smallest arc sequence, the smallest node-index one as arcs are
+        numbered in (tail, head) index order from one start. The build
+        lists each depth's leaves in that order, so only the first tied
+        leaf of each depth can win, and those are compared.
         """
-        if not self.rows:
+        if not self.tiles:
             return None
-        sums = np.zeros(len(self.rows[0]))
-        for lo, arcs in self.blocks:
-            sums[lo:lo + len(arcs)] += rew.take(arcs)
+        sums = np.empty(sum(self.level_leaves))
+        for lo, tile in self.tiles:
+            w = tile.shape[1]
+            if w > 1:
+                np.add.reduce(rew.take(tile), axis=0, initial=0.0, out=sums[lo:lo + w])
+            else:
+                sums[lo] = ordered_sum(rew.take(tile).ravel().tolist())
         top = sums.max()
         tied = np.flatnonzero(sums == top)
-        for row in self.rows:
-            if len(tied) == 1:
-                break
-            step = row.take(tied)
-            tied = tied[step == step.min()]
+        if len(tied) > 1:
+            # The first tied leaf at or after the start of each depth's run:
+            # the first of each depth among them, and no leaf but tied ones.
+            at = np.searchsorted(tied, np.cumsum([0] + self.level_leaves[::-1]))
+            return float(top), min(set(tied.take(at, mode="clip").tolist()), key=self._arcs)
         return float(top), int(tied[0])
+
+    def _arcs(self, i) -> list:
+        """Leaf i's arcs, padded with the sentinel to its tile's depth: no leaf is a prefix of another, so the padding orders none."""
+        lo, tile = next(t for t in reversed(self.tiles) if t[0] <= i)
+        return tile[:, i - lo].tolist()
 
     def path(self, i) -> tuple:
         """Node sequence of leaf i."""
-        return (self.start,) + tuple(self.arcs[row[i]][1] for row in self.rows if i < len(row))
+        return (self.start,) + tuple(self.arcs[k][1] for k in self._arcs(i) if k < len(self.arcs))
 
     def paths(self) -> list[tuple]:
         """Every leaf's node sequence in DFS order: lexicographic by node index."""
-        seqs = []
-        ends = [len(row) for row in self.rows]
-        # Leaves ends[k]..ends[k - 1] - 1 take k steps.
-        for k, (lo, hi) in enumerate(zip(ends[1:] + [0], ends), 1):
-            seqs += zip(*(row[lo:hi].tolist() for row in self.rows[:k]))
-        seqs.sort()
-        return [(self.start,) + tuple(self.arcs[k][1] for k in seq) for seq in seqs]
+        cols = sorted(col for _lo, tile in self.tiles for col in tile.T.tolist())
+        return [(self.start,) + tuple(self.arcs[k][1] for k in col if k < len(self.arcs)) for col in cols]
 
 
 class _Steps:
@@ -220,7 +224,7 @@ class _Steps:
         self.start, self.terminal, self.depot = idx[g.start], idx[g.terminal], g.start == g.terminal
         self.arcs = [(v, u) for v, row in lg.costs.items() for u in row]
         self.node_dt = np.min_scalar_type(n - 1)
-        self.arc_dt = np.int16 if len(self.arcs) <= 1 << 15 else np.int32
+        self.arc_dt = np.int16 if len(self.arcs) < 1 << 15 else np.int32
         self.words = -(-n // 64)
         dist_to_t = lg.distances_to(g.terminal)
         self.to_t = np.array([dist_to_t[v] for v in g.node_ids])
@@ -316,23 +320,35 @@ def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
             np.concatenate(fields.pop(0)) for _ in range(7))
         levels.append((kid_parent, kid_arc, leaf_parent, leaf_arc))
 
-    # Row r holds arc r of the leaves of more than r steps: those out of
-    # depths r and deeper, deepest first. The rows are slices of one array,
-    # which keeps the heap from fragmenting. Walking back from the deepest
-    # depth with a leaf, freeing each once read, pos holds the position in
-    # depth r + 1 of each deeper leaf's prefix of r + 1 steps.
+    # lens[r] counts the leaves of more than r steps, the first lens[r]
+    # leaves: row r of the tiles holds their arcs r, then the sentinel. The
+    # tiles are slices of one array, which keeps the heap from fragmenting.
+    # Walking back from the deepest depth with a leaf, freeing each once
+    # read, row holds arc r of the first lens[r] leaves and pos the position
+    # in depth r + 1 of each deeper leaf's prefix of r + 1 steps.
     level_leaves = [len(leaf_arc) for _kp, _ka, _lp, leaf_arc in levels]
     lens = [m for m in np.cumsum(level_leaves[::-1])[::-1].tolist() if m]
     del levels[len(lens):]
-    rows = np.split(np.empty(sum(lens), st.arc_dt), np.cumsum(lens)[:-1]) if lens else []
+    cuts, lo = [], 0
+    while lens and lo < lens[0]:
+        d = sum(m > lo for m in lens)
+        cuts.append((lo, d, min(max(1, _BLOCK // d), lens[0] - lo)))
+        lo += cuts[-1][2]
+    at = np.cumsum([0] + [d * w for _lo, d, w in cuts]).tolist()
+    flat = np.empty(at[-1], st.arc_dt)
+    tiles = [(lo, flat[a:a + d * w].reshape(d, w)) for (lo, d, w), a in zip(cuts, at)]
     pos = np.zeros(0, np.intp)
-    for row in reversed(rows):
+    for r in reversed(range(len(lens))):
         kid_parent, kid_arc, leaf_parent, leaf_arc = levels.pop()
-        np.concatenate((kid_arc.take(pos), leaf_arc), out=row)
+        row = np.concatenate((kid_arc.take(pos), leaf_arc))
         pos = np.concatenate((kid_parent.take(pos), leaf_parent))
+        for lo, tile in tiles:
+            if lo >= lens[r]:
+                break
+            k = min(tile.shape[1], lens[r] - lo)
+            tile[r, :k], tile[r, k:] = row[lo:lo + k], len(st.arcs)
     return PrefixCatalog(
-        start=lg.graph.start, arcs=st.arcs, heads=st.heads, rows=rows,
-        blocks=[(lo, row[lo:lo + _BLOCK]) for row in rows for lo in range(0, len(row), _BLOCK)],
+        start=lg.graph.start, arcs=st.arcs, heads=np.append(st.heads, len(lg.graph.node_ids)), tiles=tiles,
         level_prefixes=level_prefixes, level_leaves=level_leaves, prefixes=prefixes,
     )
 

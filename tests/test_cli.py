@@ -283,7 +283,8 @@ def test_exit_code_guard(tmp_path, capsys):
     six = _gen(tmp_path, name="six.json", nodes=6, p_s=0.6)
     assert main(["exact", str(six), "--team", "2000"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("guard violation: ") and err.endswith("^2000 candidate teams exceed the enumeration limit 10000000\n"), err
+    assert err.startswith("guard violation: ") and err.endswith(
+        "^2000 candidate teams times 2000 robots exceed the enumeration limit 10000000\n"), err
 
 
 def test_exit_code_errors(tmp_path, capsys):
@@ -325,6 +326,11 @@ def test_exact_team_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert main(["exact", str(one), "--team", "3000", "--out", str(out)]) == 0
     assert capsys.readouterr().out == "J=1\n"
     assert json.loads(out.read_text())["paths"] == [[1, 2]] * 3000
+    # One team, but 20,000,000 robots' work: the guard refuses it.
+    assert main(["exact", str(one), "--team", "20000000"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("guard violation: 1^20000000 candidate teams times 20000000 robots exceed the enumeration limit"
+                   " 10000000\n"), err
 
 
 @pytest.mark.parametrize("p_s", ["1e-17", "5e-324"])

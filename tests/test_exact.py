@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -46,8 +47,26 @@ def test_team_enumeration_guard():
     # n ** 2000 overflows a float; the guard counts that as over the limit.
     n = len(tso.enumerate_feasible_paths(g))
     assert n > 1
-    with pytest.raises(tso.SizeGuardError, match=rf"^{n}\^2000 candidate teams exceed the enumeration limit 10000000$"):
+    with pytest.raises(tso.SizeGuardError,
+                       match=rf"^{n}\^2000 candidate teams times 2000 robots exceed the enumeration limit 10000000$"):
         tso.solve_exact_tso(g, team_size=2000)
+
+
+def test_team_guard_counts_the_robots():
+    # One path makes one team at any size, but the team's work grows with
+    # it: 1^K teams times K robots meets the limit, before a profile is built.
+    g = tso.SurvivalGraph(node_ids=[1, 2], priorities={1: 1.0, 2: 1.0}, edges=[(1, 2, 0.9)], start=1, terminal=2, p_s=0.5)
+    assert tso.solve_exact_tso(g, team_size=3, enumeration_limit=3).paths == [(1, 2)] * 3
+    with pytest.raises(tso.SizeGuardError, match=r"^1\^4 candidate teams times 4 robots exceed the enumeration limit 3$"):
+        tso.solve_exact_tso(g, team_size=4, enumeration_limit=3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(tso.SizeGuardError, match=r"^1\^20000000 candidate teams times 20000000 robots"):
+            tso.solve_exact_tso(g, team_size=20_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_one_path_serves_a_team_deeper_than_the_recursion_limit():

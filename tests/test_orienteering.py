@@ -881,8 +881,8 @@ def test_catalog_ties_at_scale(monkeypatch, n, weight_min, p_s, depot):
     # Thousands of leaves whose rewards come from {0.0, 0.5, 1.0}, half of
     # them 0.0, so many tie at the top, within a depth and across depths.
     # The catalog must pick the search's leaf, the first maximizer in
-    # lexicographic order, with the same float. Small blocks cut the long
-    # rows into several pieces, the last one short.
+    # lexicographic order, with the same float. Small tiles cut the leaves
+    # into several runs, some of them mixing depths.
     monkeypatch.setattr(orienteering, "_BLOCK", 1000)
     g = tso.random_complete_instance(n, weight_min, 1.0, p_s, seed=(400, n))
     if depot:
@@ -909,7 +909,7 @@ def test_catalog_ties_at_scale(monkeypatch, n, weight_min, p_s, depot):
             most[solve] = max(most.get(solve, 0), len(tied))
             across += len({len(path) for path in tied}) > 1
     assert len(paths) >= 2000 and min(most.values()) > 1 and across
-    assert len(_catalog(lg).blocks) > len(_catalog(lg).rows)
+    assert len(_catalog(lg).tiles) > 1
 
 
 def test_all_zero_rewards_tie_every_leaf():
@@ -924,12 +924,62 @@ def test_all_zero_rewards_tie_every_leaf():
         assert len(paths) >= 10_000
         assert (got.path, repr(got.reward)) == (paths[0], "0.0")
     cat = _catalog(lg)
-    zero, spread = np.zeros(len(cat.arcs)), np.random.default_rng(402).random(len(cat.arcs))
+    # One reward per arc, then the sentinel's 0.0.
+    zero, spread = np.zeros(len(cat.arcs) + 1), np.append(np.random.default_rng(402).random(len(cat.arcs)), 0.0)
 
     def fastest(rew):
         return min(timeit.repeat(lambda: cat.best(rew), number=3, repeat=5))
 
     assert fastest(zero) < 10 * fastest(spread)
+
+
+def _ladder(n=11):
+    """Forward arcs from each of 0..n-1 to every later node, 0 to n-1: a leaf per set of inner nodes, of 1 to n-1 steps."""
+    edges = [(u, v, 1.0 if v == u + 1 else 0.99) for u in range(n) for v in range(u + 1, n)]
+    return tso.SurvivalGraph(node_ids=list(range(n)), priorities={}, edges=edges, start=0, terminal=n - 1, p_s=0.5)
+
+
+@pytest.mark.parametrize("block", [8192, 10, 3])
+def test_tile_sums_keep_the_search_floats(monkeypatch, block):
+    # The ladder's 512 leaves take 1 to 10 steps. At the default block one
+    # tile holds them all, the shorter ones padded with the sentinel; at
+    # small blocks the deepest leaves sit alone in a tile, a lone column
+    # that numpy would sum pairwise. Rewards of mixed magnitude (1e-16
+    # next to 1.0) round differently in any other order, so the float
+    # tells whether each leaf was summed from 0.0 in path order.
+    monkeypatch.setattr(orienteering, "_BLOCK", block)
+    g = _ladder()
+    lg = tso.log_transform(g)
+    rng = np.random.default_rng(405)
+    levels = [1e-16, 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52]
+    for _draw in range(8):
+        nodes = {v: float(rng.choice(levels)) for v in g.node_ids}
+        arcs = {(u, v): float(rng.choice(levels)) for u, v, _ in g.edges}
+        for solve, kw in ((tso.solve_exact, dict(rewards=nodes)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
+            got = solve(tso.OrienteeringProblem(lg=lg, **kw))
+            reference = _reference(solve, _problem(g, **kw))
+            assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)), solve.__name__
+    cat = _catalog(lg)
+    first = cat.tiles[0][1]
+    assert sum(cat.level_leaves) == 512
+    if block == 8192:
+        assert len(cat.tiles) == 1 and first.shape == (10, 512) and (first == len(cat.arcs)).any()
+    else:
+        assert first.shape == (10, 1)
+
+
+def test_negative_zero_rewards_sum_to_positive_zero(monkeypatch):
+    # Every sum starts at +0.0, so -0.0 rewards leave +0.0, as the search's
+    # collected + reward[k] does; every leaf ties, and the first one wins.
+    g = _ladder()
+    for block in (8192, 3):
+        monkeypatch.setattr(orienteering, "_BLOCK", block)
+        for solve, kw in (
+            (tso.solve_exact, dict(rewards={v: -0.0 for v in g.node_ids})),
+            (tso.solve_arc_exact, dict(edge_rewards={(u, v): -0.0 for u, v, _ in g.edges})),
+        ):
+            got = solve(_problem(g, **kw))
+            assert (got.path, repr(got.reward)) == (tuple(range(11)), "0.0"), (block, solve.__name__)
 
 
 def _catalog(lg):
@@ -1263,7 +1313,7 @@ HEAVY_LEAVES = [1, 7, 52, 228, 869, 2328, 4948, 8596, 12045, 13845, 12569, 8892,
 
 def test_heavy_catalog_shape_and_build_memory():
     # The build holds every depth's parent positions and last arcs, two
-    # frontiers and one chunk's tables at a time, then the leaf table: about
+    # frontiers and one chunk's tables at a time, then the tiles: about
     # 2.6 MiB traced at its peak, stored catalog included.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.5, seed=(0, 0))
     lg = tso.log_transform(g)
@@ -1276,6 +1326,9 @@ def test_heavy_catalog_shape_and_build_memory():
     assert peak < 4 * 2**20
     assert cat.level_prefixes == HEAVY_PREFIXES
     assert cat.level_leaves == HEAVY_LEAVES
-    assert sum(map(len, cat.rows)) == sum(d * n for d, n in enumerate(HEAVY_LEAVES, 1)) == 708_918
+    arcs = sum(int((tile < len(cat.arcs)).sum()) for _lo, tile in cat.tiles)
+    assert arcs == sum(d * n for d, n in enumerate(HEAVY_LEAVES, 1)) == 708_918
+    # The sentinels that pad a tile's shorter leaves stay few.
+    assert sum(tile.size for _lo, tile in cat.tiles) <= 1.05 * 708_918
     assert cat.prefixes == sum(HEAVY_PREFIXES) == 231_433
     assert len(cat.paths()) == sum(HEAVY_LEAVES) == 71_414
