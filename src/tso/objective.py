@@ -238,7 +238,7 @@ def simulate_team(g: SurvivalGraph, paths, trials: int, seed=0) -> SimulationRes
     chunk = 1 << 16
     while done < trials:
         rows = min(chunk, trials - done)
-        u = rng.random((rows, width)) if width else np.zeros((rows, 0))
+        u = rng.random((rows, width))
         ok = u < w_all
         del u  # the draws are the chunk's largest block; free them before the copy
         ok = np.ascontiguousarray(ok.T)

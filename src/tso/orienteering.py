@@ -66,31 +66,36 @@ def solve_exact(p: OrienteeringProblem) -> OracleResult:
     which expands prefixes with the build's kernel and returns the same
     path and float.
     """
-    return _exact(p, "node", (p.rewards or {}).get)
+    if p.edge_rewards is not None:
+        raise ValueError("the node oracle takes node rewards only")
+    rewards = p.rewards or {}
+    return _exact(p.lg, np.array([rewards.get(v, 0.0) for v in p.lg.graph.node_ids], dtype=float), True)
 
 
 def solve_arc_exact(p: OrienteeringProblem) -> OracleResult:
     """solve_exact with rewards on edges instead of nodes; the same catalog serves both."""
-    return _exact(p, "arc", (p.edge_rewards or {}).get)
+    if p.rewards is not None:
+        raise ValueError("the arc oracle takes arc rewards only")
+    rewards = p.edge_rewards or {}
+    return _exact(p.lg, np.array([rewards.get(e, 0.0) for e in p.lg.table(_Steps).arcs], dtype=float), False)
 
 
-def _exact(p: OrienteeringProblem, kind: str, lookup) -> OracleResult:
-    if (p.edge_rewards if kind == "node" else p.rewards) is not None:
-        raise ValueError(f"the {kind} oracle takes {kind} rewards only")
-    g = p.lg.graph
-    depot = g.start == g.terminal
-    cat = p.lg.table(prefix_catalog)
-    if cat is None:
-        return _bounded_search(p.lg, kind, lookup)
+def _exact(lg: LogGraph, item_rew, nodes: bool) -> OracleResult:
+    """The exact oracle on lg for one reward per node (node_ids order) if nodes, else per arc (_Steps.arcs order)."""
+    st = lg.table(_Steps)
     # One reward per arc, then the sentinel arc's 0.0 (see PrefixCatalog).
-    keys, per_arc = (g.node_ids, cat.heads) if kind == "node" else (cat.arcs, slice(None))
-    top = cat.best(np.array([lookup(k, 0.0) for k in keys] + [0.0], dtype=float)[per_arc])
-    if top is not None and (not depot or top[0] > 0.0):
+    rew = np.zeros(len(st.arcs) + 1)
+    rew[:-1] = item_rew.take(st.heads) if nodes else item_rew
+    cat = lg.table(prefix_catalog)
+    if cat is None:
+        return _bounded_search(lg, item_rew, rew, nodes)
+    top = cat.best(rew)
+    if top is not None and (not st.depot or top[0] > 0.0):
         reward, i = top
         return OracleResult(path=cat.path(i), reward=reward, exact=True, nodes_expanded=cat.prefixes)
-    if not depot:
+    if not st.depot:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=(g.start,), reward=0.0, exact=True, nodes_expanded=cat.prefixes)
+    return OracleResult(path=(lg.graph.start,), reward=0.0, exact=True, nodes_expanded=cat.prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +138,18 @@ _CHUNK = 1024
 class PrefixCatalog:
     """Every budget-feasible start-terminal path of one LogGraph, as depth-major tiles of arcs.
 
-    arcs lists the graph's arcs in (tail, head) index order, and heads their
-    heads' node indices, then V for the sentinel arc len(arcs). A leaf, a
-    prefix's step into the terminal, is one feasible path. Leaves run
-    deepest first, in runs of w = max(1, _BLOCK // d), d the depth of a
-    run's first leaf. tiles holds (lo, tile) per run, tile a C-order (d, w)
-    array whose column c lists leaf lo + c's arcs, padded with the sentinel.
-    level_prefixes[d] counts the prefixes of d steps and level_leaves[d]
-    the leaves out of them; prefixes counts the root too.
+    arcs lists the graph's arcs in (tail, head) index order; len(arcs) is
+    the sentinel arc. A leaf, a prefix's step into the terminal, is one
+    feasible path. Leaves run deepest first, in runs of w = max(1, _BLOCK
+    // d), d the depth of a run's first leaf. tiles holds (lo, tile) per
+    run, tile a C-order (d, w) array whose column c lists leaf lo + c's
+    arcs, padded with the sentinel. level_leaves[d] counts the leaves of d
+    + 1 steps; prefixes counts every prefix, the root too.
     """
 
     start: int
     arcs: list
-    heads: np.ndarray
     tiles: list
-    level_prefixes: list
     level_leaves: list
     prefixes: int
 
@@ -209,11 +211,9 @@ class _Steps:
     are never negative and float addition is monotone, so it would fail at
     every cost. arcs lists lg's arcs in (tail, head) index order, as
     lg.costs lists them: the arc numbering of catalogs and searches. tails,
-    heads and arc_w give each its tail and head indices and its cost; to_t
-    is each node's distance to the terminal, and dist_from maps a node
-    index to its distance row (node_ids order), which _bounded_search
-    fills. The catalog build makes lg's one _Steps (lg.table(_Steps)),
-    which the bounded search reads above CATALOG_CAP.
+    heads and arc_w give each its tail and head indices and its cost, and
+    to_t is each node's distance to the terminal. lg's one _Steps
+    (lg.table(_Steps)) serves every exact call, and no call writes into it.
     """
 
     def __init__(self, lg: LogGraph):
@@ -228,7 +228,6 @@ class _Steps:
         self.words = -(-n // 64)
         dist_to_t = lg.distances_to(g.terminal)
         self.to_t = np.array([dist_to_t[v] for v in g.node_ids])
-        self.dist_from = {}
         self.tails = tails = np.repeat(np.arange(n), [len(row) for row in lg.costs.values()])
         self.heads = heads = np.array([idx[b] for _a, b in self.arcs], dtype=np.intp)
         self.arc_w = arc_w = np.array([c for row in lg.costs.values() for c in row.values()])
@@ -302,9 +301,7 @@ def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
     if prefixes > CATALOG_CAP:
         return None
     levels = []
-    level_prefixes = []
     while len(node):
-        level_prefixes.append(len(node))
         pos_dt = np.min_scalar_type(len(node) - 1)
         parts = []
         for lo in range(0, len(node), _CHUNK):
@@ -347,10 +344,7 @@ def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
                 break
             k = min(tile.shape[1], lens[r] - lo)
             tile[r, :k], tile[r, k:] = row[lo:lo + k], len(st.arcs)
-    return PrefixCatalog(
-        start=lg.graph.start, arcs=st.arcs, heads=np.append(st.heads, len(lg.graph.node_ids)), tiles=tiles,
-        level_prefixes=level_prefixes, level_leaves=level_leaves, prefixes=prefixes,
-    )
+    return PrefixCatalog(start=lg.graph.start, arcs=st.arcs, tiles=tiles, level_leaves=level_leaves, prefixes=prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -359,26 +353,34 @@ def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
 def _rows(lg: LogGraph) -> dict:
     """rows[v]: lg.costs[v]'s (head, cost) pairs stable-sorted by cost, so heads of equal cost stay in index order.
 
-    lg.table(_rows) is the one cost-sorted table of lg: GRASP reads it, and _search_rows cuts it.
+    lg.table(_rows) is the one cost-sorted table of lg: GRASP reads it, and _within cuts it.
     """
     return {v: tuple(sorted(row.items(), key=lambda t: t[1])) for v, row in lg.costs.items()}
 
 
-def _search_rows(lg: LogGraph) -> dict:
-    """_rows cut at limit for the bounded search's stopped searches, which relax no later arc but would scan those that lower nothing."""
-    return {v: tuple(t for t in row if t[1] <= lg.limit) for v, row in lg.table(_rows).items()}
+def _within(lg: LogGraph) -> np.ndarray:
+    """dist[v, u] over node indices: the shortest v-to-u distance, INF past limit (lg.table(_within)).
+
+    Row v is a graph.search from v stopped at limit, over _rows cut at
+    limit: the stopped search relaxes no arc past limit, and the cut drops
+    the arcs it would only scan. It gives the same floats as an unstopped
+    search up to limit, and a longer distance fails every test of the
+    bounded search as INF does, since a need adds costs >= 0 to it.
+    """
+    rows = {v: tuple(t for t in row if t[1] <= lg.limit) for v, row in lg.table(_rows).items()}
+    ids = lg.graph.node_ids
+    dists = (search(rows, v, limit=lg.limit)[0] for v in ids)
+    return np.array([[dist.get(u, INF) for u in ids] for dist in dists])
 
 
-def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
+def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool) -> OracleResult:
     """The best path by a depth-first search over _Steps.expand that prunes by a reward bound.
 
-    Item k is (a, extra, b), paid reward[k]: one (j, 0.0, j) per node in
-    index order, or one (a, cost(a, b), b) per arc in _Steps.arcs order. A
-    walk v ~> a, extra, b ~> terminal could still collect it, at a need of
-    dist(v, a) + extra + dist(b, terminal), unless b is visited. The needs
-    come from searches over _search_rows stopped at limit, kept in
-    _Steps.dist_from: the same floats up to limit, and a longer distance
-    fails every test.
+    Item k is (a, extra, b), paid item_rew[k]: one (j, 0.0, j) per node in
+    index order if nodes, else one (a, cost(a, b), b) per arc in _Steps.arcs
+    order; rew holds each arc's reward, as _exact maps it. A walk v ~> a,
+    extra, b ~> terminal could still collect item k, at a need of
+    _within[v, a] + extra + dist(b, terminal), unless b is visited.
 
     A stack holds chunks of prefixes with their paths (node indices),
     collected rewards, costs and visited words. A popped chunk is pruned,
@@ -411,14 +413,8 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
     st = lg.table(_Steps)
     g = lg.graph
     n = len(g.node_ids)
-    if kind == "node":
-        item_rew = np.array([lookup(v, 0.0) for v in g.node_ids], dtype=float)
-        rew, a, b, extra = item_rew.take(st.heads), np.arange(n), np.arange(n), np.zeros(n)
-    else:
-        rew = item_rew = np.array([lookup(e, 0.0) for e in st.arcs], dtype=float)
-        a, b, extra = st.tails, st.heads, st.arc_w
-    need = np.empty((n, len(item_rew)))
-    filled = np.zeros(n, bool)
+    a, b, extra = (np.arange(n), np.arange(n), np.zeros(n)) if nodes else (st.tails, st.heads, st.arc_w)
+    need = lg.table(_within).take(a, axis=1) + extra + st.to_t.take(b)
     slack = 1.0 + len(item_rew) * 2.0 ** -50
     chunk = max(1, _CHUNK * n // max(1, len(item_rew)))
     best, best_path = (0.0, (st.start,)) if st.depot else (-INF, None)
@@ -428,18 +424,10 @@ def _bounded_search(lg: LogGraph, kind: str, lookup) -> OracleResult:
     while stack:
         node, cost, vis, got, paths = stack.pop()
         expanded += len(node)
-        nd = node.astype(np.intp)
-        for v in np.unique(nd[~filled.take(nd)]).tolist():
-            dv = st.dist_from.get(v)
-            if dv is None:
-                reached = search(lg.table(_search_rows), g.node_ids[v], limit=lg.limit)[0]
-                dv = st.dist_from[v] = np.array([reached.get(u, INF) for u in g.node_ids])
-            need[v] = dv.take(a) + extra + st.to_t.take(b)
-            filled[v] = True
         # Bit j of a prefix's visited words is column j of bits; the terminal's is 0.
-        reach = need.take(nd, axis=0) <= (lg.budget - cost + BUDGET_TOL)[:, None]
+        reach = need.take(node, axis=0) <= (lg.budget - cost + BUDGET_TOL)[:, None]
         bits = np.unpackbits(vis.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
-        reach &= (bits if kind == "node" else bits.take(b, axis=1)) == 0
+        reach &= (bits if nodes else bits.take(b, axis=1)) == 0
         top = (got + (reach * item_rew).sum(axis=1)) * slack
         live = top > best
         # A tie with the incumbent survives only ahead of it in index order.

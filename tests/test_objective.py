@@ -256,7 +256,8 @@ def sim_plans():
     The ratio plans are five-robot GRASP teams on the bench suite's first
     20-node graph at each p_s; at p_s 0.5 the team takes 71 steps. The hex
     graph gets random non-integer priorities, and its team ends with a robot
-    that stays home.
+    that stays home; "home" is a team of two robots that stay home, which
+    draws no number, and "empty" is no team.
     """
     plans = {}
     for p_s in (0.5, 0.7, 0.9):
@@ -275,6 +276,7 @@ def sim_plans():
     team = tso.greedy_survivors(g, tso.GreedyConfig(4, oracle="heuristic")).paths
     plans["hex"] = (g, list(team) + [(g.start,)])
     plans["empty"] = (g, [])
+    plans["home"] = (g, [(g.start,), (g.start,)])
     return plans
 
 
@@ -283,7 +285,7 @@ def sim_plans():
 @pytest.mark.parametrize("name, trials", [
     ("ratio-0.5", 20000), ("ratio-0.7", 20000), ("ratio-0.9", 20000), ("ratio-0.5", 65537),
     ("hex", 1), ("hex", 65536), ("hex", 65537), ("hex", 100001),
-    ("empty", 1), ("empty", 65537),
+    ("empty", 1), ("empty", 65537), ("home", 1), ("home", 65537),
 ])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_simulate_team_matches_reference_bits(sim_plans, name, trials, seed):

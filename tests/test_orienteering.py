@@ -520,12 +520,17 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
     # made a cycle, and every op's trie waited for the cycle collector: the
     # benchmark's peak RSS rose by 2 MB. No other table on the LogGraph
     # points back to it either: the catalog, its _Steps, the cost-sorted
-    # rows and the bounded search's distance rows.
+    # rows and the bounded search's distance table.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
     rewards = {v: 1.0 for v in g.node_ids}
+
+    def bounded_search(lg):
+        st = lg.table(orienteering._Steps)
+        return orienteering._bounded_search(lg, np.ones(g.num_nodes), np.ones(len(st.arcs) + 1), True)
+
     # The first bounded search of a process leaves numpy's one-time cyclic
     # garbage (signature parsing), which is not the LogGraph's.
-    orienteering._bounded_search(tso.log_transform(g), "node", rewards.get)
+    bounded_search(tso.log_transform(g))
     gc.collect()
     gc.disable()
     try:
@@ -533,9 +538,9 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
         tso.solve_heuristic(tso.OrienteeringProblem(lg=lg, rewards=rewards), seed=0)
         assert lg.table(orienteering._GraspTables).trie.kids
         tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=rewards))
-        orienteering._bounded_search(lg, "node", rewards.get)
+        bounded_search(lg)
         assert lg._tables[orienteering.prefix_catalog] is not None
-        assert lg._tables[orienteering._Steps].dist_from
+        assert lg._tables[orienteering._within] is not None
         del lg
         assert gc.collect() == 0
     finally:
@@ -1179,6 +1184,38 @@ def test_bounded_search_keeps_its_tables_on_the_log_graph(monkeypatch):
                     fresh.path, repr(fresh.reward), fresh.nodes_expanded), (seed, solve.__name__)
 
 
+def _frozen(x):
+    """x's value as plain data: vars() of objects, and the dtype, shape and bytes of arrays."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, dict):
+        return {k: _frozen(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_frozen(v) for v in x]
+    if hasattr(x, "__dict__"):
+        return type(x).__name__, _frozen(vars(x))
+    return repr(x)
+
+
+@pytest.mark.parametrize("cap", [orienteering.CATALOG_CAP, 0])
+def test_no_exact_call_writes_into_a_per_graph_table(monkeypatch, hexg, cap):
+    # The tables an exact call keeps on its LogGraph (_Steps, the catalog,
+    # _rows, _within) hold no rewards, and no later call writes into them.
+    # The first call, without rewards, keeps the depot robot home: below
+    # the cap the bounded search pops only the root. The later calls search
+    # the whole graph.
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", cap)
+    lg = tso.log_transform(hexg)
+    nodes, arcs = _random_rewards(hexg, np.random.default_rng(88))
+    assert tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards={})).path == (hexg.start,)
+    tables = _frozen(lg._tables)
+    assert len(tables) == (2 if cap else 4)
+    tso.solve_arc_exact(tso.OrienteeringProblem(lg=lg, edge_rewards={}))
+    assert tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=nodes)).reward > 0.0
+    assert tso.solve_arc_exact(tso.OrienteeringProblem(lg=lg, edge_rewards=arcs)).reward > 0.0
+    assert _frozen(lg._tables) == tables
+
+
 def test_one_steps_table_and_one_row_table_per_log_graph(monkeypatch):
     # The catalog build makes lg's _Steps before it stops at the cap, and
     # the bounded search reads that one. GRASP reads the one cost-sorted
@@ -1205,26 +1242,13 @@ def test_one_steps_table_and_one_row_table_per_log_graph(monkeypatch):
 
 
 def test_stopped_searches_read_the_shared_rows_cut_at_limit(monkeypatch):
-    # The bounded search's rows are the one cost-sorted row table cut at
-    # limit: the rows it used to sort and filter for itself. The cut
-    # changes no search from cost 0.0: the shared rows give the same dist
-    # and prev bits from every source.
+    # The bounded search's distances, _within, come from searches over the
+    # one cost-sorted row table cut at limit. The cut changes no search
+    # from cost 0.0: row v of _within holds the dist bits of a search over
+    # the uncut shared rows from v, and INF where it reaches nothing.
     graphs = [tso.feasible_random_instance(150, 0.3, 1.0, 0.9, seed=(1, 0))]
     graphs += [tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, i))
                for i in range(3) for p_s in (0.3, 0.5, 0.7, 0.9, 0.95)]
-    dropped = 0
-    for g in graphs:
-        lg = tso.log_transform(g)
-        shared, cut = lg.table(orienteering._rows), lg.table(orienteering._search_rows)
-        filtered = {v: sorted(((u, w) for u, w in row.items() if w <= lg.limit), key=lambda t: t[1])
-                    for v, row in lg.costs.items()}
-        assert {v: list(row) for v, row in cut.items()} == filtered
-        dropped += sum(map(len, shared.values())) > sum(map(len, cut.values()))
-        for v in g.node_ids:
-            got = orienteering.search(shared, v, limit=lg.limit)
-            assert repr(got) == repr(orienteering.search(cut, v, limit=lg.limit)), v
-    assert dropped
-    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     read = []
     search = orienteering.search
 
@@ -1233,10 +1257,20 @@ def test_stopped_searches_read_the_shared_rows_cut_at_limit(monkeypatch):
         return search(rows, *args, **kwargs)
 
     monkeypatch.setattr(orienteering, "search", recorded)
-    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.7, seed=(0, 0))
-    lg = tso.log_transform(g)
-    tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards={v: 1.0 for v in g.node_ids}))
-    assert read and all(rows is lg.table(orienteering._search_rows) for rows in read)
+    dropped = 0
+    for g in graphs:
+        lg = tso.log_transform(g)
+        shared = lg.table(orienteering._rows)
+        read.clear()
+        within = lg.table(orienteering._within)
+        filtered = {v: sorted(((u, w) for u, w in row.items() if w <= lg.limit), key=lambda t: t[1])
+                    for v, row in lg.costs.items()}
+        assert len(read) == g.num_nodes and all({v: list(row) for v, row in rows.items()} == filtered for rows in read)
+        dropped += sum(map(len, shared.values())) > sum(map(len, filtered.values()))
+        for i, v in enumerate(g.node_ids):
+            dist = search(shared, v, limit=lg.limit)[0]
+            assert repr(within[i].tolist()) == repr([dist.get(u, math.inf) for u in g.node_ids]), v
+    assert dropped
 
 
 def test_results_do_not_depend_on_the_builtin_sum(monkeypatch):
@@ -1304,10 +1338,9 @@ def test_catalog_on_graphs_above_64_nodes(depot, reverse):
     assert any(g.index[v] >= 64 for path in cat.paths() for v in path[1:-1])
 
 
-# Per-depth prefix and leaf counts of the heaviest benchmark graph (ratio
-# draw 0 at p_s = 0.5), recorded from the depth-first build that the
-# level-by-level one replaced.
-HEAVY_PREFIXES = [1, 12, 97, 523, 2104, 6314, 14472, 26346, 38351, 44946, 41683, 30518, 17020, 6909, 1820, 304, 13]
+# Per-depth leaf counts of the heaviest benchmark graph (ratio draw 0 at
+# p_s = 0.5), recorded from the depth-first build that the level-by-level
+# one replaced.
 HEAVY_LEAVES = [1, 7, 52, 228, 869, 2328, 4948, 8596, 12045, 13845, 12569, 8892, 4722, 1825, 428, 59, 0]
 
 
@@ -1324,11 +1357,10 @@ def test_heavy_catalog_shape_and_build_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert cat.level_prefixes == HEAVY_PREFIXES
     assert cat.level_leaves == HEAVY_LEAVES
     arcs = sum(int((tile < len(cat.arcs)).sum()) for _lo, tile in cat.tiles)
     assert arcs == sum(d * n for d, n in enumerate(HEAVY_LEAVES, 1)) == 708_918
     # The sentinels that pad a tile's shorter leaves stay few.
     assert sum(tile.size for _lo, tile in cat.tiles) <= 1.05 * 708_918
-    assert cat.prefixes == sum(HEAVY_PREFIXES) == 231_433
+    assert cat.prefixes == 231_433
     assert len(cat.paths()) == sum(HEAVY_LEAVES) == 71_414
