@@ -195,6 +195,9 @@ def edge_team_objective(g: SurvivalGraph, paths, rewards) -> float:
 # ---------------------------------------------------------------------------
 # Monte-Carlo validation
 
+DRAW_BLOCK = 1 << 16  # floats (512 KiB) of uniforms simulate_team holds at once
+
+
 @dataclass
 class SimulationResult:
     estimate: float
@@ -206,19 +209,17 @@ class SimulationResult:
 def simulate_team(g: SurvivalGraph, paths, trials: int, seed=0) -> SimulationResult:
     """Sample the team objective by simulating every edge traversal.
 
-    Each trial draws one Bernoulli per edge per robot. Randomness comes from
-    a single seeded generator consumed in a fixed (trial-major) layout: trial
-    t always sees the same uniform block regardless of chunking, so results
-    are reproducible bit for bit.
-
-    The work runs node-major: each chunk's draws are compared once against
-    every step's survival, then copied to one bool row per step; a path ANDs
-    each step's row into the next in place and ORs it into its node's row.
-    Every output float is the one a trial-major loop over the same draws
-    gives: the compare is elementwise on the same floats, AND and OR on bools
-    are exact, the matmul sees the same C-order (trials, nodes) bool matrix,
-    so BLAS sums each trial in the same order, and the survival counts are
-    integers. tests/oracles.py keeps that loop as the reference.
+    Each trial draws one uniform per step of every path from one seeded
+    PCG64 stream read trial-major, so a seed gives the same draws however
+    the stream is cut. They pass through one reused buffer of DRAW_BLOCK
+    floats, each block compared into its columns of the chunk's node-major
+    bool mask (one row per step); a path ANDs each step's row into the next
+    and ORs it into its node's row. Chunks stay 2^16 trials, since they fix
+    what is summed at once: the visited.T @ d_vec product, which BLAS blocks
+    by row count, and the two sums of the samples. So every output float is
+    the one tests/oracles.py's trial-major loop gives over the same draws:
+    the compare is elementwise, AND and OR on bools are exact, and the
+    survival counts are integers.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -236,12 +237,15 @@ def simulate_team(g: SurvivalGraph, paths, trials: int, seed=0) -> SimulationRes
     alive_counts = np.zeros(len(paths))
     done = 0
     chunk = 1 << 16
+    block = max(1, DRAW_BLOCK // max(1, width))
+    draws = np.empty((min(block, trials), width))
     while done < trials:
         rows = min(chunk, trials - done)
-        u = rng.random((rows, width))
-        ok = u < w_all
-        del u  # the draws are the chunk's largest block; free them before the copy
-        ok = np.ascontiguousarray(ok.T)
+        ok = np.empty((width, rows), dtype=bool)
+        for lo in range(0, rows, block):
+            u = draws[:min(block, rows - lo)]
+            rng.random(out=u)
+            ok[:, lo:lo + len(u)] = (u < w_all).T
         visited = np.zeros((g.num_nodes, rows), dtype=bool)
         for k, p in enumerate(paths):
             steps = ok[slot[k]:slot[k + 1]]  # row n - 1: path k survived steps 1..n

@@ -294,20 +294,46 @@ def test_simulate_team_matches_reference_bits(sim_plans, name, trials, seed):
     assert repr(got) == repr(oracles.simulate_team_reference(g, paths, trials, seed=seed))
 
 
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("name", ["hex", "ratio-0.5", "home", "empty"])
+@pytest.mark.parametrize("trials", [1, 20000, 65537, 100001])
+def test_simulate_team_draw_block_moves_no_bit(sim_plans, monkeypatch, block, name, trials):
+    # The draw block is free: any number of trials per block reads the same
+    # stream, trial-major, into the same chunk of the mask.
+    g, paths = sim_plans[name]
+    if block is not None:
+        monkeypatch.setattr(tso.objective, "DRAW_BLOCK", block * max(1, sum(len(p) - 1 for p in paths)))
+    got = tso.simulate_team(g, paths, trials, seed=0)
+    assert repr(got) == repr(oracles.simulate_team_reference(g, paths, trials, seed=0))
+
+
+def _traced_peak(simulate, *args) -> int:
+    tracemalloc.start()
+    try:
+        simulate(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_simulate_team_peak_memory_within_reference(sim_plans):
-    # numpy reports its buffers to tracemalloc. The draws are the largest
-    # block, so the node-major copies must not be made while they are alive.
+    # numpy reports its buffers to tracemalloc. The trial-major reference
+    # holds a chunk's whole (trials, steps) draw array; simulate_team holds
+    # one fixed draw block and the chunk's bool mask, so it must stay below.
     g, paths = sim_plans["ratio-0.5"]
     assert sum(len(p) - 1 for p in paths) >= 70
-    peaks = []
-    for simulate in (tso.simulate_team, oracles.simulate_team_reference):
-        tracemalloc.start()
-        try:
-            simulate(g, paths, 20000, seed=0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_peak(simulate, g, paths, 20000, 0) for simulate in (tso.simulate_team, oracles.simulate_team_reference)]
     assert peaks[0] <= peaks[1], peaks
+
+
+@pytest.mark.parametrize("trials", [20000, 65536])
+def test_simulate_team_peak_memory_below_the_draws(sim_plans, trials):
+    # The draws are trials * width float64s; they stream through a fixed
+    # block, so the peak stays under what holding them all would take.
+    g, paths = sim_plans["ratio-0.5"]
+    width = sum(len(p) - 1 for p in paths)
+    peak = _traced_peak(tso.simulate_team, g, paths, trials, 0)
+    assert peak < trials * width * 8, (peak, trials * width * 8)
 
 
 def test_simulate_team_rejects_zero_trials(loop5):
