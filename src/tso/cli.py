@@ -73,10 +73,6 @@ def _checked(g):
     return g
 
 
-def _load_checked(path):
-    return _checked(load_instance(path))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -95,7 +91,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load_checked(args.instance)
+    g = _checked(load_instance(args.instance))
     cfg = GreedyConfig(
         team_size=g.team_size if args.team is None else args.team,
         oversize=args.oversize,
@@ -106,7 +102,7 @@ def cmd_solve(args) -> int:
     result = greedy_survivors(g, cfg)
     cert = compute_bounds(result, cfg.team_size, cfg.total_paths)
     doc = plan_to_dict(g, result.plan)
-    doc["marginal_gains"] = result.team_gains
+    doc["marginal_gains"] = result.gains[: cfg.team_size]
     doc["bounds"] = bounds_to_dict(cert)
     if result.variant_value is not None:
         doc["variant"] = cfg.variant
@@ -118,7 +114,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    g = _load_checked(args.instance)
+    g = _checked(load_instance(args.instance))
     plan = solve_exact_tso(g, g.team_size if args.team is None else args.team)
     doc = plan_to_dict(g, plan)
     doc["exact"] = True
@@ -129,9 +125,12 @@ def cmd_exact(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g = _load_checked(args.instance)
+    g = _checked(load_instance(args.instance))
     with open(args.plan, "r", encoding="utf-8") as fh:
         paths = paths_from_plan_dict(json.load(fh))
+    for p in paths:
+        if p[:1] != (g.start,) or p[-1:] != (g.terminal,):
+            raise ValueError(f"plan path {list(p)} does not run from start {g.start} to terminal {g.terminal}")
     res = simulate_team(g, paths, args.trials, seed=args.seed)
     if args.out:
         _write_json(args.out, {
@@ -148,7 +147,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_feasible(args) -> int:
-    g = _load_checked(args.instance)
+    g = _checked(load_instance(args.instance))
     rep = feasibility_check(g)
     print(f"X nonempty: {str(rep.x_nonempty).lower()}")
     print("node reachable brute agree" if args.brute_force else "node reachable")

@@ -252,21 +252,15 @@ def search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
     return dist, prev
 
 
-def dijkstra(lg: LogGraph, source, banned=frozenset(), reverse=False):
+def dijkstra(lg: LogGraph, source, reverse=False):
     """Single-source shortest paths on the log graph: search over lg.costs, with no budget.
 
     Its tie rule is search's: pops by (dist, node id), and each node's
     parent is the first popped predecessor that gives its smallest float.
-    banned is a set of (u, v) arcs (original orientation) to skip; reverse
-    runs the search over lg.into, yielding distances TO source. Every node
-    gets an entry: INF and a None parent where the search did not reach.
+    reverse runs the search over lg.into, giving distances TO source. Every
+    node gets an entry: INF and a None parent where the search did not reach.
     """
-    rows = {v: row.items() for v, row in (lg.into if reverse else lg.costs).items()}
-    for arc in banned:
-        tail, head = arc[::-1] if reverse else arc
-        if tail in rows:
-            rows[tail] = [(u, w) for u, w in rows[tail] if u != head]
-    dist, prev = search(rows, source)
+    dist, prev = search({v: row.items() for v, row in (lg.into if reverse else lg.costs).items()}, source)
     nodes = lg.graph.node_ids
     full, parent = dict.fromkeys(nodes, INF), dict.fromkeys(nodes)
     full.update(dist)
@@ -345,10 +339,11 @@ def has_feasible_path(lg: LogGraph) -> bool:
 
 
 def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
-    """Per-node reachability via the two-leg deletion procedure.
+    """Per-node reachability via the two-leg deletion procedure, the one query that removes arcs.
 
     For each node j: shortest start->j on the log graph, delete that path's
-    edges, then shortest j->terminal in what remains; j is flagged reachable
+    arcs from lg.costs' rows, then search j->terminal in what remains until
+    the terminal pops (its distance is then final); j is flagged reachable
     when the combined cost fits the budget. A visit only counts from step 1
     on, so the start is never reachable on open instances, and on depot
     instances it needs a real tour (shortest return with at least one edge).
@@ -360,6 +355,7 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     """
     lg = log_transform(g)
     dist_s, parent_s = lg.shortest_tree(g.start)
+    rows = {v: row.items() for v, row in lg.costs.items()}
     reachable = {}
     for j in g.node_ids:
         if j == g.start:
@@ -368,7 +364,9 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
             cost = INF
         else:
             leg = tree_path(parent_s, g.start, j)
-            cost = dist_s[j] + dijkstra(lg, j, banned=frozenset(zip(leg, leg[1:])))[0][g.terminal]
+            back = dict(rows)
+            back.update((a, [(u, w) for u, w in rows[a] if u != b]) for a, b in zip(leg, leg[1:]))
+            cost = dist_s[j] + search(back, j, g.terminal)[0].get(g.terminal, INF)
         reachable[j] = cost <= lg.limit
     return FeasibilityReport(reachable=reachable, x_nonempty=has_feasible_path(lg))
 

@@ -70,10 +70,6 @@ class GreedyResult:
         """The variant's value of the team paths; None for the node variant, whose value is the plan's objective."""
         return None if self.config.variant == "node" else self.values[self.config.team_size - 1]
 
-    @property
-    def team_gains(self):
-        return self.gains[: self.config.team_size]
-
 
 @dataclass
 class BoundCertificate:

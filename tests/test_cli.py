@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tso
-from tso.cli import CSV_HEADER, _bench_cell, build_parser, fmt, main, thread_count
+from tso.cli import CSV_HEADER, _bench_cell, bench_rows, build_parser, fmt, main, thread_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -440,6 +440,30 @@ def test_non_finite_rewards_exit_one(tmp_path, capsys, field, value, variant, me
     assert capsys.readouterr().err == f"error: invalid instance: {message}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(nodes=[], edges=[]),
+     "invalid instance: instance has no nodes; start node 0 not in instance; terminal node 0 not in instance"),
+    (lambda d: d["nodes"].append(d["nodes"][3]), "invalid instance: duplicate node id 3"),
+    (lambda d: d["edges"].append({"from": 0, "to": 99, "survival": 0.9}),
+     "invalid instance: edge (0,99) references unknown node"),
+    (lambda d: d.update(terminal=99), "invalid instance: terminal node 99 not in instance"),
+    (lambda d: d.update(multi_visit={"M": 0, "d": [[]] * 19}), "invalid instance: multi-visit M 0 < 1"),
+    (lambda d: d.update(multi_visit={"M": 2, "d": [[1.0, 0.5, 0.25]] + [[1.0, 0.5]] * 18}),
+     "invalid instance: multi-visit row for node 0 has 3 entries, expected 2"),
+    (lambda d: d.update(edge_rewards=[{"from": 0, "to": 0, "d": 1.0}]), "invalid instance: edge reward on missing edge (0,0)"),
+    (lambda d: d.update(edge_rewards=[{"from": 0, "to": 1, "d": -1.0}]), "invalid instance: edge reward on (0,1) negative"),
+    (lambda d: d.update(version=2), "unsupported instance version 2"),
+], ids=["no-nodes", "duplicate-node", "unknown-edge-end", "unknown-terminal", "multi-visit-M",
+        "multi-visit-row-length", "reward-off-edge", "negative-reward", "version"])
+def test_invalid_instance_file_exits_one(tmp_path, capsys, edit, message):
+    doc = tso.instance_to_dict(tso.hex_instance())  # 19 nodes, depot 0
+    edit(doc)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", str(inst)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_plan_shapes_exit_one(tmp_path, capsys):
     inst = _gen(tmp_path)
     hexi = tmp_path / "hex.json"
@@ -452,8 +476,20 @@ def test_malformed_plan_shapes_exit_one(tmp_path, capsys):
         plan.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["simulate", str(instance), "--plan", str(plan), "--trials", "10"]) == 1, k
         _one_line_error(capsys)
-    plan.write_text(json.dumps({"paths": [[0, 1, 2, 0]]}), encoding="utf-8")
-    assert main(["simulate", str(hexi), "--plan", str(plan), "--trials", "10"]) == 0
+    # Every path runs from the start to the terminal: on hex both are node 0,
+    # on the open instance they are 0 and 5.
+    for instance, path, ends in [
+        (hexi, [1, 2, 3], "start 0 to terminal 0"),
+        (hexi, [0, 1, 2], "start 0 to terminal 0"),
+        (inst, [0, 1, 2], "start 0 to terminal 5"),
+        (inst, [0], "start 0 to terminal 5"),
+    ]:
+        plan.write_text(json.dumps({"paths": [path]}), encoding="utf-8")
+        assert main(["simulate", str(instance), "--plan", str(plan), "--trials", "10"]) == 1, path
+        assert capsys.readouterr().err == f"error: plan path {path} does not run from {ends}\n"
+    for paths in ([[0, 1, 2, 0]], [[0]]):  # a tour, and a depot's stay-home path
+        plan.write_text(json.dumps({"paths": paths}), encoding="utf-8")
+        assert main(["simulate", str(hexi), "--plan", str(plan), "--trials", "10"]) == 0
 
 
 def test_module_entry_point(tmp_path):
@@ -600,6 +636,21 @@ def test_non_json_output_exits_one(tmp_path, capsys, field, variant):
         assert got.err.startswith("error: Out of range float values are not JSON compliant")
         assert len(got.err.splitlines()) == 1
     assert not plan.exists()
+
+
+def test_bench_timing_fills_only_the_ms_column(tmp_path):
+    # --timing is the one documented exception to byte-identical output.
+    out = tmp_path / "hex.csv"
+    assert main(["bench", "--suite", "hex", "--timing", "--out", str(out)]) == 0
+    got = [ln.split(",") for ln in out.read_text(encoding="utf-8").splitlines()]
+    want = [ln.split(",") for ln in (DATA / "bench-hex.csv").read_text(encoding="utf-8").splitlines()]
+    assert got[0] == want[0] and [r[:-1] for r in got] == [r[:-1] for r in want]
+    assert all(float(r[-1]) > 0 for r in got[1:])
+
+
+def test_bench_rows_rejects_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'cube'"):
+        bench_rows("cube")
 
 
 def test_bench_csvs_match_golden(ratio_bench, tmp_path, monkeypatch):

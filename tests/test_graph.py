@@ -69,6 +69,16 @@ def test_validate_multi_visit_rows():
     assert tso.validate_instance(g_bad)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"priorities": {1: 1.0, 2: 1.0, 9: 1.0}}, "priority for unknown node 9"),
+    ({"multi_visit": tso.MultiVisitTable(M=1, d={1: [1.0], 2: [1.0], 9: [1.0]})}, "multi-visit row for unknown node 9"),
+], ids=["priority", "multi-visit-row"])
+def test_validate_names_entries_for_unknown_nodes(overrides, message):
+    # An instance file cannot hold these: its priorities and rows are read per node.
+    kw = dict(node_ids=[1, 2], priorities={1: 1.0, 2: 1.0}, edges=[(1, 2, 0.9)], start=1, terminal=2, p_s=0.5)
+    assert tso.validate_instance(tso.SurvivalGraph(**dict(kw, **overrides))) == [message]
+
+
 def test_multi_visit_table_needs_a_row_per_node(hexg):
     # A short table used to be accepted, and the nodes past its end earned 0.
     doc = tso.instance_to_dict(hexg)
@@ -183,6 +193,11 @@ def test_shortest_path_nodes(diamond):
     assert tree_path(parent, 1, 3) is None
 
 
+def test_tree_path_from_a_node_to_itself(diamond):
+    parent = tso.dijkstra(tso.log_transform(diamond), 1)[1]
+    assert tree_path(parent, 1, 1) == [1]
+
+
 def _search_readings(g, queries):
     """Parent trees from every node both ways, feasibility verdicts and GRASP legs of g, keyed by node id."""
     lg = tso.log_transform(g)
@@ -257,6 +272,21 @@ def test_feasibility_diamond(diamond):
     assert rep.reachable[4]
 
 
+def test_feasibility_node_the_start_cannot_reach():
+    # Node 3 has a return to the terminal but no way in from the start.
+    g = tso.SurvivalGraph(
+        node_ids=[1, 2, 3],
+        priorities={1: 1.0, 2: 1.0, 3: 1.0},
+        edges=[(1, 2, 0.9), (3, 2, 1.0)],
+        start=1,
+        terminal=2,
+        p_s=0.5,
+    )
+    rep = tso.feasibility_check(g)
+    assert rep.x_nonempty
+    assert rep.reachable == {1: False, 2: True, 3: False}
+
+
 def test_feasibility_depot_start_needs_a_tour(loop5):
     rep = tso.feasibility_check(loop5)
     assert rep.x_nonempty
@@ -288,9 +318,12 @@ def test_feasibility_internal_consistency():
         dist, parent = tso.dijkstra(lg, g.start)
         assert not rep.reachable[g.start]  # open instances
         for j in g.node_ids[1:]:
-            # Shortest start -> j, then shortest j -> terminal off that leg's edges.
+            # Shortest start -> j, then shortest j -> terminal off that leg's
+            # edges: a full search over rows built here without them.
             leg = tree_path(parent, g.start, j)
-            cost = dist[j] + tso.dijkstra(lg, j, banned=frozenset(zip(leg, leg[1:])))[0][g.terminal]
+            cut = set(zip(leg, leg[1:]))
+            rows = {v: [(u, w) for u, w in row.items() if (v, u) not in cut] for v, row in lg.costs.items()}
+            cost = dist[j] + tso.graph.search(rows, j)[0].get(g.terminal, INF)
             assert rep.reachable[j] == (cost <= -math.log(g.p_s) + 1e-9)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -71,14 +72,18 @@ def test_gains_non_increasing(diamond, loop5, hexg):
             assert b <= a + 1e-9
 
 
-def test_prefix_consistency(loop5):
+def test_prefix_consistency(loop5, tmp_path):
     full = tso.greedy_survivors(loop5, tso.GreedyConfig(team_size=1, oversize=4))
     assert len(full.paths) == 4
     for k in (1, 2, 3):
         short = tso.greedy_survivors(loop5, tso.GreedyConfig(team_size=k))
         assert short.paths == full.paths[:k]
         assert short.gains == pytest.approx(full.gains[:k], abs=0.0)
-    assert full.team_gains == full.gains[:1]
+    # tso solve reports the gains of the team's K paths, not the oversized run's.
+    inst, plan = tmp_path / "loop5.json", tmp_path / "plan.json"
+    tso.save_instance(loop5, inst)
+    assert main(["solve", str(inst), "--team", "1", "--oversize", "4", "--out", str(plan)]) == 0
+    assert json.loads(plan.read_text(encoding="utf-8"))["marginal_gains"] == full.gains[:1]
 
 
 def test_first_path_maximizes_linearized_reward(loop5, diamond):
@@ -268,9 +273,9 @@ def test_heuristic_run_searches_each_source_once(monkeypatch):
     calls = []
     dijkstra = tso.graph.dijkstra
 
-    def counted(lg, source, banned=frozenset(), reverse=False):
+    def counted(lg, source, reverse=False):
         calls.append((source, reverse))
-        return dijkstra(lg, source, banned, reverse)
+        return dijkstra(lg, source, reverse)
 
     monkeypatch.setattr(tso.graph, "dijkstra", counted)
     tso.greedy_survivors(g, tso.GreedyConfig(team_size=5, oracle="heuristic"))
