@@ -110,11 +110,13 @@ def validate_instance(g: SurvivalGraph) -> list[str]:
         missing = [v for v in g.node_ids if v not in mv.d]
         if missing:
             problems.append(f"multi-visit table has no row for nodes {missing}")
+        # One clause for the rows of the wrong length, however many there are.
+        if wrong := [v for v, row in mv.d.items() if len(row) != mv.M]:
+            many = f"{len(wrong)} multi-visit rows have the wrong length, the first: " if len(wrong) > 1 else ""
+            problems.append(f"{many}multi-visit row for node {wrong[0]} has {len(mv.d[wrong[0]])} entries, expected {mv.M}")
         for v, row in mv.d.items():
             if v not in seen:
                 problems.append(f"multi-visit row for unknown node {v}")
-            if len(row) != mv.M:
-                problems.append(f"multi-visit row for node {v} has {len(row)} entries, expected {mv.M}")
             if not all(math.isfinite(x) for x in row):
                 problems.append(f"multi-visit row for node {v} has a non-finite entry")
             if any(b > a + 1e-15 for a, b in zip(row, row[1:])):

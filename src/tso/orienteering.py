@@ -493,13 +493,12 @@ class _Draws:
                 return m >> 32
 
 
-class _GraspTables:
-    """GRASP's legs and skeleton trie of lg (lg.table(_GraspTables)), built by its first call and kept.
+def _trie(lg: LogGraph):
+    """Root _Walk of GRASP's skeleton trie of lg (lg.table(_trie)), built by its first call and kept.
 
-    legs maps (src, dst, frozenset(banned)) to a (leg, cost) entry of
-    _leg_avoiding, and trie is the root _Walk of the skeleton walks. Neither
-    holds rewards, so the calls of a greedy run, which share one LogGraph,
-    share them too. GRASP's only per-source table is lg.shortest_tree.
+    The trie holds no rewards, so the calls of a greedy run, which share one
+    LogGraph, share it too. GRASP's other per-graph state is lg.table(_rows)
+    and lg.shortest_tree.
 
     The trie gives the skeletons and draws of a walk that recomputes every
     state. A state is the walk's path and cost float, and it is a function
@@ -524,9 +523,7 @@ class _GraspTables:
     once it fails for one arc it fails for every later one. No float slack
     is needed.
     """
-
-    def __init__(self, lg: LogGraph):
-        self.legs, self.trie = {}, _Walk((lg.graph.start,), 0.0)
+    return _Walk((lg.graph.start,), 0.0)
 
 
 def _base_path(p: OrienteeringProblem):
@@ -555,58 +552,46 @@ def _path_cost(lg, path):
 
 
 def _leg_avoiding(lg, src, dst, banned, cost):
-    """Cheapest src-to-dst leg whose interior skips the banned nodes, as (nodes, cost) or None.
+    """Cheapest src-to-dst leg whose interior skips the banned nodes, as (nodes, cost) if it fits at cost, else None.
 
-    The caller, at cost `cost`, uses a leg only if `cost + leg + extra <=
-    limit`, where extra = dist_to(terminal)[dst]: 0.0 for the closing leg.
-    The banned search stops each row at the first improving arc with `cost
-    + (d + w) + extra > limit`, that test with the partial distance d + w
-    in place of the leg (see _GraspTables for why such a bound never
-    rejects what the test accepts). If the leg of the unbounded search
-    fits, every node on it passes, and every relaxation dropped is longer
-    than the leg, so it would pop after dst: the nodes popped before dst
-    get the same dist and prev, and the search returns the same leg. If it
-    does not fit, no relaxation into dst passes and the search returns
-    None, which the caller rejects as it would the leg.
+    The leg fits when `cost + leg + extra <= limit`, where extra =
+    dist_to(terminal)[dst]: 0.0 for the closing leg.
 
     When the path to dst in src's tree has an interior that avoids banned,
-    that path is the unbounded banned search's leg, and it is returned if
-    it fits, else None. Both searches pop in (dist, node id) order and keep
-    the first popped predecessor that gives the smallest float (see
-    graph.search). Each node of the path has the same dist in the banned
-    search, as its path survives and a ban only removes relaxations. Its
-    tree prev is popped first among the surviving predecessors: an earlier
-    banned predecessor with an equal sum would itself have been the tree's
-    prev, and a surviving one whose dist the ban raised reached the same
-    sum from its smaller tree dist, so it popped earlier in the tree too.
-    Nodes popped after dst change no prev on the path, because updates need
-    a strict < and costs are >= 0.
+    that path is the unbounded banned search's leg. Both searches pop in
+    (dist, node id) order and keep the first popped predecessor that gives
+    the smallest float (see graph.search). Each node of the path has the
+    same dist in the banned search, as its path survives and a ban only
+    removes relaxations. Its tree prev is popped first among the surviving
+    predecessors: an earlier banned predecessor with an equal sum would
+    itself have been the tree's prev, and a surviving one whose dist the ban
+    raised reached the same sum from its smaller tree dist, so it popped
+    earlier in the tree too. Nodes popped after dst change no prev on the
+    path, because updates need a strict < and costs are >= 0.
 
-    Any other query runs the banned search. A leg depends on the graph
-    alone, so each key's (leg, cost) entry is kept in _GraspTables.legs. A
-    found leg answers every later query, whose caller tests again whether
-    it fits. A None answers only queries at its cost or above, where the
-    leg fits no better; any other query searches again.
+    Any other query runs the banned search, which stops each row at the
+    first improving arc with `cost + (d + w) + extra > limit`, the fit test
+    with the partial distance d + w in place of the leg (see _trie for why
+    such a bound never rejects what the test accepts). If the leg of the
+    unbounded search fits, every node on it passes, and every relaxation
+    dropped is longer than the leg, so it would pop after dst: the nodes
+    popped before dst get the same dist and prev, and the search returns
+    the same leg. If it does not fit, no relaxation into dst passes and the
+    search finds no leg.
     """
     extra = lg.distances_to(lg.graph.terminal)[dst]
     dist, prev = lg.shortest_tree(src)
     nodes = tree_path(prev, src, dst, banned)
-    if nodes is not None:
-        return (tuple(nodes), dist[dst]) if cost + dist[dst] + extra <= lg.limit else None
-    legs = lg.table(_GraspTables).legs
-    key = (src, dst, frozenset(banned))
-    hit = legs.get(key)
-    if hit is not None and (hit[0] is not None or cost >= hit[1]):
-        return hit[0]
-    dist, prev = search(lg.table(_rows), src, dst, banned, cost, extra, lg.limit)
-    nodes = tree_path(prev, src, dst, banned)
-    leg = None if nodes is None else (tuple(nodes), dist[dst])
-    legs[key] = (leg, cost)
-    return leg
+    if nodes is None:
+        dist, prev = search(lg.table(_rows), src, dst, banned, cost, extra, lg.limit)
+        nodes = tree_path(prev, src, dst, banned)
+    if nodes is None or cost + dist[dst] + extra > lg.limit:
+        return None
+    return tuple(nodes), dist[dst]
 
 
 class _Walk:
-    """A state of the skeleton walk: a node of the trie that _GraspTables keeps.
+    """A state of the skeleton walk: a node of the trie that lg.table(_trie) keeps.
 
     leg holds the nodes the state's last leg added (the start, at the root)
     and cost the walk's float. row is None before the first visit, False
@@ -642,13 +627,13 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
     cannot leave the start yields None.
 
     Only rng.integers(n) is called, so rng is a _Draws or a Generator. The
-    walk moves down the trie of _GraspTables, whose nodes (_Walk) keep what
-    a state's row, legs and closing computed; see _GraspTables for why that
+    walk moves down the trie of lg.table(_trie), whose nodes (_Walk) keep
+    what a state's row, legs and closing computed; see _trie for why that
     gives the same draws and skeletons.
     """
     node_ids, terminal, limit = lg.graph.node_ids, lg.graph.terminal, lg.limit
     dist_t = lg.distances_to(terminal)
-    node = lg.table(_GraspTables).trie
+    node = lg.table(_trie)
     trail, path = [node], list(node.leg)
     for _ in range(hops):
         cost, row, kids = node.cost, node.row, node.kids
@@ -670,8 +655,7 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
             j = cands[k]
             if j not in kids:
                 leg = _leg_avoiding(lg, path[-1], j, {terminal, *path}, cost)
-                fits = leg is not None and cost + leg[1] + dist_t[j] <= limit
-                kids[j] = _Walk(leg[0][1:], cost + leg[1]) if fits else None
+                kids[j] = None if leg is None else _Walk(leg[0][1:], cost + leg[1])
             if kids[j] is not None:
                 node = kids[j]
                 trail.append(node)
@@ -698,32 +682,35 @@ def _closing(lg, trail, path):
     state carries, so a closing is not its ancestors' closing and is kept
     per node.
     """
-    terminal, limit = lg.graph.terminal, lg.limit
+    terminal = lg.graph.terminal
     cost = trail[-1].cost
     kept = len(path)
     for node in trail[:0:-1]:
         tail = _leg_avoiding(lg, path[kept - 1], terminal, set(path[:kept]), cost)
-        if tail is not None and cost + tail[1] <= limit:
+        if tail is not None:
             return kept, tail[0], cost + tail[1]
         kept -= len(node.leg)
         cost = _path_cost(lg, path[:kept])
     return ()
 
 
-def _insertions(p: OrienteeringProblem, path, cost, visited):
-    """Feasible (node, position, delta-cost) insertions of positive-reward nodes.
+def _insertions(p: OrienteeringProblem, path, cost):
+    """Feasible (node, position, delta-cost) insertions of positive-reward nodes off path, best first.
 
-    Listed by node index, then position. Node j fits between a and b when
-    `cost + (aj + jb - ab) <= limit`. Per path arc, the scan reads a's arcs
+    GRASP's one rank order: reward per added cost, highest first, then
+    delta, node index and position, ascending. The key is total, as a node
+    is listed once per position. Node j fits between a and b when `cost +
+    (aj + jb - ab) <= limit`. Per path arc, the scan reads a's arcs
     cheapest first and stops at the first with `cost + (aj - ab) > limit`:
     the same test with jb >= 0 left out, which never fails where the test
-    passes (see _GraspTables), and fails for every costlier arc after it.
+    passes (see _trie), and fails for every costlier arc after it.
     """
     rows = p.lg.table(_rows)
     costs = p.lg.costs
     rewards = p.rewards or {}
     limit = p.lg.limit
     index = p.lg.graph.index
+    visited = set(path)
     out = []
     for i, (a, b) in enumerate(zip(path, path[1:]), 1):
         ab = costs[a][b]
@@ -738,7 +725,7 @@ def _insertions(p: OrienteeringProblem, path, cost, visited):
             delta = aj + jb - ab
             if cost + delta <= limit:
                 out.append((j, i, delta))
-    out.sort(key=lambda t: (index[t[0]], t[1]))
+    out.sort(key=lambda t: (-(rewards.get(t[0], 0.0) / max(t[2], 1e-12)), t[2], index[t[0]], t[1]))
     return out
 
 
@@ -747,10 +734,10 @@ def _local_search(p: OrienteeringProblem, path, cost):
 
     Each round drops an interior node that pays nothing but costs something
     or, failing that, reverses a segment to lower the cost (a 2-exchange),
-    then makes the best reward-per-cost insertion while one fits. It stops
-    at the first round that finds neither a drop nor a reversal.
+    then makes the first insertion of _insertions' rank order while one
+    fits. It stops at the first round that finds neither a drop nor a
+    reversal.
     """
-    g = p.lg.graph
     costs = p.lg.costs
     rewards = p.rewards or {}
     while True:
@@ -811,8 +798,8 @@ def _local_search(p: OrienteeringProblem, path, cost):
                     break
         if not improved:
             return path, cost
-        while cands := _insertions(p, path, cost, set(path)):
-            j, pos, delta = max(cands, key=lambda t: (rewards.get(t[0], 0.0) / max(t[2], 1e-12), -t[2], -g.index[t[0]]))
+        while cands := _insertions(p, path, cost):
+            j, pos, delta = cands[0]
             path.insert(pos, j)
             cost += delta
 
@@ -827,13 +814,13 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     search. The best path by reward wins, ties going to the smaller
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
-    Deterministic for a fixed seed. The trees, cost rows, legs and skeleton
-    trie with its candidate rows it reads are kept on p.lg (shortest_tree,
-    _rows, _GraspTables) and hold no rewards, only facts of the graph and
-    its budget. A walk that reaches a trie node an earlier walk made, in
-    this call or an earlier one, reads its row, its children and its
-    closing instead of recomputing them, and makes the same draws with the
-    same arguments (see _GraspTables). So a call returns the same result, to
+    Deterministic for a fixed seed. The trees, cost rows and skeleton trie
+    (with its candidate rows and legs) it reads are kept on p.lg
+    (shortest_tree, _rows, _trie) and hold no rewards, only facts of the
+    graph and its budget. A walk that reaches a trie node an earlier walk
+    made, in this call or an earlier one, reads its row, its children and
+    its closing instead of recomputing them, and makes the same draws with
+    the same arguments (see _trie). So a call returns the same result, to
     the bits of its reward, whichever calls ran on that LogGraph before.
     The draws come from _Draws(seed), which gives the values of
     np.random.default_rng(seed).integers at a fifth of the cost.
@@ -853,7 +840,6 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     if p.edge_rewards is not None:
         raise ValueError("the GRASP oracle takes node rewards only")
     g = p.lg.graph
-    rewards = p.rewards or {}
     rng = _Draws(seed)
     base, base_cost = _base_path(p)
     rcls, ends = {}, {}
@@ -869,8 +855,7 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
             at = (tuple(path), cost)
             hit = rcls.get(at)
             if hit is None:
-                cands = _insertions(p, path, cost, set(path))
-                cands.sort(key=lambda t: (-(rewards.get(t[0], 0.0) / max(t[2], 1e-12)), t[2], g.index[t[0]], t[1]))
+                cands = _insertions(p, path, cost)
                 # A tuple: the collector stops tracking tuples of plain values,
                 # where every kept list would be walked at each collection.
                 hit = rcls[at] = (len(cands), tuple(cands[:max(1, (len(cands) + 3) // 4)]))

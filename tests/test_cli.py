@@ -450,11 +450,15 @@ def test_non_finite_rewards_exit_one(tmp_path, capsys, field, value, variant, me
     (lambda d: d.update(multi_visit={"M": 0, "d": [[]] * 19}), "invalid instance: multi-visit M 0 < 1"),
     (lambda d: d.update(multi_visit={"M": 2, "d": [[1.0, 0.5, 0.25]] + [[1.0, 0.5]] * 18}),
      "invalid instance: multi-visit row for node 0 has 3 entries, expected 2"),
+    # A table-wide M mismatch gives one clause, not one per row.
+    (lambda d: d.update(multi_visit={"M": 3, "d": [[1.0, 0.5]] * 19}),
+     "invalid instance: 19 multi-visit rows have the wrong length, the first: "
+     "multi-visit row for node 0 has 2 entries, expected 3"),
     (lambda d: d.update(edge_rewards=[{"from": 0, "to": 0, "d": 1.0}]), "invalid instance: edge reward on missing edge (0,0)"),
     (lambda d: d.update(edge_rewards=[{"from": 0, "to": 1, "d": -1.0}]), "invalid instance: edge reward on (0,1) negative"),
     (lambda d: d.update(version=2), "unsupported instance version 2"),
 ], ids=["no-nodes", "duplicate-node", "unknown-edge-end", "unknown-terminal", "multi-visit-M",
-        "multi-visit-row-length", "reward-off-edge", "negative-reward", "version"])
+        "multi-visit-row-length", "multi-visit-all-rows", "reward-off-edge", "negative-reward", "version"])
 def test_invalid_instance_file_exits_one(tmp_path, capsys, edit, message):
     doc = tso.instance_to_dict(tso.hex_instance())  # 19 nodes, depot 0
     edit(doc)

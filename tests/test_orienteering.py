@@ -381,7 +381,7 @@ def test_restarts_reaching_one_state_share_its_local_search(monkeypatch, p_s, se
 
 def _row_builds(lg):
     """Candidate rows _random_skeleton built on lg: once at a trie node whose row is False, twice at a tuple."""
-    builds, stack = 0, [lg.table(orienteering._GraspTables).trie]
+    builds, stack = 0, [lg.table(orienteering._trie)]
     while stack:
         node = stack.pop()
         builds += 0 if node.row is None else 1 if node.row is False else 2
@@ -396,7 +396,7 @@ def test_random_skeleton_stops_at_an_empty_candidate_row():
     p = _problem(g, rewards={v: 1.0 for v in g.node_ids})
     res = tso.solve_heuristic(p, seed=0, restarts=64)
     assert _row_builds(p.lg) <= 63
-    assert not p.lg.table(orienteering._GraspTables).trie.kids
+    assert not p.lg.table(orienteering._trie).kids
     assert (list(res.path), res.nodes_expanded) == ([0, 19], 0)
 
 
@@ -433,7 +433,7 @@ def test_skeleton_trie_matches_the_reference_walk():
             if got is not None:
                 assert (list(got[0]), repr(got[1])) == (want[0], repr(want[1])), (name, call)
             assert b.bit_generator.state == a.bit_generator.state, (name, call)
-        stack = [(shared.table(orienteering._GraspTables).trie, 0)]
+        stack = [(shared.table(orienteering._trie), 0)]
         while stack:
             node, length = stack.pop()
             length += len(node.leg)
@@ -498,7 +498,9 @@ def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
     # calls of 63 skeleton walks each, on one LogGraph. Walks repeat states
     # across calls, so the trie answers most candidate rows and legs; the
     # reward-dependent work does not move. Before the trie the run built
-    # 1,216 candidate rows and made 2,205 _leg_avoiding calls.
+    # 1,216 candidate rows and made 2,205 _leg_avoiding calls. Of the 282
+    # legs asked for now, 155 miss their source trees and run the banned
+    # search.
     calls = {name: 0 for name in ("_leg_avoiding", "search", "_insertions", "_local_search")}
     for name in calls:
         inner = getattr(orienteering, name)
@@ -510,7 +512,7 @@ def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
         monkeypatch.setattr(orienteering, name, counted)
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
     run = tso.greedy_survivors(g, tso.GreedyConfig(5, oracle="heuristic"))
-    assert calls == {"_leg_avoiding": 282, "search": 64, "_insertions": 78, "_local_search": 50}
+    assert calls == {"_leg_avoiding": 282, "search": 155, "_insertions": 78, "_local_search": 50}
     assert _row_builds(run.lg) == 154
     assert repr(run.plan.objective) == "10.806457809382373"
 
@@ -536,7 +538,7 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
     try:
         lg = tso.log_transform(g)
         tso.solve_heuristic(tso.OrienteeringProblem(lg=lg, rewards=rewards), seed=0)
-        assert lg.table(orienteering._GraspTables).trie.kids
+        assert lg.table(orienteering._trie).kids
         tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=rewards))
         bounded_search(lg)
         assert lg._tables[orienteering.prefix_catalog] is not None
@@ -571,25 +573,32 @@ def _scan_graphs():
 
 
 def _leg_verdict(g, leg, cost, extra):
-    """The leg if its caller would use it, else None."""
+    """The leg if it fits at cost, else None."""
     limit = -math.log(g.p_s) + oracles.BUDGET_TOL
     return leg if leg is not None and cost + leg[1] + extra <= limit else None
+
+
+def _rank_key(g, rewards):
+    """GRASP's insertion rank: reward per added cost, highest first, then delta, node index and position."""
+    return lambda t: (-(rewards.get(t[0], 0.0) / max(t[2], 1e-12)), t[2], g.index[t[0]], t[1])
 
 
 def test_scans_match_their_full_scan_references(monkeypatch):
     # Every insertion list and leg GRASP asks for while it runs is held
     # against the unbounded scans in oracles: the insertion list equal in
-    # content, order and float bits, at the caller's cost and at three other
-    # costs; each leg equal to the reference's, or rejected by both.
+    # content, rank order and float bits, at the caller's cost and at three
+    # other costs; each leg equal to the reference's where that fits, and
+    # None where it does not.
     orig_insertions, orig_leg = orienteering._insertions, orienteering._leg_avoiding
     seen = {"insertions": 0, "legs": 0, "rejected": 0}
 
-    def insertions(p, path, cost, visited):
-        out = orig_insertions(p, path, cost, visited)
+    def insertions(p, path, cost):
+        out = orig_insertions(p, path, cost)
         limit = p.lg.budget + 1e-9
         for c in (cost, 0.0, 0.5 * (cost + limit), limit):
-            got = out if c == cost else orig_insertions(p, path, c, visited)
-            assert repr(got) == repr(oracles.grasp_insertions(p.lg.graph, p.rewards, path, c, visited))
+            got = out if c == cost else orig_insertions(p, path, c)
+            want = oracles.grasp_insertions(p.lg.graph, p.rewards, path, c, set(path))
+            assert repr(got) == repr(sorted(want, key=_rank_key(p.lg.graph, p.rewards)))
         seen["insertions"] += len(out)
         return out
 
@@ -597,7 +606,7 @@ def test_scans_match_their_full_scan_references(monkeypatch):
         got = orig_leg(lg, src, dst, banned, cost)
         extra = lg.distances_to(lg.graph.terminal)[dst]
         want = _leg_verdict(lg.graph, oracles.grasp_leg(lg.graph, src, dst, banned), cost, extra)
-        assert repr(_leg_verdict(lg.graph, got, cost, extra)) == repr(want)
+        assert repr(got) == repr(want)
         seen["legs"] += 1
         seen["rejected"] += want is None
         return got
@@ -614,11 +623,51 @@ def test_scans_match_their_full_scan_references(monkeypatch):
     assert seen["insertions"] > 500 and seen["legs"] > 500 and 0 < seen["rejected"] < seen["legs"], seen
 
 
+def test_one_insertion_ranking_serves_both_callers(monkeypatch):
+    # _insertions ranks once. Its first entry is what _local_search took as
+    # max(key=(ratio, -delta, -index)) over the list in (index, position)
+    # order, where max keeps the first of equal keys: the smallest position.
+    # Its top quarter is what solve_heuristic drew from after its own sort.
+    # Rewards from two values and arc costs from four (some -0.0) make the
+    # first two entries tie on ratio alone, on ratio and delta, and as one
+    # node at two positions.
+    orig = orienteering._insertions
+    ties = {"ratio": 0, "ratio and delta": 0, "one node": 0}
+
+    def insertions(p, path, cost):
+        out = orig(p, path, cost)
+        g, rewards = p.lg.graph, p.rewards
+        listed = sorted(out, key=lambda t: (g.index[t[0]], t[1]))
+
+        def ratio(t):
+            return rewards.get(t[0], 0.0) / max(t[2], 1e-12)
+
+        if out:
+            assert repr(out[0]) == repr(max(listed, key=lambda t: (ratio(t), -t[2], -g.index[t[0]])))
+        old = sorted(listed, key=_rank_key(g, rewards))
+        top = max(1, (len(out) + 3) // 4)
+        assert repr(out[:top]) == repr(old[:top])
+        if len(out) > 1 and ratio(out[0]) == ratio(out[1]):
+            a, b = out[:2]
+            ties["ratio" if a[2] != b[2] else "ratio and delta" if a[0] != b[0] else "one node"] += 1
+        return out
+
+    monkeypatch.setattr(orienteering, "_insertions", insertions)
+    for k, (name, g) in enumerate(_scan_graphs()):
+        rng = np.random.default_rng((99, k))
+        rewards = {v: float(rng.choice([0.0, 0.5, 1.0])) for v in g.node_ids}
+        try:
+            tso.solve_heuristic(_problem(g, rewards=rewards), seed=k, restarts=24)
+        except tso.InfeasibleInstanceError:
+            continue
+    assert all(ties.values()), ties
+
+
 def test_legs_match_the_reference_at_every_cost(monkeypatch):
     # Random queries, each on a fresh LogGraph and again on one shared per
-    # graph, at costs from 0 to past the budget. A caller tests a leg's fit
-    # with extra = dist_to(terminal)[dst], 0.0 for the closing leg. A leg
-    # returned is the reference's to the bit; None means it cannot fit. On
+    # graph, at costs from 0 to past the budget. A leg fits with extra =
+    # dist_to(terminal)[dst], 0.0 for the closing leg. The reference's leg
+    # comes back to the bit where it fits, and None where it does not. On
     # every graph, source trees answer some fresh queries and the banned
     # search the others.
     banned_searches = []
@@ -645,42 +694,43 @@ def test_legs_match_the_reference_at_every_cost(monkeypatch):
             for lg in (tso.log_transform(g), shared):
                 banned_searches.clear()
                 got = orienteering._leg_avoiding(lg, src, dst, banned, cost)
-                assert got is None or repr(got) == repr(ref), (name, src, dst, cost)
-                assert repr(_leg_verdict(g, got, cost, extra)) == repr(want), (name, src, dst, cost)
+                assert repr(got) == repr(want), (name, src, dst, cost)
                 if lg is not shared:
                     answered["search" if any(banned_searches) else "tree"] += 1
         assert answered["tree"] and answered["search"], (name, answered)
 
 
-def test_leg_cache_searches_again_below_a_rejected_cost():
+def test_banned_leg_is_returned_only_where_it_fits(monkeypatch):
     # A chain 0 -> 1 -> 2 -> 3 of survival 0.9, a detour 0 -> 4 -> 2 of 0.85
     # and a direct 0 -> 3 of 0.5. The tree from 0 reaches 2 through 1, so a
-    # query that bans 1 runs the banned search, whose answers are cached.
+    # query that bans 1 runs the banned search, every time it is asked.
     g = tso.SurvivalGraph(
         node_ids=[0, 1, 2, 3, 4], priorities={v: 1.0 for v in range(5)},
         edges=[(0, 1, 0.9), (0, 3, 0.5), (0, 4, 0.85), (1, 2, 0.9), (2, 3, 0.9), (4, 2, 0.85)],
         start=0, terminal=3, p_s=0.5,
     )
     lg = tso.log_transform(g)
-    # 0.5 + leg + dist_to(3)[2] exceeds the budget ln 2; 0.0 + leg + dist_to(3)[2] fits.
+    searches = []
+    search = orienteering.search
+
+    def counted(rows, src, dst, *args):
+        searches.append(dst)
+        return search(rows, src, dst, *args)
+
+    monkeypatch.setattr(orienteering, "search", counted)
+    # cost + leg + dist_to(3)[2] exceeds the budget ln 2 at 0.5 and above; it fits at 0.0.
     leg = ((0, 4, 2), -math.log(0.85) + -math.log(0.85))
-    legs = lg.table(orienteering._GraspTables).legs
-    key = (0, 2, frozenset({0, 1, 3}))
     assert lg.shortest_tree(0)[1][2] == 1
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.5) is None
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.6) is None
-    assert legs[key] == (None, 0.5)  # the None at 0.5 answered the query at 0.6
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.0) == leg
-    assert legs[key] == (leg, 0.0)
-    # Found, the leg answers every later query; its caller tests the fit.
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, 0.9) == leg
     assert oracles.grasp_leg(g, 0, 2, {0, 1, 3}) == leg
-    # The tree's own leg keeps the contract: None where it cannot fit, and
-    # the leg cache is not read or written.
+    for cost, want in [(0.5, None), (0.6, None), (0.0, leg), (0.9, None), (0.0, leg)]:
+        assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, cost) == want, cost
+    assert searches == [2] * 5
+    # The tree's own leg keeps the contract too, with no search: None where
+    # it cannot fit.
     tree_leg = ((0, 1, 2), -math.log(0.9) + -math.log(0.9))
     assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.5) is None
     assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.0) == tree_leg == oracles.grasp_leg(g, 0, 2, {0, 3})
-    assert list(legs) == [key]
+    assert searches == [2] * 5
 
 
 def _base_path_cases(loop5):
