@@ -8,7 +8,7 @@ planner carries a computable upper bound, so every plan ships with a
 worst-case optimality ratio.
 """
 
-from .exact import PathCatalog, brute_force_feasibility, enumerate_feasible_paths, solve_exact_tso
+from .exact import brute_force_feasibility, enumerate_feasible_paths, solve_exact_tso
 from .graph import (
     BUDGET_TOL,
     FeasibilityReport,
@@ -62,53 +62,3 @@ from .orienteering import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUDGET_TOL",
-    "BoundCertificate",
-    "FeasibilityReport",
-    "GreedyConfig",
-    "GreedyResult",
-    "InfeasibleInstanceError",
-    "MultiVisitTable",
-    "OracleResult",
-    "OrienteeringProblem",
-    "PathCatalog",
-    "SimulationResult",
-    "SizeGuardError",
-    "SurvivalGraph",
-    "TeamPlan",
-    "VisitProfile",
-    "bounds_to_dict",
-    "brute_force_feasibility",
-    "compute_bounds",
-    "dijkstra",
-    "discrete_derivative",
-    "edge_team_objective",
-    "enumerate_feasible_paths",
-    "feasibility_check",
-    "feasible_random_instance",
-    "greedy_survivors",
-    "has_feasible_path",
-    "hex_instance",
-    "instance_from_dict",
-    "instance_to_dict",
-    "load_instance",
-    "log_transform",
-    "max_visit_probabilities",
-    "multi_visit_objective",
-    "paths_from_plan_dict",
-    "plan_to_dict",
-    "random_complete_instance",
-    "save_instance",
-    "simulate_team",
-    "solve_arc_exact",
-    "solve_exact",
-    "solve_exact_tso",
-    "solve_heuristic",
-    "team_objective",
-    "team_plan",
-    "team_visit_probability",
-    "validate_instance",
-    "visit_count_distribution",
-    "visit_profile",
-]

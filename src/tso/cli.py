@@ -310,9 +310,10 @@ def main(argv=None) -> int:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 3
     # json.load raises RecursionError on a file nested too deeply; nothing
-    # else in tso recurses.
-    except (ValueError, KeyError, OSError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # else in tso recurses. numpy's MemoryError names the allocation it could
+    # not make; an exception without a message is named by its class.
+    except (ValueError, KeyError, OSError, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -8,23 +8,13 @@ approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import orienteering
 from .graph import INF, InfeasibleInstanceError, SizeGuardError, SurvivalGraph, log_transform
-from .objective import TeamPlan, VisitProfile, team_plan, visit_profile
-
-
-@dataclass
-class PathCatalog:
-    paths: list[tuple[int, ...]]
-    profiles: list[VisitProfile]
-
-    def __len__(self):
-        return len(self.paths)
+from .objective import TeamPlan, team_plan, visit_profile
 
 
 def _catalog(g: SurvivalGraph, max_nodes: int, what: str) -> orienteering.PrefixCatalog:
@@ -44,13 +34,12 @@ def _catalog(g: SurvivalGraph, max_nodes: int, what: str) -> orienteering.Prefix
     return cat
 
 
-def enumerate_feasible_paths(g: SurvivalGraph, max_nodes: int = 12) -> PathCatalog:
-    """All start-terminal paths (at least one edge) meeting the survival bound, with their profiles.
+def enumerate_feasible_paths(g: SurvivalGraph, max_nodes: int = 12) -> list[tuple[int, ...]]:
+    """All start-terminal paths (at least one edge) meeting the survival bound.
 
     In the catalog's DFS order: lexicographic by node index.
     """
-    found = _catalog(g, max_nodes, "path enumeration").paths()
-    return PathCatalog(paths=found, profiles=[visit_profile(g, p) for p in found])
+    return _catalog(g, max_nodes, "path enumeration").paths()
 
 
 def brute_force_reachable(g: SurvivalGraph, max_nodes: int = 12) -> set:

@@ -265,8 +265,8 @@ def simulate_team(g: SurvivalGraph, paths, trials: int, seed=0) -> SimulationRes
         se = math.sqrt(var / trials)
     else:
         se = 0.0
-    freq = [c / trials for c in alive_counts]
-    return SimulationResult(estimate=mean, std_error=se, survival_freq=freq, trials=trials)
+    freq = (alive_counts / trials).tolist()
+    return SimulationResult(estimate=float(mean), std_error=se, survival_freq=freq, trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_criterion_3_objective_axioms():
         v = 5 + i % 3
         p_s = (0.5, 0.7, 0.9)[i % 3]
         g = tso.feasible_random_instance(v, 0.3, 1.0, p_s, seed=(205, i))
-        catalog = tso.enumerate_feasible_paths(g).paths
+        catalog = tso.enumerate_feasible_paths(g)
         j_empty, _ = tso.team_objective(g, [])
         assert abs(j_empty) <= 1e-12
         for _ in range(10):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tso
 from tso.cli import CSV_HEADER, _bench_cell, bench_rows, build_parser, fmt, main, thread_count
+from tso.greedy import VARIANTS
 
 DATA = Path(__file__).parent / "data"
 
@@ -315,6 +320,24 @@ def test_json_nested_too_deeply_exits_one(tmp_path, capsys):
     for argv in (["solve", str(deep)], ["feasible", str(deep)], ["simulate", str(inst), "--plan", str(deep)]):
         assert main(argv) == 1, argv
         _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"),
+     "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_one(monkeypatch, capsys, exc, message):
+    # A complete graph's arrays grow with V^2: at V=100,000 numpy cannot
+    # allocate them. The generator is swapped for one that raises, so the
+    # test allocates nothing.
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(tso.cli, "random_complete_instance", fail)
+    assert main(["gen", "--complete", "--nodes", "100000"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
 
 
 def test_exact_team_deeper_than_the_recursion_limit(tmp_path, capsys):
@@ -665,3 +688,79 @@ def test_bench_csvs_match_golden(ratio_bench, tmp_path, monkeypatch):
     out = tmp_path / "hex.csv"
     assert main(["bench", "--suite", "hex", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "bench-hex.csv").read_bytes()
+
+
+# Values a mutation swaps in: wrong types, non-finite floats, out-of-range
+# numbers, an integer no float holds, and empty containers.
+HOSTILE = ["x", None, True, math.nan, math.inf, -math.inf, -1, 0, 1.5, 2**70, [], {}]
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    """Valid (instance, plan) documents the fuzzer mutates, with what it mutates: the instance or the plan."""
+    hexd = tso.instance_to_dict(tso.hex_instance())
+    multi = dict(hexd, multi_visit={"M": 2, "d": [[1.0, 0.5] for _ in hexd["nodes"]]})
+    six = tso.instance_to_dict(tso.random_complete_instance(6, 0.5, 1.0, 0.6, seed=(500, 0)))
+    six["edge_rewards"] = [{"from": e["from"], "to": e["to"], "d": 0.5} for e in six["edges"][::3]]
+    plans = []
+    for doc in (hexd, multi, six):
+        g = tso.instance_from_dict(doc)
+        plan = tso.greedy_survivors(g, tso.GreedyConfig(2)).plan
+        plans.append(tso.plan_to_dict(g, plan))
+    seeds = [(doc, plan, "instance") for doc, plan in zip((hexd, multi, six), plans)]
+    return seeds + [(hexd, plans[0], "plan")], tmp_path_factory.mktemp("fuzz")
+
+
+def _mutate(rnd, doc):
+    """doc with 1-3 entries, drawn by rnd, swapped for a hostile value, deleted, or duplicated in their list."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rnd.randint(1, 3)):
+        # Every (container, key) in doc, the root's own entries included.
+        sites, stack = [], [doc]
+        while stack:
+            box = stack.pop()
+            for k in list(box) if isinstance(box, dict) else range(len(box)):
+                sites.append((box, k))
+                if isinstance(box[k], (dict, list)):
+                    stack.append(box[k])
+        box, k = rnd.choice(sites)
+        action = rnd.choice(["swap", "drop", "copy"] if isinstance(box, list) else ["swap", "drop"])
+        if action == "swap":
+            box[k] = rnd.choice(HOSTILE)
+        elif action == "drop":
+            del box[k]
+        else:
+            box.insert(k, box[k])
+    return doc
+
+
+FUZZ_COMMANDS = (
+    [["solve", "--team", "2", "--oracle", o, "--variant", v] for o in ("exact", "heuristic") for v in VARIANTS]
+    + [["feasible"], ["feasible", "--brute-force"], ["exact", "--team", "2"], ["simulate", "--trials", "50"]]
+)
+
+
+# Capped at 150 derandomized examples, about two seconds. The examples seed
+# a Random that makes every choice, since Hypothesis's own draws lean to the
+# first entry of each list. Every command fixes --team: a file's team_size of
+# 2**70 is a valid size that no solve finishes.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rnd=st.randoms(use_true_random=True))
+def test_mutated_files_exit_with_one_line(fuzz_seeds, rnd):
+    seeds, folder = fuzz_seeds
+    doc, plan, target = rnd.choice(seeds)
+    if target == "plan":
+        plan, command = _mutate(rnd, plan), ["simulate", "--trials", "50"]
+    else:
+        doc, command = _mutate(rnd, doc), rnd.choice(FUZZ_COMMANDS)
+    inst, plan_file = folder / "inst.json", folder / "plan.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    plan_file.write_text(json.dumps(plan), encoding="utf-8")
+    argv = [command[0], str(inst)] + (["--plan", str(plan_file)] if command[0] == "simulate" else []) + command[1:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3), (argv, rc)
+    if rc:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n") and lines[0].strip(), (argv, err.getvalue())

@@ -12,32 +12,32 @@ import oracles
 
 
 def test_diamond_catalog(diamond):
-    cat = tso.enumerate_feasible_paths(diamond)
-    assert cat.paths == [(1, 2, 4), (1, 4)]
-    assert len(cat) == 2
-    assert sorted(cat.paths) == sorted(oracles.feasible_paths(diamond))
+    paths = tso.enumerate_feasible_paths(diamond)
+    assert paths == [(1, 2, 4), (1, 4)]
+    assert len(paths) == 2
+    assert sorted(paths) == sorted(oracles.feasible_paths(diamond))
 
 
 def test_loop5_catalog_is_the_three_tours(loop5):
-    cat = tso.enumerate_feasible_paths(loop5)
-    assert cat.paths == [(1, 3, 5, 2, 1), (1, 3, 5, 4, 1), (1, 4, 5, 2, 1)]
-    for prof in cat.profiles:
-        assert prof.survival >= loop5.p_s - 1e-9
+    paths = tso.enumerate_feasible_paths(loop5)
+    assert paths == [(1, 3, 5, 2, 1), (1, 3, 5, 4, 1), (1, 4, 5, 2, 1)]
+    for p in paths:
+        assert tso.visit_profile(loop5, p).survival >= loop5.p_s - 1e-9
 
 
 def test_catalog_matches_enumeration_oracle():
     for seed in range(8):
         g = tso.feasible_random_instance(6, 0.4, 1.0, 0.6, seed=(90, seed))
-        cat = tso.enumerate_feasible_paths(g)
-        assert sorted(cat.paths) == sorted(oracles.feasible_paths(g))
+        paths = tso.enumerate_feasible_paths(g)
+        assert sorted(paths) == sorted(oracles.feasible_paths(g))
 
 
 def test_catalog_rejects_oversized_instance():
     g = tso.random_complete_instance(13, 0.5, 1.0, 0.5, seed=0)
     with pytest.raises(tso.SizeGuardError):
         tso.enumerate_feasible_paths(g)
-    cat = tso.enumerate_feasible_paths(g, max_nodes=13)
-    assert len(cat) > 0
+    paths = tso.enumerate_feasible_paths(g, max_nodes=13)
+    assert len(paths) > 0
 
 
 def test_team_enumeration_guard():
@@ -152,7 +152,7 @@ def test_brute_force_reachable_matches_the_feasible_paths():
     for i in range(100):
         g = tso.random_complete_instance(5 + i % 4, 0.3, 1.0, (0.5, 0.7, 0.9)[i % 3], seed=(300, i))
         for h in (g, dataclasses.replace(g, terminal=g.start)):
-            want = {v for p in tso.enumerate_feasible_paths(h).paths for v in p[1:]}
+            want = {v for p in tso.enumerate_feasible_paths(h) for v in p[1:]}
             assert exact.brute_force_reachable(h) == want, (i, h.terminal)
             reached += len(want)
     assert 0 < reached < 2 * sum(5 + i % 4 for i in range(100))

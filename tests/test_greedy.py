@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -15,6 +16,24 @@ import oracles
 
 def _linear_reward(g, path, rewards):
     return sum(rewards.get(v, 0.0) for v in set(path[1:]))
+
+
+def test_readme_library_example_runs(capsys):
+    # The first python block under README's "## Library" heading, as printed.
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    library = text[text.index("\n## Library\n"):]
+    code = library[library.index("```python\n") + len("```python\n"):]
+    code = code[:code.index("```")]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    run, cert, sim = scope["run"], scope["cert"], scope["sim"]
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == f"{run.plan.objective} {cert.upper} {cert.certified}"
+    assert cert.certified and run.plan.objective <= cert.upper
+    estimate, freq = second.split(" ", 1)
+    # Python floats print as plain numbers; numpy 2 scalars would not.
+    assert float(estimate) == sim.estimate and ast.literal_eval(freq) == sim.survival_freq
+    assert len(sim.survival_freq) == len(run.plan.paths) == 3
 
 
 def test_config_validation():

@@ -943,7 +943,7 @@ def test_catalog_ties_at_scale(monkeypatch, n, weight_min, p_s, depot):
     if depot:
         g = dataclasses.replace(g, terminal=g.start)
     lg = tso.log_transform(g)
-    paths = tso.enumerate_feasible_paths(g).paths
+    paths = tso.enumerate_feasible_paths(g)
     rng = np.random.default_rng((401, n))
     levels, odds = [0.0, 0.5, 1.0], [0.5, 0.25, 0.25]
     most, across = {}, 0
