@@ -52,13 +52,7 @@ from .objective import (
     visit_count_distribution,
     visit_profile,
 )
-from .orienteering import (
-    OracleResult,
-    OrienteeringProblem,
-    solve_arc_exact,
-    solve_exact,
-    solve_heuristic,
-)
+from .orienteering import OracleResult, solve_arc_exact, solve_exact, solve_heuristic
 
 __version__ = "0.1.0"
 

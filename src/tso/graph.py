@@ -430,18 +430,28 @@ def json_bool(x, what: str) -> bool:
     return x
 
 
+def json_list(x, what: str, entry=None) -> list:
+    """x if it is a JSON list, each entry a JSON object (entry=dict) or list (entry=list) if entry is given; ValueError otherwise."""
+    if type(x) is not list:
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    for e in x if entry else ():
+        if type(e) is not entry:
+            raise ValueError(f"{what} entry must be {'an object' if entry is dict else 'a list'}, got {e!r}")
+    return x
+
+
 def _parse_instance(doc: dict) -> SurvivalGraph:
     if doc.get("version") != 1:
         raise ValueError(f"unsupported instance version {doc.get('version')!r}")
     directed = json_bool(doc.get("directed", True), "directed")
     node_ids = []
     priorities = {}
-    for rec in doc["nodes"]:
+    for rec in json_list(doc["nodes"], "nodes", dict):
         v = json_int(rec["id"], "node id")
         node_ids.append(v)
         priorities[v] = json_float(rec.get("priority", 1.0), "priority")
     edges = []
-    for rec in doc["edges"]:
+    for rec in json_list(doc["edges"], "edges", dict):
         u, v, w = json_int(rec["from"], "edge endpoint"), json_int(rec["to"], "edge endpoint"), json_float(rec["survival"], "edge survival")
         edges.append((u, v, w))
         if not directed:
@@ -449,14 +459,17 @@ def _parse_instance(doc: dict) -> SurvivalGraph:
     multi = None
     if "multi_visit" in doc:
         mv = doc["multi_visit"]
-        if len(mv["d"]) != len(node_ids):
-            raise ValueError(f"multi-visit table has {len(mv['d'])} rows for {len(node_ids)} nodes")
-        rows = {v: [json_float(x, "multi-visit entry") for x in row] for v, row in zip(node_ids, mv["d"])}
+        if type(mv) is not dict:
+            raise ValueError(f"multi_visit must be an object, got {mv!r}")
+        d = json_list(mv["d"], "multi-visit d", list)
+        if len(d) != len(node_ids):
+            raise ValueError(f"multi-visit table has {len(d)} rows for {len(node_ids)} nodes")
+        rows = {v: [json_float(x, "multi-visit entry") for x in row] for v, row in zip(node_ids, d)}
         multi = MultiVisitTable(M=json_int(mv["M"], "multi-visit M"), d=rows)
     rewards = None
     if "edge_rewards" in doc:
         rewards = {}
-        for r in doc["edge_rewards"]:
+        for r in json_list(doc["edge_rewards"], "edge_rewards", dict):
             e = json_int(r["from"], "edge endpoint"), json_int(r["to"], "edge endpoint")
             if e in rewards:
                 raise ValueError(f"duplicate edge reward on ({e[0]},{e[1]})")

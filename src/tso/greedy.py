@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .graph import (
     InfeasibleInstanceError,
     LogGraph,
+    SizeGuardError,
     SurvivalGraph,
     has_feasible_path,
     log_transform,
@@ -24,10 +25,15 @@ from .graph import (
     ordered_sum,
 )
 from .objective import Coverage, TeamPlan, VisitCounts, node_coverage, team_plan, visit_profile
-from .orienteering import OrienteeringProblem, solve_arc_exact, solve_exact, solve_heuristic
+from .orienteering import solve_arc_exact, solve_exact, solve_heuristic
 # Not called here, but perfbench/tracing.py wraps them at tso.greedy.
 from .graph import feasibility_check  # noqa: F401
 from .objective import discrete_derivative, edge_team_objective, multi_visit_objective, visit_count_distribution  # noqa: F401
+
+# A run plans at most this many paths. Each path costs an oracle call and
+# is kept, so a team_size or oversize of 2**70, which a file or the command
+# line may give, would run without end. The benchmark plans at most 36.
+MAX_PATHS = 1000
 
 
 @dataclass
@@ -49,6 +55,8 @@ class GreedyConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "edge" and self.oracle != "exact":
             raise ValueError("edge-reward planning requires the exact oracle")
+        if self.total_paths > MAX_PATHS:
+            raise SizeGuardError(f"greedy planning limited to {MAX_PATHS} paths, asked for {self.total_paths}")
 
     @property
     def total_paths(self) -> int:
@@ -91,14 +99,15 @@ class BoundCertificate:
 class RewardModel:
     """One reward variant and the paths chosen so far.
 
-    It supplies the next robot's oracle problem, update(profile), which
-    takes in an added path's visit profile, appends the variant's value of
-    the paths so far to values and returns the path's true gain (the change
-    in that value), and the U1 caps: one (a, extra, b, p, d) per reward d a
-    walk start ~> a, extra, b ~> terminal could collect with chance <= p.
-    caps reads only state that never changes after construction (ζ, the
-    priorities, the edge table, the multi-visit rows), so a run's own model
-    gives the same caps after any number of paths.
+    It supplies rewards(), the next robot's oracle rewards (the model's
+    own dict where it keeps one: no oracle writes into it), update(profile),
+    which takes in an added path's visit profile, appends the variant's
+    value of the paths so far to values and returns the path's true gain
+    (the change in that value), and the U1 caps: one (a, extra, b, p, d)
+    per reward d a walk start ~> a, extra, b ~> terminal could collect with
+    chance <= p. caps reads only state that never changes after
+    construction (ζ, the priorities, the edge table, the multi-visit rows),
+    so a run's own model gives the same caps after any number of paths.
     """
 
     def __init__(self, g: SurvivalGraph, zeta):
@@ -130,8 +139,8 @@ class NodeRewards(RewardModel):
         self.nu = {j: zeta[j] * g.priority(j) for j in g.node_ids}
         self.cover = node_coverage(g, [])
 
-    def problem(self, lg) -> OrienteeringProblem:
-        return OrienteeringProblem(lg, rewards=dict(self.nu))
+    def rewards(self):
+        return self.nu
 
     def update(self, prof) -> float:
         for n in range(1, len(prof.path)):
@@ -154,8 +163,8 @@ class EdgeRewards(RewardModel):
         self.cover = Coverage(dict(g.edge_rewards) if g.edge_rewards else {(u, v): 1.0 for u, v, _w in g.edges})
         self.w = {(u, v): zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.cover.table.items()}
 
-    def problem(self, lg) -> OrienteeringProblem:
-        return OrienteeringProblem(lg, edge_rewards=dict(self.w))
+    def rewards(self):
+        return self.w
 
     def update(self, prof) -> float:
         for e, a in prof.crossings:
@@ -180,10 +189,10 @@ class MultiVisitRewards(RewardModel):
         self.mv = g.multi_visit
         self.counts = VisitCounts(g, self.mv.d, self.mv.M, [])
 
-    def problem(self, lg) -> OrienteeringProblem:
+    def rewards(self):
         # Node j is worth zeta_j times its expected next-visit reward.
         nu = zip(self.g.node_ids, self.counts.next_reward().tolist())
-        return OrienteeringProblem(lg, rewards={j: self.zeta[j] * r for j, r in nu})
+        return {j: self.zeta[j] * r for j, r in nu}
 
     def update(self, prof) -> float:
         self.counts.fold([prof])
@@ -200,14 +209,14 @@ MODELS = {"node": NodeRewards, "edge": EdgeRewards, "multi_visit": MultiVisitRew
 VARIANTS = tuple(MODELS)
 
 
-def _oracle_call(cfg: GreedyConfig, problem: OrienteeringProblem, iteration: int):
-    if problem.edge_rewards is not None:
-        return solve_arc_exact(problem)
+def _oracle_call(cfg: GreedyConfig, lg: LogGraph, rewards: dict, iteration: int):
+    if cfg.variant == "edge":
+        return solve_arc_exact(lg, rewards)
     if cfg.oracle == "exact":
-        return solve_exact(problem)
+        return solve_exact(lg, rewards)
     # Separate stream per iteration keeps later robots independent of how
     # many restarts earlier ones consumed.
-    return solve_heuristic(problem, seed=(cfg.seed, iteration))
+    return solve_heuristic(lg, rewards, seed=(cfg.seed, iteration))
 
 
 def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
@@ -222,7 +231,7 @@ def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
     model = MODELS[cfg.variant](g, max_visit_probabilities(lg))
     if not has_feasible_path(lg):
         raise InfeasibleInstanceError("feasibility check found no start-terminal path within the survival budget")
-    gains = [model.add(_oracle_call(cfg, model.problem(lg), k).path) for k in range(cfg.total_paths)]
+    gains = [model.add(_oracle_call(cfg, lg, model.rewards(), k).path) for k in range(cfg.total_paths)]
     return GreedyResult(cfg, lg, model, model.paths, gains, model.values, team_plan(g, model.paths[: cfg.team_size]))
 
 

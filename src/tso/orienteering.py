@@ -19,41 +19,27 @@ from .graph import INF, BUDGET_TOL, InfeasibleInstanceError, LogGraph, _tour_cos
 
 
 @dataclass
-class OrienteeringProblem:
-    lg: LogGraph
-    rewards: dict[int, float] | None = None
-    edge_rewards: dict[tuple[int, int], float] | None = None
-
-    def __post_init__(self):
-        if self.rewards is not None:
-            for v, r in self.rewards.items():
-                if v not in self.lg.graph.index:
-                    raise ValueError(f"reward on unknown node {v}")
-                if not 0.0 <= r < INF:
-                    raise ValueError(f"negative, infinite or NaN reward on node {v}")
-        if self.edge_rewards is not None:
-            for e, r in self.edge_rewards.items():
-                if e[1] not in self.lg.costs.get(e[0], ()):
-                    raise ValueError(f"reward on missing edge {e}")
-                if not 0.0 <= r < INF:
-                    raise ValueError(f"negative, infinite or NaN reward on edge {e}")
-
-
-@dataclass
 class OracleResult:
     path: tuple[int, ...]
     reward: float
-    exact: bool
     nodes_expanded: int = 0
 
 
-def path_reward(p: OrienteeringProblem, path) -> float:
+def _check(rewards: dict, kind: str, known) -> None:
+    """ValueError naming the first key that known(key) rejects, or whose reward is negative, infinite or NaN."""
+    for key, r in rewards.items():
+        if not known(key):
+            raise ValueError(f"reward on {'unknown' if kind == 'node' else 'missing'} {kind} {key}")
+        if not 0.0 <= r < INF:
+            raise ValueError(f"negative, infinite or NaN reward on {kind} {key}")
+
+
+def path_reward(rewards: dict, path) -> float:
     """Reward actually collected by a path: nodes at steps >= 1, once each."""
-    rewards = p.rewards or {}
     return ordered_sum(rewards.get(v, 0.0) for v in path[1:])
 
 
-def solve_exact(p: OrienteeringProblem) -> OracleResult:
+def solve_exact(lg: LogGraph, rewards: dict[int, float]) -> OracleResult:
     """Best path for node rewards: the lexicographically smallest maximizer.
 
     The first call on a LogGraph lists every budget-feasible prefix of its
@@ -64,20 +50,16 @@ def solve_exact(p: OrienteeringProblem) -> OracleResult:
     unless the best tour collects more than 0.0. Above CATALOG_CAP prefixes
     the build stops, and the calls on that LogGraph run _bounded_search,
     which expands prefixes with the build's kernel and returns the same
-    path and float.
+    path and float. No oracle writes into the rewards it is handed.
     """
-    if p.edge_rewards is not None:
-        raise ValueError("the node oracle takes node rewards only")
-    rewards = p.rewards or {}
-    return _exact(p.lg, np.array([rewards.get(v, 0.0) for v in p.lg.graph.node_ids], dtype=float), True)
+    _check(rewards, "node", lg.graph.index.__contains__)
+    return _exact(lg, np.array([rewards.get(v, 0.0) for v in lg.graph.node_ids], dtype=float), True)
 
 
-def solve_arc_exact(p: OrienteeringProblem) -> OracleResult:
+def solve_arc_exact(lg: LogGraph, edge_rewards: dict[tuple[int, int], float]) -> OracleResult:
     """solve_exact with rewards on edges instead of nodes; the same catalog serves both."""
-    if p.rewards is not None:
-        raise ValueError("the arc oracle takes arc rewards only")
-    rewards = p.edge_rewards or {}
-    return _exact(p.lg, np.array([rewards.get(e, 0.0) for e in p.lg.table(_Steps).arcs], dtype=float), False)
+    _check(edge_rewards, "edge", lambda e: e[1] in lg.costs.get(e[0], ()))
+    return _exact(lg, np.array([edge_rewards.get(e, 0.0) for e in lg.table(_Steps).arcs], dtype=float), False)
 
 
 def _exact(lg: LogGraph, item_rew, nodes: bool) -> OracleResult:
@@ -92,10 +74,10 @@ def _exact(lg: LogGraph, item_rew, nodes: bool) -> OracleResult:
     top = cat.best(rew)
     if top is not None and (not st.depot or top[0] > 0.0):
         reward, i = top
-        return OracleResult(path=cat.path(i), reward=reward, exact=True, nodes_expanded=cat.prefixes)
+        return OracleResult(path=cat.path(i), reward=reward, nodes_expanded=cat.prefixes)
     if not st.depot:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=(lg.graph.start,), reward=0.0, exact=True, nodes_expanded=cat.prefixes)
+    return OracleResult(path=(lg.graph.start,), reward=0.0, nodes_expanded=cat.prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +429,7 @@ def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool) -> OracleResult:
         stack += [tuple(x[lo:lo + chunk] for x in kids) for lo in reversed(range(0, len(r), chunk))]
     if best_path is None:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=tuple(g.node_ids[i] for i in best_path), reward=float(best), exact=True,
-                        nodes_expanded=expanded)
+    return OracleResult(path=tuple(g.node_ids[i] for i in best_path), reward=float(best), nodes_expanded=expanded)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +507,8 @@ def _trie(lg: LogGraph):
     return _Walk((lg.graph.start,), 0.0)
 
 
-def _base_path(p: OrienteeringProblem):
+def _base_path(lg: LogGraph):
     """Cheapest feasible skeleton: shortest return for depots, shortest path otherwise."""
-    lg = p.lg
     start, terminal, limit = lg.graph.start, lg.graph.terminal, lg.limit
     # Each cost is bit-equal to _path_cost of its path. graph.search sets
     # dist[v] and parent[v] together, dist[v] as dist[parent[v]] +
@@ -694,7 +674,7 @@ def _closing(lg, trail, path):
     return ()
 
 
-def _insertions(p: OrienteeringProblem, path, cost):
+def _insertions(lg: LogGraph, rewards: dict, path, cost):
     """Feasible (node, position, delta-cost) insertions of positive-reward nodes off path, best first.
 
     GRASP's one rank order: reward per added cost, highest first, then
@@ -705,11 +685,10 @@ def _insertions(p: OrienteeringProblem, path, cost):
     the same test with jb >= 0 left out, which never fails where the test
     passes (see _trie), and fails for every costlier arc after it.
     """
-    rows = p.lg.table(_rows)
-    costs = p.lg.costs
-    rewards = p.rewards or {}
-    limit = p.lg.limit
-    index = p.lg.graph.index
+    rows = lg.table(_rows)
+    costs = lg.costs
+    limit = lg.limit
+    index = lg.graph.index
     visited = set(path)
     out = []
     for i, (a, b) in enumerate(zip(path, path[1:]), 1):
@@ -729,7 +708,7 @@ def _insertions(p: OrienteeringProblem, path, cost):
     return out
 
 
-def _local_search(p: OrienteeringProblem, path, cost):
+def _local_search(lg: LogGraph, rewards: dict, path, cost):
     """Hill-climb from a path that admits no insertion.
 
     Each round drops an interior node that pays nothing but costs something
@@ -738,8 +717,7 @@ def _local_search(p: OrienteeringProblem, path, cost):
     fits. It stops at the first round that finds neither a drop nor a
     reversal.
     """
-    costs = p.lg.costs
-    rewards = p.rewards or {}
+    costs = lg.costs
     while True:
         improved = False
         # Drop interior nodes that pay nothing but cost something.
@@ -798,13 +776,13 @@ def _local_search(p: OrienteeringProblem, path, cost):
                     break
         if not improved:
             return path, cost
-        while cands := _insertions(p, path, cost):
+        while cands := _insertions(lg, rewards, path, cost):
             j, pos, delta = cands[0]
             path.insert(pos, j)
             cost += delta
 
 
-def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> OracleResult:
+def solve_heuristic(lg: LogGraph, rewards: dict[int, float], seed=0, restarts: int = 64) -> OracleResult:
     """GRASP: randomized greedy insertion plus local search, best of restarts.
 
     The first restart grows the cheapest feasible skeleton; later restarts
@@ -815,7 +793,7 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
     Deterministic for a fixed seed. The trees, cost rows and skeleton trie
-    (with its candidate rows and legs) it reads are kept on p.lg
+    (with its candidate rows and legs) it reads are kept on lg
     (shortest_tree, _rows, _trie) and hold no rewards, only facts of the
     graph and its budget. A walk that reaches a trie node an earlier walk
     made, in this call or an earlier one, reads its row, its children and
@@ -835,18 +813,16 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
     them. Each visit still adds its count to nodes_expanded and draws from
     rng as before. cost belongs in the key because one node sequence can
     carry different cost floats after different insertion orders. The
-    memos depend on the rewards, so they must not go on p.lg.
+    memos depend on the rewards, so they must not go on lg.
     """
-    if p.edge_rewards is not None:
-        raise ValueError("the GRASP oracle takes node rewards only")
-    g = p.lg.graph
+    _check(rewards, "node", lg.graph.index.__contains__)
     rng = _Draws(seed)
-    base, base_cost = _base_path(p)
+    base, base_cost = _base_path(lg)
     rcls, ends = {}, {}
     best = None
     evaluated = 0
     for restart in range(max(1, restarts)):
-        skeleton = _random_skeleton(p.lg, rng, 2 ** ((restart - 1) % 5)) if restart else None
+        skeleton = _random_skeleton(lg, rng, 2 ** ((restart - 1) % 5)) if restart else None
         if skeleton is None:
             path, cost = list(base), base_cost
         else:
@@ -855,7 +831,7 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
             at = (tuple(path), cost)
             hit = rcls.get(at)
             if hit is None:
-                cands = _insertions(p, path, cost)
+                cands = _insertions(lg, rewards, path, cost)
                 # A tuple: the collector stops tracking tuples of plain values,
                 # where every kept list would be walked at each collection.
                 hit = rcls[at] = (len(cands), tuple(cands[:max(1, (len(cands) + 3) // 4)]))
@@ -868,9 +844,9 @@ def solve_heuristic(p: OrienteeringProblem, seed=0, restarts: int = 64) -> Oracl
             cost += delta
         end = ends.get(at)
         if end is None:
-            path, _cost = _local_search(p, path, cost)
-            reward = path_reward(p, path)
-            end = ends[at] = ((-reward, tuple(g.index[v] for v in path)), tuple(path), reward)
+            path, _cost = _local_search(lg, rewards, path, cost)
+            reward = path_reward(rewards, path)
+            end = ends[at] = ((-reward, tuple(lg.graph.index[v] for v in path)), tuple(path), reward)
         if best is None or end[0] < best[0]:
             best = end
-    return OracleResult(path=best[1], reward=best[2], exact=False, nodes_expanded=evaluated)
+    return OracleResult(path=best[1], reward=best[2], nodes_expanded=evaluated)

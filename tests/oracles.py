@@ -258,8 +258,8 @@ def _node_table(lg, v, items, step_item, bit, dist_to_t):
     return bound, steps
 
 
-def branch_and_bound(p, kind="node", use_reward_bound=False):
-    """Depth-first branch and bound shared by node ("node") and arc ("arc") rewards.
+def branch_and_bound(lg, rewards, kind="node", use_reward_bound=False):
+    """Depth-first branch and bound on lg for one reward dict, keyed by node (kind "node") or by arc (kind "arc").
 
     With use_reward_bound=False it is the reference the catalog and the
     bounded search are checked against.
@@ -291,8 +291,6 @@ def branch_and_bound(p, kind="node", use_reward_bound=False):
     1 - u. Without the slack, 1e-16 + 1.0 + 1e-16 in item order gave 1.0 and
     pruned a path that collects 1e-16 + 1e-16 + 1.0 = 1.0000000000000002.
     """
-    lookup = ((p.rewards if kind == "node" else p.edge_rewards) or {}).get
-    lg = p.lg
     g = lg.graph
     start, terminal, budget, limit = g.start, g.terminal, lg.budget, lg.limit
     depot = start == terminal
@@ -306,7 +304,7 @@ def branch_and_bound(p, kind="node", use_reward_bound=False):
         keys, items = arcs, [(a, lg.costs[a][b], b) for a, b in arcs]
         step_item = {e: k for k, e in enumerate(arcs)}
     bit = {v: 0 if v == terminal else 1 << i for i, v in enumerate(g.node_ids)}
-    reward = [lookup(key, 0.0) for key in keys]
+    reward = [rewards.get(key, 0.0) for key in keys]
     slack = 1.0 + len(items) * 2.0 ** -50
     tables = {}
 
@@ -352,7 +350,7 @@ def branch_and_bound(p, kind="node", use_reward_bound=False):
         dfs = None  # the closure refers to itself; drop the cycle now, not at the next GC
     if best_path is None:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=best_path, reward=best_reward, exact=True, nodes_expanded=expanded)
+    return OracleResult(path=best_path, reward=best_reward, nodes_expanded=expanded)
 
 
 def best_team_brute(g, team_size):

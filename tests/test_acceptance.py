@@ -18,7 +18,7 @@ import oracles
 import tso
 from tso.cli import CSV_HEADER, _bound_for_prefix, main
 from tso.exact import brute_force_feasibility
-from tso.orienteering import OrienteeringProblem, solve_exact, solve_heuristic
+from tso.orienteering import solve_exact, solve_heuristic
 
 
 def _bench_rows(text):
@@ -100,12 +100,11 @@ def test_criterion_4_oracle_quality():
         lg = tso.log_transform(g)
         zeta = tso.max_visit_probabilities(lg)
         rewards = {j: zeta[j] * g.priorities[j] for j in g.node_ids}
-        p = OrienteeringProblem(lg=lg, rewards=rewards)
-        ex = solve_exact(p)
+        ex = solve_exact(lg, rewards)
         best, maximizers = oracles.orienteering_brute(g, rewards)
         assert abs(ex.reward - best) <= 1e-12, (i, ex.reward, best)
         assert ex.path in maximizers
-        he = solve_heuristic(p, seed=i)
+        he = solve_heuristic(lg, rewards, seed=i)
         assert he.reward <= ex.reward + 1e-9
 
     ratios = []
@@ -115,9 +114,8 @@ def test_criterion_4_oracle_quality():
         lg = tso.log_transform(g)
         zeta = tso.max_visit_probabilities(lg)
         rewards = {j: zeta[j] * g.priorities[j] for j in g.node_ids}
-        p = OrienteeringProblem(lg=lg, rewards=rewards)
-        ex = solve_exact(p)
-        he = solve_heuristic(p, seed=i)
+        ex = solve_exact(lg, rewards)
+        he = solve_heuristic(lg, rewards, seed=i)
         assert he.reward <= ex.reward + 1e-9
         ratios.append(he.reward / ex.reward if ex.reward > 0 else 1.0)
     mean = sum(ratios) / len(ratios)

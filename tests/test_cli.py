@@ -292,6 +292,20 @@ def test_exit_code_guard(tmp_path, capsys):
         "^2000 candidate teams times 2000 robots exceed the enumeration limit 10000000\n"), err
 
 
+def test_huge_team_sizes_exit_three(tmp_path, capsys):
+    # A file's team_size and --oversize can be any integer; at 2**70 either
+    # one ran without end. The refusal comes before any planning.
+    doc = tso.instance_to_dict(tso.hex_instance())
+    hexi, huge = tmp_path / "hex.json", tmp_path / "huge.json"
+    hexi.write_text(json.dumps(doc), encoding="utf-8")
+    huge.write_text(json.dumps(dict(doc, team_size=2**70)), encoding="utf-8")
+    for argv in (["solve", str(huge)], ["solve", str(hexi), "--oversize", str(2**70)]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"guard violation: greedy planning limited to {tso.greedy.MAX_PATHS} paths, asked for {2**70}\n")
+
+
 def test_exit_code_errors(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -398,6 +412,19 @@ def test_malformed_instance_shapes_exit_one(tmp_path, capsys):
          "multi-visit entry must be a number, got True"),
         (dict(mv, nodes=[dict(good["nodes"][0], priority=10**400)] + good["nodes"][1:]),
          f"priority {10**400} is too large for a float"),
+    ]
+    # Lists and objects are named as the integer and number fields are, not
+    # by the TypeError of the first subscript that fails on them.
+    number_cases += [
+        (dict(mv, nodes=3.5), "nodes must be a list, got 3.5"),
+        (dict(mv, nodes=["x"] + good["nodes"][1:]), "nodes entry must be an object, got 'x'"),
+        (dict(mv, edges=None), "edges must be a list, got None"),
+        (dict(mv, edges=good["edges"][:-1] + [[0, 1, 0.9]]), "edges entry must be an object, got [0, 1, 0.9]"),
+        (dict(mv, edge_rewards="x"), "edge_rewards must be a list, got 'x'"),
+        (dict(mv, edge_rewards=[1.5]), "edge_rewards entry must be an object, got 1.5"),
+        (dict(mv, multi_visit=[2]), "multi_visit must be an object, got [2]"),
+        (dict(mv, multi_visit=dict(mv["multi_visit"], d=3)), "multi-visit d must be a list, got 3"),
+        (dict(mv, multi_visit=dict(mv["multi_visit"], d=rows[:-1] + [0.5])), "multi-visit d entry must be a list, got 0.5"),
     ]
     for k, doc in enumerate(bad_docs):
         inst = tmp_path / f"bad{k}.json"
@@ -742,8 +769,9 @@ FUZZ_COMMANDS = (
 
 # Capped at 150 derandomized examples, about two seconds. The examples seed
 # a Random that makes every choice, since Hypothesis's own draws lean to the
-# first entry of each list. Every command fixes --team: a file's team_size of
-# 2**70 is a valid size that no solve finishes.
+# first entry of each list. Every command fixes --team, so each solve plans
+# two robots whatever team_size a mutation leaves; a file's team_size above
+# greedy.MAX_PATHS is refused with exit 3 (test_huge_team_sizes_exit_three).
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(rnd=st.randoms(use_true_random=True))
 def test_mutated_files_exit_with_one_line(fuzz_seeds, rnd):

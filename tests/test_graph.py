@@ -141,7 +141,7 @@ def test_arc_table_is_in_index_order_whatever_the_edge_order():
         runs.append((
             tso.dijkstra(lg, 0)[1], tso.dijkstra(lg, 0, reverse=True)[1], _tour_cost(lg),
             tso.orienteering.prefix_catalog(lg).paths(),
-            tso.solve_heuristic(tso.OrienteeringProblem(lg, rewards=rewards), seed=3),
+            tso.solve_heuristic(lg, rewards, seed=3),
         ))
     assert runs[0] == runs[1]
 

@@ -45,6 +45,12 @@ def test_config_validation():
         tso.GreedyConfig(team_size=1, oracle="annealing")
     with pytest.raises(ValueError):
         tso.GreedyConfig(team_size=1, variant="tour")
+    # Up to MAX_PATHS paths are planned; one more is a size-guard refusal.
+    cap = tso.greedy.MAX_PATHS
+    assert tso.GreedyConfig(team_size=cap).total_paths == tso.GreedyConfig(1, oversize=cap).total_paths == cap
+    for cfg in (dict(team_size=cap + 1), dict(team_size=1, oversize=cap + 1)):
+        with pytest.raises(tso.SizeGuardError, match=f"greedy planning limited to {cap} paths, asked for {cap + 1}"):
+            tso.GreedyConfig(**cfg)
 
 
 def test_infeasible_instance_raises():

@@ -24,10 +24,6 @@ import oracles
 HEURISTIC_PINS = Path(__file__).parent / "data" / "heuristic-pins.json"
 
 
-def _problem(g, rewards=None, edge_rewards=None):
-    return tso.OrienteeringProblem(lg=tso.log_transform(g), rewards=rewards, edge_rewards=edge_rewards)
-
-
 def _depot_graphs(loop5, seed_tag, count):
     """loop5 plus random complete digraphs turned into depot tours at node 0."""
     graphs = [loop5]
@@ -40,9 +36,10 @@ def _depot_graphs(loop5, seed_tag, count):
     return graphs
 
 
-def _reference(solve, p):
-    """The recursive branch and bound of oracles, unbounded, for the oracle solve."""
-    return oracles.branch_and_bound(p, "node" if solve is tso.solve_exact else "arc")
+def _reference(solve, lg, **kw):
+    """The recursive branch and bound of oracles, unbounded, for the oracle solve and its one reward dict kw."""
+    (rewards,) = kw.values()
+    return oracles.branch_and_bound(lg, rewards, "node" if solve is tso.solve_exact else "arc")
 
 
 def _random_rewards(g, rng):
@@ -53,19 +50,21 @@ def _random_rewards(g, rng):
 
 
 def test_rejects_bad_rewards(diamond):
+    lg = tso.log_transform(diamond)
     with pytest.raises(ValueError):
-        _problem(diamond, rewards={2: -1.0})
+        tso.solve_exact(lg, {2: -1.0})
     with pytest.raises(ValueError):
-        _problem(diamond, edge_rewards={(4, 1): 1.0})
+        tso.solve_arc_exact(lg, {(4, 1): 1.0})
     with pytest.raises(ValueError):
-        _problem(diamond, edge_rewards={(1, 2): -0.5})
+        tso.solve_arc_exact(lg, {(1, 2): -0.5})
     with pytest.raises(ValueError):
-        _problem(diamond, edge_rewards={(1, 2): float("nan")})
+        tso.solve_arc_exact(lg, {(1, 2): float("nan")})
 
 
 def test_reward_on_unknown_node_is_refused(diamond):
-    with pytest.raises(ValueError, match="reward on unknown node 9"):
-        _problem(diamond, rewards={2: 1.0, 9: 1.0})
+    for solve in (tso.solve_exact, tso.solve_heuristic):
+        with pytest.raises(ValueError, match="reward on unknown node 9"):
+            solve(tso.log_transform(diamond), {2: 1.0, 9: 1.0})
 
 
 @pytest.mark.parametrize("cap", [orienteering.CATALOG_CAP, 0])
@@ -82,42 +81,18 @@ def test_infinite_rewards_are_refused_on_both_sides_of_the_cap(monkeypatch, diam
         field = "rewards" if solve is tso.solve_exact else "edge_rewards"
         for r in (math.inf, -math.inf):
             with pytest.raises(ValueError, match=rf"negative, infinite or NaN reward on {re.escape(what)}"):
-                solve(_problem(diamond, **{field: {**other, key: r}}))
-        res = solve(_problem(diamond, **{field: {**other, key: 1.7976931348623157e308}}))
+                solve(tso.log_transform(diamond), **{field: {**other, key: r}})
+        res = solve(tso.log_transform(diamond), **{field: {**other, key: 1.7976931348623157e308}})
         assert (res.path, res.reward) == ((1, 2, 4), 1.0)
-
-
-def _unit_arc_problem():
-    # The arc optimum is 3.0; the node oracles used to answer it with a 0.0 path.
-    g = tso.feasible_random_instance(6, 0.3, 1.0, 0.7, seed=(1, 0))
-    p = _problem(g, edge_rewards={(u, v): 1.0 for u, v, _w in g.edges})
-    assert tso.solve_arc_exact(p).reward == 3.0
-    return p
-
-
-def test_node_oracle_refuses_edge_rewards():
-    with pytest.raises(ValueError, match="node oracle takes node rewards only"):
-        tso.solve_exact(_unit_arc_problem())
-
-
-def test_grasp_refuses_edge_rewards():
-    with pytest.raises(ValueError, match="GRASP oracle takes node rewards only"):
-        tso.solve_heuristic(_unit_arc_problem())
-
-
-def test_arc_oracle_refuses_node_rewards(diamond):
-    with pytest.raises(ValueError, match="arc oracle takes arc rewards only"):
-        tso.solve_arc_exact(_problem(diamond, rewards={2: 1.0}))
 
 
 def test_diamond_visit_probability_rewards(diamond):
     lg = tso.log_transform(diamond)
     zeta = tso.max_visit_probabilities(lg)
     rewards = {v: zeta[v] * diamond.priority(v) for v in diamond.node_ids if v != diamond.start}
-    res = tso.solve_exact(_problem(diamond, rewards=rewards))
+    res = tso.solve_exact(lg, rewards)
     assert res.path == (1, 2, 4)
     assert res.reward == pytest.approx(1.9, abs=1e-12)
-    assert res.exact
 
 
 def test_exact_matches_enumeration_on_randoms():
@@ -125,7 +100,7 @@ def test_exact_matches_enumeration_on_randoms():
         g = tso.feasible_random_instance(5, 0.4, 1.0, 0.6, seed=(70, seed))
         rng = np.random.default_rng((71, seed))
         rewards = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
-        res = tso.solve_exact(_problem(g, rewards=rewards))
+        res = tso.solve_exact(tso.log_transform(g), rewards)
         best, maximizers = oracles.orienteering_brute(g, rewards)
         assert res.reward == pytest.approx(best, abs=1e-12)
         assert res.path in maximizers
@@ -135,7 +110,7 @@ def test_exact_breaks_ties_toward_smallest_path():
     # Equal weights and unit rewards: (0,1,4), (0,2,4), (0,3,4) all collect 2.
     g = tso.random_complete_instance(5, 0.9, 0.9, 0.75, seed=0)
     rewards = {v: 1.0 for v in g.node_ids}
-    res = tso.solve_exact(_problem(g, rewards=rewards))
+    res = tso.solve_exact(tso.log_transform(g), rewards)
     best, maximizers = oracles.orienteering_brute(g, rewards)
     assert res.reward == pytest.approx(best, abs=1e-12)
     assert res.path == (0, 1, 4)
@@ -162,8 +137,8 @@ def test_equal_rewards_at_two_depths_go_to_the_smaller_index_sequence(s, b, c, d
         (tso.solve_exact, dict(rewards={b: 0.25, c: 0.5, d: 0.75})),
         (tso.solve_arc_exact, dict(edge_rewards={(s, b): 0.25, (b, c): 0.5, (s, d): 0.75})),
     ):
-        got = solve(_problem(g, **kw))
-        reference = _reference(solve, _problem(g, **kw))
+        got = solve(tso.log_transform(g), **kw)
+        reference = _reference(solve, tso.log_transform(g), **kw)
         assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)) == (expected, "0.75")
 
 
@@ -174,25 +149,23 @@ def test_reward_bound_only_prunes(monkeypatch, loop5):
     graphs += _depot_graphs(loop5, 79, 6)
     for seed, g in enumerate(graphs):
         rewards, arc_rewards = _random_rewards(g, np.random.default_rng((73, seed)))
-        for solve, p in (
-            (tso.solve_exact, _problem(g, rewards=rewards)),
-            (tso.solve_arc_exact, _problem(g, edge_rewards=arc_rewards)),
-        ):
-            fast = solve(p)
-            slow = _reference(solve, p)
+        for solve, kw in ((tso.solve_exact, dict(rewards=rewards)), (tso.solve_arc_exact, dict(edge_rewards=arc_rewards))):
+            lg = tso.log_transform(g)
+            fast = solve(lg, **kw)
+            slow = _reference(solve, lg, **kw)
             assert fast.path == slow.path, (seed, solve.__name__)
             assert fast.reward == slow.reward
             assert fast.nodes_expanded <= slow.nodes_expanded
 
 
 def test_zero_cost_edge_survives_zero_budget(diamond):
-    res = tso.solve_exact(_problem(dataclasses.replace(diamond, p_s=1.0), rewards={4: 1.0}))
+    res = tso.solve_exact(tso.log_transform(dataclasses.replace(diamond, p_s=1.0)), {4: 1.0})
     assert res.path == (1, 4)
     assert res.reward == pytest.approx(1.0, abs=0.0)
 
 
 def test_all_zero_rewards_still_feasible(diamond):
-    res = tso.solve_exact(_problem(diamond, rewards={}))
+    res = tso.solve_exact(tso.log_transform(diamond), {})
     assert res.reward == 0.0
     tso.visit_profile(diamond, res.path)
     assert res.path[0] == 1 and res.path[-1] == 4
@@ -222,25 +195,25 @@ def test_infeasible_instance_raises(monkeypatch):
                 (tso.solve_exact, dict(rewards={v: 1.0 for v in g.node_ids[1:]})),
                 (tso.solve_arc_exact, dict(edge_rewards={(1, 2): 1.0})),
             ):
-                for run in (solve, lambda p, solve=solve: _reference(solve, p)):
+                for run in (solve, lambda lg, solve=solve, **kw: _reference(solve, lg, **kw)):
                     with pytest.raises(tso.InfeasibleInstanceError, match=message):
-                        run(_problem(g, **kw))
+                        run(tso.log_transform(g), **kw)
         with pytest.raises(tso.InfeasibleInstanceError, match=message):
-            tso.solve_heuristic(_problem(g, rewards={2: 1.0}))
+            tso.solve_heuristic(tso.log_transform(g), {2: 1.0})
 
 
 def test_depot_with_no_affordable_tour_stays_home(loop5):
-    res = tso.solve_exact(_problem(dataclasses.replace(loop5, p_s=1.0), rewards={5: 1.0}))
+    res = tso.solve_exact(tso.log_transform(dataclasses.replace(loop5, p_s=1.0)), {5: 1.0})
     assert res.path == (1,)
     assert res.reward == 0.0
 
 
 def test_depot_tour_collects_start_on_return(loop5):
     rewards = {v: 1.0 for v in loop5.node_ids}
-    res = tso.solve_exact(_problem(loop5, rewards=rewards))
+    res = tso.solve_exact(tso.log_transform(loop5), rewards)
     assert res.reward == pytest.approx(4.0, abs=1e-12)
     assert res.path == (1, 3, 5, 2, 1)
-    assert path_reward(_problem(loop5, rewards=rewards), res.path) == pytest.approx(4.0)
+    assert path_reward(rewards, res.path) == pytest.approx(4.0)
 
 
 def test_heuristic_at_most_exact_and_deterministic():
@@ -248,22 +221,20 @@ def test_heuristic_at_most_exact_and_deterministic():
         g = tso.feasible_random_instance(6, 0.4, 1.0, 0.6, seed=(74, seed))
         rng = np.random.default_rng((75, seed))
         rewards = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
-        p = _problem(g, rewards=rewards)
-        exact = tso.solve_exact(p)
-        heur = tso.solve_heuristic(p, seed=seed)
-        again = tso.solve_heuristic(p, seed=seed)
+        lg = tso.log_transform(g)
+        exact = tso.solve_exact(lg, rewards)
+        heur = tso.solve_heuristic(lg, rewards, seed=seed)
+        again = tso.solve_heuristic(lg, rewards, seed=seed)
         assert heur.path == again.path
         assert heur.reward == again.reward
-        assert not heur.exact
         assert heur.reward <= exact.reward + 1e-12
-        assert path_reward(p, heur.path) == pytest.approx(heur.reward, abs=1e-12)
+        assert path_reward(rewards, heur.path) == pytest.approx(heur.reward, abs=1e-12)
 
 
 def test_heuristic_paths_stay_feasible():
     for seed in range(6):
         g = tso.feasible_random_instance(6, 0.4, 1.0, 0.6, seed=(76, seed))
-        p = _problem(g, rewards={v: 1.0 for v in g.node_ids})
-        res = tso.solve_heuristic(p, seed=seed, restarts=8)
+        res = tso.solve_heuristic(tso.log_transform(g), {v: 1.0 for v in g.node_ids}, seed=seed, restarts=8)
         prof = tso.visit_profile(g, res.path)
         assert prof.survival >= g.p_s - 1e-9
         assert res.path[0] == g.start and res.path[-1] == g.terminal
@@ -305,9 +276,9 @@ def _heuristic_cases():
         yield name, g, rewards
 
 
-def _heuristic_record(p, seed):
+def _heuristic_record(lg, rewards, seed):
     try:
-        res = tso.solve_heuristic(p, seed=seed)
+        res = tso.solve_heuristic(lg, rewards, seed=seed)
     except tso.InfeasibleInstanceError:
         return {"infeasible": True}
     return {"path": list(res.path), "reward": repr(res.reward), "nodes_expanded": res.nodes_expanded}
@@ -322,7 +293,7 @@ def test_heuristic_results_are_pinned():
     seen = set()
     for name, g, rewards in _heuristic_cases():
         lg = tso.log_transform(g)
-        got = [_heuristic_record(tso.OrienteeringProblem(lg=lg, rewards=rewards), seed) for seed in range(3)]
+        got = [_heuristic_record(lg, rewards, seed) for seed in range(3)]
         assert got == pins[name], name
         seen.add(name)
     assert seen == set(pins)
@@ -341,12 +312,12 @@ def test_heuristic_calls_sharing_a_log_graph_match_fresh_ones():
             for call in range(2):
                 rewards = {v: float(rng.uniform(0.0, 1.0)) for v in g.node_ids}
                 try:
-                    fresh = tso.solve_heuristic(_problem(g, rewards=rewards), seed=k + call, restarts=16)
+                    fresh = tso.solve_heuristic(tso.log_transform(g), rewards, seed=k + call, restarts=16)
                 except tso.InfeasibleInstanceError:
                     with pytest.raises(tso.InfeasibleInstanceError):
-                        tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, rewards=rewards), seed=k + call, restarts=16)
+                        tso.solve_heuristic(shared, rewards, seed=k + call, restarts=16)
                     continue
-                again = tso.solve_heuristic(tso.OrienteeringProblem(lg=shared, rewards=rewards), seed=k + call, restarts=16)
+                again = tso.solve_heuristic(shared, rewards, seed=k + call, restarts=16)
                 assert (again.path, again.reward, again.nodes_expanded) == (
                     fresh.path, fresh.reward, fresh.nodes_expanded), (seed, p_s, call)
 
@@ -362,7 +333,7 @@ def _counted_heuristic_call(monkeypatch, p_s, name):
         return inner(*args)
 
     monkeypatch.setattr(orienteering, name, counted)
-    res = tso.solve_heuristic(_problem(g, rewards={v: 1.0 for v in g.node_ids}), seed=0, restarts=64)
+    res = tso.solve_heuristic(tso.log_transform(g), {v: 1.0 for v in g.node_ids}, seed=0, restarts=64)
     return res, len(calls)
 
 
@@ -393,10 +364,10 @@ def test_random_skeleton_stops_at_an_empty_candidate_row():
     # At p_s 0.95 no waypoint is affordable from the start, so each of the 63
     # skeleton restarts reads the start's empty row once and stops.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.95, seed=(0, 0))
-    p = _problem(g, rewards={v: 1.0 for v in g.node_ids})
-    res = tso.solve_heuristic(p, seed=0, restarts=64)
-    assert _row_builds(p.lg) <= 63
-    assert not p.lg.table(orienteering._trie).kids
+    lg = tso.log_transform(g)
+    res = tso.solve_heuristic(lg, {v: 1.0 for v in g.node_ids}, seed=0, restarts=64)
+    assert _row_builds(lg) <= 63
+    assert not lg.table(orienteering._trie).kids
     assert (list(res.path), res.nodes_expanded) == ([0, 19], 0)
 
 
@@ -537,9 +508,9 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
     gc.disable()
     try:
         lg = tso.log_transform(g)
-        tso.solve_heuristic(tso.OrienteeringProblem(lg=lg, rewards=rewards), seed=0)
+        tso.solve_heuristic(lg, rewards, seed=0)
         assert lg.table(orienteering._trie).kids
-        tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=rewards))
+        tso.solve_exact(lg, rewards)
         bounded_search(lg)
         assert lg._tables[orienteering.prefix_catalog] is not None
         assert lg._tables[orienteering._within] is not None
@@ -592,13 +563,13 @@ def test_scans_match_their_full_scan_references(monkeypatch):
     orig_insertions, orig_leg = orienteering._insertions, orienteering._leg_avoiding
     seen = {"insertions": 0, "legs": 0, "rejected": 0}
 
-    def insertions(p, path, cost):
-        out = orig_insertions(p, path, cost)
-        limit = p.lg.budget + 1e-9
+    def insertions(lg, rewards, path, cost):
+        out = orig_insertions(lg, rewards, path, cost)
+        limit = lg.budget + 1e-9
         for c in (cost, 0.0, 0.5 * (cost + limit), limit):
-            got = out if c == cost else orig_insertions(p, path, c)
-            want = oracles.grasp_insertions(p.lg.graph, p.rewards, path, c, set(path))
-            assert repr(got) == repr(sorted(want, key=_rank_key(p.lg.graph, p.rewards)))
+            got = out if c == cost else orig_insertions(lg, rewards, path, c)
+            want = oracles.grasp_insertions(lg.graph, rewards, path, c, set(path))
+            assert repr(got) == repr(sorted(want, key=_rank_key(lg.graph, rewards)))
         seen["insertions"] += len(out)
         return out
 
@@ -617,7 +588,7 @@ def test_scans_match_their_full_scan_references(monkeypatch):
         rng = np.random.default_rng((97, k))
         rewards = {v: float(rng.uniform(0.0, 1.0)) if rng.uniform() < 0.6 else 0.0 for v in g.node_ids}
         try:
-            tso.solve_heuristic(_problem(g, rewards=rewards), seed=k, restarts=24)
+            tso.solve_heuristic(tso.log_transform(g), rewards, seed=k, restarts=24)
         except tso.InfeasibleInstanceError:
             continue
     assert seen["insertions"] > 500 and seen["legs"] > 500 and 0 < seen["rejected"] < seen["legs"], seen
@@ -634,9 +605,9 @@ def test_one_insertion_ranking_serves_both_callers(monkeypatch):
     orig = orienteering._insertions
     ties = {"ratio": 0, "ratio and delta": 0, "one node": 0}
 
-    def insertions(p, path, cost):
-        out = orig(p, path, cost)
-        g, rewards = p.lg.graph, p.rewards
+    def insertions(lg, rewards, path, cost):
+        out = orig(lg, rewards, path, cost)
+        g = lg.graph
         listed = sorted(out, key=lambda t: (g.index[t[0]], t[1]))
 
         def ratio(t):
@@ -657,7 +628,7 @@ def test_one_insertion_ranking_serves_both_callers(monkeypatch):
         rng = np.random.default_rng((99, k))
         rewards = {v: float(rng.choice([0.0, 0.5, 1.0])) for v in g.node_ids}
         try:
-            tso.solve_heuristic(_problem(g, rewards=rewards), seed=k, restarts=24)
+            tso.solve_heuristic(tso.log_transform(g), rewards, seed=k, restarts=24)
         except tso.InfeasibleInstanceError:
             continue
     assert all(ties.values()), ties
@@ -753,7 +724,7 @@ def test_base_path_cost_is_its_path_cost(loop5):
     # and its cost must be the float _path_cost sums along the path, bit for bit.
     for name, g in _base_path_cases(loop5):
         lg = tso.log_transform(g)
-        path, cost = _base_path(tso.OrienteeringProblem(lg=lg, rewards={}))
+        path, cost = _base_path(lg)
         assert repr(cost) == repr(_path_cost(lg, path)), name
         assert path[0] == g.start and path[-1] == g.terminal, name
         if g.start != g.terminal:
@@ -775,11 +746,11 @@ def test_base_path_tie_between_returns_goes_to_the_first_in_neighbour():
         lg = tso.log_transform(g)
         costs = {v: lg.distances_from(0)[v] + lg.costs[v][0] for v in (1, 2)}
         assert costs[1] == costs[2]
-        assert _base_path(tso.OrienteeringProblem(lg=lg, rewards={})) == ([0, first, 0], costs[first])
+        assert _base_path(lg) == ([0, first, 0], costs[first])
         # A p_s above either tour's survival leaves too tight a budget: the robot stays home.
         tight = tso.log_transform(dataclasses.replace(g, p_s=math.exp(1e-6 - costs[1])))
         assert tight.budget < costs[1]
-        assert _base_path(tso.OrienteeringProblem(lg=tight, rewards={})) == ([0], 0.0)
+        assert _base_path(tight) == ([0], 0.0)
 
 
 def test_arc_exact_matches_enumeration(loop5):
@@ -789,9 +760,9 @@ def test_arc_exact_matches_enumeration(loop5):
     for seed, g in enumerate(graphs):
         rng = np.random.default_rng((78, seed))
         rewards = {(u, v): float(rng.uniform(0.0, 1.0)) for u, v, _ in g.edges}
-        p = _problem(g, edge_rewards=rewards)
-        res = tso.solve_arc_exact(p)
-        slow = oracles.branch_and_bound(p, "arc")
+        lg = tso.log_transform(g)
+        res = tso.solve_arc_exact(lg, rewards)
+        slow = oracles.branch_and_bound(lg, rewards, "arc")
         assert (res.path, res.reward) == (slow.path, slow.reward), seed
         best, maximizers = oracles.arc_orienteering_brute(g, rewards)
         if g.start == g.terminal and not maximizers:
@@ -804,15 +775,15 @@ def test_arc_exact_matches_enumeration(loop5):
 
 
 def test_arc_exact_unit_reward_edge(diamond):
-    res = tso.solve_arc_exact(_problem(diamond, edge_rewards={(1, 2): 1.0}))
+    res = tso.solve_arc_exact(tso.log_transform(diamond), {(1, 2): 1.0})
     assert res.path == (1, 2, 4)
     assert res.reward == pytest.approx(1.0, abs=0.0)
 
 
 def test_arc_bound_agreement(diamond):
-    p = _problem(diamond, edge_rewards={(1, 2): 1.0, (2, 4): 0.5})
-    fast = tso.solve_arc_exact(p)
-    slow = oracles.branch_and_bound(p, "arc")
+    lg, rewards = tso.log_transform(diamond), {(1, 2): 1.0, (2, 4): 0.5}
+    fast = tso.solve_arc_exact(lg, rewards)
+    slow = oracles.branch_and_bound(lg, rewards, "arc")
     assert fast.path == slow.path
     assert fast.reward == slow.reward
 
@@ -864,23 +835,23 @@ def test_exact_oracles_on_adversarial_graphs(case):
         (tso.solve_arc_exact, dict(edge_rewards=arcs), oracles.arc_orienteering_brute(g, arcs)),
     ):
         best, maximizers = brute
-        p = _problem(g, **kw)
+        lg = tso.log_transform(g)
         try:
-            fast = solve(p)
+            fast = solve(lg, **kw)
         except tso.InfeasibleInstanceError:
             assert g.start != g.terminal and not maximizers
             with pytest.raises(tso.InfeasibleInstanceError):
-                _reference(solve, p)
+                _reference(solve, lg, **kw)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
                 with pytest.raises(tso.InfeasibleInstanceError):
-                    solve(_problem(g, **kw))
+                    solve(tso.log_transform(g), **kw)
             continue
-        assert fast.nodes_expanded == _catalog(p.lg).prefixes
-        slow = _reference(solve, p)
+        assert fast.nodes_expanded == _catalog(lg).prefixes
+        slow = _reference(solve, lg, **kw)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
-            bounded = solve(_problem(g, **kw))
+            bounded = solve(tso.log_transform(g), **kw)
         for other in (slow, bounded):
             assert (fast.path, repr(fast.reward)) == (other.path, repr(other.reward)), solve.__name__
         assert fast.nodes_expanded == slow.nodes_expanded
@@ -902,10 +873,10 @@ def test_reward_bound_keeps_an_ulp_better_path(monkeypatch):
         edges=[(u, v, 0.99) for u in range(5) for v in range(5) if u != v],
     )
     rewards = {1: 1.0, 2: 1e-16, 3: 1e-16}
-    answers = [tso.solve_exact(_problem(g, rewards=rewards))]
-    answers += [oracles.branch_and_bound(_problem(g, rewards=rewards), use_reward_bound=b) for b in (False, True)]
+    answers = [tso.solve_exact(tso.log_transform(g), rewards)]
+    answers += [oracles.branch_and_bound(tso.log_transform(g), rewards, use_reward_bound=b) for b in (False, True)]
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
-    answers.append(tso.solve_exact(_problem(g, rewards=rewards)))
+    answers.append(tso.solve_exact(tso.log_transform(g), rewards))
     for res in answers:
         assert (res.path, repr(res.reward)) == ((0, 2, 3, 1, 4), "1.0000000000000002")
 
@@ -917,12 +888,12 @@ def test_bounded_search_on_rounding_adversarial_rewards(case):
     g, rewards, arcs = case
     for solve, kw in ((tso.solve_exact, dict(rewards=rewards)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
         try:
-            slow = _reference(solve, _problem(g, **kw))
+            slow = _reference(solve, tso.log_transform(g), **kw)
         except tso.InfeasibleInstanceError:
             continue
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
-            bounded = solve(_problem(g, **kw))
+            bounded = solve(tso.log_transform(g), **kw)
         assert (bounded.path, repr(bounded.reward)) == (slow.path, repr(slow.reward)), solve.__name__
         assert bounded.nodes_expanded <= slow.nodes_expanded
 
@@ -954,8 +925,8 @@ def test_catalog_ties_at_scale(monkeypatch, n, weight_min, p_s, depot):
             (tso.solve_exact, dict(rewards=nodes), lambda path: ordered_sum(nodes[v] for v in path[1:])),
             (tso.solve_arc_exact, dict(edge_rewards=arcs), lambda path: ordered_sum(arcs[e] for e in zip(path, path[1:]))),
         ):
-            got = solve(tso.OrienteeringProblem(lg=lg, **kw))
-            reference = _reference(solve, _problem(g, **kw))
+            got = solve(lg, **kw)
+            reference = _reference(solve, tso.log_transform(g), **kw)
             assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)), solve.__name__
             sums = [value(path) for path in paths]
             top = max(sums)
@@ -974,7 +945,7 @@ def test_all_zero_rewards_tie_every_leaf():
     g = tso.random_complete_instance(9, 0.8, 1.0, 0.3, seed=(400, 9))
     lg = tso.log_transform(g)
     for solve in (tso.solve_exact, tso.solve_arc_exact):
-        got = solve(tso.OrienteeringProblem(lg=lg))
+        got = solve(lg, {})
         paths = _catalog(lg).paths()
         assert len(paths) >= 10_000
         assert (got.path, repr(got.reward)) == (paths[0], "0.0")
@@ -1011,8 +982,8 @@ def test_tile_sums_keep_the_search_floats(monkeypatch, block):
         nodes = {v: float(rng.choice(levels)) for v in g.node_ids}
         arcs = {(u, v): float(rng.choice(levels)) for u, v, _ in g.edges}
         for solve, kw in ((tso.solve_exact, dict(rewards=nodes)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
-            got = solve(tso.OrienteeringProblem(lg=lg, **kw))
-            reference = _reference(solve, _problem(g, **kw))
+            got = solve(lg, **kw)
+            reference = _reference(solve, tso.log_transform(g), **kw)
             assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)), solve.__name__
     cat = _catalog(lg)
     first = cat.tiles[0][1]
@@ -1033,7 +1004,7 @@ def test_negative_zero_rewards_sum_to_positive_zero(monkeypatch):
             (tso.solve_exact, dict(rewards={v: -0.0 for v in g.node_ids})),
             (tso.solve_arc_exact, dict(edge_rewards={(u, v): -0.0 for u, v, _ in g.edges})),
         ):
-            got = solve(_problem(g, **kw))
+            got = solve(tso.log_transform(g), **kw)
             assert (got.path, repr(got.reward)) == (tuple(range(11)), "0.0"), (block, solve.__name__)
 
 
@@ -1060,10 +1031,10 @@ def test_bounded_search_ties_go_to_the_first_index_sequence(monkeypatch, termina
         (tso.solve_arc_exact, dict(edge_rewards={(u, v): 0.5 for u, v, _w in g.edges})),
     ]
     for solve, kw in cases:
-        got = solve(_problem(g, **kw))
-        reference = _reference(solve, _problem(g, **kw))
+        got = solve(tso.log_transform(g), **kw)
+        reference = _reference(solve, tso.log_transform(g), **kw)
         assert (got.path, repr(got.reward)) == (reference.path, repr(reference.reward)), (solve.__name__, kw)
-    first = tso.solve_exact(_problem(g, rewards={}))
+    first = tso.solve_exact(tso.log_transform(g), {})
     assert (first.path, repr(first.reward)) == ({1: (0, 1), 5: (0, 1, 2, 3, 4, 5)}[terminal], "0.0")
 
 
@@ -1075,16 +1046,16 @@ def test_bounded_search_memory(monkeypatch):
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.4, seed=(1, 0))
     lg = tso.log_transform(g)
-    p = tso.greedy.NodeRewards(g, tso.max_visit_probabilities(lg)).problem(lg)
+    rewards = tso.greedy.NodeRewards(g, tso.max_visit_probabilities(lg)).rewards()
     tracemalloc.start()
     try:
-        res = tso.solve_exact(p)
+        res = tso.solve_exact(lg, rewards)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.nodes_expanded == 82_662
     assert peak < 3 * 2**20
-    reference = oracles.branch_and_bound(p)
+    reference = oracles.branch_and_bound(lg, rewards)
     assert (res.path, repr(res.reward)) == (reference.path, repr(reference.reward))
 
 
@@ -1095,8 +1066,7 @@ def test_catalog_over_its_cap_falls_back_to_branch_and_bound(monkeypatch):
     def run(cap):
         monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", cap)
         lg = tso.log_transform(g)
-        got = [tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=nodes)),
-               tso.solve_arc_exact(tso.OrienteeringProblem(lg=lg, edge_rewards=arcs))]
+        got = [tso.solve_exact(lg, nodes), tso.solve_arc_exact(lg, arcs)]
         return [(r.path, repr(r.reward)) for r in got], [r.nodes_expanded for r in got], [lg._tables[orienteering.prefix_catalog]]
 
     answers, counts, (cat,) = run(tso.orienteering.CATALOG_CAP)
@@ -1137,12 +1107,12 @@ def test_calls_sharing_a_log_graph_match_fresh_ones(monkeypatch):
                 held = []
                 for solve, kw in calls:
                     try:
-                        fresh = solve(_problem(g, **kw))
+                        fresh = solve(tso.log_transform(g), **kw)
                     except tso.InfeasibleInstanceError:
                         with pytest.raises(tso.InfeasibleInstanceError):
-                            solve(tso.OrienteeringProblem(lg=shared, **kw))
+                            solve(shared, **kw)
                         continue
-                    again = solve(tso.OrienteeringProblem(lg=shared, **kw))
+                    again = solve(shared, **kw)
                     assert (again.path, again.reward, again.nodes_expanded) == (
                         fresh.path, fresh.reward, fresh.nodes_expanded), (seed, solve.__name__, p_s)
                     held.append(_catalog(shared))
@@ -1164,8 +1134,8 @@ def _count_oracle_nodes(monkeypatch):
     for name in ("solve_exact", "solve_arc_exact"):
         solve = getattr(tso.greedy, name)
 
-        def counted(p, solve=solve):
-            res = solve(p)
+        def counted(*args, solve=solve):
+            res = solve(*args)
             counts.append(res.nodes_expanded)
             return res
 
@@ -1228,8 +1198,8 @@ def test_bounded_search_keeps_its_tables_on_the_log_graph(monkeypatch):
         for _call in range(3):
             rewards, arc_rewards = _random_rewards(g, rng)
             for solve, kw in ((tso.solve_exact, dict(rewards=rewards)), (tso.solve_arc_exact, dict(edge_rewards=arc_rewards))):
-                fresh = solve(_problem(g, **kw))
-                again = solve(tso.OrienteeringProblem(lg=shared, **kw))
+                fresh = solve(tso.log_transform(g), **kw)
+                again = solve(shared, **kw)
                 assert (again.path, repr(again.reward), again.nodes_expanded) == (
                     fresh.path, repr(fresh.reward), fresh.nodes_expanded), (seed, solve.__name__)
 
@@ -1257,13 +1227,32 @@ def test_no_exact_call_writes_into_a_per_graph_table(monkeypatch, hexg, cap):
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", cap)
     lg = tso.log_transform(hexg)
     nodes, arcs = _random_rewards(hexg, np.random.default_rng(88))
-    assert tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards={})).path == (hexg.start,)
+    assert tso.solve_exact(lg, {}).path == (hexg.start,)
     tables = _frozen(lg._tables)
     assert len(tables) == (2 if cap else 4)
-    tso.solve_arc_exact(tso.OrienteeringProblem(lg=lg, edge_rewards={}))
-    assert tso.solve_exact(tso.OrienteeringProblem(lg=lg, rewards=nodes)).reward > 0.0
-    assert tso.solve_arc_exact(tso.OrienteeringProblem(lg=lg, edge_rewards=arcs)).reward > 0.0
+    tso.solve_arc_exact(lg, {})
+    assert tso.solve_exact(lg, nodes).reward > 0.0
+    assert tso.solve_arc_exact(lg, arcs).reward > 0.0
     assert _frozen(lg._tables) == tables
+
+
+def test_no_oracle_writes_into_the_rewards_it_is_handed(monkeypatch, hexg):
+    # Greedy hands each oracle its reward model's own dict, uncopied, and
+    # updates that dict after the call, so an oracle must leave it as it
+    # was: same keys, same order, same float bits. Hex's catalog fits; with
+    # the cap at 0 the node oracle runs the bounded search.
+    nodes, arcs = _random_rewards(hexg, np.random.default_rng(89))
+    lg = tso.log_transform(hexg)
+    for solve, rewards in ((tso.solve_exact, nodes), (tso.solve_arc_exact, arcs), (tso.solve_heuristic, nodes)):
+        before = repr(rewards)
+        assert solve(lg, rewards).reward > 0.0
+        assert repr(rewards) == before, solve.__name__
+    assert _catalog(lg) is not None
+    monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
+    bounded = tso.log_transform(hexg)
+    before = repr(nodes)
+    assert tso.solve_exact(bounded, nodes).reward > 0.0
+    assert repr(nodes) == before and _catalog(bounded) is None
 
 
 def test_one_steps_table_and_one_row_table_per_log_graph(monkeypatch):
@@ -1287,7 +1276,7 @@ def test_one_steps_table_and_one_row_table_per_log_graph(monkeypatch):
     g = tso.feasible_random_instance(8, 0.4, 1.0, 0.5, seed=(86, 0))
     run = tso.greedy_survivors(g, tso.GreedyConfig(3))
     assert made == {"_Steps": 1, "_rows": 1}
-    tso.solve_heuristic(tso.OrienteeringProblem(lg=run.lg, rewards={v: 1.0 for v in g.node_ids}))
+    tso.solve_heuristic(run.lg, {v: 1.0 for v in g.node_ids})
     assert made == {"_Steps": 1, "_rows": 1}
 
 
@@ -1332,7 +1321,7 @@ def test_results_do_not_depend_on_the_builtin_sum(monkeypatch):
     pins = json.loads(HEURISTIC_PINS.read_text(encoding="utf-8"))
     name, g, rewards = next(case for case in _heuristic_cases() if case[0] == "complete-1")
     lg = tso.log_transform(g)
-    got = [_heuristic_record(tso.OrienteeringProblem(lg=lg, rewards=rewards), seed) for seed in range(3)]
+    got = [_heuristic_record(lg, rewards, seed) for seed in range(3)]
     assert got == pins[name]
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     g, cfg = _effort_case("multi_visit")
@@ -1375,13 +1364,13 @@ def test_catalog_on_graphs_above_64_nodes(depot, reverse):
     nodes, arcs = _random_rewards(g, np.random.default_rng((65, int(depot), int(reverse))))
     lg = tso.log_transform(g)
     for solve, kw in ((tso.solve_exact, dict(rewards=nodes)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
-        got = solve(tso.OrienteeringProblem(lg=lg, **kw))
-        reference = _reference(solve, _problem(g, **kw))
+        got = solve(lg, **kw)
+        reference = _reference(solve, tso.log_transform(g), **kw)
         assert (got.path, repr(got.reward), got.nodes_expanded) == (
             reference.path, repr(reference.reward), reference.nodes_expanded)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tso.orienteering, "CATALOG_CAP", 0)
-            bounded = solve(_problem(g, **kw))
+            bounded = solve(tso.log_transform(g), **kw)
         assert (bounded.path, repr(bounded.reward)) == (reference.path, repr(reference.reward)), solve.__name__
     cat = _catalog(lg)
     assert cat.prefixes > 100
