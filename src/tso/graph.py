@@ -441,8 +441,9 @@ def json_list(x, what: str, entry=None) -> list:
 
 
 def _parse_instance(doc: dict) -> SurvivalGraph:
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported instance version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
+        raise ValueError(f"unsupported instance version {version!r}")
     directed = json_bool(doc.get("directed", True), "directed")
     node_ids = []
     priorities = {}

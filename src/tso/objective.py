@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .graph import SurvivalGraph, check_path, json_int, ordered_sum
+from .graph import SurvivalGraph, check_path, json_int, json_list, ordered_sum
 
 
 @dataclass
@@ -282,8 +282,9 @@ def plan_to_dict(g: SurvivalGraph, plan: TeamPlan) -> dict:
 
 
 def paths_from_plan_dict(doc: dict) -> list[tuple[int, ...]]:
-    """Paths of a plan document; ValueError unless it holds a list of lists of integer node ids."""
-    try:
-        return [tuple(json_int(v, "plan entry") for v in p) for p in doc["paths"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"plan needs a 'paths' list of node-id lists ({exc})") from None
+    """Paths of a plan document; ValueError naming the field unless its 'paths' is a list of lists of integer node ids."""
+    if type(doc) is not dict:
+        raise ValueError("plan must be a JSON object")
+    if "paths" not in doc:
+        raise ValueError("plan lacks field 'paths'")
+    return [tuple(json_int(v, "plan entry") for v in p) for p in json_list(doc["paths"], "paths", list)]

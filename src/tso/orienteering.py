@@ -11,6 +11,7 @@ The heuristic is randomized greedy insertion with local search (GRASP).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,9 @@ def solve_exact(lg: LogGraph, rewards: dict[int, float]) -> OracleResult:
 
 def solve_arc_exact(lg: LogGraph, edge_rewards: dict[tuple[int, int], float]) -> OracleResult:
     """solve_exact with rewards on edges instead of nodes; the same catalog serves both."""
-    _check(edge_rewards, "edge", lambda e: e[1] in lg.costs.get(e[0], ()))
-    return _exact(lg, np.array([edge_rewards.get(e, 0.0) for e in lg.table(_Steps).arcs], dtype=float), False)
+    arcs = lg.table(_Steps).arcs
+    _check(edge_rewards, "edge", set(arcs).__contains__)
+    return _exact(lg, np.array([edge_rewards.get(e, 0.0) for e in arcs], dtype=float), False)
 
 
 def _exact(lg: LogGraph, item_rew, nodes: bool) -> OracleResult:
@@ -478,8 +480,8 @@ def _trie(lg: LogGraph):
     """Root _Walk of GRASP's skeleton trie of lg (lg.table(_trie)), built by its first call and kept.
 
     The trie holds no rewards, so the calls of a greedy run, which share one
-    LogGraph, share it too. GRASP's other per-graph state is lg.table(_rows)
-    and lg.shortest_tree.
+    LogGraph, share it too. GRASP's other per-graph state is lg.shortest_tree
+    and lg.table of _rows, _detours and _reversals.
 
     The trie gives the skeletons and draws of a walk that recomputes every
     state. A state is the walk's path and cost float, and it is a function
@@ -494,15 +496,6 @@ def _trie(lg: LogGraph):
     and reads only the states on the one trie path to its node, so its
     result is kept on the node. Equal draw calls leave the draw source in
     equal states, so the walks that follow draw the same numbers too.
-
-    The scans over rows stop at the first arc whose bound fails. Costs are
-    -ln(survival) >= 0 (log_transform refuses any other survival), and
-    round-to-nearest is monotone: x <= y gives fl(x + z) <= fl(y + z) and
-    fl(x - z) <= fl(y - z), and fl(x + c) >= x for c >= 0. So a bound built
-    from the same operations as a fit test, with a part >= 0 left out,
-    never exceeds that test's left side, and it grows with the arc's cost:
-    once it fails for one arc it fails for every later one. No float slack
-    is needed.
     """
     return _Walk((lg.graph.start,), 0.0)
 
@@ -551,13 +544,15 @@ def _leg_avoiding(lg, src, dst, banned, cost):
 
     Any other query runs the banned search, which stops each row at the
     first improving arc with `cost + (d + w) + extra > limit`, the fit test
-    with the partial distance d + w in place of the leg (see _trie for why
-    such a bound never rejects what the test accepts). If the leg of the
-    unbounded search fits, every node on it passes, and every relaxation
-    dropped is longer than the leg, so it would pop after dst: the nodes
-    popped before dst get the same dist and prev, and the search returns
-    the same leg. If it does not fit, no relaxation into dst passes and the
-    search finds no leg.
+    with the partial distance d + w in place of the leg. Costs are
+    -ln(survival) >= 0 (log_transform refuses any other survival) and
+    round-to-nearest is monotone, so a partial distance never exceeds the
+    leg's float, and the bound never rejects what the test accepts with no
+    float slack. If the leg of the unbounded search fits, every node on it
+    passes, and every relaxation dropped is longer than the leg, so it
+    would pop after dst: the nodes popped before dst get the same dist and
+    prev, and the search returns the same leg. If it does not fit, no
+    relaxation into dst passes and the search finds no leg.
     """
     extra = lg.distances_to(lg.graph.terminal)[dst]
     dist, prev = lg.shortest_tree(src)
@@ -674,38 +669,93 @@ def _closing(lg, trail, path):
     return ()
 
 
+def _detours(lg: LogGraph) -> dict:
+    """GRASP's detour lists of lg (lg.table(_detours)), one per path arc (a, b), each built by the first _insertions that scans it.
+
+    The list of (a, b) holds each j with arcs a->j and j->b whose delta =
+    aj + jb - ab, _insertions' own float, passes the fit test at cost 0.0,
+    `0.0 + delta <= limit`, sorted by delta: the deltas as a float64 array,
+    8 bytes each where a tuple of floats takes 32, and the nodes as a
+    tuple. Round-to-nearest is monotone and costs are >= 0, so at any cost
+    the fits are a prefix of the list, and an entry left out never fits.
+    """
+    return {}
+
+
+def _detour_list(lg: LogGraph, a, b) -> tuple:
+    costs, ab = lg.costs, lg.costs[a][b]
+    deltas = {j: aj + jb - ab for j, aj in costs[a].items() if (jb := costs[j].get(b)) is not None}
+    nodes = sorted((j for j, delta in deltas.items() if 0.0 + delta <= lg.limit), key=deltas.get)
+    return array("d", map(deltas.get, nodes)), tuple(nodes)
+
+
 def _insertions(lg: LogGraph, rewards: dict, path, cost):
     """Feasible (node, position, delta-cost) insertions of positive-reward nodes off path, best first.
 
     GRASP's one rank order: reward per added cost, highest first, then
     delta, node index and position, ascending. The key is total, as a node
     is listed once per position. Node j fits between a and b when `cost +
-    (aj + jb - ab) <= limit`. Per path arc, the scan reads a's arcs
-    cheapest first and stops at the first with `cost + (aj - ab) > limit`:
-    the same test with jb >= 0 left out, which never fails where the test
-    passes (see _trie), and fails for every costlier arc after it.
+    (aj + jb - ab) <= limit`; per path arc, the scan walks the arc's detour
+    list (see _detours) and stops at the first entry that does not fit.
     """
-    rows = lg.table(_rows)
-    costs = lg.costs
+    detours = lg.table(_detours)
     limit = lg.limit
     index = lg.graph.index
     visited = set(path)
     out = []
-    for i, (a, b) in enumerate(zip(path, path[1:]), 1):
-        ab = costs[a][b]
-        for j, aj in rows[a]:
-            if cost + (aj - ab) > limit:
+    for i, arc in enumerate(zip(path, path[1:]), 1):
+        fits = detours.get(arc)
+        if fits is None:
+            fits = detours[arc] = _detour_list(lg, *arc)
+        for delta, j in zip(*fits):
+            if cost + delta > limit:
                 break
-            if j in visited or rewards.get(j, 0.0) <= 0.0:
-                continue
-            jb = costs[j].get(b)
-            if jb is None:
-                continue
-            delta = aj + jb - ab
-            if cost + delta <= limit:
+            if j not in visited and rewards.get(j, 0.0) > 0.0:
                 out.append((j, i, delta))
     out.sort(key=lambda t: (-(rewards.get(t[0], 0.0) / max(t[2], 1e-12)), t[2], index[t[0]], t[1]))
     return out
+
+
+def _reversals(lg: LogGraph) -> dict:
+    """GRASP's reversal results of lg (lg.table(_reversals)): _reversal of each path tuple, which reads only the path and the costs."""
+    return {}
+
+
+def _reversal(costs, path):
+    """(i, k, new - old) of the first segment reversal path[i..k] that lowers the cost, every reversed arc existing; else None."""
+    # The segment path[i..k] costs fwd forward and back[k][i] reversed,
+    # each summed along its own direction as _path_cost sums a path.
+    # back[k] stops at the first missing reverse arc, which every
+    # longer segment ending at k also holds.
+    n = len(path)
+    back = []
+    for k in range(n - 1):
+        run, row = 0.0, {}
+        for i in range(k - 1, 0, -1):
+            w = costs[path[i + 1]].get(path[i])
+            if w is None:
+                break
+            run += w
+            row[i] = run
+        back.append(row)
+    for i in range(1, n - 1):
+        from_a, head = costs[path[i - 1]], path[i]
+        fwd = 0.0
+        for k in range(i + 1, n - 1):
+            tail = path[k]
+            fwd += costs[path[k - 1]][tail]
+            rev = back[k].get(i)
+            if rev is None:
+                break
+            b = path[k + 1]
+            a_tail, head_b = from_a.get(tail), costs[head].get(b)
+            if a_tail is None or head_b is None:
+                continue
+            old = from_a[head] + fwd + costs[tail][b]
+            new = a_tail + rev + head_b
+            if new < old - 1e-12:
+                return i, k, new - old
+    return None
 
 
 def _local_search(lg: LogGraph, rewards: dict, path, cost):
@@ -718,9 +768,9 @@ def _local_search(lg: LogGraph, rewards: dict, path, cost):
     reversal.
     """
     costs = lg.costs
+    reversals = lg.table(_reversals)
     while True:
-        improved = False
-        # Drop interior nodes that pay nothing but cost something.
+        # Drop an interior node that pays nothing but costs something.
         for i in range(1, len(path) - 1):
             j = path[i]
             if rewards.get(j, 0.0) > 0.0:
@@ -733,49 +783,16 @@ def _local_search(lg: LogGraph, rewards: dict, path, cost):
             if delta < -1e-12:
                 del path[i]
                 cost += delta
-                improved = True
                 break
-        if not improved:
-            # Segment reversal when every reversed edge exists and cost drops.
-            # The segment path[i..k] costs fwd forward and back[k][i] reversed,
-            # each summed along its own direction as _path_cost sums a path.
-            # back[k] stops at the first missing reverse arc, which every
-            # longer segment ending at k also holds.
-            n = len(path)
-            back = []
-            for k in range(n - 1):
-                run, row = 0.0, {}
-                for i in range(k - 1, 0, -1):
-                    w = costs[path[i + 1]].get(path[i])
-                    if w is None:
-                        break
-                    run += w
-                    row[i] = run
-                back.append(row)
-            for i in range(1, n - 1):
-                from_a, head = costs[path[i - 1]], path[i]
-                fwd = 0.0
-                for k in range(i + 1, n - 1):
-                    tail = path[k]
-                    fwd += costs[path[k - 1]][tail]
-                    rev = back[k].get(i)
-                    if rev is None:
-                        break
-                    b = path[k + 1]
-                    a_tail, head_b = from_a.get(tail), costs[head].get(b)
-                    if a_tail is None or head_b is None:
-                        continue
-                    old = from_a[head] + fwd + costs[tail][b]
-                    new = a_tail + rev + head_b
-                    if new < old - 1e-12:
-                        path[i:k + 1] = path[i:k + 1][::-1]
-                        cost += new - old
-                        improved = True
-                        break
-                if improved:
-                    break
-        if not improved:
-            return path, cost
+        else:
+            key = tuple(path)
+            if key not in reversals:
+                reversals[key] = _reversal(costs, path)
+            if reversals[key] is None:
+                return path, cost
+            i, k, gain = reversals[key]
+            path[i:k + 1] = path[i:k + 1][::-1]
+            cost += gain
         while cands := _insertions(lg, rewards, path, cost):
             j, pos, delta = cands[0]
             path.insert(pos, j)
@@ -792,16 +809,17 @@ def solve_heuristic(lg: LogGraph, rewards: dict[int, float], seed=0, restarts: i
     search. The best path by reward wins, ties going to the smaller
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
-    Deterministic for a fixed seed. The trees, cost rows and skeleton trie
-    (with its candidate rows and legs) it reads are kept on lg
-    (shortest_tree, _rows, _trie) and hold no rewards, only facts of the
-    graph and its budget. A walk that reaches a trie node an earlier walk
-    made, in this call or an earlier one, reads its row, its children and
-    its closing instead of recomputing them, and makes the same draws with
-    the same arguments (see _trie). So a call returns the same result, to
-    the bits of its reward, whichever calls ran on that LogGraph before.
-    The draws come from _Draws(seed), which gives the values of
-    np.random.default_rng(seed).integers at a fifth of the cost.
+    Deterministic for a fixed seed. The trees, cost rows, skeleton trie
+    (with its candidate rows and legs), detour lists and reversal results it
+    reads are kept on lg (shortest_tree, _rows, _trie, _detours, _reversals)
+    and hold no rewards, only facts of the graph and its budget. A walk that
+    reaches a trie node an earlier walk made, in this call or an earlier
+    one, reads its row, its children and its closing instead of recomputing
+    them, and makes the same draws with the same arguments (see _trie). So a
+    call returns the same result, to the bits of its reward, whichever calls
+    ran on that LogGraph before. The draws come from _Draws(seed), which
+    gives the values of np.random.default_rng(seed).integers at a fifth of
+    the cost.
 
     Restarts often reach a state an earlier restart of the same call
     reached, so two memos keyed by (tuple(path), cost) live for the call:

@@ -507,8 +507,11 @@ def test_non_finite_rewards_exit_one(tmp_path, capsys, field, value, variant, me
     (lambda d: d.update(edge_rewards=[{"from": 0, "to": 0, "d": 1.0}]), "invalid instance: edge reward on missing edge (0,0)"),
     (lambda d: d.update(edge_rewards=[{"from": 0, "to": 1, "d": -1.0}]), "invalid instance: edge reward on (0,1) negative"),
     (lambda d: d.update(version=2), "unsupported instance version 2"),
+    # True == 1 in Python, but JSON true is no version number.
+    (lambda d: d.update(version=True), "unsupported instance version True"),
 ], ids=["no-nodes", "duplicate-node", "unknown-edge-end", "unknown-terminal", "multi-visit-M",
-        "multi-visit-row-length", "multi-visit-all-rows", "reward-off-edge", "negative-reward", "version"])
+        "multi-visit-row-length", "multi-visit-all-rows", "reward-off-edge", "negative-reward", "version",
+        "version-true"])
 def test_invalid_instance_file_exits_one(tmp_path, capsys, edit, message):
     doc = tso.instance_to_dict(tso.hex_instance())  # 19 nodes, depot 0
     edit(doc)
@@ -522,14 +525,25 @@ def test_malformed_plan_shapes_exit_one(tmp_path, capsys):
     inst = _gen(tmp_path)
     hexi = tmp_path / "hex.json"
     tso.save_instance(tso.hex_instance(), hexi)
-    cases = [(inst, doc) for doc in [[[0, 5]], {"paths": 3}, {"paths": [[0, None]]}, {"plan": []}]]
+    # Each error names the field, as the instance errors do.
+    cases = [(inst, doc, message) for doc, message in [
+        ([[0, 5]], "plan must be a JSON object"),
+        ({"paths": 3}, "paths must be a list, got 3"),
+        ({"paths": [[0, None]]}, "plan entry must be an integer, got None"),
+        ({"plan": []}, "plan lacks field 'paths'"),
+        ({}, "plan lacks field 'paths'"),
+    ]]
     # int() would read each of these as the hex tour (0, 1, 2, 0).
-    cases += [(hexi, {"paths": p}) for p in (["0120"], [[0, 1.9, 2, 0]], [[0, True, 2, 0]])]
-    for k, (instance, doc) in enumerate(cases):
+    cases += [(hexi, {"paths": p}, message) for p, message in [
+        (["0120"], "paths entry must be a list, got '0120'"),
+        ([[0, 1.9, 2, 0]], "plan entry must be an integer, got 1.9"),
+        ([[0, True, 2, 0]], "plan entry must be an integer, got True"),
+    ]]
+    for k, (instance, doc, message) in enumerate(cases):
         plan = tmp_path / f"plan{k}.json"
         plan.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["simulate", str(instance), "--plan", str(plan), "--trials", "10"]) == 1, k
-        _one_line_error(capsys)
+        assert capsys.readouterr().err == f"error: {message}\n", k
     # Every path runs from the start to the terminal: on hex both are node 0,
     # on the open instance they are 0 and 5.
     for instance, path, ends in [

@@ -55,6 +55,10 @@ def test_rejects_bad_rewards(diamond):
         tso.solve_exact(lg, {2: -1.0})
     with pytest.raises(ValueError):
         tso.solve_arc_exact(lg, {(4, 1): 1.0})
+    # Keys that are no arc at all: a node, and an arc with a third entry.
+    for key in (2, (1, 2, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"reward on missing edge {key}")):
+            tso.solve_arc_exact(lg, {key: 9.0})
     with pytest.raises(ValueError):
         tso.solve_arc_exact(lg, {(1, 2): -0.5})
     with pytest.raises(ValueError):
@@ -471,8 +475,9 @@ def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
     # reward-dependent work does not move. Before the trie the run built
     # 1,216 candidate rows and made 2,205 _leg_avoiding calls. Of the 282
     # legs asked for now, 155 miss their source trees and run the banned
-    # search.
-    calls = {name: 0 for name in ("_leg_avoiding", "search", "_insertions", "_local_search")}
+    # search. The 50 local searches scan 8 distinct paths for a reversal;
+    # without the LogGraph's reversal table they made 58 scans.
+    calls = {name: 0 for name in ("_leg_avoiding", "search", "_insertions", "_local_search", "_reversal")}
     for name in calls:
         inner = getattr(orienteering, name)
 
@@ -483,7 +488,7 @@ def test_one_skeleton_trie_serves_a_greedy_run(monkeypatch):
         monkeypatch.setattr(orienteering, name, counted)
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
     run = tso.greedy_survivors(g, tso.GreedyConfig(5, oracle="heuristic"))
-    assert calls == {"_leg_avoiding": 282, "search": 155, "_insertions": 78, "_local_search": 50}
+    assert calls == {"_leg_avoiding": 282, "search": 155, "_insertions": 78, "_local_search": 50, "_reversal": 8}
     assert _row_builds(run.lg) == 154
     assert repr(run.plan.objective) == "10.806457809382373"
 
@@ -493,7 +498,8 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
     # made a cycle, and every op's trie waited for the cycle collector: the
     # benchmark's peak RSS rose by 2 MB. No other table on the LogGraph
     # points back to it either: the catalog, its _Steps, the cost-sorted
-    # rows and the bounded search's distance table.
+    # rows, GRASP's detour lists and reversal results, and the bounded
+    # search's distance table.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
     rewards = {v: 1.0 for v in g.node_ids}
 
@@ -510,6 +516,7 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
         lg = tso.log_transform(g)
         tso.solve_heuristic(lg, rewards, seed=0)
         assert lg.table(orienteering._trie).kids
+        assert lg.table(orienteering._detours) and lg.table(orienteering._reversals)
         tso.solve_exact(lg, rewards)
         bounded_search(lg)
         assert lg._tables[orienteering.prefix_catalog] is not None
@@ -632,6 +639,66 @@ def test_one_insertion_ranking_serves_both_callers(monkeypatch):
         except tso.InfeasibleInstanceError:
             continue
     assert all(ties.values()), ties
+
+
+def test_detour_lists_hold_every_fit_at_cost_zero_sorted_by_delta():
+    # After GRASP runs, each detour list kept on the LogGraph is held
+    # against its arc's full list: every j with arcs a->j and j->b whose
+    # delta = aj + jb - ab fits at cost 0.0, with the bits of that float,
+    # sorted by delta. Over all graphs some lists have tied deltas and some
+    # arcs have a j that both arcs reach but that fails at cost 0.0.
+    seen = {"lists": 0, "tied": 0, "left out": 0}
+    for k, (name, g) in enumerate(_scan_graphs()):
+        lg = tso.log_transform(g)
+        try:
+            tso.solve_heuristic(lg, {v: 1.0 for v in g.node_ids}, seed=k, restarts=24)
+        except tso.InfeasibleInstanceError:
+            continue
+        costs = lg.costs
+        for (a, b), (deltas, nodes) in lg.table(orienteering._detours).items():
+            both = {j: costs[a][j] + costs[j][b] - costs[a][b] for j in costs[a] if b in costs[j]}
+            want = {j: d for j, d in both.items() if 0.0 + d <= lg.limit}
+            assert sorted(nodes) == sorted(want) and len(nodes) == len(deltas), (name, a, b)
+            assert [repr(d) for d in deltas] == [repr(want[j]) for j in nodes], (name, a, b)
+            assert list(deltas) == sorted(deltas), (name, a, b)
+            seen["lists"] += 1
+            seen["tied"] += len(set(deltas)) < len(deltas)
+            seen["left out"] += len(want) < len(both)
+    assert all(seen.values()), seen
+
+
+def test_local_search_on_a_filled_reversal_table_matches_a_fresh_one(monkeypatch):
+    # Three calls with different rewards share one LogGraph per graph, so
+    # later local searches read reversals that earlier ones scanned. Each
+    # local search is run again on a fresh LogGraph, whose table is empty:
+    # path and cost bits must agree, and the shared tables must have saved
+    # scans and kept reversals that improve.
+    orig = orienteering._local_search
+    scans = {"shared": 0, "fresh": 0}
+
+    def local_search(lg, rewards, path, cost):
+        fresh = tso.log_transform(lg.graph)
+        want = orig(fresh, rewards, list(path), cost)
+        scans["fresh"] += len(fresh.table(orienteering._reversals))
+        before = len(lg.table(orienteering._reversals))
+        got = orig(lg, rewards, path, cost)
+        scans["shared"] += len(lg.table(orienteering._reversals)) - before
+        assert repr(got) == repr(want)
+        return got
+
+    monkeypatch.setattr(orienteering, "_local_search", local_search)
+    improving = 0
+    for k, (name, g) in enumerate(_scan_graphs()):
+        lg = tso.log_transform(g)
+        rng = np.random.default_rng((90, k))
+        for call in range(3):
+            rewards = {v: float(rng.choice([0.0, 0.5, 1.0])) for v in g.node_ids}
+            try:
+                tso.solve_heuristic(lg, rewards, seed=(k, call), restarts=24)
+            except tso.InfeasibleInstanceError:
+                break
+        improving += sum(rev is not None for rev in lg.table(orienteering._reversals).values())
+    assert 0 < scans["shared"] < scans["fresh"] and improving, (scans, improving)
 
 
 def test_legs_match_the_reference_at_every_cost(monkeypatch):
