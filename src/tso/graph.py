@@ -389,7 +389,7 @@ def instance_to_dict(g: SurvivalGraph) -> dict:
     }
     if g.multi_visit is not None:
         doc["multi_visit"] = {"M": g.multi_visit.M, "d": [list(g.multi_visit.d[v]) for v in g.node_ids]}
-    if g.edge_rewards:
+    if g.edge_rewards is not None:
         doc["edge_rewards"] = [{"from": u, "to": v, "d": d} for (u, v), d in sorted(g.edge_rewards.items(), key=lambda t: (g.index[t[0][0]], g.index[t[0][1]]))]
     return doc
 

@@ -160,7 +160,7 @@ class EdgeRewards(RewardModel):
 
     def __init__(self, g: SurvivalGraph, zeta):
         super().__init__(g, zeta)
-        self.cover = Coverage(dict(g.edge_rewards) if g.edge_rewards else {(u, v): 1.0 for u, v, _w in g.edges})
+        self.cover = Coverage(dict(g.edge_rewards) if g.edge_rewards is not None else {(u, v): 1.0 for u, v, _w in g.edges})
         self.w = {(u, v): zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.cover.table.items()}
 
     def rewards(self):

@@ -65,21 +65,26 @@ def solve_arc_exact(lg: LogGraph, edge_rewards: dict[tuple[int, int], float]) ->
 
 
 def _exact(lg: LogGraph, item_rew, nodes: bool) -> OracleResult:
-    """The exact oracle on lg for one reward per node (node_ids order) if nodes, else per arc (_Steps.arcs order)."""
+    """The exact oracle on lg for one reward per node (node_ids order) if nodes, else per arc (_Steps.arcs order).
+
+    Both engines keep the larger float, then the smaller arc sequence, the
+    smaller node-index sequence as arcs are numbered in (tail, head) index
+    order. A depot's incumbent is (0.0, no arcs), staying home; ties keep it.
+    """
     st = lg.table(_Steps)
     # One reward per arc, then the sentinel arc's 0.0 (see PrefixCatalog).
     rew = np.zeros(len(st.arcs) + 1)
     rew[:-1] = item_rew.take(st.heads) if nodes else item_rew
+    best = (0.0, ()) if st.depot else (-INF, None)
     cat = lg.table(prefix_catalog)
     if cat is None:
-        return _bounded_search(lg, item_rew, rew, nodes)
-    top = cat.best(rew)
-    if top is not None and (not st.depot or top[0] > 0.0):
-        reward, i = top
-        return OracleResult(path=cat.path(i), reward=reward, nodes_expanded=cat.prefixes)
-    if not st.depot:
+        (reward, arcs), expanded = _bounded_search(lg, item_rew, rew, nodes, *best)
+    else:
+        top, expanded = cat.best(rew), cat.prefixes
+        reward, arcs = top if top[0] > best[0] else best
+    if arcs is None:
         raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=(lg.graph.start,), reward=0.0, nodes_expanded=cat.prefixes)
+    return OracleResult((lg.graph.start,) + tuple([st.arcs[k][1] for k in arcs]), float(reward), expanded)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +92,8 @@ def _exact(lg: LogGraph, item_rew, nodes: bool) -> OracleResult:
 
 # A catalog holds at most this many prefixes. What it keeps is its tiles:
 # one arc per (leaf, step), 2 bytes each (int16 below 2^15 arcs, int32 from
-# there), plus a sentinel after each leaf shorter than its tile's first. A
+# there), plus a sentinel after each leaf shorter than its tile's first,
+# and a padding column of sentinels when a last leaf is left alone. A
 # prefix has at most one step into the terminal, so leaves never outnumber
 # prefixes, but a leaf of d steps takes d entries, so the tiles can outgrow
 # the prefix count many times over. While it runs, the build holds per
@@ -105,7 +111,7 @@ def _exact(lg: LogGraph, item_rew, nodes: bool) -> OracleResult:
 CATALOG_CAP = 1 << 20
 
 # Entries of a tile, and so of a call's gather: no gather outgrows 64 KiB
-# unless a single leaf takes more steps. Freeing a larger temporary shrinks
+# unless a leaf takes more than _BLOCK / 2 steps. Freeing a larger temporary shrinks
 # the heap, and the next call faults its pages in again: on the heaviest
 # benchmark graph that made a call two to four times slower.
 _BLOCK = 8192
@@ -124,11 +130,12 @@ class PrefixCatalog:
 
     arcs lists the graph's arcs in (tail, head) index order; len(arcs) is
     the sentinel arc. A leaf, a prefix's step into the terminal, is one
-    feasible path. Leaves run deepest first, in runs of w = max(1, _BLOCK
-    // d), d the depth of a run's first leaf. tiles holds (lo, tile) per
-    run, tile a C-order (d, w) array whose column c lists leaf lo + c's
-    arcs, padded with the sentinel. level_leaves[d] counts the leaves of d
-    + 1 steps; prefixes counts every prefix, the root too.
+    feasible path. Leaves run deepest first, in runs of w = max(2, min(_BLOCK
+    // d, leaves left)), d the depth of a run's first leaf. tiles holds (lo,
+    tile) per run, tile a C-order (d, w) array whose column c lists leaf lo
+    + c's arcs, padded with the sentinel; a column past the last leaf is all
+    sentinel. level_leaves[d] counts the leaves of d + 1 steps; prefixes
+    counts every prefix, the root too.
     """
 
     start: int
@@ -138,48 +145,42 @@ class PrefixCatalog:
     prefixes: int
 
     def best(self, rew):
-        """(reward, leaf) of the best leaf given each arc's reward, the sentinel's 0.0 last; None without leaves.
+        """(reward, arcs) of the best leaf given each arc's reward, the sentinel's 0.0 last; (-INF, None) without leaves.
 
         Each leaf's sum adds its arcs' rewards to 0.0 in path order, as the
-        bounded search adds collected + reward[k]: the same floats. numpy
-        sums a tile's columns row by row (pairwise summation runs only
-        along the fast axis, so a lone column is added in Python), and a
-        sentinel's +0.0 moves no bit of a sum begun at +0.0. Ties go to the
-        smallest arc sequence, the smallest node-index one as arcs are
-        numbered in (tail, head) index order from one start. The build
-        lists each depth's leaves in that order, so only the first tied
-        leaf of each depth can win, and those are compared.
+        bounded search adds collected + reward[k]: the same floats. numpy sums a
+        tile row by row, as no tile has a lone column, the one shape it sums
+        pairwise, and a sentinel's +0.0 moves no bit of a sum begun at +0.0.
+        Ties go to the smallest arc sequence (see _exact). The build lists each
+        depth's leaves in that order, so only the first tied leaf of each depth
+        can win, and those are compared.
         """
         if not self.tiles:
-            return None
-        sums = np.empty(sum(self.level_leaves))
+            return -INF, None
+        # One slot more for the last tile's padding column, if it has one.
+        sums = np.empty(sum(self.level_leaves) + 1)
         for lo, tile in self.tiles:
-            w = tile.shape[1]
-            if w > 1:
-                np.add.reduce(rew.take(tile), axis=0, initial=0.0, out=sums[lo:lo + w])
-            else:
-                sums[lo] = ordered_sum(rew.take(tile).ravel().tolist())
+            np.add.reduce(rew.take(tile), axis=0, initial=0.0, out=sums[lo:lo + tile.shape[1]])
+        sums = sums[:-1]
         top = sums.max()
         tied = np.flatnonzero(sums == top)
+        i = int(tied[0])
         if len(tied) > 1:
             # The first tied leaf at or after the start of each depth's run:
             # the first of each depth among them, and no leaf but tied ones.
             at = np.searchsorted(tied, np.cumsum([0] + self.level_leaves[::-1]))
-            return float(top), min(set(tied.take(at, mode="clip").tolist()), key=self._arcs)
-        return float(top), int(tied[0])
+            i = min(set(tied.take(at, mode="clip").tolist()), key=self._arcs)
+        return float(top), tuple([k for k in self._arcs(i) if k < len(self.arcs)])
 
     def _arcs(self, i) -> list:
         """Leaf i's arcs, padded with the sentinel to its tile's depth: no leaf is a prefix of another, so the padding orders none."""
         lo, tile = next(t for t in reversed(self.tiles) if t[0] <= i)
         return tile[:, i - lo].tolist()
 
-    def path(self, i) -> tuple:
-        """Node sequence of leaf i."""
-        return (self.start,) + tuple(self.arcs[k][1] for k in self._arcs(i) if k < len(self.arcs))
-
     def paths(self) -> list[tuple]:
         """Every leaf's node sequence in DFS order: lexicographic by node index."""
-        cols = sorted(col for _lo, tile in self.tiles for col in tile.T.tolist())
+        # The padding column, all sentinel, sorts last.
+        cols = sorted(col for _lo, tile in self.tiles for col in tile.T.tolist())[:sum(self.level_leaves)]
         return [(self.start,) + tuple(self.arcs[k][1] for k in col if k < len(self.arcs)) for col in cols]
 
 
@@ -302,7 +303,9 @@ def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
         levels.append((kid_parent, kid_arc, leaf_parent, leaf_arc))
 
     # lens[r] counts the leaves of more than r steps, the first lens[r]
-    # leaves: row r of the tiles holds their arcs r, then the sentinel. The
+    # leaves: row r of the tiles holds their arcs r, then the sentinel, also
+    # in a padding column past the last leaf. No tile has one column, which
+    # numpy would sum pairwise (see PrefixCatalog.best). The
     # tiles are slices of one array, which keeps the heap from fragmenting.
     # Walking back from the deepest depth with a leaf, freeing each once
     # read, row holds arc r of the first lens[r] leaves and pos the position
@@ -313,7 +316,7 @@ def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
     cuts, lo = [], 0
     while lens and lo < lens[0]:
         d = sum(m > lo for m in lens)
-        cuts.append((lo, d, min(max(1, _BLOCK // d), lens[0] - lo)))
+        cuts.append((lo, d, max(2, min(_BLOCK // d, lens[0] - lo))))
         lo += cuts[-1][2]
     at = np.cumsum([0] + [d * w for _lo, d, w in cuts]).tolist()
     flat = np.empty(at[-1], st.arc_dt)
@@ -357,8 +360,8 @@ def _within(lg: LogGraph) -> np.ndarray:
     return np.array([[dist.get(u, INF) for u in ids] for dist in dists])
 
 
-def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool) -> OracleResult:
-    """The best path by a depth-first search over _Steps.expand that prunes by a reward bound.
+def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool, best, best_path):
+    """((reward, arcs), prefixes expanded) from the incumbent (best, best_path): a depth-first search over _Steps.expand that prunes by a reward bound.
 
     Item k is (a, extra, b), paid item_rew[k]: one (j, 0.0, j) per node in
     index order if nodes, else one (a, cost(a, b), b) per arc in _Steps.arcs
@@ -366,15 +369,14 @@ def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool) -> OracleResult:
     extra, b ~> terminal could still collect item k, at a need of
     _within[v, a] + extra + dist(b, terminal), unless b is visited.
 
-    A stack holds chunks of prefixes with their paths (node indices),
-    collected rewards, costs and visited words. A popped chunk is pruned,
-    its leaves are scored and its children are pushed in chunks, the last
-    first; then its arrays are dropped, so memory follows the live stack.
-    A chunk's (prefix, item) mask holds about _CHUNK * V entries.
-    nodes_expanded counts the prefixes popped, whose bound was tested. The
-    incumbent is the best (reward, path) so far by PrefixCatalog.best's
-    order: the larger float, then the smaller node-index sequence. A depot
-    robot starts from (0.0, stay home), which comes before every tour.
+    A stack holds chunks of prefixes with their paths (arcs), collected
+    rewards, costs and visited words. A popped chunk is pruned, its leaves
+    are scored and its children are pushed in chunks, the last first; then
+    its arrays are dropped, so memory follows the live stack. A chunk's
+    (prefix, item) mask holds about _CHUNK * V entries. The prefixes
+    expanded are those popped, whose bound was tested. The incumbent is the
+    best (reward, arcs) so far by _exact's order: the larger float, then
+    the smaller arc sequence.
 
     A prefix's bound is collected plus the masked sum of the rewards with
     need <= budget - cost + BUDGET_TOL. A completion pays collected plus
@@ -395,16 +397,14 @@ def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool) -> OracleResult:
     1e-16 + 1.0 = 1.0000000000000002.
     """
     st = lg.table(_Steps)
-    g = lg.graph
-    n = len(g.node_ids)
+    n = len(lg.graph.node_ids)
     a, b, extra = (np.arange(n), np.arange(n), np.zeros(n)) if nodes else (st.tails, st.heads, st.arc_w)
     need = lg.table(_within).take(a, axis=1) + extra + st.to_t.take(b)
     slack = 1.0 + len(item_rew) * 2.0 ** -50
     chunk = max(1, _CHUNK * n // max(1, len(item_rew)))
-    best, best_path = (0.0, (st.start,)) if st.depot else (-INF, None)
     expanded = 0
     node, cost, vis = st.root
-    stack = [(node, cost, vis, np.zeros(1), node[:, None])]
+    stack = [(node, cost, vis, np.zeros(1), np.zeros((1, 0), st.arc_dt))]
     while stack:
         node, cost, vis, got, paths = stack.pop()
         expanded += len(node)
@@ -414,7 +414,7 @@ def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool) -> OracleResult:
         reach &= (bits if nodes else bits.take(b, axis=1)) == 0
         top = (got + (reach * item_rew).sum(axis=1)) * slack
         live = top > best
-        # A tie with the incumbent survives only ahead of it in index order.
+        # A tie with the incumbent survives only ahead of it in arc order.
         for i in np.flatnonzero(top == best).tolist():
             live[i] = tuple(paths[i].tolist()) < best_path
         keep = np.flatnonzero(live)
@@ -423,15 +423,14 @@ def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool) -> OracleResult:
         if len(leaf):
             val = got.take(leaf) + rew.take(leaf_arc)
             top = val.max()
-            path = tuple(min(paths.take(leaf[val == top], axis=0).tolist())) + (st.terminal,)
+            on = val == top
+            path = tuple(min(np.column_stack((paths.take(leaf[on], axis=0), leaf_arc[on])).tolist()))
             if top > best or (top == best and path < best_path):
                 best, best_path = top, path
         # Children as (node, cost, vis, collected, path), pushed last chunk first.
-        kids += got.take(r) + rew.take(kid_arc), np.column_stack((paths.take(r, axis=0), kids[0]))
+        kids += got.take(r) + rew.take(kid_arc), np.column_stack((paths.take(r, axis=0), kid_arc))
         stack += [tuple(x[lo:lo + chunk] for x in kids) for lo in reversed(range(0, len(r), chunk))]
-    if best_path is None:
-        raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-    return OracleResult(path=tuple(g.node_ids[i] for i in best_path), reward=float(best), nodes_expanded=expanded)
+    return (best, best_path), expanded
 
 
 # ---------------------------------------------------------------------------

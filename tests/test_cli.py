@@ -161,6 +161,30 @@ def test_solve_edge_variant_reports_value(tmp_path, capsys):
     assert tso.paths_from_plan_dict(doc) == [(1, 2, 4)]
 
 
+def test_an_empty_edge_reward_table_pays_no_edge(tmp_path, capsys):
+    # Without a table every edge pays 1.0: (0, 1, 2) crosses (0, 1) with
+    # chance 0.9 and (1, 2) with 0.81. A given table, even an empty one,
+    # pays only its entries, and a round trip through the instance file
+    # keeps it.
+    doc = {
+        "version": 1, "nodes": [{"id": v, "priority": 1.0} for v in range(3)],
+        "edges": [{"from": 0, "to": 1, "survival": 0.9}, {"from": 1, "to": 2, "survival": 0.9},
+                  {"from": 0, "to": 2, "survival": 1.0}],
+        "start": 0, "terminal": 2, "p_s": 0.8,
+    }
+    tables = {"none": None, "empty": [], "zero": [{"from": 0, "to": 1, "d": 0.0}]}
+    for name, table in tables.items():
+        inst = tmp_path / f"{name}.json"
+        inst.write_text(json.dumps(doc if table is None else {**doc, "edge_rewards": table}))
+        again = tmp_path / f"{name}-again.json"
+        tso.save_instance(tso.load_instance(inst), again)
+        assert json.loads(again.read_text()).get("edge_rewards") == table
+        for path in (inst, again):
+            assert main(["solve", str(path), "--team", "1", "--variant", "edge"]) == 0
+            value = json.loads(capsys.readouterr().out)["variant_objective"]
+            assert value == pytest.approx(1.71 if table is None else 0.0, abs=1e-12), (name, path.name)
+
+
 @pytest.mark.parametrize("variant", ["edge", "multi_visit"])
 def test_solve_variant_objective_is_team_value(tmp_path, capsys, variant):
     # With --oversize the run plans more paths than it writes; the reported

@@ -206,10 +206,27 @@ def test_infeasible_instance_raises(monkeypatch):
             tso.solve_heuristic(tso.log_transform(g), {2: 1.0})
 
 
-def test_depot_with_no_affordable_tour_stays_home(loop5):
-    res = tso.solve_exact(tso.log_transform(dataclasses.replace(loop5, p_s=1.0)), {5: 1.0})
-    assert res.path == (1,)
-    assert res.reward == 0.0
+def test_depot_with_no_affordable_tour_stays_home(monkeypatch, loop5):
+    for cap in (orienteering.CATALOG_CAP, 0):
+        monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
+        res = tso.solve_exact(tso.log_transform(dataclasses.replace(loop5, p_s=1.0)), {5: 1.0})
+        assert res.path == (1,), cap
+        assert res.reward == 0.0
+
+
+def test_depot_with_affordable_tours_and_zero_rewards_stays_home(monkeypatch, loop5):
+    # Three tours fit, but each collects 0.0, no more than staying home,
+    # which comes first: both engines keep the robot at the depot.
+    assert len(tso.enumerate_feasible_paths(loop5, max_nodes=5)) == 3
+    for cap in (orienteering.CATALOG_CAP, 0):
+        monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
+        lg = tso.log_transform(loop5)
+        for solve, kw in (
+            (tso.solve_exact, dict(rewards={v: 0.0 for v in loop5.node_ids})),
+            (tso.solve_arc_exact, dict(edge_rewards={(u, v): 0.0 for u, v, _w in loop5.edges})),
+        ):
+            res = solve(lg, **kw)
+            assert (res.path, repr(res.reward)) == ((1,), "0.0"), (cap, solve.__name__)
 
 
 def test_depot_tour_collects_start_on_return(loop5):
@@ -505,7 +522,7 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
 
     def bounded_search(lg):
         st = lg.table(orienteering._Steps)
-        return orienteering._bounded_search(lg, np.ones(g.num_nodes), np.ones(len(st.arcs) + 1), True)
+        return orienteering._bounded_search(lg, np.ones(g.num_nodes), np.ones(len(st.arcs) + 1), True, -math.inf, None)
 
     # The first bounded search of a process leaves numpy's one-time cyclic
     # garbage (signature parsing), which is not the LogGraph's.
@@ -1036,10 +1053,11 @@ def _ladder(n=11):
 def test_tile_sums_keep_the_search_floats(monkeypatch, block):
     # The ladder's 512 leaves take 1 to 10 steps. At the default block one
     # tile holds them all, the shorter ones padded with the sentinel; at
-    # small blocks the deepest leaves sit alone in a tile, a lone column
-    # that numpy would sum pairwise. Rewards of mixed magnitude (1e-16
-    # next to 1.0) round differently in any other order, so the float
-    # tells whether each leaf was summed from 0.0 in path order.
+    # small blocks the deepest leaf shares a tile of two columns with the
+    # next, as no tile has a lone column, which numpy would sum pairwise.
+    # Rewards of mixed magnitude (1e-16 next to 1.0) round differently in
+    # any other order, so the float tells whether each leaf was summed from
+    # 0.0 in path order.
     monkeypatch.setattr(orienteering, "_BLOCK", block)
     g = _ladder()
     lg = tso.log_transform(g)
@@ -1055,10 +1073,35 @@ def test_tile_sums_keep_the_search_floats(monkeypatch, block):
     cat = _catalog(lg)
     first = cat.tiles[0][1]
     assert sum(cat.level_leaves) == 512
+    assert min(tile.shape[1] for _lo, tile in cat.tiles) >= 2
     if block == 8192:
         assert len(cat.tiles) == 1 and first.shape == (10, 512) and (first == len(cat.arcs)).any()
     else:
-        assert first.shape == (10, 1)
+        assert first.shape == (10, 2)
+
+
+def test_a_single_leaf_catalog_pads_its_tile_with_a_sentinel_column():
+    # Ratio draw 0 at p_s = 0.9 has one feasible path, of 3 steps. Its tile
+    # is (3, 2): the leaf, then a padding column all sentinel, which scores
+    # 0.0 and is never read. The leaf still sums from 0.0 in path order:
+    # rewards of mixed magnitude give the reference's float to the bit.
+    g = tso.feasible_random_instance(20, 0.3, 1.0, 0.9, seed=(0, 0))
+    lg = tso.log_transform(g)
+    paths = tso.enumerate_feasible_paths(g, max_nodes=20)
+    assert len(paths) == 1
+    rng = np.random.default_rng(406)
+    levels = [1e-16, 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52]
+    for _draw in range(8):
+        nodes = {v: float(rng.choice(levels)) for v in g.node_ids}
+        arcs = {(u, v): float(rng.choice(levels)) for u, v, _ in g.edges}
+        for solve, kw in ((tso.solve_exact, dict(rewards=nodes)), (tso.solve_arc_exact, dict(edge_rewards=arcs))):
+            got = solve(lg, **kw)
+            reference = _reference(solve, tso.log_transform(g), **kw)
+            assert (got.path, repr(got.reward)) == (paths[0], repr(reference.reward)), solve.__name__
+    cat = _catalog(lg)
+    ((lo, tile),) = cat.tiles
+    assert (lo, tile.shape, cat.level_leaves) == (0, (3, 2), [0, 0, 1, 0])
+    assert (tile[:, 1] == len(cat.arcs)).all() and (tile[:, 0] < len(cat.arcs)).all()
 
 
 def test_negative_zero_rewards_sum_to_positive_zero(monkeypatch):
