@@ -159,15 +159,15 @@ class LogGraph:
     """A SurvivalGraph's arc costs and budget in the log domain, with the trees and tables kept on them."""
 
     graph: SurvivalGraph
-    # The one arc table: costs[u][v] is the cost of arc (u, v), one dict per
-    # node with its heads in node-index order; into[v][u] is the same cost
-    # per head, its tails in index order.
-    costs: dict[int, dict[int, float]]
-    into: dict[int, dict[int, float]]
+    # The one arc table, by node index: out[i][j] is the cost of arc (i, j),
+    # one dict per tail with its heads in index order; back[j][i] is the
+    # same cost per head, its tails in index order.
+    out: list[dict[int, float]]
+    back: list[dict[int, float]]
     budget: float
     limit: float  # the budget test of every search: a log cost fits when <= limit
-    _from_cache: dict = field(default_factory=dict, repr=False)
-    _to_cache: dict = field(default_factory=dict, repr=False)
+    _from_trees: dict = field(default_factory=dict, repr=False)
+    _to_trees: dict = field(default_factory=dict, repr=False)
     _tables: dict = field(default_factory=dict, repr=False)
 
     def table(self, build):
@@ -176,22 +176,13 @@ class LogGraph:
             self._tables[build] = build(self)
         return self._tables[build]
 
-    def shortest_tree(self, source):
-        """Memoized (distances, parent tree) of dijkstra from source (no deletions)."""
-        tree = self._from_cache.get(source)
+    def tree(self, i, reverse=False):
+        """(dist, prev) lists of search from node index i over lg.out, run on first use and kept; reverse runs it over lg.back, TO i."""
+        trees = self._to_trees if reverse else self._from_trees
+        tree = trees.get(i)
         if tree is None:
-            tree = self._from_cache[source] = dijkstra(self, source)
+            tree = trees[i] = search([row.items() for row in (self.back if reverse else self.out)], self.graph.node_ids, i)
         return tree
-
-    def distances_from(self, source) -> dict[int, float]:
-        """Memoized single-source distances (no deletions)."""
-        return self.shortest_tree(source)[0]
-
-    def distances_to(self, target) -> dict[int, float]:
-        """Memoized distances from every node to target."""
-        if target not in self._to_cache:
-            self._to_cache[target] = dijkstra(self, target, reverse=True)[0]
-        return self._to_cache[target]
 
 
 def log_transform(g: SurvivalGraph) -> LogGraph:
@@ -201,28 +192,30 @@ def log_transform(g: SurvivalGraph) -> LogGraph:
     stop rules rely on costs >= 0. Edges off node_ids are left out.
     """
     idx = g.index
-    arcs = []
+    rows = [{} for _ in g.node_ids]
     for u, v, w in g.edges:
         if not 0.0 < w <= 1.0:
             raise ValueError(f"edge ({u},{v}) survival {w} out of (0,1]")
         if u in idx and v in idx:
-            arcs.append((idx[u] * len(idx) + idx[v], u, v, -math.log(w)))
-    costs, into = {v: {} for v in g.node_ids}, {v: {} for v in g.node_ids}
-    # One sort by (tail, head) index puts both tables in index order.
-    for _key, u, v, c in sorted(arcs):
-        costs[u][v] = into[v][u] = c
+            rows[idx[u]][idx[v]] = -math.log(w)
+    out, back = [dict(sorted(row.items())) for row in rows], [{} for _ in rows]
+    # Tails in index order put back's rows in index order too.
+    for i, row in enumerate(out):
+        for j, c in row.items():
+            back[j][i] = c
     budget = -math.log(g.p_s)
-    return LogGraph(graph=g, costs=costs, into=into, budget=budget, limit=budget + BUDGET_TOL)
+    return LogGraph(graph=g, out=out, back=back, budget=budget, limit=budget + BUDGET_TOL)
 
 
-def search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
-    """(dist, prev) of Dijkstra from src over rows; both hold reached nodes only.
+def search(rows, ids, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
+    """(dist, prev) lists of Dijkstra from src over rows, on node indices: INF and None where not reached.
 
-    rows[v] holds v's arcs as (head, cost) pairs, costs >= 0. The one tie
-    rule of every shortest path here: the heap pops by (dist, node id), and
-    dist[u] and prev[u] change only on a strict improvement, so prev[u] is
-    the first popped predecessor that gives u's smallest float. The result
-    depends neither on the order of a row nor on the order of node_ids.
+    rows[v] holds index v's arcs as (head index, cost) pairs, costs >= 0,
+    and ids[v] is v's node id. The one tie rule of every shortest path
+    here: the heap pops by (dist, node id), and dist[u] and prev[u] change
+    only on a strict improvement, so prev[u] is the first popped
+    predecessor that gives u's smallest float. The result depends neither
+    on the order of a row nor on the order of node_ids.
 
     An arc that would lower dist[u] is tested further. If `cost + (d + w) +
     extra > limit`, the rest of v's row is dropped; with a finite limit,
@@ -231,60 +224,60 @@ def search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
     nothing. Then u is skipped if it is in banned and is not dst. The
     search stops when dst pops; dst=None runs it out.
     """
-    dist = {src: 0.0}
-    prev = {}
-    heap = [(0.0, src)]
-    get, pop, push = dist.get, heapq.heappop, heapq.heappush
+    dist = [INF] * len(rows)
+    prev = [None] * len(rows)
+    dist[src] = 0.0
+    # Ids are unique, so the index in each entry never breaks a tie.
+    heap = [(0.0, ids[src], src)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, v = pop(heap)
+        d, _id, v = pop(heap)
         if d > dist[v]:
             continue
         if v == dst:
             break
         for u, w in rows[v]:
             nd = d + w
-            if nd < get(u, INF):
+            if nd < dist[u]:
                 if cost + nd + extra > limit:
                     break
                 if u in banned and u != dst:
                     continue
                 dist[u] = nd
                 prev[u] = v
-                push(heap, (nd, u))
+                push(heap, (nd, ids[u], u))
     return dist, prev
 
 
 def dijkstra(lg: LogGraph, source, reverse=False):
-    """Single-source shortest paths on the log graph: search over lg.costs, with no budget.
+    """Single-source shortest paths on the log graph, keyed by node id: lg's kept tree of source, with no budget.
 
     Its tie rule is search's: pops by (dist, node id), and each node's
     parent is the first popped predecessor that gives its smallest float.
-    reverse runs the search over lg.into, giving distances TO source. Every
+    reverse reads the tree over lg.back, giving distances TO source. Every
     node gets an entry: INF and a None parent where the search did not reach.
     """
-    dist, prev = search({v: row.items() for v, row in (lg.into if reverse else lg.costs).items()}, source)
-    nodes = lg.graph.node_ids
-    full, parent = dict.fromkeys(nodes, INF), dict.fromkeys(nodes)
-    full.update(dist)
-    parent.update(prev)
-    return full, parent
+    ids = lg.graph.node_ids
+    dist, prev = lg.tree(lg.graph.index[source], reverse)
+    return dict(zip(ids, dist)), {v: None if p is None else ids[p] for v, p in zip(ids, prev)}
 
 
 def tree_path(parent, source, target, banned=()):
     """Node sequence from source to target in a search's parent tree rooted at source.
 
+    parent[v] is v's parent or None, as in search's prev and dijkstra's parents.
     None if target is not in the tree or an interior node of the path is in
     banned. The tree holds each node's first popped predecessor (see search).
     """
     if source == target:
         return [source]
     path = [target]
-    v = parent.get(target)
+    v = parent[target]
     while v != source:
         if v is None or v in banned:
             return None
         path.append(v)
-        v = parent.get(v)
+        v = parent[v]
     path.append(source)
     path.reverse()
     return path
@@ -297,11 +290,8 @@ def max_visit_probabilities(lg: LogGraph) -> dict[int, float]:
     0 for unreachable nodes. The return leg is deliberately ignored, so this
     is an upper bound on any path's probability of visiting j.
     """
-    dist = lg.distances_from(lg.graph.start)
-    zeta = {}
-    for v in lg.graph.node_ids:
-        zeta[v] = math.exp(-dist[v]) if dist[v] < INF else 0.0
-    return zeta
+    g = lg.graph
+    return {v: math.exp(-d) if d < INF else 0.0 for v, d in zip(g.node_ids, lg.tree(g.index[g.start])[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +304,16 @@ class FeasibilityReport:
 
 
 def _tour_cost(lg: LogGraph):
-    """Cheapest real return to the start (at least one edge), as (cost, last node before it).
+    """Cheapest real return to the start (at least one edge), as (cost, index of the last node before it).
 
-    Reads the memoized distances from the start. Among equal costs the first
-    in-neighbour in lg.into[start], that is by node index, wins; (INF, None)
+    Reads the kept tree of the start. Among equal costs the first
+    in-neighbour in lg.back[start], that is by node index, wins; (INF, None)
     when no return exists.
     """
-    start = lg.graph.start
-    dist_s = lg.distances_from(start)
+    s = lg.graph.index[lg.graph.start]
+    dist_s = lg.tree(s)[0]
     return min(
-        ((dist_s[v] + w, v) for v, w in lg.into[start].items() if v != start and dist_s[v] < INF),
+        ((dist_s[i] + w, i) for i, w in lg.back[s].items() if i != s and dist_s[i] < INF),
         key=lambda t: t[0],
         default=(INF, None),
     )
@@ -332,11 +322,10 @@ def _tour_cost(lg: LogGraph):
 def has_feasible_path(lg: LogGraph) -> bool:
     """Is there a start-terminal path (on depot instances a real tour) within the budget?
 
-    Exact, from one Dijkstra: the distances from the start that
-    lg.distances_from keeps.
+    Exact, from one Dijkstra: the tree of the start that lg keeps.
     """
     g = lg.graph
-    cost = _tour_cost(lg)[0] if g.start == g.terminal else lg.distances_from(g.start)[g.terminal]
+    cost = _tour_cost(lg)[0] if g.start == g.terminal else lg.tree(g.index[g.start])[0][g.index[g.terminal]]
     return cost <= lg.limit
 
 
@@ -344,7 +333,7 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     """Per-node reachability via the two-leg deletion procedure, the one query that removes arcs.
 
     For each node j: shortest start->j on the log graph, delete that path's
-    arcs from lg.costs' rows, then search j->terminal in what remains until
+    arcs from lg's rows, then search j->terminal in what remains until
     the terminal pops (its distance is then final); j is flagged reachable
     when the combined cost fits the budget. A visit only counts from step 1
     on, so the start is never reachable on open instances, and on depot
@@ -356,20 +345,22 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
     the only return); exact.brute_force_feasibility is the exact reference.
     """
     lg = log_transform(g)
-    dist_s, parent_s = lg.shortest_tree(g.start)
-    rows = {v: row.items() for v, row in lg.costs.items()}
+    s, t = g.index[g.start], g.index[g.terminal]
+    dist_s, parent_s = lg.tree(s)
+    rows = [row.items() for row in lg.out]
     reachable = {}
-    for j in g.node_ids:
-        if j == g.start:
-            cost = _tour_cost(lg)[0] if g.start == g.terminal else INF
+    for j, v in enumerate(g.node_ids):
+        if j == s:
+            cost = _tour_cost(lg)[0] if s == t else INF
         elif dist_s[j] == INF:
             cost = INF
         else:
-            leg = tree_path(parent_s, g.start, j)
-            back = dict(rows)
-            back.update((a, [(u, w) for u, w in rows[a] if u != b]) for a, b in zip(leg, leg[1:]))
-            cost = dist_s[j] + search(back, j, g.terminal)[0].get(g.terminal, INF)
-        reachable[j] = cost <= lg.limit
+            leg = tree_path(parent_s, s, j)
+            cut = list(rows)
+            for a, b in zip(leg, leg[1:]):
+                cut[a] = [(u, w) for u, w in rows[a] if u != b]
+            cost = dist_s[j] + search(cut, g.node_ids, j, t)[0][t]
+        reachable[v] = cost <= lg.limit
     return FeasibilityReport(reachable=reachable, x_nonempty=has_feasible_path(lg))
 
 

@@ -175,8 +175,8 @@ class EdgeRewards(RewardModel):
 
     def caps(self, lg, team_size):
         # A robot traverses (u, v) with probability at most zeta_u * omega.
-        zeta, survival = self.zeta, self.g.survival
-        return [(u, lg.costs[u][v], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.cover.table.items()]
+        zeta, survival, idx = self.zeta, self.g.survival, self.g.index
+        return [(u, lg.out[idx[u]][idx[v]], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.cover.table.items()]
 
 
 class MultiVisitRewards(RewardModel):
@@ -245,8 +245,8 @@ def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> Bound
     depot tours. u2 divides the value of the run's first K paths by
     1 - exp(-p_s), u3 that of its first total_paths by their larger factor;
     both values are the ones the run recorded as it planned.
-    The caps are the run's own model's, and both distance maps are the
-    ones the run memoized on run.lg.
+    The caps are the run's own model's, and both distance trees are the
+    ones kept on run.lg.
     Heuristic-oracle certificates are not certified: the factor arguments
     assume an exact subproblem solver. Raises ValueError where a factor
     rounds to 0.0, as it does for p_s below about 5.5e-17.
@@ -258,12 +258,12 @@ def compute_bounds(run: GreedyResult, team_size: int, total_paths: int) -> Bound
     factor3 = 1.0 - math.exp(-g.p_s * total_paths / K)
     if factor == 0.0 or factor3 == 0.0:
         raise ValueError(f"p_s {g.p_s!r} is too small for the bounds: 1 - exp(-p_s) rounds to 0.0")
-    dist_in = lg.distances_from(g.start)
-    dist_out = lg.distances_to(g.terminal)
+    idx = g.index
+    dist_in, dist_out = lg.tree(idx[g.start])[0], lg.tree(idx[g.terminal], reverse=True)[0]
     u1 = ordered_sum(
         (1.0 - (1.0 - p) ** K) * d
         for a, extra, b, p, d in run.model.caps(lg, K)
-        if dist_in[a] + extra + dist_out[b] <= lg.limit
+        if dist_in[idx[a]] + extra + dist_out[idx[b]] <= lg.limit
     )
     value = run.values[K - 1]
     return BoundCertificate(

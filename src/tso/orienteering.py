@@ -35,9 +35,12 @@ def _check(rewards: dict, kind: str, known) -> None:
             raise ValueError(f"negative, infinite or NaN reward on {kind} {key}")
 
 
-def path_reward(rewards: dict, path) -> float:
-    """Reward actually collected by a path: nodes at steps >= 1, once each."""
-    return ordered_sum(rewards.get(v, 0.0) for v in path[1:])
+def path_reward(rewards, path) -> float:
+    """Reward actually collected by a path: rewards[v] of its nodes at steps >= 1, once each, summed left to right.
+
+    rewards holds every node of path: a dict by node id, or GRASP's list by index.
+    """
+    return ordered_sum(rewards[v] for v in path[1:])
 
 
 def solve_exact(lg: LogGraph, rewards: dict[int, float]) -> OracleResult:
@@ -190,12 +193,12 @@ class _Steps:
     A prefix is a node index, a float64 cost and its visited nodes as
     ceil(V / 64) uint64 words, in which the terminal's bit is 0; root is
     the one at the start. Per node, the table holds its steps to other
-    nodes in lg.costs order, padded with infinite costs, and the cost of its
+    nodes in lg.out order, padded with infinite costs, and the cost of its
     step to the terminal, infinite when it has none. A step to a node other
     than the terminal that fails its test at cost 0.0 is left out: costs
     are never negative and float addition is monotone, so it would fail at
     every cost. arcs lists lg's arcs in (tail, head) index order, as
-    lg.costs lists them: the arc numbering of catalogs and searches. tails,
+    lg.out lists them: the arc numbering of catalogs and searches. tails,
     heads and arc_w give each its tail and head indices and its cost, and
     to_t is each node's distance to the terminal. lg's one _Steps
     (lg.table(_Steps)) serves every exact call, and no call writes into it.
@@ -207,15 +210,14 @@ class _Steps:
         n = len(g.node_ids)
         self.limit = lg.limit
         self.start, self.terminal, self.depot = idx[g.start], idx[g.terminal], g.start == g.terminal
-        self.arcs = [(v, u) for v, row in lg.costs.items() for u in row]
+        self.arcs = [(g.node_ids[i], g.node_ids[j]) for i, row in enumerate(lg.out) for j in row]
         self.node_dt = np.min_scalar_type(n - 1)
         self.arc_dt = np.int16 if len(self.arcs) < 1 << 15 else np.int32
         self.words = -(-n // 64)
-        dist_to_t = lg.distances_to(g.terminal)
-        self.to_t = np.array([dist_to_t[v] for v in g.node_ids])
-        self.tails = tails = np.repeat(np.arange(n), [len(row) for row in lg.costs.values()])
-        self.heads = heads = np.array([idx[b] for _a, b in self.arcs], dtype=np.intp)
-        self.arc_w = arc_w = np.array([c for row in lg.costs.values() for c in row.values()])
+        self.to_t = np.array(lg.tree(self.terminal, reverse=True)[0])
+        self.tails = tails = np.repeat(np.arange(n), [len(row) for row in lg.out])
+        self.heads = heads = np.array([j for row in lg.out for j in row], dtype=np.intp)
+        self.arc_w = arc_w = np.array([c for row in lg.out for c in row.values()])
         head_t = self.to_t[heads]
         into_t = heads == self.terminal
         ks = np.flatnonzero(~into_t & (arc_w + head_t <= self.limit))
@@ -337,12 +339,13 @@ def prefix_catalog(lg: LogGraph) -> PrefixCatalog | None:
 # ---------------------------------------------------------------------------
 # Bounded search: the exact oracle above CATALOG_CAP
 
-def _rows(lg: LogGraph) -> dict:
-    """rows[v]: lg.costs[v]'s (head, cost) pairs stable-sorted by cost, so heads of equal cost stay in index order.
+def _rows(lg: LogGraph) -> list:
+    """rows[i]: lg.out[i]'s (head index, cost) pairs sorted by cost, equal costs by head index.
 
-    lg.table(_rows) is the one cost-sorted table of lg: GRASP reads it, and _within cuts it.
+    lg.table(_rows) is the one cost-sorted table of lg: GRASP's banned leg
+    search reads it, and _within cuts it.
     """
-    return {v: tuple(sorted(row.items(), key=lambda t: t[1])) for v, row in lg.costs.items()}
+    return [tuple(sorted(row.items(), key=lambda t: (t[1], t[0]))) for row in lg.out]
 
 
 def _within(lg: LogGraph) -> np.ndarray:
@@ -354,10 +357,9 @@ def _within(lg: LogGraph) -> np.ndarray:
     search up to limit, and a longer distance fails every test of the
     bounded search as INF does, since a need adds costs >= 0 to it.
     """
-    rows = {v: tuple(t for t in row if t[1] <= lg.limit) for v, row in lg.table(_rows).items()}
+    rows = [tuple(t for t in row if t[1] <= lg.limit) for row in lg.table(_rows)]
     ids = lg.graph.node_ids
-    dists = (search(rows, v, limit=lg.limit)[0] for v in ids)
-    return np.array([[dist.get(u, INF) for u in ids] for dist in dists])
+    return np.array([search(rows, ids, v, limit=lg.limit)[0] for v in range(len(ids))])
 
 
 def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool, best, best_path):
@@ -434,7 +436,9 @@ def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool, best, best_path):
 
 
 # ---------------------------------------------------------------------------
-# GRASP heuristic
+# GRASP heuristic. It runs on node indices: every node, path, leg, table key
+# and tree below is an index into node_ids, and solve_heuristic turns the
+# rewards into a list by index and its path into node ids once, on return.
 
 class _Draws:
     """GRASP's random indices: integers(n) returns, as an int, what np.random.default_rng(seed).integers(n) returns.
@@ -479,8 +483,8 @@ def _trie(lg: LogGraph):
     """Root _Walk of GRASP's skeleton trie of lg (lg.table(_trie)), built by its first call and kept.
 
     The trie holds no rewards, so the calls of a greedy run, which share one
-    LogGraph, share it too. GRASP's other per-graph state is lg.shortest_tree
-    and lg.table of _rows, _detours and _reversals.
+    LogGraph, share it too. GRASP's other per-graph state is lg.tree and
+    lg.table of _rows, _matrix, _detours and _reversals.
 
     The trie gives the skeletons and draws of a walk that recomputes every
     state. A state is the walk's path and cost float, and it is a function
@@ -496,38 +500,45 @@ def _trie(lg: LogGraph):
     result is kept on the node. Equal draw calls leave the draw source in
     equal states, so the walks that follow draw the same numbers too.
     """
-    return _Walk((lg.graph.start,), 0.0)
+    return _Walk((lg.graph.index[lg.graph.start],), 0.0)
+
+
+def _matrix(lg: LogGraph) -> list:
+    """GRASP's arc costs of lg (lg.table(_matrix)): m[a][b] is lg.out[a][b], None where a has no arc to b."""
+    return [[row.get(b) for b in range(len(lg.out))] for row in lg.out]
 
 
 def _base_path(lg: LogGraph):
     """Cheapest feasible skeleton: shortest return for depots, shortest path otherwise."""
-    start, terminal, limit = lg.graph.start, lg.graph.terminal, lg.limit
+    g, limit = lg.graph, lg.limit
+    start, terminal = g.index[g.start], g.index[g.terminal]
     # Each cost is bit-equal to _path_cost of its path. graph.search sets
-    # dist[v] and parent[v] together, dist[v] as dist[parent[v]] +
-    # cost(parent[v], v), with dist[parent[v]] final by then. So dist[v]
-    # sums the tree path's arc costs left to right from 0.0, and a tour adds
-    # its return arc last. Tree paths are simple.
-    dist, parent = lg.shortest_tree(start)
+    # dist[v] and prev[v] together, dist[v] as dist[prev[v]] +
+    # cost(prev[v], v), with dist[prev[v]] final by then. So dist[v] sums
+    # the tree path's arc costs left to right from 0.0, and a tour adds its
+    # return arc last. Tree paths are simple.
+    dist, prev = lg.tree(start)
     if start != terminal:
         if dist[terminal] > limit:
             raise InfeasibleInstanceError("no start-terminal path within the survival budget")
-        return tree_path(parent, start, terminal), dist[terminal]
+        return tree_path(prev, start, terminal), dist[terminal]
     cost, last = _tour_cost(lg)
     if cost > limit:
         return [start], 0.0
-    return tree_path(parent, start, last) + [start], cost
+    return tree_path(prev, start, last) + [start], cost
 
 
 def _path_cost(lg, path):
-    # Left to right, as the reversal scan of _local_search sums.
-    return ordered_sum(lg.costs[a][b] for a, b in zip(path, path[1:]))
+    # Left to right over node indices, as the reversal scan of _local_search sums.
+    m = lg.table(_matrix)
+    return ordered_sum(m[a][b] for a, b in zip(path, path[1:]))
 
 
 def _leg_avoiding(lg, src, dst, banned, cost):
     """Cheapest src-to-dst leg whose interior skips the banned nodes, as (nodes, cost) if it fits at cost, else None.
 
-    The leg fits when `cost + leg + extra <= limit`, where extra =
-    dist_to(terminal)[dst]: 0.0 for the closing leg.
+    The leg fits when `cost + leg + extra <= limit`, where extra is dst's
+    distance to the terminal: 0.0 for the closing leg.
 
     When the path to dst in src's tree has an interior that avoids banned,
     that path is the unbounded banned search's leg. Both searches pop in
@@ -553,11 +564,11 @@ def _leg_avoiding(lg, src, dst, banned, cost):
     prev, and the search returns the same leg. If it does not fit, no
     relaxation into dst passes and the search finds no leg.
     """
-    extra = lg.distances_to(lg.graph.terminal)[dst]
-    dist, prev = lg.shortest_tree(src)
+    extra = lg.tree(lg.graph.index[lg.graph.terminal], reverse=True)[0][dst]
+    dist, prev = lg.tree(src)
     nodes = tree_path(prev, src, dst, banned)
     if nodes is None:
-        dist, prev = search(lg.table(_rows), src, dst, banned, cost, extra, lg.limit)
+        dist, prev = search(lg.table(_rows), lg.graph.node_ids, src, dst, banned, cost, extra, lg.limit)
         nodes = tree_path(prev, src, dst, banned)
     if nodes is None or cost + dist[dst] + extra > lg.limit:
         return None
@@ -593,7 +604,7 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
     reaches path shapes insertion alone never builds. Each hop draws a
     waypoint from its candidate row, up to three times, dropping each whose
     leg (avoiding the nodes the skeleton holds) fails; a hop with an empty
-    row ends the walk. The row lists in node_ids order each j off the path,
+    row ends the walk. The row lists in index order each j off the path,
     other than the terminal, with `cost + dist[j] + dist_to(terminal)[j] <=
     limit`, dist from the path's last node: still affordable with a
     straight run home afterwards. Then, if the closing leg fails or busts
@@ -605,16 +616,16 @@ def _random_skeleton(lg: LogGraph, rng, hops: int):
     what a state's row, legs and closing computed; see _trie for why that
     gives the same draws and skeletons.
     """
-    node_ids, terminal, limit = lg.graph.node_ids, lg.graph.terminal, lg.limit
-    dist_t = lg.distances_to(terminal)
+    n, terminal, limit = lg.graph.num_nodes, lg.graph.index[lg.graph.terminal], lg.limit
+    dist_t = lg.tree(terminal, reverse=True)[0]
     node = lg.table(_trie)
     trail, path = [node], list(node.leg)
     for _ in range(hops):
         cost, row, kids = node.cost, node.row, node.kids
         if not isinstance(row, tuple):
             used = set(path)
-            dist = lg.distances_from(path[-1])
-            cands = [j for j in node_ids if j not in used and j != terminal and cost + dist[j] + dist_t[j] <= limit]
+            dist = lg.tree(path[-1])[0]
+            cands = [j for j in range(n) if j not in used and j != terminal and cost + dist[j] + dist_t[j] <= limit]
             node.row = False if row is None else tuple(cands)
             row = cands
         if not row:
@@ -656,7 +667,7 @@ def _closing(lg, trail, path):
     state carries, so a closing is not its ancestors' closing and is kept
     per node.
     """
-    terminal = lg.graph.terminal
+    terminal = lg.graph.index[lg.graph.terminal]
     cost = trail[-1].cost
     kept = len(path)
     for node in trail[:0:-1]:
@@ -668,8 +679,8 @@ def _closing(lg, trail, path):
     return ()
 
 
-def _detours(lg: LogGraph) -> dict:
-    """GRASP's detour lists of lg (lg.table(_detours)), one per path arc (a, b), each built by the first _insertions that scans it.
+def _detours(lg: LogGraph) -> list:
+    """GRASP's detour lists of lg (lg.table(_detours)): at a * n + b the list of path arc (a, b), None until the first _insertions that scans it.
 
     The list of (a, b) holds each j with arcs a->j and j->b whose delta =
     aj + jb - ab, _insertions' own float, passes the fit test at cost 0.0,
@@ -678,18 +689,19 @@ def _detours(lg: LogGraph) -> dict:
     tuple. Round-to-nearest is monotone and costs are >= 0, so at any cost
     the fits are a prefix of the list, and an entry left out never fits.
     """
-    return {}
+    return [None] * lg.graph.num_nodes ** 2
 
 
 def _detour_list(lg: LogGraph, a, b) -> tuple:
-    costs, ab = lg.costs, lg.costs[a][b]
-    deltas = {j: aj + jb - ab for j, aj in costs[a].items() if (jb := costs[j].get(b)) is not None}
+    m = lg.table(_matrix)
+    ab = m[a][b]
+    deltas = {j: aj + jb - ab for j, aj in enumerate(m[a]) if aj is not None and (jb := m[j][b]) is not None}
     nodes = sorted((j for j, delta in deltas.items() if 0.0 + delta <= lg.limit), key=deltas.get)
     return array("d", map(deltas.get, nodes)), tuple(nodes)
 
 
-def _insertions(lg: LogGraph, rewards: dict, path, cost):
-    """Feasible (node, position, delta-cost) insertions of positive-reward nodes off path, best first.
+def _insertions(lg: LogGraph, rew, path, cost):
+    """Feasible (node, position, delta-cost) insertions of positive-reward nodes off path, best first; rew[j] is node j's reward.
 
     GRASP's one rank order: reward per added cost, highest first, then
     delta, node index and position, ascending. The key is total, as a node
@@ -698,20 +710,19 @@ def _insertions(lg: LogGraph, rewards: dict, path, cost):
     list (see _detours) and stops at the first entry that does not fit.
     """
     detours = lg.table(_detours)
-    limit = lg.limit
-    index = lg.graph.index
+    limit, n = lg.limit, lg.graph.num_nodes
     visited = set(path)
     out = []
-    for i, arc in enumerate(zip(path, path[1:]), 1):
-        fits = detours.get(arc)
+    for i, (a, b) in enumerate(zip(path, path[1:]), 1):
+        fits = detours[a * n + b]
         if fits is None:
-            fits = detours[arc] = _detour_list(lg, *arc)
+            fits = detours[a * n + b] = _detour_list(lg, a, b)
         for delta, j in zip(*fits):
             if cost + delta > limit:
                 break
-            if j not in visited and rewards.get(j, 0.0) > 0.0:
+            if j not in visited and rew[j] > 0.0:
                 out.append((j, i, delta))
-    out.sort(key=lambda t: (-(rewards.get(t[0], 0.0) / max(t[2], 1e-12)), t[2], index[t[0]], t[1]))
+    out.sort(key=lambda t: (-(rew[t[0]] / max(t[2], 1e-12)), t[2], t[0], t[1]))
     return out
 
 
@@ -720,8 +731,8 @@ def _reversals(lg: LogGraph) -> dict:
     return {}
 
 
-def _reversal(costs, path):
-    """(i, k, new - old) of the first segment reversal path[i..k] that lowers the cost, every reversed arc existing; else None."""
+def _reversal(m, path):
+    """(i, k, new - old) of the first segment reversal path[i..k] that lowers the cost over the arc costs m (_matrix); else None."""
     # The segment path[i..k] costs fwd forward and back[k][i] reversed,
     # each summed along its own direction as _path_cost sums a path.
     # back[k] stops at the first missing reverse arc, which every
@@ -731,34 +742,34 @@ def _reversal(costs, path):
     for k in range(n - 1):
         run, row = 0.0, {}
         for i in range(k - 1, 0, -1):
-            w = costs[path[i + 1]].get(path[i])
+            w = m[path[i + 1]][path[i]]
             if w is None:
                 break
             run += w
             row[i] = run
         back.append(row)
     for i in range(1, n - 1):
-        from_a, head = costs[path[i - 1]], path[i]
+        from_a, head = m[path[i - 1]], path[i]
         fwd = 0.0
         for k in range(i + 1, n - 1):
             tail = path[k]
-            fwd += costs[path[k - 1]][tail]
+            fwd += m[path[k - 1]][tail]
             rev = back[k].get(i)
             if rev is None:
                 break
             b = path[k + 1]
-            a_tail, head_b = from_a.get(tail), costs[head].get(b)
+            a_tail, head_b = from_a[tail], m[head][b]
             if a_tail is None or head_b is None:
                 continue
-            old = from_a[head] + fwd + costs[tail][b]
+            old = from_a[head] + fwd + m[tail][b]
             new = a_tail + rev + head_b
             if new < old - 1e-12:
                 return i, k, new - old
     return None
 
 
-def _local_search(lg: LogGraph, rewards: dict, path, cost):
-    """Hill-climb from a path that admits no insertion.
+def _local_search(lg: LogGraph, rew, path, cost):
+    """Hill-climb from a path that admits no insertion; rew[j] is node j's reward.
 
     Each round drops an interior node that pays nothing but costs something
     or, failing that, reverses a segment to lower the cost (a 2-exchange),
@@ -766,19 +777,19 @@ def _local_search(lg: LogGraph, rewards: dict, path, cost):
     fits. It stops at the first round that finds neither a drop nor a
     reversal.
     """
-    costs = lg.costs
+    m = lg.table(_matrix)
     reversals = lg.table(_reversals)
     while True:
         # Drop an interior node that pays nothing but costs something.
         for i in range(1, len(path) - 1):
             j = path[i]
-            if rewards.get(j, 0.0) > 0.0:
+            if rew[j] > 0.0:
                 continue
             a, b = path[i - 1], path[i + 1]
-            ab = costs[a].get(b)
+            ab = m[a][b]
             if ab is None:
                 continue
-            delta = ab - costs[a][j] - costs[j][b]
+            delta = ab - m[a][j] - m[j][b]
             if delta < -1e-12:
                 del path[i]
                 cost += delta
@@ -786,13 +797,13 @@ def _local_search(lg: LogGraph, rewards: dict, path, cost):
         else:
             key = tuple(path)
             if key not in reversals:
-                reversals[key] = _reversal(costs, path)
+                reversals[key] = _reversal(m, path)
             if reversals[key] is None:
                 return path, cost
             i, k, gain = reversals[key]
             path[i:k + 1] = path[i:k + 1][::-1]
             cost += gain
-        while cands := _insertions(lg, rewards, path, cost):
+        while cands := _insertions(lg, rew, path, cost):
             j, pos, delta = cands[0]
             path.insert(pos, j)
             cost += delta
@@ -808,31 +819,33 @@ def solve_heuristic(lg: LogGraph, rewards: dict[int, float], seed=0, restarts: i
     search. The best path by reward wins, ties going to the smaller
     node-index sequence; nodes_expanded counts the insertions evaluated.
 
-    Deterministic for a fixed seed. The trees, cost rows, skeleton trie
-    (with its candidate rows and legs), detour lists and reversal results it
-    reads are kept on lg (shortest_tree, _rows, _trie, _detours, _reversals)
-    and hold no rewards, only facts of the graph and its budget. A walk that
-    reaches a trie node an earlier walk made, in this call or an earlier
-    one, reads its row, its children and its closing instead of recomputing
-    them, and makes the same draws with the same arguments (see _trie). So a
-    call returns the same result, to the bits of its reward, whichever calls
-    ran on that LogGraph before. The draws come from _Draws(seed), which
-    gives the values of np.random.default_rng(seed).integers at a fifth of
-    the cost.
+    Deterministic for a fixed seed. The trees, cost rows and matrix,
+    skeleton trie (with its candidate rows and legs), detour lists and
+    reversal results it reads are kept on lg (lg.tree, _rows, _matrix,
+    _trie, _detours, _reversals) and hold no rewards, only facts of the
+    graph and its budget. A walk that reaches a trie node an earlier walk
+    made, in this call or an earlier one, reads its row, its children and
+    its closing instead of recomputing them, and makes the same draws with
+    the same arguments (see _trie). So a call returns the same result, to
+    the bits of its reward, whichever calls ran on that LogGraph before.
+    The draws come from _Draws(seed), which gives the values of
+    np.random.default_rng(seed).integers at a fifth of the cost.
 
     Restarts often reach a state an earlier restart of the same call
     reached, so two memos keyed by (tuple(path), cost) live for the call:
     rcls holds a state's insertion count and candidate list, ends the
-    ranking key, path and reward its local search ends in. They give the
-    same results as recomputing. Within a call the rewards and the LogGraph
+    ranking key and reward its local search ends in. They give the same
+    results as recomputing. Within a call the rewards and the LogGraph
     are fixed and the sort key is total, and _insertions, _local_search and
-    path_reward draw nothing from rng and read only (path, cost) besides
+    the reward sum draw nothing from rng and read only (path, cost) besides
     them. Each visit still adds its count to nodes_expanded and draws from
     rng as before. cost belongs in the key because one node sequence can
     carry different cost floats after different insertion orders. The
     memos depend on the rewards, so they must not go on lg.
     """
     _check(rewards, "node", lg.graph.index.__contains__)
+    ids = lg.graph.node_ids
+    rew = [rewards.get(v, 0.0) for v in ids]
     rng = _Draws(seed)
     base, base_cost = _base_path(lg)
     rcls, ends = {}, {}
@@ -848,7 +861,7 @@ def solve_heuristic(lg: LogGraph, rewards: dict[int, float], seed=0, restarts: i
             at = (tuple(path), cost)
             hit = rcls.get(at)
             if hit is None:
-                cands = _insertions(lg, rewards, path, cost)
+                cands = _insertions(lg, rew, path, cost)
                 # A tuple: the collector stops tracking tuples of plain values,
                 # where every kept list would be walked at each collection.
                 hit = rcls[at] = (len(cands), tuple(cands[:max(1, (len(cands) + 3) // 4)]))
@@ -861,9 +874,9 @@ def solve_heuristic(lg: LogGraph, rewards: dict[int, float], seed=0, restarts: i
             cost += delta
         end = ends.get(at)
         if end is None:
-            path, _cost = _local_search(lg, rewards, path, cost)
-            reward = path_reward(rewards, path)
-            end = ends[at] = ((-reward, tuple(lg.graph.index[v] for v in path)), tuple(path), reward)
+            path, _cost = _local_search(lg, rew, path, cost)
+            reward = path_reward(rew, path)
+            end = ends[at] = ((-reward, tuple(path)), reward)
         if best is None or end[0] < best[0]:
             best = end
-    return OracleResult(path=best[1], reward=best[2], nodes_expanded=evaluated)
+    return OracleResult(path=tuple(ids[j] for j in best[0][1]), reward=best[1], nodes_expanded=evaluated)

@@ -18,7 +18,10 @@ catalog's cap and is now the audit reference for the catalog and for the
 chunked search that replaced it, to the path and the reward's bits.
 ``random_skeleton`` is a third: GRASP's skeleton walk as it ran before its
 states were kept in a trie, the reference for the trie's draws and
-skeletons.
+skeletons. It asks the library for its legs in node ids (``library_leg``).
+``dict_search`` is a fourth: a verbatim copy of the library's shortest-path
+search as it ran over dicts keyed by node id, the reference for the search
+over node indices that replaced it, to the float and the parent.
 
 The multi-visit references at the end are the last: verbatim copies of the
 library's original per-node loops over count lists. The brute-force value
@@ -35,7 +38,7 @@ import math
 import numpy as np
 
 from tso import orienteering
-from tso.graph import INF, InfeasibleInstanceError, check_path, ordered_sum
+from tso.graph import INF, InfeasibleInstanceError, check_path, dijkstra, ordered_sum
 from tso.objective import SimulationResult
 from tso.orienteering import OracleResult
 
@@ -250,11 +253,17 @@ def arc_orienteering_brute(g, rewards):
     return best, arg
 
 
-def _node_table(lg, v, items, step_item, bit, dist_to_t):
-    """Bound items (need, head bit, k) and steps (u, cost, dist_to_t[u], bit of u, k) of node v."""
-    dv = lg.distances_from(v)
+def arc_costs(lg, reverse=False):
+    """lg's arc costs keyed by node id, rows and entries in node-index order: lg.out mapped to ids, or lg.back (per head) if reverse."""
+    ids = lg.graph.node_ids
+    return {ids[i]: {ids[j]: c for j, c in row.items()} for i, row in enumerate(lg.back if reverse else lg.out)}
+
+
+def _node_table(lg, costs, v, items, step_item, bit, dist_to_t):
+    """Bound items (need, head bit, k) and steps (u, cost, dist_to_t[u], bit of u, k) of node v; costs is arc_costs(lg)."""
+    dv = dijkstra(lg, v)[0]
     bound = [(dv[a] + extra + dist_to_t[b], bit[b], k) for k, (a, extra, b) in enumerate(items)]
-    steps = [(u, w, dist_to_t[u], bit[u], step_item[(v, u)]) for u, w in lg.costs[v].items()]
+    steps = [(u, w, dist_to_t[u], bit[u], step_item[(v, u)]) for u, w in costs[v].items()]
     return bound, steps
 
 
@@ -294,14 +303,15 @@ def branch_and_bound(lg, rewards, kind="node", use_reward_bound=False):
     g = lg.graph
     start, terminal, budget, limit = g.start, g.terminal, lg.budget, lg.limit
     depot = start == terminal
-    dist_to_t = lg.distances_to(terminal)
+    dist_to_t = dijkstra(lg, terminal, reverse=True)[0]
     idx = g.index
-    arcs = [(v, u) for v, row in lg.costs.items() for u in row]
+    costs = arc_costs(lg)
+    arcs = [(v, u) for v, row in costs.items() for u in row]
     if kind == "node":
         keys, items = g.node_ids, [(j, 0.0, j) for j in g.node_ids]
         step_item = {(a, b): idx[b] for a, b in arcs}
     else:
-        keys, items = arcs, [(a, lg.costs[a][b], b) for a, b in arcs]
+        keys, items = arcs, [(a, costs[a][b], b) for a, b in arcs]
         step_item = {e: k for k, e in enumerate(arcs)}
     bit = {v: 0 if v == terminal else 1 << i for i, v in enumerate(g.node_ids)}
     reward = [rewards.get(key, 0.0) for key in keys]
@@ -318,7 +328,7 @@ def branch_and_bound(lg, rewards, kind="node", use_reward_bound=False):
         try:
             bound_items, steps = tables[v]
         except KeyError:
-            bound_items, steps = tables[v] = _node_table(lg, v, items, step_item, bit, dist_to_t)
+            bound_items, steps = tables[v] = _node_table(lg, costs, v, items, step_item, bit, dist_to_t)
         if use_reward_bound:
             bound = collected
             room = budget - cost + BUDGET_TOL
@@ -432,18 +442,64 @@ def grasp_leg(g, src, dst, banned):
     return tuple(reversed(nodes)), dist[dst]
 
 
+def dict_search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
+    """(dist, prev) of Dijkstra from src over rows; both hold reached nodes only.
+
+    rows[v] holds v's arcs as (head, cost) pairs, costs >= 0. The one tie
+    rule of every shortest path here: the heap pops by (dist, node id), and
+    dist[u] and prev[u] change only on a strict improvement, so prev[u] is
+    the first popped predecessor that gives u's smallest float. The result
+    depends neither on the order of a row nor on the order of node_ids.
+
+    An arc that would lower dist[u] is tested further. If `cost + (d + w) +
+    extra > limit`, the rest of v's row is dropped; with a finite limit,
+    rows must list heads cheapest first. Float addition is monotone, so
+    every later arc fails the test too, and arcs that lower nothing change
+    nothing. Then u is skipped if it is in banned and is not dst. The
+    search stops when dst pops; dst=None runs it out.
+    """
+    dist = {src: 0.0}
+    prev = {}
+    heap = [(0.0, src)]
+    get, pop, push = dist.get, heapq.heappop, heapq.heappush
+    while heap:
+        d, v = pop(heap)
+        if d > dist[v]:
+            continue
+        if v == dst:
+            break
+        for u, w in rows[v]:
+            nd = d + w
+            if nd < get(u, INF):
+                if cost + nd + extra > limit:
+                    break
+                if u in banned and u != dst:
+                    continue
+                dist[u] = nd
+                prev[u] = v
+                push(heap, (nd, u))
+    return dist, prev
+
+
+def library_leg(lg, src, dst, banned, cost):
+    """The library's GRASP leg, orienteering._leg_avoiding over node indices, asked and answered in node ids."""
+    g = lg.graph
+    leg = orienteering._leg_avoiding(lg, g.index[src], g.index[dst], {g.index[v] for v in banned}, cost)
+    return None if leg is None else (tuple(g.node_ids[i] for i in leg[0]), leg[1])
+
+
 def random_skeleton(lg, rng, hops: int):
     """GRASP's random skeleton walk as the library ran it before its states were kept in a trie.
 
     Each hop rebuilds its candidate row and asks for its legs afresh, and
     the closing phase backtracks over a list of waypoints. It filters
     node_ids by the distances of the LogGraph's trees and reads the
-    library's legs (_leg_avoiding), which test_orienteering holds against
+    library's legs (library_leg), which test_orienteering holds against
     grasp_leg, and returns (path list, cost) or None.
     """
     g = lg.graph
     terminal = g.terminal
-    dist_t = lg.distances_to(terminal)
+    dist_t = dijkstra(lg, terminal, reverse=True)[0]
     limit = lg.limit
     path = [g.start]
     used = {g.start}
@@ -451,7 +507,7 @@ def random_skeleton(lg, rng, hops: int):
     cost = 0.0
     v = g.start
     for _ in range(hops):
-        dist = lg.distances_from(v)
+        dist = dijkstra(lg, v)[0]
         cands = [j for j in g.node_ids if j not in used and j != terminal and cost + dist[j] + dist_t[j] <= limit]
         if not cands:
             break
@@ -459,7 +515,7 @@ def random_skeleton(lg, rng, hops: int):
             if not cands:
                 break
             j = cands[rng.integers(len(cands))]
-            leg = orienteering._leg_avoiding(lg, v, j, used | {terminal}, cost)
+            leg = library_leg(lg, v, j, used | {terminal}, cost)
             if leg is not None and cost + leg[1] + dist_t[j] <= limit:
                 path += leg[0][1:]
                 used.update(leg[0][1:])
@@ -469,13 +525,13 @@ def random_skeleton(lg, rng, hops: int):
                 break
             cands.remove(j)
     while len(path) > 1:
-        tail = orienteering._leg_avoiding(lg, v, terminal, used, cost)
+        tail = library_leg(lg, v, terminal, used, cost)
         if tail is not None and cost + tail[1] <= limit:
             return path + list(tail[0][1:]), cost + tail[1]
         waypoints.pop()
         del path[waypoints[-1] + 1:]
         used = set(path)
-        cost = orienteering._path_cost(lg, path)
+        cost = orienteering._path_cost(lg, [g.index[u] for u in path])
         v = path[-1]
     return None
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import tso
-from tso import orienteering
 from tso.graph import INF, _tour_cost, check_path, tree_path
 
 import oracles
@@ -115,8 +114,9 @@ def test_check_path_rules(diamond, loop5):
 
 def test_log_transform_costs(diamond):
     lg = tso.log_transform(diamond)
-    assert lg.costs[1][2] == pytest.approx(-math.log(0.9), abs=1e-15)
-    assert lg.costs[1][4] == 0.0
+    costs = oracles.arc_costs(lg)
+    assert costs[1][2] == pytest.approx(-math.log(0.9), abs=1e-15)
+    assert costs[1][4] == 0.0
     assert lg.budget == pytest.approx(-math.log(0.8), abs=1e-15)
 
 
@@ -133,10 +133,16 @@ def test_arc_table_is_in_index_order_whatever_the_edge_order():
     for edges in (shuffled, ordered):
         g = dataclasses.replace(hexg, node_ids=ids, edges=edges)
         lg = tso.log_transform(g)
-        for table in (lg.costs, lg.into):
-            assert list(table) == ids
-            for row in table.values():
-                assert list(row) == sorted(row, key=index.get)
+        for table in (lg.out, lg.back):
+            assert len(table) == len(ids)
+            for row in table:
+                assert list(row) == sorted(row)
+        # Both hold every edge's cost, out per tail and back per head.
+        want = {(u, v): -math.log(w) for u, v, w in edges}
+        for reverse in (False, True):
+            got = {(u, v) if not reverse else (v, u): c
+                   for u, row in oracles.arc_costs(lg, reverse).items() for v, c in row.items()}
+            assert got == want
         rewards = {v: 1.0 + (v % 3) for v in ids}
         runs.append((
             tso.dijkstra(lg, 0)[1], tso.dijkstra(lg, 0, reverse=True)[1], _tour_cost(lg),
@@ -160,7 +166,7 @@ def test_dijkstra_matches_enumeration_on_randoms():
     for seed in range(10):
         g = tso.random_complete_instance(6, 0.3, 1.0, 0.6, seed=(41, seed))
         lg = tso.log_transform(g)
-        dist = lg.distances_from(g.start)
+        dist = tso.dijkstra(lg, g.start)[0]
         for j in g.node_ids:
             best = oracles.best_visit_probability(g, j)
             assert math.exp(-dist[j]) == pytest.approx(best, abs=1e-12)
@@ -169,7 +175,7 @@ def test_dijkstra_matches_enumeration_on_randoms():
 def test_dijkstra_reverse_agrees_with_forward():
     g = tso.random_complete_instance(6, 0.3, 1.0, 0.6, seed=17)
     lg = tso.log_transform(g)
-    to_term = lg.distances_to(g.terminal)
+    to_term = tso.dijkstra(lg, g.terminal, reverse=True)[0]
     for j in g.node_ids:
         fwd = tso.dijkstra(lg, j)[0][g.terminal]
         assert to_term[j] == pytest.approx(fwd, abs=1e-15)
@@ -203,7 +209,7 @@ def _search_readings(g, queries):
     lg = tso.log_transform(g)
     trees = {v: (tso.dijkstra(lg, v)[1], tso.dijkstra(lg, v, reverse=True)[1]) for v in g.node_ids}
     rep = tso.feasibility_check(g)
-    legs = [repr(orienteering._leg_avoiding(lg, *q)) for q in queries]
+    legs = [repr(oracles.library_leg(lg, *q)) for q in queries]
     return trees, rep.reachable, rep.x_nonempty, legs
 
 
@@ -237,10 +243,59 @@ def test_equal_sums_keep_the_first_popped_parent():
     )
     lg = tso.log_transform(g)
     dist, parent = tso.dijkstra(lg, 0)
-    assert dist[2] < dist[1] and dist[2] + lg.costs[2][3] == dist[1] + lg.costs[1][3] == dist[3]
+    costs = oracles.arc_costs(lg)
+    assert dist[2] < dist[1] and dist[2] + costs[2][3] == dist[1] + costs[1][3] == dist[3]
     assert parent[3] == 2 and tree_path(parent, 0, 3) == [0, 2, 3]
-    leg = orienteering._leg_avoiding(lg, 0, 3, {0}, 0.0)
+    leg = oracles.library_leg(lg, 0, 3, {0}, 0.0)
     assert leg == oracles.grasp_leg(g, 0, 3, {0}) == ((0, 2, 3), dist[3])
+
+
+def _tied_digraph(seed):
+    """A random digraph on 7-10 nodes, ids 1000 - 7v listed in a shuffled order, survivals from four values, 1.0 among them: many exact ties."""
+    rng = np.random.default_rng((33, seed))
+    n = int(rng.integers(7, 11))
+    ids = [1000 - 7 * v for v in rng.permutation(n).tolist()]
+    edges = [(u, v, float(rng.choice([0.6, 0.8, 0.9, 1.0]))) for u in ids for v in ids if u != v and rng.uniform() < 0.5]
+    return tso.SurvivalGraph(node_ids=ids, priorities={}, edges=edges, start=ids[0], terminal=ids[-1], p_s=0.4)
+
+
+def test_index_search_matches_the_dict_search():
+    # graph.search over node indices against its dict-keyed original,
+    # oracles.dict_search, with (dist, prev) mapped back to node ids and
+    # compared to the bit: full trees from every node both ways through
+    # dijkstra, over the rows the original read (oracles.arc_costs), and
+    # banned legs stopped at dst under a finite limit over cost-sorted rows.
+    # Index order is neither id order nor its reverse, and over all graphs
+    # some nodes get their float from two parents, some legs reach dst and
+    # some do not.
+    seen = {"tied parents": 0, "reached": 0, "missed": 0}
+    for seed in range(30):
+        g = _tied_digraph(seed)
+        lg = tso.log_transform(g)
+        ids = g.node_ids
+        tables = oracles.arc_costs(lg), oracles.arc_costs(lg, reverse=True)
+        for v in ids:
+            for reverse, table in ((False, tables[0]), (True, tables[1])):
+                want = oracles.dict_search({u: row.items() for u, row in table.items()}, v)
+                dist, prev = tso.dijkstra(lg, v, reverse)
+                assert {u: repr(d) for u, d in dist.items() if d < INF} == {u: repr(d) for u, d in want[0].items()}, (seed, v)
+                assert {u: p for u, p in prev.items() if p is not None} == want[1], (seed, v)
+                seen["tied parents"] += sum(
+                    sum(want[0].get(p, INF) + w == d for p, w in table[u].items()) > 1
+                    for u, d in want[0].items()) if not reverse else 0
+        by_id = {v: tuple(sorted(row.items(), key=lambda t: t[1])) for v, row in tables[0].items()}
+        rows = [tuple((g.index[u], w) for u, w in row) for row in by_id.values()]
+        rng = np.random.default_rng((34, seed))
+        for _ in range(40):
+            src, dst = (int(i) for i in rng.choice(len(ids), 2, replace=False))
+            banned = {i for i in range(len(ids)) if i != src and rng.uniform() < 0.3} | {src}
+            cost, extra = (float(rng.choice([0.0, rng.uniform(0.0, lg.limit)])) for _ in range(2))
+            want = oracles.dict_search(by_id, ids[src], ids[dst], {ids[i] for i in banned}, cost, extra, lg.limit)
+            dist, prev = tso.graph.search(rows, ids, src, dst, banned, cost, extra, lg.limit)
+            assert {ids[i]: repr(d) for i, d in enumerate(dist) if d < INF} == {u: repr(d) for u, d in want[0].items()}
+            assert {ids[i]: ids[p] for i, p in enumerate(prev) if p is not None} == want[1]
+            seen["reached" if ids[dst] in want[0] else "missed"] += 1
+    assert all(seen.values()), seen
 
 
 def test_zeta_diamond_values(diamond):
@@ -322,8 +377,9 @@ def test_feasibility_internal_consistency():
             # edges: a full search over rows built here without them.
             leg = tree_path(parent, g.start, j)
             cut = set(zip(leg, leg[1:]))
-            rows = {v: [(u, w) for u, w in row.items() if (v, u) not in cut] for v, row in lg.costs.items()}
-            cost = dist[j] + tso.graph.search(rows, j)[0].get(g.terminal, INF)
+            # search runs over node indices: rows by index, heads as indices.
+            rows = [[(g.index[u], w) for u, w in row.items() if (v, u) not in cut] for v, row in oracles.arc_costs(lg).items()]
+            cost = dist[j] + tso.graph.search(rows, g.node_ids, g.index[j])[0][g.index[g.terminal]]
             assert rep.reachable[j] == (cost <= -math.log(g.p_s) + 1e-9)
 
 

@@ -293,16 +293,26 @@ def test_heuristic_oracle_close_and_uncertified():
 def test_heuristic_run_searches_each_source_once(monkeypatch):
     # A GRASP run reads every tree through the LogGraph's memo: the start's
     # for ζ and the first skeleton, one per leg source, and one reverse tree,
-    # to the terminal.
+    # to the terminal. LogGraph.tree runs each tree as a graph.search, which
+    # is counted with the direction of the tree it builds; GRASP's banned
+    # searches go through orienteering.search and are not counted.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.5, seed=(0, 0))
-    calls = []
-    dijkstra = tso.graph.dijkstra
+    calls, building = [], []
+    tree, search = tso.graph.LogGraph.tree, tso.graph.search
 
-    def counted(lg, source, reverse=False):
-        calls.append((source, reverse))
-        return dijkstra(lg, source, reverse)
+    def counted_tree(lg, i, reverse=False):
+        building.append(reverse)
+        try:
+            return tree(lg, i, reverse)
+        finally:
+            building.pop()
 
-    monkeypatch.setattr(tso.graph, "dijkstra", counted)
+    def counted_search(rows, ids, src, *args):
+        calls.append((ids[src], building[-1]))
+        return search(rows, ids, src, *args)
+
+    monkeypatch.setattr(tso.graph.LogGraph, "tree", counted_tree)
+    monkeypatch.setattr(tso.graph, "search", counted_search)
     tso.greedy_survivors(g, tso.GreedyConfig(team_size=5, oracle="heuristic"))
     assert (g.start, False) in calls and len(calls) == len(set(calls))
     assert [c for c in calls if c[1]] == [(g.terminal, True)]

@@ -279,18 +279,32 @@ def _sparse_digraph(seed):
     )
 
 
+def _shuffled(g, seed):
+    """g with node v renamed 1000 - 7v and node_ids listed in a fixed shuffled order, so index order is not id order."""
+    new = {v: 1000 - 7 * v for v in g.node_ids}
+    order = np.random.default_rng(seed).permutation(g.num_nodes)
+    return tso.SurvivalGraph(
+        node_ids=[new[g.node_ids[i]] for i in order], priorities={new[v]: d for v, d in g.priorities.items()},
+        edges=[(new[u], new[v], w) for u, v, w in g.edges], start=new[g.start], terminal=new[g.terminal], p_s=g.p_s,
+    )
+
+
 def _heuristic_cases():
     """(name, graph, rewards): two ratio cells, a hex depot, ten sparse digraphs,
-    three complete digraphs on a loose budget, and 100- and 200-node complete graphs.
+    three complete digraphs on a loose budget, 100- and 200-node complete graphs,
+    and the hex depot and the first ratio cell with shuffled node ids.
 
     About 40% of the rewards are 0, so local search has free nodes to drop,
-    and on the complete digraphs its segment reversal finds gains.
+    and on the complete digraphs its segment reversal finds gains. Hex's
+    repeated survivals tie many paths, so on its shuffled copy a search that
+    broke ties by index rather than by node id would take other legs.
     """
     graphs = [(f"ratio-p{p_s}", tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, 0))) for p_s in (0.5, 0.8)]
     graphs.append(("hex-p0.6", tso.hex_instance(p_s=0.6)))
     graphs += [(f"sparse-{seed}", _sparse_digraph(seed)) for seed in range(10)]
     graphs += [(f"complete-{seed}", tso.random_complete_instance(9, 0.5, 1.0, 0.3, seed=(94, seed))) for seed in range(3)]
     graphs += [(f"complete-{n}", tso.feasible_random_instance(n, 0.3, 1.0, 0.7, seed=(1, 0))) for n in (100, 200)]
+    graphs += [(f"{name}-shuffled", _shuffled(g, k)) for k, (name, g) in enumerate([graphs[2], graphs[0]])]
     for k, (name, g) in enumerate(graphs):
         rng = np.random.default_rng((92, k))
         rewards = {v: float(rng.uniform(0.0, 1.0)) if rng.uniform() < 0.6 else 0.0 for v in g.node_ids}
@@ -423,7 +437,7 @@ def test_skeleton_trie_matches_the_reference_walk():
             got = orienteering._random_skeleton(shared, b, hops)
             assert (got is None) == (want is None), (name, call)
             if got is not None:
-                assert (list(got[0]), repr(got[1])) == (want[0], repr(want[1])), (name, call)
+                assert ([g.node_ids[i] for i in got[0]], repr(got[1])) == (want[0], repr(want[1])), (name, call)
             assert b.bit_generator.state == a.bit_generator.state, (name, call)
         stack = [(shared.table(orienteering._trie), 0)]
         while stack:
@@ -450,7 +464,7 @@ def test_skeleton_trie_on_the_draw_source_matches_the_generator_walk():
             got = orienteering._random_skeleton(shared, b, hops)
             assert (got is None) == (want is None), (name, call)
             if got is not None:
-                assert (list(got[0]), repr(got[1])) == (want[0], repr(want[1])), (name, call)
+                assert ([g.node_ids[i] for i in got[0]], repr(got[1])) == (want[0], repr(want[1])), (name, call)
             n = 2 + call * 7919
             assert b.integers(n) == int(a.integers(n)), (name, call)
 
@@ -515,8 +529,8 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
     # made a cycle, and every op's trie waited for the cycle collector: the
     # benchmark's peak RSS rose by 2 MB. No other table on the LogGraph
     # points back to it either: the catalog, its _Steps, the cost-sorted
-    # rows, GRASP's detour lists and reversal results, and the bounded
-    # search's distance table.
+    # rows, the trees, GRASP's cost matrix, detour lists and reversal
+    # results, and the bounded search's distance table.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.8, seed=(0, 0))
     rewards = {v: 1.0 for v in g.node_ids}
 
@@ -533,7 +547,9 @@ def test_a_dropped_log_graph_frees_its_skeleton_trie_without_the_collector():
         lg = tso.log_transform(g)
         tso.solve_heuristic(lg, rewards, seed=0)
         assert lg.table(orienteering._trie).kids
-        assert lg.table(orienteering._detours) and lg.table(orienteering._reversals)
+        # The detour table is a flat list, None where no list was built.
+        assert any(lg.table(orienteering._detours)) and lg.table(orienteering._reversals)
+        assert lg._tables[orienteering._matrix] and lg._tables[orienteering._rows] and lg._from_trees and lg._to_trees
         tso.solve_exact(lg, rewards)
         bounded_search(lg)
         assert lg._tables[orienteering.prefix_catalog] is not None
@@ -587,21 +603,25 @@ def test_scans_match_their_full_scan_references(monkeypatch):
     orig_insertions, orig_leg = orienteering._insertions, orienteering._leg_avoiding
     seen = {"insertions": 0, "legs": 0, "rejected": 0}
 
-    def insertions(lg, rewards, path, cost):
-        out = orig_insertions(lg, rewards, path, cost)
+    # GRASP works on node indices; the references on node ids.
+    def insertions(lg, rew, path, cost):
+        out = orig_insertions(lg, rew, path, cost)
+        ids = lg.graph.node_ids
+        rewards, walk = dict(zip(ids, rew)), [ids[i] for i in path]
         limit = lg.budget + 1e-9
         for c in (cost, 0.0, 0.5 * (cost + limit), limit):
-            got = out if c == cost else orig_insertions(lg, rewards, path, c)
-            want = oracles.grasp_insertions(lg.graph, rewards, path, c, set(path))
-            assert repr(got) == repr(sorted(want, key=_rank_key(lg.graph, rewards)))
+            got = out if c == cost else orig_insertions(lg, rew, path, c)
+            want = oracles.grasp_insertions(lg.graph, rewards, walk, c, set(walk))
+            assert repr([(ids[j], i, d) for j, i, d in got]) == repr(sorted(want, key=_rank_key(lg.graph, rewards)))
         seen["insertions"] += len(out)
         return out
 
     def leg_avoiding(lg, src, dst, banned, cost):
         got = orig_leg(lg, src, dst, banned, cost)
-        extra = lg.distances_to(lg.graph.terminal)[dst]
-        want = _leg_verdict(lg.graph, oracles.grasp_leg(lg.graph, src, dst, banned), cost, extra)
-        assert repr(got) == repr(want)
+        ids = lg.graph.node_ids
+        extra = tso.dijkstra(lg, lg.graph.terminal, reverse=True)[0][ids[dst]]
+        want = _leg_verdict(lg.graph, oracles.grasp_leg(lg.graph, ids[src], ids[dst], {ids[i] for i in banned}), cost, extra)
+        assert repr(got and (tuple(ids[i] for i in got[0]), got[1])) == repr(want)
         seen["legs"] += 1
         seen["rejected"] += want is None
         return got
@@ -629,9 +649,11 @@ def test_one_insertion_ranking_serves_both_callers(monkeypatch):
     orig = orienteering._insertions
     ties = {"ratio": 0, "ratio and delta": 0, "one node": 0}
 
-    def insertions(lg, rewards, path, cost):
-        out = orig(lg, rewards, path, cost)
+    def insertions(lg, rew, path, cost):
+        got = orig(lg, rew, path, cost)
         g = lg.graph
+        # The list over node ids, as the references read it.
+        rewards, out = dict(zip(g.node_ids, rew)), [(g.node_ids[j], i, d) for j, i, d in got]
         listed = sorted(out, key=lambda t: (g.index[t[0]], t[1]))
 
         def ratio(t):
@@ -645,7 +667,7 @@ def test_one_insertion_ranking_serves_both_callers(monkeypatch):
         if len(out) > 1 and ratio(out[0]) == ratio(out[1]):
             a, b = out[:2]
             ties["ratio" if a[2] != b[2] else "ratio and delta" if a[0] != b[0] else "one node"] += 1
-        return out
+        return got
 
     monkeypatch.setattr(orienteering, "_insertions", insertions)
     for k, (name, g) in enumerate(_scan_graphs()):
@@ -671,8 +693,12 @@ def test_detour_lists_hold_every_fit_at_cost_zero_sorted_by_delta():
             tso.solve_heuristic(lg, {v: 1.0 for v in g.node_ids}, seed=k, restarts=24)
         except tso.InfeasibleInstanceError:
             continue
-        costs = lg.costs
-        for (a, b), (deltas, nodes) in lg.table(orienteering._detours).items():
+        costs, ids = oracles.arc_costs(lg), g.node_ids
+        # The table is a flat list over node indices, at a * n + b for arc (a, b).
+        for k, fits in enumerate(lg.table(orienteering._detours)):
+            if fits is None:
+                continue
+            (a, b), deltas, nodes = (ids[i] for i in divmod(k, len(ids))), fits[0], [ids[j] for j in fits[1]]
             both = {j: costs[a][j] + costs[j][b] - costs[a][b] for j in costs[a] if b in costs[j]}
             want = {j: d for j, d in both.items() if 0.0 + d <= lg.limit}
             assert sorted(nodes) == sorted(want) and len(nodes) == len(deltas), (name, a, b)
@@ -693,12 +719,12 @@ def test_local_search_on_a_filled_reversal_table_matches_a_fresh_one(monkeypatch
     orig = orienteering._local_search
     scans = {"shared": 0, "fresh": 0}
 
-    def local_search(lg, rewards, path, cost):
+    def local_search(lg, rew, path, cost):
         fresh = tso.log_transform(lg.graph)
-        want = orig(fresh, rewards, list(path), cost)
+        want = orig(fresh, rew, list(path), cost)
         scans["fresh"] += len(fresh.table(orienteering._reversals))
         before = len(lg.table(orienteering._reversals))
-        got = orig(lg, rewards, path, cost)
+        got = orig(lg, rew, path, cost)
         scans["shared"] += len(lg.table(orienteering._reversals)) - before
         assert repr(got) == repr(want)
         return got
@@ -728,15 +754,15 @@ def test_legs_match_the_reference_at_every_cost(monkeypatch):
     banned_searches = []
     search = orienteering.search
 
-    def counted(rows, src, dst, *args):
+    def counted(rows, ids, src, dst, *args):
         banned_searches.append(dst is not None)
-        return search(rows, src, dst, *args)
+        return search(rows, ids, src, dst, *args)
 
     monkeypatch.setattr(orienteering, "search", counted)
     for k, (name, g) in enumerate(_scan_graphs()):
         rng = np.random.default_rng((98, k))
         shared = tso.log_transform(g)
-        dist_t = shared.distances_to(g.terminal)
+        dist_t = tso.dijkstra(shared, g.terminal, reverse=True)[0]
         limit = shared.budget + 1e-9
         answered = {"tree": 0, "search": 0}
         for _ in range(60):
@@ -748,7 +774,7 @@ def test_legs_match_the_reference_at_every_cost(monkeypatch):
             want = _leg_verdict(g, ref, cost, extra)
             for lg in (tso.log_transform(g), shared):
                 banned_searches.clear()
-                got = orienteering._leg_avoiding(lg, src, dst, banned, cost)
+                got = oracles.library_leg(lg, src, dst, banned, cost)
                 assert repr(got) == repr(want), (name, src, dst, cost)
                 if lg is not shared:
                     answered["search" if any(banned_searches) else "tree"] += 1
@@ -768,23 +794,23 @@ def test_banned_leg_is_returned_only_where_it_fits(monkeypatch):
     searches = []
     search = orienteering.search
 
-    def counted(rows, src, dst, *args):
-        searches.append(dst)
-        return search(rows, src, dst, *args)
+    def counted(rows, ids, src, dst, *args):
+        searches.append(ids[dst])
+        return search(rows, ids, src, dst, *args)
 
     monkeypatch.setattr(orienteering, "search", counted)
     # cost + leg + dist_to(3)[2] exceeds the budget ln 2 at 0.5 and above; it fits at 0.0.
     leg = ((0, 4, 2), -math.log(0.85) + -math.log(0.85))
-    assert lg.shortest_tree(0)[1][2] == 1
+    assert tso.dijkstra(lg, 0)[1][2] == 1
     assert oracles.grasp_leg(g, 0, 2, {0, 1, 3}) == leg
     for cost, want in [(0.5, None), (0.6, None), (0.0, leg), (0.9, None), (0.0, leg)]:
-        assert orienteering._leg_avoiding(lg, 0, 2, {0, 1, 3}, cost) == want, cost
+        assert oracles.library_leg(lg, 0, 2, {0, 1, 3}, cost) == want, cost
     assert searches == [2] * 5
     # The tree's own leg keeps the contract too, with no search: None where
     # it cannot fit.
     tree_leg = ((0, 1, 2), -math.log(0.9) + -math.log(0.9))
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.5) is None
-    assert orienteering._leg_avoiding(lg, 0, 2, {0, 3}, 0.0) == tree_leg == oracles.grasp_leg(g, 0, 2, {0, 3})
+    assert oracles.library_leg(lg, 0, 2, {0, 3}, 0.5) is None
+    assert oracles.library_leg(lg, 0, 2, {0, 3}, 0.0) == tree_leg == oracles.grasp_leg(g, 0, 2, {0, 3})
     assert searches == [2] * 5
 
 
@@ -808,15 +834,17 @@ def test_base_path_cost_is_its_path_cost(loop5):
     # and its cost must be the float _path_cost sums along the path, bit for bit.
     for name, g in _base_path_cases(loop5):
         lg = tso.log_transform(g)
-        path, cost = _base_path(lg)
-        assert repr(cost) == repr(_path_cost(lg, path)), name
+        walk, cost = _base_path(lg)
+        assert repr(cost) == repr(_path_cost(lg, walk)), name
+        # _base_path and _path_cost work on node indices.
+        path = [g.node_ids[i] for i in walk]
         assert path[0] == g.start and path[-1] == g.terminal, name
         if g.start != g.terminal:
             assert path == tree_path(tso.dijkstra(lg, g.start)[1], g.start, g.terminal), name
             continue
         check_path(g, path)
-        dist = lg.distances_from(g.start)
-        returns = [dist[v] + w for v, w in lg.into[g.start].items() if v != g.start]
+        dist = tso.dijkstra(lg, g.start)[0]
+        returns = [dist[v] + w for v, w in oracles.arc_costs(lg, reverse=True)[g.start].items() if v != g.start]
         assert len(path) > 1 and cost == min(returns), name
 
 
@@ -828,9 +856,9 @@ def test_base_path_tie_between_returns_goes_to_the_first_in_neighbour():
     for node_ids, first in (([0, 2, 1], 2), ([0, 1, 2], 1)):
         g = tso.SurvivalGraph(node_ids=node_ids, priorities={}, edges=edges, start=0, terminal=0, p_s=0.5)
         lg = tso.log_transform(g)
-        costs = {v: lg.distances_from(0)[v] + lg.costs[v][0] for v in (1, 2)}
+        costs = {v: tso.dijkstra(lg, 0)[0][v] + oracles.arc_costs(lg)[v][0] for v in (1, 2)}
         assert costs[1] == costs[2]
-        assert _base_path(lg) == ([0, first, 0], costs[first])
+        assert _base_path(lg) == ([0, g.index[first], 0], costs[first])
         # A p_s above either tour's survival leaves too tight a budget: the robot stays home.
         tight = tso.log_transform(dataclasses.replace(g, p_s=math.exp(1e-6 - costs[1])))
         assert tight.budget < costs[1]
@@ -1293,9 +1321,9 @@ def test_bounded_search_keeps_its_tables_on_the_log_graph(monkeypatch):
     sources = []
     search = orienteering.search
 
-    def counted(rows, src, *args, **kwargs):
+    def counted(rows, ids, src, *args, **kwargs):
         sources.append(src)
-        return search(rows, src, *args, **kwargs)
+        return search(rows, ids, src, *args, **kwargs)
 
     monkeypatch.setattr(orienteering, "search", counted)
     g, cfg = _effort_case("node")
@@ -1413,12 +1441,15 @@ def test_stopped_searches_read_the_shared_rows_cut_at_limit(monkeypatch):
         read.clear()
         within = lg.table(orienteering._within)
         filtered = {v: sorted(((u, w) for u, w in row.items() if w <= lg.limit), key=lambda t: t[1])
-                    for v, row in lg.costs.items()}
-        assert len(read) == g.num_nodes and all({v: list(row) for v, row in rows.items()} == filtered for rows in read)
-        dropped += sum(map(len, shared.values())) > sum(map(len, filtered.values()))
-        for i, v in enumerate(g.node_ids):
-            dist = search(shared, v, limit=lg.limit)[0]
-            assert repr(within[i].tolist()) == repr([dist.get(u, math.inf) for u in g.node_ids]), v
+                    for v, row in oracles.arc_costs(lg).items()}
+        # The rows are lists over node indices, heads as indices.
+        ids = g.node_ids
+        assert len(read) == g.num_nodes and all(
+            {ids[i]: [(ids[u], w) for u, w in row] for i, row in enumerate(rows)} == filtered for rows in read)
+        dropped += sum(map(len, shared)) > sum(map(len, filtered.values()))
+        for i, v in enumerate(ids):
+            dist = search(shared, ids, i, limit=lg.limit)[0]
+            assert repr(within[i].tolist()) == repr(dist), v
     assert dropped
 
 
