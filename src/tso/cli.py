@@ -23,6 +23,7 @@ from .graph import (
     instance_to_dict,
     load_instance,
     validate_instance,
+    write_text,
 )
 from .greedy import VARIANTS, GreedyConfig, bounds_to_dict, compute_bounds, greedy_survivors
 from .instances import feasible_random_instance, hex_instance, random_complete_instance
@@ -55,8 +56,7 @@ def thread_count() -> int:
 
 def _write_text(out, text):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 INF = float("inf")
@@ -486,6 +488,17 @@ def load_instance(path) -> SurvivalGraph:
 
 def save_instance(g: SurvivalGraph, path) -> None:
     """Write g as strict JSON; ValueError, before the file is opened, on an infinite or NaN float."""
-    text = json.dumps(instance_to_dict(g), indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, json.dumps(instance_to_dict(g), indent=2, allow_nan=False) + "\n")
+
+
+def write_text(path, text: str) -> None:
+    # Every file tso writes: text as UTF-8 over the old bytes, then a regular
+    # file is cut to the written length. The open has no O_TRUNC, because on
+    # ext4 a truncating open frees the old blocks and starts writeback at
+    # close, which costs several times the write itself. A FIFO or device
+    # (/dev/null, /dev/stdout) cannot be cut and is written as it is.
+    # Nothing is fsynced.
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -721,13 +723,86 @@ def test_non_json_output_exits_one(tmp_path, capsys, field, variant):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc), encoding="utf-8")
     plan = tmp_path / "plan.json"
-    for out in (["--out", str(plan)], []):
+    kept = tmp_path / "kept.json"
+    old = (DATA / "solve-heuristic.plan.json").read_bytes()
+    kept.write_bytes(old)
+    for out in (["--out", str(kept)], ["--out", str(plan)], []):
         assert main(["solve", str(inst), "--variant", variant, "--team", "2", *out]) == 1
         got = capsys.readouterr()
         assert got.out == ""
         assert got.err.startswith("error: Out of range float values are not JSON compliant")
         assert len(got.err.splitlines()) == 1
     assert not plan.exists()
+    assert kept.read_bytes() == old
+
+
+def _writing_ops(tmp_path):
+    """argv without --out of every subcommand that writes an --out file, keyed by subcommand."""
+    inst = _gen(tmp_path, p_s=0.6)
+    plan = tmp_path / "plan.json"
+    assert main(["solve", str(inst), "--team", "2", "--out", str(plan)]) == 0
+    return {
+        "gen": ["gen", "--complete", "--nodes", "6", "--p-s", "0.6"],
+        "solve": ["solve", str(inst), "--team", "2"],
+        "exact": ["exact", str(inst), "--team", "2"],
+        "simulate": ["simulate", str(inst), "--plan", str(plan), "--trials", "500"],
+        "bench": ["bench", "--suite", "hex"],
+    }
+
+
+WRITERS = ["gen", "solve", "exact", "simulate", "bench"]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_in_place_over_a_longer_file_devnull_and_a_fifo(tmp_path, capsys, monkeypatch, command):
+    # A regular file is written over and cut to length, so it ends with the
+    # bytes a fresh file gets; /dev/null and a FIFO cannot be cut and are
+    # written without the cut.
+    monkeypatch.setenv("TSO_THREADS", "1")
+    argv = _writing_ops(tmp_path)[command]
+    fresh, longer, fifo = tmp_path / "fresh.out", tmp_path / "longer.out", tmp_path / "fifo"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(fresh)]) == 0
+    want = capsys.readouterr()
+    longer.write_bytes(b"x" * (len(fresh.read_bytes()) + 9000))
+    assert main(argv + ["--out", str(longer)]) == 0
+    assert capsys.readouterr() == want
+    assert longer.read_bytes() == fresh.read_bytes()
+    assert main(argv + ["--out", os.devnull]) == 0
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(argv + ["--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [fresh.read_bytes()]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_to_a_directory_or_a_missing_directory_exits_one(tmp_path, capsys, command):
+    argv = _writing_ops(tmp_path)[command]
+    missing = tmp_path / "missing" / "out.json"
+    for out, message in ((tmp_path, "[Errno 21] Is a directory"), (missing, "[Errno 2] No such file or directory")):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}: {str(out)!r}\n"
+    assert not missing.parent.exists()
+
+
+def test_a_new_out_file_gets_the_mode_open_gives(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    old = os.umask(0o027)
+    try:
+        assert main(["solve", str(inst), "--out", str(tmp_path / "plan.json")]) == 0
+        with open(tmp_path / "by-open.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "plan.json").stat().st_mode)
+    assert mode == 0o640 == stat.S_IMODE((tmp_path / "by-open.json").stat().st_mode)
 
 
 def test_bench_timing_fills_only_the_ms_column(tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -435,6 +437,20 @@ def test_instance_round_trip(tmp_path, loop5):
     assert back.terminal == loop5.terminal
     assert back.p_s == loop5.p_s
     assert back.priorities == loop5.priorities
+
+
+def test_save_instance_over_a_longer_file_leaves_the_fresh_bytes(tmp_path, loop5):
+    fresh, longer = tmp_path / "fresh.json", tmp_path / "longer.json"
+    tso.save_instance(loop5, fresh)
+    longer.write_bytes(b"x" * (len(fresh.read_bytes()) + 9000))
+    tso.save_instance(loop5, longer)
+    assert longer.read_bytes() == fresh.read_bytes()
+    old = os.umask(0o027)
+    try:
+        tso.save_instance(loop5, tmp_path / "new.json")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
 
 
 def test_save_instance_refuses_non_json_floats(tmp_path, hexg):
