@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .exact import brute_force_reachable, solve_exact_tso
 from .graph import (
@@ -41,17 +39,6 @@ CSV_HEADER = "instance,V,K,p_s,oracle,J,U,ratio,ms"
 
 def fmt(x) -> str:
     return format(float(x), ".9g")
-
-
-def thread_count() -> int:
-    raw = os.environ.get("TSO_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"TSO_THREADS must be an integer, got {raw!r}") from None
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
 
 
 def _write_text(out, text):
@@ -169,9 +156,8 @@ def _bound_for_prefix(run, team_size):
     return cert.value, cert
 
 
-def _bench_cell(task):
+def _bench_cell(suite, master, rep, p_s, timing):
     """CSV rows of one benchmark graph: one greedy run, one row per team prefix."""
-    suite, master, rep, p_s, timing = task
     if suite == "ratio":
         g = feasible_random_instance(RATIO_NODES, 0.3, 1.0, p_s, seed=(master, rep))
         label, max_team = f"ratio-v{RATIO_NODES}-s{rep}", RATIO_MAX_TEAM
@@ -188,31 +174,21 @@ def _bench_cell(task):
     return rows
 
 
-def _run_tasks(worker, tasks):
-    workers = min(thread_count(), len(tasks))
-    if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def bench_rows(suite: str, master_seed: int = 0, timing: bool = False):
     if suite == "ratio":
-        tasks = [(suite, master_seed, rep, p_s, timing) for rep in range(RATIO_SEEDS) for p_s in RATIO_PS_GRID]
+        cells = [(rep, p_s) for rep in range(RATIO_SEEDS) for p_s in RATIO_PS_GRID]
     elif suite == "hex":
-        tasks = [(suite, master_seed, 0, 0.70, timing)]
+        cells = [(0, 0.70)]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return [row for chunk in _run_tasks(_bench_cell, tasks) for row in chunk]
+    return [row for rep, p_s in cells for row in _bench_cell(suite, master_seed, rep, p_s, timing)]
 
 
 def cmd_bench(args) -> int:
     rows = bench_rows(args.suite, master_seed=args.seed, timing=args.timing)
     lines = [CSV_HEADER]
     for inst, v, team, p_s, oracle, j, u, ratio, ms in rows:
-        lines.append(
-            f"{inst},{v},{team},{fmt(p_s)},{oracle},{fmt(j)},{fmt(u)},{fmt(ratio)},{fmt(ms)}"
-        )
+        lines.append(f"{inst},{v},{team},{fmt(p_s)},{oracle},{fmt(j)},{fmt(u)},{fmt(ratio)},{fmt(ms)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -249,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--weight-min", type=float, default=0.3)
     g.add_argument("--weight-max", type=float, default=1.0)
     g.add_argument("--p-s", dest="p_s", type=float, default=0.7)
-    g.add_argument("--complete", action="store_true", help="complete digraph with uniform weights")
-    g.add_argument("--preset", choices=["hex"], help="named benchmark graph")
+    mode = g.add_mutually_exclusive_group()
+    mode.add_argument("--complete", action="store_true", help="complete digraph with uniform weights")
+    mode.add_argument("--preset", choices=["hex"], help="named benchmark graph")
     g.add_argument("--team", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")

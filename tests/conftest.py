@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -11,19 +10,10 @@ from tso.cli import main
 
 @pytest.fixture(scope="session")
 def ratio_bench(tmp_path_factory):
-    """One single-process ratio-suite run, shared by every test that reads its CSV."""
+    """One ratio-suite run, shared by every test that reads its CSV."""
     out = tmp_path_factory.mktemp("bench") / "ratio.csv"
-    saved = os.environ.get("TSO_THREADS")
-    os.environ["TSO_THREADS"] = "1"
     t0 = time.perf_counter()
-    try:
-        rc = main(["bench", "--suite", "ratio", "--out", str(out)])
-    finally:
-        if saved is None:
-            os.environ.pop("TSO_THREADS", None)
-        else:
-            os.environ["TSO_THREADS"] = saved
-    assert rc == 0
+    assert main(["bench", "--suite", "ratio", "--out", str(out)]) == 0
     return out.read_text(encoding="utf-8"), time.perf_counter() - t0
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tso
-from tso.cli import CSV_HEADER, _bench_cell, bench_rows, build_parser, fmt, main, thread_count
+from tso.cli import CSV_HEADER, _bench_cell, bench_rows, build_parser, fmt, main
 from tso.greedy import VARIANTS
 
 DATA = Path(__file__).parent / "data"
@@ -36,18 +36,6 @@ def test_fmt_is_short_and_stable():
     assert fmt(0.7) == "0.7"
     assert fmt(1.0) == "1"
     assert fmt(4.145567168435) == "4.14556717"
-
-
-def test_thread_count_env(monkeypatch, capsys):
-    monkeypatch.setenv("TSO_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("TSO_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.delenv("TSO_THREADS")
-    assert thread_count() >= 1
-    monkeypatch.setenv("TSO_THREADS", "abc")
-    assert main(["bench", "--suite", "hex"]) == 1
-    assert capsys.readouterr().err == "error: TSO_THREADS must be an integer, got 'abc'\n"
 
 
 def test_negative_seed_exits_one(tmp_path, capsys):
@@ -92,7 +80,7 @@ def test_gen_hex_preset(tmp_path, capsys):
 
 def test_gen_needs_a_shape(capsys):
     assert main(["gen"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: choose --complete or --preset hex\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -646,16 +634,14 @@ def test_one_log_graph_per_run(tmp_path, monkeypatch, capsys):
     assert main(["solve", str(_gen(tmp_path)), "--team", "2", "--oversize", "4"]) == 0
     assert len(calls) == 1
     calls.clear()
-    assert len(_bench_cell(("hex", 0, 0, 0.70, False))) == 6
+    assert len(_bench_cell("hex", 0, 0, 0.70, False)) == 6
     assert len(calls) == 1
 
 
-def test_bench_hex_byte_identical(tmp_path, monkeypatch):
+def test_bench_hex_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    monkeypatch.setenv("TSO_THREADS", "1")
     assert main(["bench", "--suite", "hex", "--out", str(a)]) == 0
-    monkeypatch.setenv("TSO_THREADS", "2")
     assert main(["bench", "--suite", "hex", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -695,7 +681,9 @@ def test_bench_rejects_unknown_suite(capsys):
     (["simulate", "inst.json"], "tso simulate: error: the following arguments are required: --plan"),
     (["cube"], "tso: error: argument command: invalid choice: 'cube'"),
     (["solve", "inst.json", "--bogus"], "tso: error: unrecognized arguments: --bogus"),
-], ids=["invalid-choice", "missing-required", "unknown-subcommand", "unknown-flag"])
+    (["gen", "--complete", "--preset", "hex", "--nodes", "5", "--seed", "3"],
+     "tso gen: error: argument --preset: not allowed with argument --complete"),
+], ids=["invalid-choice", "missing-required", "unknown-subcommand", "unknown-flag", "complete-and-preset"])
 def test_usage_errors_exit_one(capsys, argv, message):
     # Exit code 2 means an infeasible instance; a usage error is "any other
     # error" and returns 1 from main, with argparse's lines on stderr.
@@ -754,11 +742,10 @@ WRITERS = ["gen", "solve", "exact", "simulate", "bench"]
 
 
 @pytest.mark.parametrize("command", WRITERS)
-def test_out_in_place_over_a_longer_file_devnull_and_a_fifo(tmp_path, capsys, monkeypatch, command):
+def test_out_in_place_over_a_longer_file_devnull_and_a_fifo(tmp_path, capsys, command):
     # A regular file is written over and cut to length, so it ends with the
     # bytes a fresh file gets; /dev/null and a FIFO cannot be cut and are
     # written without the cut.
-    monkeypatch.setenv("TSO_THREADS", "1")
     argv = _writing_ops(tmp_path)[command]
     fresh, longer, fifo = tmp_path / "fresh.out", tmp_path / "longer.out", tmp_path / "fifo"
     capsys.readouterr()
@@ -820,14 +807,28 @@ def test_bench_rows_rejects_unknown_suite():
         bench_rows("cube")
 
 
-def test_bench_csvs_match_golden(ratio_bench, tmp_path, monkeypatch):
+def test_bench_csvs_match_golden(ratio_bench, tmp_path):
     """Bench bytes are pinned across commits, not only across repeat runs."""
     text, _elapsed = ratio_bench
     assert text == (DATA / "bench-ratio.csv").read_text(encoding="utf-8")
-    monkeypatch.setenv("TSO_THREADS", "1")
     out = tmp_path / "hex.csv"
     assert main(["bench", "--suite", "hex", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "bench-hex.csv").read_bytes()
+
+
+def test_bench_runs_in_this_process_whatever_tso_threads_says(tmp_path, monkeypatch):
+    # bench runs its cells in this process and reads no TSO_THREADS: neither
+    # a pool size nor a value that is not an integer changes a byte, and
+    # nothing forks.
+    def no_fork():
+        raise OSError("tso bench must not fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "ratio.csv"
+    for threads in ("4", "abc"):
+        monkeypatch.setenv("TSO_THREADS", threads)
+        assert main(["bench", "--suite", "ratio", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "bench-ratio.csv").read_bytes()
 
 
 # Values a mutation swaps in: wrong types, non-finite floats, out-of-range
