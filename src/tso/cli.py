@@ -64,13 +64,15 @@ def _checked(g):
 # Subcommands
 
 def cmd_gen(args) -> int:
+    # The --complete flags, None unless given: the preset takes none of them.
+    shape = {"nodes": 10, "weight_min": 0.3, "weight_max": 1.0, "seed": 0}
     if args.preset == "hex":
+        if given := [k for k in shape if getattr(args, k) is not None]:
+            args.usage(f"argument --{given[0].replace('_', '-')}: not allowed with argument --preset")
         g = hex_instance(p_s=args.p_s, team_size=args.team)
     elif args.complete:
-        g = random_complete_instance(
-            args.nodes, args.weight_min, args.weight_max, args.p_s,
-            seed=args.seed, team_size=args.team,
-        )
+        n, lo, hi, seed = (d if getattr(args, k) is None else getattr(args, k) for k, d in shape.items())
+        g = random_complete_instance(n, lo, hi, args.p_s, seed=seed, team_size=args.team)
     else:
         raise ValueError("choose --complete or --preset hex")
     _write_json(args.out, instance_to_dict(_checked(g)))
@@ -185,6 +187,8 @@ def bench_rows(suite: str, master_seed: int = 0, timing: bool = False):
 
 
 def cmd_bench(args) -> int:
+    if args.suite == "hex" and args.seed:
+        args.usage("argument --seed: the hex suite has one graph and takes no seed")
     rows = bench_rows(args.suite, master_seed=args.seed, timing=args.timing)
     lines = [CSV_HEADER]
     for inst, v, team, p_s, oracle, j, u, ratio, ms in rows:
@@ -215,23 +219,24 @@ def build_parser() -> argparse.ArgumentParser:
     Reuse is safe: parse_args returns a fresh Namespace on each call, no
     argument has a mutable default, and set_defaults holds this module's
     cmd_* functions, which look up greedy_survivors, compute_bounds and
-    simulate_team as module globals at call time. Do not change the result.
+    simulate_team as module globals at call time, and, as usage, the error
+    method of the subcommand's parser. Do not change the result.
     """
     p = _Parser(prog="tso", description="Survival-constrained team path planning.")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument("--nodes", type=int, default=10)
-    g.add_argument("--weight-min", type=float, default=0.3)
-    g.add_argument("--weight-max", type=float, default=1.0)
+    g.add_argument("--nodes", type=int)
+    g.add_argument("--weight-min", type=float)
+    g.add_argument("--weight-max", type=float)
     g.add_argument("--p-s", dest="p_s", type=float, default=0.7)
     mode = g.add_mutually_exclusive_group()
     mode.add_argument("--complete", action="store_true", help="complete digraph with uniform weights")
     mode.add_argument("--preset", choices=["hex"], help="named benchmark graph")
     g.add_argument("--team", type=int, default=1)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int)
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, usage=g.error)
 
     s = sub.add_parser("solve", help="greedy team plan with bound certificate")
     s.add_argument("instance")
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--timing", action="store_true", help="record wall times (breaks byte-identical output)")
     b.add_argument("--out")
-    b.set_defaults(func=cmd_bench)
+    b.set_defaults(func=cmd_bench, usage=b.error)
 
     return p
 
@@ -275,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) < 0:
+        if (getattr(args, "seed", 0) or 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import (
     InfeasibleInstanceError,
     LogGraph,
@@ -25,7 +27,7 @@ from .graph import (
     ordered_sum,
 )
 from .objective import Coverage, TeamPlan, VisitCounts, node_coverage, team_plan, visit_profile
-from .orienteering import solve_arc_exact, solve_exact, solve_heuristic
+from .orienteering import _Steps, solve_arc_exact, solve_exact, solve_heuristic
 # Not called here, but perfbench/tracing.py wraps them at tso.greedy.
 from .graph import feasibility_check  # noqa: F401
 from .objective import discrete_derivative, edge_team_objective, multi_visit_objective, visit_count_distribution  # noqa: F401
@@ -99,9 +101,10 @@ class BoundCertificate:
 class RewardModel:
     """One reward variant and the paths chosen so far.
 
-    It supplies rewards(), the next robot's oracle rewards (the model's
-    own dict where it keeps one: no oracle writes into it), update(profile),
-    which takes in an added path's visit profile, appends the variant's
+    It supplies rewards(), the next robot's oracle rewards as float64, by
+    node index or in _Steps.arcs order (the model's own array where it
+    keeps one: no oracle writes into it), update(profile), which takes in
+    an added path's visit profile, appends the variant's
     value of the paths so far to values and returns the path's true gain
     (the change in that value), and the U1 caps: one (a, extra, b, p, d)
     per reward d a walk start ~> a, extra, b ~> terminal could collect with
@@ -110,9 +113,10 @@ class RewardModel:
     so a run's own model gives the same caps after any number of paths.
     """
 
-    def __init__(self, g: SurvivalGraph, zeta):
-        self.g = g
-        self.zeta = zeta
+    def __init__(self, lg: LogGraph):
+        self.g = g = lg.graph
+        self.zeta = zeta = max_visit_probabilities(lg)
+        self.z = np.array([zeta[j] for j in g.node_ids])  # zeta by node index
         self.paths: list[tuple[int, ...]] = []
         self.values: list[float] = []
         # A visit counts from step 1, so the start only on depot tours.
@@ -134,17 +138,20 @@ class RewardModel:
 class NodeRewards(RewardModel):
     """Node j pays its priority once, to the first robot that visits it: J itself."""
 
-    def __init__(self, g: SurvivalGraph, zeta):
-        super().__init__(g, zeta)
-        self.nu = {j: zeta[j] * g.priority(j) for j in g.node_ids}
-        self.cover = node_coverage(g, [])
+    def __init__(self, lg: LogGraph):
+        super().__init__(lg)
+        self.nu = self.z * [self.g.priority(j) for j in self.g.node_ids]
+        self.cover = node_coverage(self.g, [])
 
     def rewards(self):
         return self.nu
 
     def update(self, prof) -> float:
+        # Through a memoryview, each item is a Python float: the same products
+        # as numpy's, at a third of its per-item cost.
+        nu, idx = self.nu.data, self.g.index
         for n in range(1, len(prof.path)):
-            self.nu[prof.path[n]] *= 1.0 - prof.survival_prefix[n]
+            nu[idx[prof.path[n]]] *= 1.0 - prof.survival_prefix[n]
         # discrete_derivative's sum of d * z * miss, not a difference of values.
         gain = self.cover.gain(prof.visit_prob.items())
         self.cover.fold(prof.visit_prob.items())
@@ -158,18 +165,22 @@ class NodeRewards(RewardModel):
 class EdgeRewards(RewardModel):
     """Edge (u, v) pays d_uv once, to the first robot that survives across it."""
 
-    def __init__(self, g: SurvivalGraph, zeta):
-        super().__init__(g, zeta)
+    def __init__(self, lg: LogGraph):
+        super().__init__(lg)
+        g, arcs = self.g, lg.table(_Steps).arcs
         self.cover = Coverage(dict(g.edge_rewards) if g.edge_rewards is not None else {(u, v): 1.0 for u, v, _w in g.edges})
-        self.w = {(u, v): zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.cover.table.items()}
+        # Each arc's position in arcs, the order of the oracle's array; a reward off the arcs raises KeyError.
+        self.at = {e: k for k, e in enumerate(arcs)}
+        self.w = np.zeros(len(arcs))
+        self.w[[self.at[e] for e in self.cover.table]] = [self.zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.cover.table.items()]
 
     def rewards(self):
         return self.w
 
     def update(self, prof) -> float:
+        w = self.w.data  # item updates as in NodeRewards.update
         for e, a in prof.crossings:
-            if e in self.w:
-                self.w[e] *= 1.0 - a
+            w[self.at[e]] *= 1.0 - a  # an unrewarded arc's 0.0 stays +0.0
         self.cover.fold(prof.crossings)
         return self.advance(self.cover.value())
 
@@ -182,17 +193,16 @@ class EdgeRewards(RewardModel):
 class MultiVisitRewards(RewardModel):
     """The m-th robot to visit node j pays d_j[m-1]."""
 
-    def __init__(self, g: SurvivalGraph, zeta):
-        if g.multi_visit is None or any(j not in g.multi_visit.d for j in g.node_ids):
+    def __init__(self, lg: LogGraph):
+        super().__init__(lg)
+        self.mv = self.g.multi_visit
+        if self.mv is None or any(j not in self.mv.d for j in self.g.node_ids):
             raise ValueError("multi-visit planning needs a reward row for every node")
-        super().__init__(g, zeta)
-        self.mv = g.multi_visit
-        self.counts = VisitCounts(g, self.mv.d, self.mv.M, [])
+        self.counts = VisitCounts(self.g, self.mv.d, self.mv.M, [])
 
     def rewards(self):
         # Node j is worth zeta_j times its expected next-visit reward.
-        nu = zip(self.g.node_ids, self.counts.next_reward().tolist())
-        return {j: self.zeta[j] * r for j, r in nu}
+        return self.z * self.counts.next_reward()
 
     def update(self, prof) -> float:
         self.counts.fold([prof])
@@ -209,7 +219,7 @@ MODELS = {"node": NodeRewards, "edge": EdgeRewards, "multi_visit": MultiVisitRew
 VARIANTS = tuple(MODELS)
 
 
-def _oracle_call(cfg: GreedyConfig, lg: LogGraph, rewards: dict, iteration: int):
+def _oracle_call(cfg: GreedyConfig, lg: LogGraph, rewards: np.ndarray, iteration: int):
     if cfg.variant == "edge":
         return solve_arc_exact(lg, rewards)
     if cfg.oracle == "exact":
@@ -228,7 +238,7 @@ def greedy_survivors(g: SurvivalGraph, cfg: GreedyConfig) -> GreedyResult:
     values[k] is the variant's value of the first k + 1 paths.
     """
     lg = log_transform(g)
-    model = MODELS[cfg.variant](g, max_visit_probabilities(lg))
+    model = MODELS[cfg.variant](lg)
     if not has_feasible_path(lg):
         raise InfeasibleInstanceError("feasibility check found no start-terminal path within the survival budget")
     gains = [model.add(_oracle_call(cfg, lg, model.rewards(), k).path) for k in range(cfg.total_paths)]

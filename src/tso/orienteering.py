@@ -12,7 +12,9 @@ The heuristic is randomized greedy insertion with local search (GRASP).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,13 +28,25 @@ class OracleResult:
     nodes_expanded: int = 0
 
 
-def _check(rewards: dict, kind: str, known) -> None:
-    """ValueError naming the first key that known(key) rejects, or whose reward is negative, infinite or NaN."""
-    for key, r in rewards.items():
-        if not known(key):
-            raise ValueError(f"reward on {'unknown' if kind == 'node' else 'missing'} {kind} {key}")
-        if not 0.0 <= r < INF:
-            raise ValueError(f"negative, infinite or NaN reward on {kind} {key}")
+def _reward_array(rewards, keys, kind: str) -> np.ndarray:
+    """rewards as float64 in keys order: an array in that order, as it is, or a dict by key, absent keys 0.0.
+
+    ValueError on an array of another length, else naming the first key off keys or with a negative, infinite or NaN reward.
+    """
+    if isinstance(rewards, dict):
+        known = set(keys)
+        for key, r in rewards.items():
+            if key not in known:
+                raise ValueError(f"reward on {'unknown' if kind == 'node' else 'missing'} {kind} {key}")
+            if not 0.0 <= r < INF:
+                raise ValueError(f"negative, infinite or NaN reward on {kind} {key}")
+        return np.array([rewards.get(k, 0.0) for k in keys], dtype=float)
+    rew = np.asarray(rewards, dtype=float)
+    if rew.shape != (len(keys),):
+        raise ValueError(f"{kind} rewards of shape {rew.shape}, expected ({len(keys)},)")
+    if not (rew.min(initial=0.0) >= 0.0 and rew.max(initial=0.0) < INF):
+        raise ValueError(f"negative, infinite or NaN reward on {kind} {keys[np.flatnonzero(~((rew >= 0.0) & (rew < INF)))[0]]}")
+    return rew
 
 
 def path_reward(rewards, path) -> float:
@@ -43,7 +57,7 @@ def path_reward(rewards, path) -> float:
     return ordered_sum(rewards[v] for v in path[1:])
 
 
-def solve_exact(lg: LogGraph, rewards: dict[int, float]) -> OracleResult:
+def solve_exact(lg: LogGraph, rewards) -> OracleResult:
     """Best path for node rewards: the lexicographically smallest maximizer.
 
     The first call on a LogGraph lists every budget-feasible prefix of its
@@ -54,17 +68,14 @@ def solve_exact(lg: LogGraph, rewards: dict[int, float]) -> OracleResult:
     unless the best tour collects more than 0.0. Above CATALOG_CAP prefixes
     the build stops, and the calls on that LogGraph run _bounded_search,
     which expands prefixes with the build's kernel and returns the same
-    path and float. No oracle writes into the rewards it is handed.
+    path and float. No oracle writes into the rewards it is handed, a dict or an array by node index.
     """
-    _check(rewards, "node", lg.graph.index.__contains__)
-    return _exact(lg, np.array([rewards.get(v, 0.0) for v in lg.graph.node_ids], dtype=float), True)
+    return _exact(lg, _reward_array(rewards, lg.graph.node_ids, "node"), True)
 
 
-def solve_arc_exact(lg: LogGraph, edge_rewards: dict[tuple[int, int], float]) -> OracleResult:
-    """solve_exact with rewards on edges instead of nodes; the same catalog serves both."""
-    arcs = lg.table(_Steps).arcs
-    _check(edge_rewards, "edge", set(arcs).__contains__)
-    return _exact(lg, np.array([edge_rewards.get(e, 0.0) for e in arcs], dtype=float), False)
+def solve_arc_exact(lg: LogGraph, edge_rewards) -> OracleResult:
+    """solve_exact with rewards on edges instead of nodes, a dict by (u, v) or an array in _Steps.arcs order; the same catalog serves both."""
+    return _exact(lg, _reward_array(edge_rewards, lg.table(_Steps).arcs, "edge"), False)
 
 
 def _exact(lg: LogGraph, item_rew, nodes: bool) -> OracleResult:
@@ -147,6 +158,10 @@ class PrefixCatalog:
     level_leaves: list
     prefixes: int
 
+    def __post_init__(self):
+        # ends[r]: one past the last leaf of the r-th deepest depth's run.
+        self.ends = list(accumulate(self.level_leaves[::-1]))
+
     def best(self, rew):
         """(reward, arcs) of the best leaf given each arc's reward, the sentinel's 0.0 last; (-INF, None) without leaves.
 
@@ -156,7 +171,7 @@ class PrefixCatalog:
         pairwise, and a sentinel's +0.0 moves no bit of a sum begun at +0.0.
         Ties go to the smallest arc sequence (see _exact). The build lists each
         depth's leaves in that order, so only the first tied leaf of each depth
-        can win, and those are compared.
+        can win, the first of all if no tie lies past its depth's run.
         """
         if not self.tiles:
             return -INF, None
@@ -168,10 +183,10 @@ class PrefixCatalog:
         top = sums.max()
         tied = np.flatnonzero(sums == top)
         i = int(tied[0])
-        if len(tied) > 1:
+        if tied[-1] >= self.ends[bisect_right(self.ends, i)]:
             # The first tied leaf at or after the start of each depth's run:
             # the first of each depth among them, and no leaf but tied ones.
-            at = np.searchsorted(tied, np.cumsum([0] + self.level_leaves[::-1]))
+            at = np.searchsorted(tied, [0] + self.ends)
             i = min(set(tied.take(at, mode="clip").tolist()), key=self._arcs)
         return float(top), tuple([k for k in self._arcs(i) if k < len(self.arcs)])
 
@@ -809,7 +824,7 @@ def _local_search(lg: LogGraph, rew, path, cost):
             cost += delta
 
 
-def solve_heuristic(lg: LogGraph, rewards: dict[int, float], seed=0, restarts: int = 64) -> OracleResult:
+def solve_heuristic(lg: LogGraph, rewards, seed=0, restarts: int = 64) -> OracleResult:
     """GRASP: randomized greedy insertion plus local search, best of restarts.
 
     The first restart grows the cheapest feasible skeleton; later restarts
@@ -843,9 +858,8 @@ def solve_heuristic(lg: LogGraph, rewards: dict[int, float], seed=0, restarts: i
     carry different cost floats after different insertion orders. The
     memos depend on the rewards, so they must not go on lg.
     """
-    _check(rewards, "node", lg.graph.index.__contains__)
     ids = lg.graph.node_ids
-    rew = [rewards.get(v, 0.0) for v in ids]
+    rew = _reward_array(rewards, ids, "node").tolist()
     rng = _Draws(seed)
     base, base_cost = _base_path(lg)
     rcls, ends = {}, {}

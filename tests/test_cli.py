@@ -78,6 +78,23 @@ def test_gen_hex_preset(tmp_path, capsys):
     assert len(doc["nodes"]) == 19
 
 
+def test_gen_complete_defaults_are_the_flags_it_always_had(capsys):
+    # --nodes, --weight-min, --weight-max and --seed have no argparse default,
+    # so that --preset can refuse them; --complete fills in 10, 0.3, 1.0 and 0.
+    assert main(["gen", "--complete"]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["gen", "--complete", "--nodes", "10", "--weight-min", "0.3", "--weight-max", "1.0", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == implicit
+    doc = json.loads(implicit)
+    assert len(doc["nodes"]) == 10 and all(0.3 <= e["survival"] < 1.0 for e in doc["edges"])
+
+
+def test_hex_bench_takes_seed_zero(tmp_path):
+    out = tmp_path / "hex.csv"
+    assert main(["bench", "--suite", "hex", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "bench-hex.csv").read_bytes()
+
+
 def test_gen_needs_a_shape(capsys):
     assert main(["gen"]) == 1
     assert capsys.readouterr().err == "error: choose --complete or --preset hex\n"
@@ -683,7 +700,16 @@ def test_bench_rejects_unknown_suite(capsys):
     (["solve", "inst.json", "--bogus"], "tso: error: unrecognized arguments: --bogus"),
     (["gen", "--complete", "--preset", "hex", "--nodes", "5", "--seed", "3"],
      "tso gen: error: argument --preset: not allowed with argument --complete"),
-], ids=["invalid-choice", "missing-required", "unknown-subcommand", "unknown-flag", "complete-and-preset"])
+    (["gen", "--preset", "hex", "--nodes", "5"], "tso gen: error: argument --nodes: not allowed with argument --preset"),
+    (["gen", "--preset", "hex", "--seed", "0"], "tso gen: error: argument --seed: not allowed with argument --preset"),
+    (["gen", "--preset", "hex", "--weight-min", "0.9"],
+     "tso gen: error: argument --weight-min: not allowed with argument --preset"),
+    (["gen", "--preset", "hex", "--p-s", "0.6", "--weight-max", "0.9"],
+     "tso gen: error: argument --weight-max: not allowed with argument --preset"),
+    (["bench", "--suite", "hex", "--seed", "5"],
+     "tso bench: error: argument --seed: the hex suite has one graph and takes no seed"),
+], ids=["invalid-choice", "missing-required", "unknown-subcommand", "unknown-flag", "complete-and-preset",
+        "preset-and-nodes", "preset-and-seed", "preset-and-weight-min", "preset-and-weight-max", "hex-bench-seed"])
 def test_usage_errors_exit_one(capsys, argv, message):
     # Exit code 2 means an infeasible instance; a usage error is "any other
     # error" and returns 1 from main, with argparse's lines on stderr.

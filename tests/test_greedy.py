@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,18 @@ def test_edge_variant_gains_match_objective_increments():
             before = tso.edge_team_objective(g, res.paths[:k], table)
             after = tso.edge_team_objective(g, res.paths[: k + 1], table)
             assert res.gains[k] == after - before, (g.num_nodes, k)
+
+
+def test_edge_variant_refuses_a_reward_off_the_arcs():
+    # The edge model places each reward at its arc's slot of the oracle's
+    # array; a reward on no arc of the graph has no slot and must raise,
+    # not be left out of the oracle's rewards while the value still counts it.
+    g = tso.hex_instance(p_s=0.7)
+    for off in ((0, 18), (0, 99)):
+        h = tso.SurvivalGraph(node_ids=g.node_ids, priorities=g.priorities, edges=g.edges, start=g.start,
+                              terminal=g.terminal, p_s=g.p_s, edge_rewards={(0, 1): 1.0, off: 2.0})
+        with pytest.raises(KeyError, match=re.escape(repr(off))):
+            tso.greedy_survivors(h, tso.GreedyConfig(team_size=2, variant="edge"))
 
 
 def test_edge_variant_rejects_heuristic_oracle(diamond):

@@ -91,3 +91,45 @@ def test_feasible_random_instance_resamples_tight_budgets():
 def test_feasible_random_instance_gives_up():
     with pytest.raises(tso.InfeasibleInstanceError):
         tso.feasible_random_instance(8, 0.3, 0.4, 0.99, seed=0, max_attempts=5)
+
+
+def _built_and_tested(n, weight_min, weight_max, p_s, seed, team_size, max_attempts):
+    """The first draw whose log graph has_feasible_path accepts, every draw built as a whole instance first."""
+    for attempt in range(max_attempts):
+        g = tso.random_complete_instance(n, weight_min, weight_max, p_s, seed=(*seed, attempt), team_size=team_size)
+        if tso.has_feasible_path(tso.log_transform(g)):
+            return g
+    return None
+
+
+@pytest.mark.parametrize("n, weight_min, weight_max, p_s", [
+    (5, 0.3, 1.0, 0.5), (8, 0.3, 1.0, 0.9), (12, 0.5, 1.0, 0.95), (20, 0.3, 1.0, 0.95), (20, 0.3, 1.0, 0.6),
+    # One weight everywhere: the direct arc's survival is p_s, within the
+    # tolerance of it, past it, or such that its cost equals the limit,
+    # -ln(p_s) + BUDGET_TOL, to the bit.
+    (3, 0.5, 0.5, 0.5), (4, 0.5, 0.5, 0.5 * (1 + 1e-12)), (4, 0.5, 0.5, 0.5 * (1 + 4e-9)),
+    (3, 0.3, 0.3, 0.30000000029999996),
+    (3, 1.0, 1.0, 1.0),
+])
+def test_feasible_random_instance_tests_each_draw_on_its_weights(n, weight_min, weight_max, p_s):
+    # Each draw is tested by a search over its weights alone, and only the
+    # accepted one becomes an instance: the same instance, to every field,
+    # as building and testing every draw gives, or the same refusal.
+    for s in range(6):
+        want = _built_and_tested(n, weight_min, weight_max, p_s, (s, 2), 3, 40)
+        if want is None:
+            with pytest.raises(tso.InfeasibleInstanceError):
+                tso.feasible_random_instance(n, weight_min, weight_max, p_s, seed=(s, 2), team_size=3, max_attempts=40)
+            continue
+        got = tso.feasible_random_instance(n, weight_min, weight_max, p_s, seed=(s, 2), team_size=3, max_attempts=40)
+        assert got == want
+        assert [repr(w) for _u, _v, w in got.edges] == [repr(w) for _u, _v, w in want.edges]
+
+
+def test_feasible_random_instance_refuses_bad_arguments_as_the_generator_does():
+    for args in ((1, 0.3, 1.0, 0.7), (5, 0.0, 1.0, 0.7), (5, 0.8, 0.3, 0.7), (5, 0.3, 1.0, 0.0)):
+        with pytest.raises(ValueError) as want:
+            tso.random_complete_instance(*args)
+        with pytest.raises(ValueError) as got:
+            tso.feasible_random_instance(*args)
+        assert str(got.value) == str(want.value)

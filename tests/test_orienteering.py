@@ -65,6 +65,88 @@ def test_rejects_bad_rewards(diamond):
         tso.solve_arc_exact(lg, {(1, 2): float("nan")})
 
 
+def _as_arrays(lg, nodes, arcs):
+    """The reward dicts as the arrays greedy's models hand the oracles: by node index, and in _Steps.arcs order."""
+    return (np.array([nodes.get(v, 0.0) for v in lg.graph.node_ids]),
+            np.array([arcs.get(e, 0.0) for e in lg.table(orienteering._Steps).arcs]))
+
+
+@pytest.mark.parametrize("cap", [orienteering.CATALOG_CAP, 0])
+def test_reward_arrays_give_what_reward_dicts_give(monkeypatch, cap):
+    # Rewards from {0.0, 0.5, 1.0} tie many paths. Each oracle must return
+    # the same path, float bits and effort for a dict and for its array, on
+    # open and depot graphs, with the catalog and with the bounded search.
+    monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
+    ties = 0
+    for seed in range(6):
+        g = tso.feasible_random_instance(7, 0.4, 1.0, 0.5, seed=(90, seed))
+        if seed % 2:
+            g = dataclasses.replace(g, terminal=g.start)
+        rng = np.random.default_rng((91, seed))
+        for _draw in range(2):
+            nodes = {v: float(rng.choice([0.0, 0.5, 1.0])) for v in g.node_ids}
+            arcs = {(u, v): float(rng.choice([0.0, 0.5, 1.0])) for u, v, _ in g.edges}
+            lg = tso.log_transform(g)
+            node_arr, arc_arr = _as_arrays(lg, nodes, arcs)
+            for solve, rewards, array in (
+                (tso.solve_exact, nodes, node_arr),
+                (tso.solve_arc_exact, arcs, arc_arr),
+                (tso.solve_heuristic, nodes, node_arr),
+            ):
+                by_dict, by_array = solve(lg, rewards), solve(tso.log_transform(g), array)
+                assert (by_array.path, repr(by_array.reward), by_array.nodes_expanded) == (
+                    by_dict.path, repr(by_dict.reward), by_dict.nodes_expanded), (seed, solve.__name__)
+            paths = oracles.feasible_paths(g)
+            sums = [ordered_sum(nodes[v] for v in path[1:]) for path in paths]
+            ties += sums.count(max(sums, default=None)) > 1
+    assert ties >= 6
+
+
+@pytest.mark.parametrize("cap", [orienteering.CATALOG_CAP, 0])
+def test_bad_reward_arrays_are_refused_as_bad_dicts_are(monkeypatch, diamond, cap):
+    # An array is checked whole, and its first bad entry is named as _check
+    # names a dict's: node 3, or arc (1, 4), the third of each. -0.0 passes,
+    # as it does in a dict.
+    monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
+    lg = tso.log_transform(diamond)
+    arcs = lg.table(orienteering._Steps).arcs
+    for solve, keys in ((tso.solve_exact, diamond.node_ids), (tso.solve_heuristic, diamond.node_ids),
+                        (tso.solve_arc_exact, arcs)):
+        for bad in (math.nan, math.inf, -math.inf, -1.0, -5e-324):
+            array = np.full(len(keys), 0.5)
+            array[2:] = bad
+            with pytest.raises(ValueError) as by_dict:
+                solve(lg, {keys[2]: bad, keys[-1]: bad})
+            with pytest.raises(ValueError, match=re.escape(str(by_dict.value))):
+                solve(lg, array)
+            assert str(by_dict.value).startswith("negative, infinite or NaN reward on ")
+        zero = {k: -0.0 for k in keys}
+        got, want = solve(lg, np.full(len(keys), -0.0)), solve(lg, zero)
+        assert (got.path, repr(got.reward)) == (want.path, repr(want.reward))
+
+
+def test_reward_arrays_of_another_length_are_refused(diamond):
+    lg = tso.log_transform(diamond)
+    for solve, n, kind in ((tso.solve_exact, 4, "node"), (tso.solve_heuristic, 4, "node"), (tso.solve_arc_exact, 5, "edge")):
+        for wrong in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n)), np.zeros(0), np.float64(1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"{kind} rewards of shape {np.shape(wrong)}, expected ({n},)")):
+                solve(lg, wrong)
+
+
+def test_empty_arc_array_on_a_graph_without_arcs():
+    # No arc, so no path: the open graph is infeasible, and the depot robot
+    # stays home, for an empty array as for an empty dict.
+    for terminal in (2, 1):
+        g = tso.SurvivalGraph(node_ids=[1, 2], priorities={1: 1.0, 2: 1.0}, edges=[], start=1, terminal=terminal, p_s=0.5)
+        for rewards in ({}, np.zeros(0)):
+            if terminal == 2:
+                with pytest.raises(tso.InfeasibleInstanceError):
+                    tso.solve_arc_exact(tso.log_transform(g), rewards)
+            else:
+                res = tso.solve_arc_exact(tso.log_transform(g), rewards)
+                assert (res.path, repr(res.reward), res.nodes_expanded) == ((1,), "0.0", 1)
+
+
 def test_reward_on_unknown_node_is_refused(diamond):
     for solve in (tso.solve_exact, tso.solve_heuristic):
         with pytest.raises(ValueError, match="reward on unknown node 9"):
@@ -1071,6 +1153,32 @@ def test_all_zero_rewards_tie_every_leaf():
     assert fastest(zero) < 10 * fastest(spread)
 
 
+@pytest.mark.parametrize("depot", [False, True])
+def test_catalog_ties_within_one_depth_run_and_across_depths(monkeypatch, depot):
+    # best() takes the first tied leaf when every tied leaf lies in its depth's
+    # run, and compares the first tied leaf of each depth otherwise. A
+    # reference that sums every leaf left to right and takes the smallest
+    # arc sequence among all tied leaves must agree, to the float, for
+    # single maximizers, ties inside one depth and ties across depths.
+    monkeypatch.setattr(orienteering, "_BLOCK", 64)
+    g = tso.random_complete_instance(6, 0.6, 1.0, 0.4, seed=(404, 6))
+    if depot:
+        g = dataclasses.replace(g, terminal=g.start)
+    cat = tso.log_transform(g).table(orienteering.prefix_catalog)
+    leaves = [tuple(k for k in cat._arcs(i) if k < len(cat.arcs)) for i in range(sum(cat.level_leaves))]
+    rng = np.random.default_rng(405)
+    seen = set()
+    for _draw in range(60):
+        rew = np.append(rng.choice([0.0, 0.25, 0.5, 1.0], len(cat.arcs)), 0.0)
+        sums = [ordered_sum(rew[k] for k in leaf) for leaf in leaves]
+        top = max(sums)
+        tied = [leaf for leaf, r in zip(leaves, sums) if r == top]
+        seen.add("one" if len(tied) == 1 else "depth" if len({len(t) for t in tied}) == 1 else "across")
+        got = cat.best(rew)
+        assert (repr(got[0]), got[1]) == (repr(float(top)), min(tied))
+    assert seen == {"one", "depth", "across"} and len(cat.tiles) > 1
+
+
 def _ladder(n=11):
     """Forward arcs from each of 0..n-1 to every later node, 0 to n-1: a leaf per set of inner nodes, of 1 to n-1 steps."""
     edges = [(u, v, 1.0 if v == u + 1 else 0.99) for u in range(n) for v in range(u + 1, n)]
@@ -1184,7 +1292,7 @@ def test_bounded_search_memory(monkeypatch):
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.4, seed=(1, 0))
     lg = tso.log_transform(g)
-    rewards = tso.greedy.NodeRewards(g, tso.max_visit_probabilities(lg)).rewards()
+    rewards = tso.greedy.NodeRewards(lg).rewards()
     tracemalloc.start()
     try:
         res = tso.solve_exact(lg, rewards)
@@ -1193,7 +1301,8 @@ def test_bounded_search_memory(monkeypatch):
         tracemalloc.stop()
     assert res.nodes_expanded == 82_662
     assert peak < 3 * 2**20
-    reference = oracles.branch_and_bound(lg, rewards)
+    # The model's array is by node index; the reference reads a dict by node id.
+    reference = oracles.branch_and_bound(lg, dict(zip(g.node_ids, rewards.tolist())))
     assert (res.path, repr(res.reward)) == (reference.path, repr(reference.reward))
 
 
@@ -1375,22 +1484,30 @@ def test_no_exact_call_writes_into_a_per_graph_table(monkeypatch, hexg, cap):
 
 
 def test_no_oracle_writes_into_the_rewards_it_is_handed(monkeypatch, hexg):
-    # Greedy hands each oracle its reward model's own dict, uncopied, and
-    # updates that dict after the call, so an oracle must leave it as it
-    # was: same keys, same order, same float bits. Hex's catalog fits; with
-    # the cap at 0 the node oracle runs the bounded search.
+    # Greedy hands each oracle its reward model's own array, uncopied, and
+    # updates that array after the call, so an oracle must leave it as it
+    # was: the same float bits, as a library caller's dict keeps its keys,
+    # order and bits. Hex's catalog fits; with the cap at 0 the node oracle
+    # runs the bounded search.
     nodes, arcs = _random_rewards(hexg, np.random.default_rng(89))
     lg = tso.log_transform(hexg)
-    for solve, rewards in ((tso.solve_exact, nodes), (tso.solve_arc_exact, arcs), (tso.solve_heuristic, nodes)):
-        before = repr(rewards)
+    node_arr, arc_arr = _as_arrays(lg, nodes, arcs)
+
+    def held(rewards):
+        return rewards.tobytes() if isinstance(rewards, np.ndarray) else repr(rewards)
+
+    for solve, rewards in ((tso.solve_exact, nodes), (tso.solve_arc_exact, arcs), (tso.solve_heuristic, nodes),
+                           (tso.solve_exact, node_arr), (tso.solve_arc_exact, arc_arr), (tso.solve_heuristic, node_arr)):
+        before = held(rewards)
         assert solve(lg, rewards).reward > 0.0
-        assert repr(rewards) == before, solve.__name__
+        assert held(rewards) == before, solve.__name__
     assert _catalog(lg) is not None
     monkeypatch.setattr(tso.orienteering, "CATALOG_CAP", 0)
     bounded = tso.log_transform(hexg)
-    before = repr(nodes)
-    assert tso.solve_exact(bounded, nodes).reward > 0.0
-    assert repr(nodes) == before and _catalog(bounded) is None
+    for rewards in (nodes, node_arr):
+        before = held(rewards)
+        assert tso.solve_exact(bounded, rewards).reward > 0.0
+        assert held(rewards) == before and _catalog(bounded) is None
 
 
 def test_one_steps_table_and_one_row_table_per_log_graph(monkeypatch):
