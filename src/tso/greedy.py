@@ -26,7 +26,7 @@ from .graph import (
     max_visit_probabilities,
     ordered_sum,
 )
-from .objective import Coverage, TeamPlan, VisitCounts, node_coverage, team_plan, visit_profile
+from .objective import TeamPlan, VisitCounts, array_sum, node_coverage, team_plan, visit_profile
 from .orienteering import _Steps, solve_arc_exact, solve_exact, solve_heuristic
 # Not called here, but perfbench/tracing.py wraps them at tso.greedy.
 from .graph import feasibility_check  # noqa: F401
@@ -163,31 +163,40 @@ class NodeRewards(RewardModel):
 
 
 class EdgeRewards(RewardModel):
-    """Edge (u, v) pays d_uv once, to the first robot that survives across it."""
+    """Edge (u, v) pays d_uv once, to the first robot that survives across it.
+
+    Its miss chances are a float64 vector in table order, folded in place as
+    Coverage.fold folds them; array_sum gives Coverage.value's float.
+    """
 
     def __init__(self, lg: LogGraph):
         super().__init__(lg)
         g, arcs = self.g, lg.table(_Steps).arcs
-        self.cover = Coverage(dict(g.edge_rewards) if g.edge_rewards is not None else {(u, v): 1.0 for u, v, _w in g.edges})
-        # Each arc's position in arcs, the order of the oracle's array; a reward off the arcs raises KeyError.
-        self.at = {e: k for k, e in enumerate(arcs)}
+        self.table = dict(g.edge_rewards) if g.edge_rewards is not None else {(u, v): 1.0 for u, v, _w in g.edges}
+        # Per rewarded arc, its position in the table and in arcs, the order of the oracle's array; a reward off the arcs raises KeyError.
+        pos = {e: k for k, e in enumerate(arcs)}
+        self.at = {e: (k, pos[e]) for k, e in enumerate(self.table)}
+        self.d = np.array(list(self.table.values()), dtype=float)
+        self.miss = np.ones(len(self.d))
         self.w = np.zeros(len(arcs))
-        self.w[[self.at[e] for e in self.cover.table]] = [self.zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.cover.table.items()]
+        self.w[[pos[e] for e in self.table]] = [self.zeta[u] * g.survival[(u, v)] * d for (u, v), d in self.table.items()]
 
     def rewards(self):
         return self.w
 
     def update(self, prof) -> float:
-        w = self.w.data  # item updates as in NodeRewards.update
+        miss, w = self.miss.data, self.w.data  # item updates as in NodeRewards.update
         for e, a in prof.crossings:
-            w[self.at[e]] *= 1.0 - a  # an unrewarded arc's 0.0 stays +0.0
-        self.cover.fold(prof.crossings)
-        return self.advance(self.cover.value())
+            if e in self.at:  # an unrewarded arc keeps its 0.0 weight
+                k, i = self.at[e]
+                miss[k] *= 1.0 - a
+                w[i] *= 1.0 - a
+        return self.advance(array_sum(self.d * (1.0 - self.miss)))
 
     def caps(self, lg, team_size):
         # A robot traverses (u, v) with probability at most zeta_u * omega.
         zeta, survival, idx = self.zeta, self.g.survival, self.g.index
-        return [(u, lg.out[idx[u]][idx[v]], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.cover.table.items()]
+        return [(u, lg.out[idx[u]][idx[v]], v, zeta[u] * survival[(u, v)], d) for (u, v), d in self.table.items()]
 
 
 class MultiVisitRewards(RewardModel):

@@ -53,6 +53,11 @@ def visit_profile(g: SurvivalGraph, path) -> VisitProfile:
     return VisitProfile(path=tuple(path), survival_prefix=tuple(prefix), visit_prob=visit)
 
 
+def array_sum(terms: np.ndarray) -> float:
+    """ordered_sum of terms in row-major order: np.add.accumulate adds left to right, and 0.0 + turns -0.0 into 0.0."""
+    return 0.0 + float(np.add.accumulate(terms.ravel())[-1]) if terms.size else 0.0
+
+
 class Coverage:
     """Per key of a reward table, the chance that no robot so far collected it.
 
@@ -122,49 +127,60 @@ def discrete_derivative(g: SurvivalGraph, candidate, existing) -> float:
 class VisitCounts:
     """Per node in g.node_ids order, P(exactly m of the robots so far visit it), m = 0..robots: one row of c each.
 
-    fold runs the Poisson-binomial DP's per-node loop, dp[m] = dp[m] * q +
-    dp[m - 1] * p for m = robots..1 and then dp[0] *= q, as whole-row ops on
-    the path's rows: the same products and sums, so the same floats. value
-    and next_reward read table (the m-th visit to j pays table[j][m - 1],
-    checked once here) and add left to right from 0.0, never pairwise.
+    c is the live view of one preallocated table, one row per count m and
+    doubled when full, whose rows past the live ones are zeros. fold runs
+    the Poisson-binomial DP's per-node loop, dp[m] = dp[m] * q + dp[m - 1] *
+    p for m = robots..1 and then dp[0] *= q, on the live rows in place: the
+    same products and sums, so the same floats. A node off the path has p =
+    0.0 and keeps its floats, as x * 1.0 + y * 0.0 == x: chances in [0, 1]
+    keep every entry finite and non-negative, never -0.0. value and
+    next_reward read table (the m-th visit to j pays table[j][m - 1],
+    checked once here) and add left to right from 0.0, as array_sum does.
     tests/oracles.py keeps the per-node loops as the reference.
     """
 
     def __init__(self, g: SurvivalGraph, table, M: int, profiles):
-        rising = [v for v, row in table.items() if any(b > a + 1e-15 for a, b in zip(row, row[1:M]))]
-        if rising:
+        if short := [v for v, row in table.items() if len(row) < M]:
+            raise ValueError(f"multi-visit row for node {short[0]} has {len(table[short[0]])} entries, expected {M}")
+        if rising := [v for v, row in table.items() if any(b > a + 1e-15 for a, b in zip(row, row[1:M]))]:
             raise ValueError(f"multi-visit rewards for node {rising[0]} increase with visit count")
         self.index = g.index
-        self.rows = [g.index[v] for v in g.node_ids if v in table]
-        self.d = np.array([table[v][:M] for v in g.node_ids if v in table], dtype=float).reshape(len(self.rows), M)
-        self.c = np.ones((g.num_nodes, 1))
+        rows = [g.index[v] for v in g.node_ids if v in table]
+        self.rows = rows if len(rows) < g.num_nodes else slice(None)  # a slice reads the table without a copy
+        self.d = np.array([table[v][:M] for v in g.node_ids if v in table], dtype=float).reshape(len(rows), M).T
+        self.robots = 0
+        self.t = np.zeros((64, g.num_nodes))
+        self.t[0] = 1.0
         self.fold(profiles)
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.t[:self.robots + 1].T
 
     def fold(self, profiles) -> None:
         for pr in profiles:
-            rows = [self.index[v] for v in pr.visit_prob]
-            p = np.array(list(pr.visit_prob.values()))[:, None]
-            q = 1.0 - p
-            new = np.zeros((len(self.c), self.c.shape[1] + 1))
-            new[:, :-1] = self.c
-            old = new[rows]
-            new[rows, 1:] = old[:, 1:] * q + old[:, :-1] * p
-            new[rows, :1] = old[:, :1] * q
-            self.c = new
+            self.robots += 1
+            if self.robots == len(self.t):
+                self.t = np.vstack((self.t, np.zeros_like(self.t)))
+            p = np.zeros(self.t.shape[1])
+            pm = p.data  # item writes, as in greedy's NodeRewards.update
+            for v, x in pr.visit_prob.items():
+                pm[self.index[v]] = x
+            live = self.t[:self.robots + 1]  # its last row is still zeros
+            shifted = live[:-1] * p
+            live *= 1.0 - p
+            live[1:] += shifted
 
     def value(self) -> float:
         """sum_j sum_m table[j][m-1] * P(at least m visits to j), row-major over the table's nodes."""
-        top = min(self.d.shape[1], self.c.shape[1] - 1)
-        at_least = np.cumsum(self.c[self.rows, ::-1], axis=1)[:, ::-1]
-        return ordered_sum((self.d[:, :top] * at_least[:, 1:top + 1]).ravel().tolist())
+        top = min(len(self.d), self.robots)
+        at_least = np.add.accumulate(self.t[self.robots:0:-1, self.rows], axis=0)[:-top - 1:-1]  # row m - 1: P(at least m)
+        return array_sum((self.d[:top] * at_least).T)
 
     def next_reward(self) -> np.ndarray:
         """Per table node, what one more visit pays in expectation: sum_m table[j][m] * P(exactly m visits)."""
-        c = self.c[self.rows]
-        total = np.zeros(len(self.rows))
-        for m in range(min(self.d.shape[1], c.shape[1])):
-            total += self.d[:, m] * c[:, m]
-        return total
+        top = min(len(self.d), self.robots + 1)
+        return 0.0 + np.add.accumulate(self.d[:top] * self.t[:top, self.rows], axis=0)[-1]  # 0.0 + as in array_sum
 
 
 def visit_count_distribution(g: SurvivalGraph, profiles) -> dict[int, np.ndarray]:
@@ -183,9 +199,8 @@ def multi_visit_objective(g: SurvivalGraph, paths, table, M: int) -> float:
 
 def edge_team_objective(g: SurvivalGraph, paths, rewards) -> float:
     """Expected reward over edges traversed by at least one robot."""
-    for e in rewards:
-        if e not in g.survival:
-            raise ValueError(f"reward on missing edge {e}")
+    if missing := [e for e in rewards if e not in g.survival]:
+        raise ValueError(f"reward on missing edge {missing[0]}")
     cover = Coverage(rewards)
     for p in paths:
         cover.fold(visit_profile(g, p).crossings)

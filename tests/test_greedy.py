@@ -448,6 +448,71 @@ def test_depot_variant_solve_matches_golden(tmp_path, capsys, variant, p_s):
     assert plan.read_bytes() == golden.read_bytes()
 
 
+def test_grasp_multi_visit_solve_matches_golden(tmp_path):
+    """GRASP reads MultiVisitRewards.rewards(); its hex depot plan is pinned across commits."""
+    inst = tmp_path / "inst.json"
+    tso.save_instance(_with_tables(tso.hex_instance(p_s=0.7), 7), inst)
+    plan = tmp_path / "plan.json"
+    argv = ["solve", str(inst), "--team", "6", "--oversize", "36", "--variant", "multi_visit", "--oracle", "heuristic"]
+    assert main([*argv, "--out", str(plan)]) == 0
+    golden = Path(__file__).parent / "data" / "solve-hex-p0.7-multi_visit-heuristic.plan.json"
+    assert plan.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["edge", "multi_visit"])
+def test_runs_of_70_robots_match_the_reference_loops(variant):
+    # 70 robots, past the visit-count table's first 64 rows, on a hex depot
+    # whose start edges survive with chance 1.0. Before every robot its
+    # rewards, and after it the run's value, are the floats of the per-node
+    # loops in tests/oracles.py or of a plain left-to-right edge sum.
+    base = tso.hex_instance(p_s=0.7)
+    sure = [(u, v, 1.0 if u == base.start else w) for u, v, w in base.edges]
+    g = _with_tables(tso.SurvivalGraph(node_ids=base.node_ids, priorities={}, edges=sure, start=0, terminal=0, p_s=0.7), 7)
+    run = tso.greedy_survivors(g, tso.GreedyConfig(6, oversize=70, variant=variant))
+    model = tso.greedy.MODELS[variant](run.lg)
+    arcs = run.lg.table(tso.orienteering._Steps).arcs
+    mv, ref = g.multi_visit, {v: [1.0] for v in g.node_ids}
+    miss = dict.fromkeys(g.edge_rewards, 1.0)
+    w = {(u, v): model.zeta[u] * g.survival[(u, v)] * d for (u, v), d in g.edge_rewards.items()}
+    for k, path in enumerate(run.paths):
+        if variant == "edge":
+            want = [w.get(e, 0.0) for e in arcs]
+        else:
+            nxt = oracles.next_visit_reward_reference(g, ref, mv.d, mv.M)
+            want = [model.zeta[j] * nxt[j] for j in g.node_ids]
+        assert repr(model.rewards().tolist()) == repr(want), k
+        model.add(path)
+        prof = tso.visit_profile(g, path)
+        oracles.fold_visit_counts_reference(ref, prof)
+        for e, a in prof.crossings:
+            miss[e] *= 1.0 - a
+            w[e] *= 1.0 - a
+        if variant == "edge":
+            value = 0.0
+            for e, d in g.edge_rewards.items():
+                value += d * (1.0 - miss[e])
+        else:
+            value = float(oracles.multi_visit_value_reference(g, ref, mv.d, mv.M))
+        assert repr(run.values[k]) == repr(model.values[k]) == repr(value), k
+    assert any(p == 1.0 for path in run.paths for p in tso.visit_profile(g, path).visit_prob.values())
+
+
+def test_edge_rewards_of_minus_zero_write_zero(tmp_path):
+    # Every edge pays -0.0: the run's value is a sum of -0.0 terms, which
+    # adds from 0.0 and so is written as 0.0.
+    base = tso.hex_instance(p_s=0.7)
+    g = tso.SurvivalGraph(
+        node_ids=base.node_ids, priorities={}, edges=base.edges, start=0, terminal=0, p_s=0.7,
+        edge_rewards={(u, v): -0.0 for u, v, _w in base.edges},
+    )
+    inst, plan = tmp_path / "inst.json", tmp_path / "plan.json"
+    tso.save_instance(g, inst)
+    assert main(["solve", str(inst), "--team", "2", "--oversize", "4", "--variant", "edge", "--out", str(plan)]) == 0
+    assert repr(json.loads(plan.read_text())["variant_objective"]) == "0.0"
+    run = tso.greedy_survivors(g, tso.GreedyConfig(2, oversize=4, variant="edge"))
+    assert repr(run.values) == "[0.0, 0.0, 0.0, 0.0]"
+
+
 def test_bounds_read_the_run_without_replaying_it(monkeypatch):
     # compute_bounds reads the values the run recorded; it builds no visit
     # profile and no team plan.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,53 @@ def test_visit_counts_match_the_per_node_loops(case):
         assert repr(counts.next_reward().tolist()) == repr([float(x) for x in want.values()]), k
     dist = tso.visit_count_distribution(g, profiles)
     assert repr({v: row.tolist() for v, row in dist.items()}) == repr(ref)
+
+
+def test_visit_counts_past_the_first_capacity():
+    # 70 robots, past the table's first 64 rows, with visit chances of 0.0
+    # and 1.0, under a mixed table and an all -0.0 one: the count rows, the
+    # value and the next rewards are the per-node loops' floats after every
+    # robot, and a sum of -0.0 terms is 0.0.
+    ids = [14, 11, 12, 10, 13]
+    g = tso.SurvivalGraph(node_ids=ids, priorities={}, edges=[], start=ids[0], terminal=ids[0], p_s=0.5)
+    tables = [{14: [1.0, 0.5, 0.25], 12: [-0.0, -0.0, -0.0], 13: [2.0, 2.0, 0.0]}, {12: [-0.0, -0.0, -0.0]}]
+    counts = [tso.objective.VisitCounts(g, table, 3, []) for table in tables]
+    ref = {v: [1.0] for v in ids}
+    rng = np.random.default_rng(5)
+    chances = [0.0, 1.0, *rng.uniform(0.0, 1.0, 6).tolist()]
+    for k in range(70):
+        z = {v: chances[int(rng.integers(len(chances)))] for v in ids if rng.random() < 0.7}
+        profile = tso.VisitProfile(path=(), survival_prefix=(1.0,), visit_prob=z)
+        oracles.fold_visit_counts_reference(ref, profile)
+        for table, c in zip(tables, counts):
+            c.fold([profile])
+            assert repr(c.c.tolist()) == repr([ref[v] for v in ids]), k
+            assert repr(c.value()) == repr(float(oracles.multi_visit_value_reference(g, ref, table, 3))), k
+            want = oracles.next_visit_reward_reference(g, ref, table, 3)
+            assert repr(c.next_reward().tolist()) == repr([float(x) for x in want.values()]), k
+    assert repr(counts[1].value()) == "0.0"
+    assert repr(counts[1].next_reward().tolist()) == "[0.0]"
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("all", "multi-visit row for node 0 has 2 entries, expected 3"),
+    ("one", "multi-visit row for node 5 has 1 entries, expected 3"),
+], ids=["all", "one"])
+def test_short_multi_visit_rows_are_named(rows, line):
+    # Rows shorter than M raise validate_instance's line, not numpy's reshape
+    # or inhomogeneous-shape message.
+    base = tso.hex_instance(p_s=0.7)
+    table = {v: [1.0, 0.5] if rows == "all" else [1.0, 0.5, 0.25] for v in base.node_ids}
+    if rows == "one":
+        table[5] = [1.0]
+    with pytest.raises(ValueError, match=re.escape(line)):
+        tso.multi_visit_objective(base, [], table, 3)
+    with pytest.raises(ValueError, match=re.escape(line)):
+        tso.objective.VisitCounts(base, table, 3, [])
+    g = dataclasses.replace(base, multi_visit=tso.MultiVisitTable(M=3, d=table))
+    assert any(line in problem for problem in tso.validate_instance(g))
+    with pytest.raises(ValueError, match=re.escape(line)):
+        tso.greedy_survivors(g, tso.GreedyConfig(1, variant="multi_visit"))
 
 
 def test_multi_visit_example():
