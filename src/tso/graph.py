@@ -121,6 +121,8 @@ def validate_instance(g: SurvivalGraph) -> list[str]:
                 problems.append(f"multi-visit row for unknown node {v}")
             if not all(math.isfinite(x) for x in row):
                 problems.append(f"multi-visit row for node {v} has a non-finite entry")
+            elif any(x < 0 for x in row):
+                problems.append(f"multi-visit row for node {v} has a negative entry")
             if any(b > a + 1e-15 for a, b in zip(row, row[1:])):
                 problems.append(f"multi-visit rewards for node {v} increase with visit count")
     if g.edge_rewards:
@@ -183,7 +185,7 @@ class LogGraph:
         trees = self._to_trees if reverse else self._from_trees
         tree = trees.get(i)
         if tree is None:
-            tree = trees[i] = search([row.items() for row in (self.back if reverse else self.out)], self.graph.node_ids, i)
+            tree = trees[i] = search([row.items() for row in (self.back if reverse else self.out)], i)
         return tree
 
 
@@ -209,15 +211,14 @@ def log_transform(g: SurvivalGraph) -> LogGraph:
     return LogGraph(graph=g, out=out, back=back, budget=budget, limit=budget + BUDGET_TOL)
 
 
-def search(rows, ids, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
+def search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
     """(dist, prev) lists of Dijkstra from src over rows, on node indices: INF and None where not reached.
 
-    rows[v] holds index v's arcs as (head index, cost) pairs, costs >= 0,
-    and ids[v] is v's node id. The one tie rule of every shortest path
-    here: the heap pops by (dist, node id), and dist[u] and prev[u] change
-    only on a strict improvement, so prev[u] is the first popped
-    predecessor that gives u's smallest float. The result depends neither
-    on the order of a row nor on the order of node_ids.
+    rows[v] holds index v's arcs as (head index, cost) pairs, costs >= 0.
+    The one tie rule of every shortest path here: the heap pops by (dist,
+    node index), and dist[u] and prev[u] change only on a strict
+    improvement, so prev[u] is the first popped predecessor that gives u's
+    smallest float. The result does not depend on the order of a row.
 
     An arc that would lower dist[u] is tested further. If `cost + (d + w) +
     extra > limit`, the rest of v's row is dropped; with a finite limit,
@@ -229,11 +230,10 @@ def search(rows, ids, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
     dist = [INF] * len(rows)
     prev = [None] * len(rows)
     dist[src] = 0.0
-    # Ids are unique, so the index in each entry never breaks a tie.
-    heap = [(0.0, ids[src], src)]
+    heap = [(0.0, src)]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, _id, v = pop(heap)
+        d, v = pop(heap)
         if d > dist[v]:
             continue
         if v == dst:
@@ -247,14 +247,14 @@ def search(rows, ids, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
                     continue
                 dist[u] = nd
                 prev[u] = v
-                push(heap, (nd, ids[u], u))
+                push(heap, (nd, u))
     return dist, prev
 
 
 def dijkstra(lg: LogGraph, source, reverse=False):
     """Single-source shortest paths on the log graph, keyed by node id: lg's kept tree of source, with no budget.
 
-    Its tie rule is search's: pops by (dist, node id), and each node's
+    Its tie rule is search's: pops by (dist, node index), and each node's
     parent is the first popped predecessor that gives its smallest float.
     reverse reads the tree over lg.back, giving distances TO source. Every
     node gets an entry: INF and a None parent where the search did not reach.
@@ -361,7 +361,7 @@ def feasibility_check(g: SurvivalGraph) -> FeasibilityReport:
             cut = list(rows)
             for a, b in zip(leg, leg[1:]):
                 cut[a] = [(u, w) for u, w in rows[a] if u != b]
-            cost = dist_s[j] + search(cut, g.node_ids, j, t)[0][t]
+            cost = dist_s[j] + search(cut, j, t)[0][t]
         reachable[v] = cost <= lg.limit
     return FeasibilityReport(reachable=reachable, x_nonempty=has_feasible_path(lg))
 

@@ -79,7 +79,7 @@ def feasible_random_instance(
         weights = _weights(num_nodes, weight_min, weight_max, p_s, base + (attempt,))
         costs = iter([-math.log(w) for w in weights])
         rows = [[(v, next(costs)) for v in ids if v != u] for u in ids]
-        if search(rows, ids, 0, num_nodes - 1)[0][-1] <= -math.log(p_s) + BUDGET_TOL:
+        if search(rows, 0, num_nodes - 1)[0][-1] <= -math.log(p_s) + BUDGET_TOL:
             return _complete(weights, num_nodes, p_s, team_size)
     raise InfeasibleInstanceError(
         f"no feasible draw in {max_attempts} attempts for p_s={p_s} seed={seed}"

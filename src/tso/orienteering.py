@@ -373,8 +373,7 @@ def _within(lg: LogGraph) -> np.ndarray:
     bounded search as INF does, since a need adds costs >= 0 to it.
     """
     rows = [tuple(t for t in row if t[1] <= lg.limit) for row in lg.table(_rows)]
-    ids = lg.graph.node_ids
-    return np.array([search(rows, ids, v, limit=lg.limit)[0] for v in range(len(ids))])
+    return np.array([search(rows, v, limit=lg.limit)[0] for v in range(len(rows))])
 
 
 def _bounded_search(lg: LogGraph, item_rew, rew, nodes: bool, best, best_path):
@@ -557,8 +556,8 @@ def _leg_avoiding(lg, src, dst, banned, cost):
 
     When the path to dst in src's tree has an interior that avoids banned,
     that path is the unbounded banned search's leg. Both searches pop in
-    (dist, node id) order and keep the first popped predecessor that gives
-    the smallest float (see graph.search). Each node of the path has the
+    (dist, node index) order and keep the first popped predecessor that
+    gives the smallest float (see graph.search). Each node of the path has the
     same dist in the banned search, as its path survives and a ban only
     removes relaxations. Its tree prev is popped first among the surviving
     predecessors: an earlier banned predecessor with an equal sum would
@@ -583,7 +582,7 @@ def _leg_avoiding(lg, src, dst, banned, cost):
     dist, prev = lg.tree(src)
     nodes = tree_path(prev, src, dst, banned)
     if nodes is None:
-        dist, prev = search(lg.table(_rows), lg.graph.node_ids, src, dst, banned, cost, extra, lg.limit)
+        dist, prev = search(lg.table(_rows), src, dst, banned, cost, extra, lg.limit)
         nodes = tree_path(prev, src, dst, banned)
     if nodes is None or cost + dist[dst] + extra > lg.limit:
         return None

@@ -19,9 +19,10 @@ chunked search that replaced it, to the path and the reward's bits.
 ``random_skeleton`` is a third: GRASP's skeleton walk as it ran before its
 states were kept in a trie, the reference for the trie's draws and
 skeletons. It asks the library for its legs in node ids (``library_leg``).
-``dict_search`` is a fourth: a verbatim copy of the library's shortest-path
-search as it ran over dicts keyed by node id, the reference for the search
-over node indices that replaced it, to the float and the parent.
+``dict_search`` is a fourth: a copy of the library's shortest-path search
+as it ran over dicts keyed by node id, popping by each node's position in
+node_ids, the reference for the search over node indices that replaced it,
+to the float and the parent.
 
 The multi-visit references at the end are the last: verbatim copies of the
 library's original per-node loops over count lists. The brute-force value
@@ -38,7 +39,7 @@ import math
 import numpy as np
 
 from tso import orienteering
-from tso.graph import INF, InfeasibleInstanceError, check_path, dijkstra, ordered_sum
+from tso.graph import INF, InfeasibleInstanceError, MultiVisitTable, SurvivalGraph, check_path, dijkstra, ordered_sum
 from tso.objective import SimulationResult
 from tso.orienteering import OracleResult
 
@@ -411,17 +412,17 @@ def grasp_insertions(g, rewards, path, cost, visited):
 def grasp_leg(g, src, dst, banned):
     """Cheapest src-dst leg whose interior skips banned, as (nodes, cost) or None.
 
-    Dijkstra with no budget: heap entries (distance, node), a node's
-    distance and predecessor change only on a strict improvement, and the
-    search stops when dst pops.
+    Dijkstra with no budget: heap entries (distance, position in node_ids,
+    node), a node's distance and predecessor change only on a strict
+    improvement, and the search stops when dst pops.
     """
     c = log_costs(g)
     adj = _adjacency(g)
     dist = {src: 0.0}
     prev = {}
-    heap = [(0.0, src)]
+    heap = [(0.0, g.index[src], src)]
     while heap:
-        d, v = heapq.heappop(heap)
+        d, _rank, v = heapq.heappop(heap)
         if d > dist.get(v, math.inf):
             continue
         if v == dst:
@@ -433,7 +434,7 @@ def grasp_leg(g, src, dst, banned):
             if nd < dist.get(u, math.inf):
                 dist[u] = nd
                 prev[u] = v
-                heapq.heappush(heap, (nd, u))
+                heapq.heappush(heap, (nd, g.index[u], u))
     if dst not in prev:
         return None
     nodes = [dst]
@@ -442,14 +443,15 @@ def grasp_leg(g, src, dst, banned):
     return tuple(reversed(nodes)), dist[dst]
 
 
-def dict_search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
+def dict_search(rows, rank, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
     """(dist, prev) of Dijkstra from src over rows; both hold reached nodes only.
 
-    rows[v] holds v's arcs as (head, cost) pairs, costs >= 0. The one tie
-    rule of every shortest path here: the heap pops by (dist, node id), and
-    dist[u] and prev[u] change only on a strict improvement, so prev[u] is
-    the first popped predecessor that gives u's smallest float. The result
-    depends neither on the order of a row nor on the order of node_ids.
+    rows[v] holds v's arcs as (head, cost) pairs, costs >= 0, and rank[v]
+    is v's position in node_ids. The one tie rule of every shortest path
+    here: the heap pops by (dist, rank), and dist[u] and prev[u] change only
+    on a strict improvement, so prev[u] is the first popped predecessor that
+    gives u's smallest float. The result does not depend on the order of a
+    row, nor on the node ids themselves.
 
     An arc that would lower dist[u] is tested further. If `cost + (d + w) +
     extra > limit`, the rest of v's row is dropped; with a finite limit,
@@ -460,10 +462,10 @@ def dict_search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
     """
     dist = {src: 0.0}
     prev = {}
-    heap = [(0.0, src)]
+    heap = [(0.0, rank[src], src)]
     get, pop, push = dist.get, heapq.heappop, heapq.heappush
     while heap:
-        d, v = pop(heap)
+        d, _rank, v = pop(heap)
         if d > dist[v]:
             continue
         if v == dst:
@@ -477,8 +479,19 @@ def dict_search(rows, src, dst=None, banned=(), cost=0.0, extra=0.0, limit=INF):
                     continue
                 dist[u] = nd
                 prev[u] = v
-                push(heap, (nd, u))
+                push(heap, (nd, rank[u], u))
     return dist, prev
+
+
+def renamed(g, new):
+    """g with node v renamed new[v], node_ids in the same order, its multi-visit and edge-reward tables renamed too."""
+    mv = g.multi_visit and MultiVisitTable(M=g.multi_visit.M, d={new[v]: row for v, row in g.multi_visit.d.items()})
+    return SurvivalGraph(
+        node_ids=[new[v] for v in g.node_ids], priorities={new[v]: d for v, d in g.priorities.items()},
+        edges=[(new[u], new[v], w) for u, v, w in g.edges], start=new[g.start], terminal=new[g.terminal],
+        p_s=g.p_s, team_size=g.team_size, multi_visit=mv,
+        edge_rewards=g.edge_rewards and {(new[u], new[v]): d for (u, v), d in g.edge_rewards.items()},
+    )
 
 
 def library_leg(lg, src, dst, banned, cost):

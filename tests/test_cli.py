@@ -537,12 +537,19 @@ def test_non_finite_rewards_exit_one(tmp_path, capsys, field, value, variant, me
      "multi-visit row for node 0 has 2 entries, expected 3"),
     (lambda d: d.update(edge_rewards=[{"from": 0, "to": 0, "d": 1.0}]), "invalid instance: edge reward on missing edge (0,0)"),
     (lambda d: d.update(edge_rewards=[{"from": 0, "to": 1, "d": -1.0}]), "invalid instance: edge reward on (0,1) negative"),
+    # Unchecked, `solve --variant multi_visit` on the first fails in the
+    # oracle on a reward the user never wrote, and on the second a lone
+    # robot solves as if the row were valid.
+    (lambda d: d.update(multi_visit={"M": 2, "d": [[1.0, 0.5]] * 4 + [[-1.0, -2.0]] + [[1.0, 0.5]] * 14}),
+     "invalid instance: multi-visit row for node 4 has a negative entry"),
+    (lambda d: d.update(multi_visit={"M": 2, "d": [[1.0, 0.5]] * 4 + [[1.0, -2.0]] + [[1.0, 0.5]] * 14}),
+     "invalid instance: multi-visit row for node 4 has a negative entry"),
     (lambda d: d.update(version=2), "unsupported instance version 2"),
     # True == 1 in Python, but JSON true is no version number.
     (lambda d: d.update(version=True), "unsupported instance version True"),
 ], ids=["no-nodes", "duplicate-node", "unknown-edge-end", "unknown-terminal", "multi-visit-M",
-        "multi-visit-row-length", "multi-visit-all-rows", "reward-off-edge", "negative-reward", "version",
-        "version-true"])
+        "multi-visit-row-length", "multi-visit-all-rows", "reward-off-edge", "negative-reward",
+        "multi-visit-negative-row", "multi-visit-negative-entry", "version", "version-true"])
 def test_invalid_instance_file_exits_one(tmp_path, capsys, edit, message):
     doc = tso.instance_to_dict(tso.hex_instance())  # 19 nodes, depot 0
     edit(doc)

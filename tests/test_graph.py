@@ -57,6 +57,8 @@ def test_validate_multi_visit_rows():
         multi_visit=table,
     )
     assert tso.validate_instance(g) == []
+    # -0.0 is not below 0.
+    assert tso.validate_instance(dataclasses.replace(g, multi_visit=tso.MultiVisitTable(M=2, d={1: [1.0, 0.5], 2: [0.0, -0.0]}))) == []
     increasing = tso.MultiVisitTable(M=2, d={1: [0.5, 1.0]})
     g_bad = tso.SurvivalGraph(
         node_ids=[1, 2],
@@ -206,19 +208,32 @@ def test_tree_path_from_a_node_to_itself(diamond):
     assert tree_path(parent, 1, 1) == [1]
 
 
-def _search_readings(g, queries):
-    """Parent trees from every node both ways, feasibility verdicts and GRASP legs of g, keyed by node id."""
+def _search_readings(g, queries, name=None):
+    """Parent trees from every node both ways, feasibility verdicts and GRASP legs of g, keyed by node id.
+
+    name maps each of g's ids to the id it is reported as (identity if None);
+    the queries are asked in g's ids.
+    """
+    name = name or {v: v for v in g.node_ids}
     lg = tso.log_transform(g)
-    trees = {v: (tso.dijkstra(lg, v)[1], tso.dijkstra(lg, v, reverse=True)[1]) for v in g.node_ids}
+
+    def named(parents):
+        return {name[v]: None if p is None else name[p] for v, p in parents.items()}
+
+    trees = {name[v]: (named(tso.dijkstra(lg, v)[1]), named(tso.dijkstra(lg, v, reverse=True)[1])) for v in g.node_ids}
     rep = tso.feasibility_check(g)
-    legs = [repr(oracles.library_leg(lg, *q)) for q in queries]
-    return trees, rep.reachable, rep.x_nonempty, legs
+    legs = []
+    for src, dst, banned, cost in queries:
+        leg = oracles.library_leg(lg, src, dst, banned, cost)
+        legs.append(None if leg is None else (tuple(name[v] for v in leg[0]), repr(leg[1])))
+    return trees, {name[v]: r for v, r in rep.reachable.items()}, rep.x_nonempty, legs
 
 
-def test_searches_ignore_the_order_of_node_ids():
+def test_searches_ignore_node_names():
     # The hex graph's survivals repeat, so many paths tie. Every search pops
-    # by (dist, node id) and keeps the first popped parent, so listing the
-    # same nodes in another order changes no tree, verdict or leg.
+    # by (dist, node index) and keeps the first popped parent, so renaming
+    # the nodes with their order kept changes no tree, verdict or leg, read
+    # through the renaming. 1000 - 7v runs the ids against the index order.
     base = tso.hex_instance(p_s=0.6)
     rng = np.random.default_rng(31)
     ids, limit = base.node_ids, -math.log(base.p_s) + 1e-9
@@ -228,16 +243,17 @@ def test_searches_ignore_the_order_of_node_ids():
         banned = {v for v in ids if v != src and rng.uniform() < 0.3} | {src}
         queries.append((src, dst, banned, float(rng.uniform(0.0, 1.2 * limit))))
     want = _search_readings(base, queries)
-    assert "None" in want[3] and any(leg != "None" for leg in want[3])
-    for k in range(5):
-        order = [ids[i] for i in rng.permutation(len(ids))]
-        assert _search_readings(dataclasses.replace(base, node_ids=order), queries) == want, k
+    assert None in want[3] and any(leg is not None for leg in want[3])
+    for new in ([1000 - 7 * v for v in ids], rng.choice(10**6, len(ids), replace=False).tolist()):
+        new = dict(zip(ids, new))
+        asked = [(new[src], new[dst], {new[v] for v in banned}, cost) for src, dst, banned, cost in queries]
+        assert _search_readings(oracles.renamed(base, new), asked, {new[v]: v for v in ids}) == want
 
 
 def test_equal_sums_keep_the_first_popped_parent():
     # 0 -> 2 -> 3 and 0 -> 1 -> 3 add the same two costs in another order,
     # so node 3 gets the same float from node 2 (popped first, at the
-    # smaller distance) and from node 1, which has the smaller id.
+    # smaller distance) and from node 1, which has the smaller index.
     g = tso.SurvivalGraph(
         node_ids=[0, 1, 2, 3], priorities={v: 1.0 for v in range(4)},
         edges=[(0, 1, 0.5), (0, 2, 0.9), (1, 3, 0.9), (2, 3, 0.5)],
@@ -263,10 +279,11 @@ def _tied_digraph(seed):
 
 def test_index_search_matches_the_dict_search():
     # graph.search over node indices against its dict-keyed original,
-    # oracles.dict_search, with (dist, prev) mapped back to node ids and
-    # compared to the bit: full trees from every node both ways through
-    # dijkstra, over the rows the original read (oracles.arc_costs), and
-    # banned legs stopped at dst under a finite limit over cost-sorted rows.
+    # oracles.dict_search popping by position in node_ids, with (dist, prev)
+    # mapped back to node ids and compared to the bit: full trees from every
+    # node both ways through dijkstra, over the rows the original read
+    # (oracles.arc_costs), and banned legs stopped at dst under a finite
+    # limit over cost-sorted rows.
     # Index order is neither id order nor its reverse, and over all graphs
     # some nodes get their float from two parents, some legs reach dst and
     # some do not.
@@ -278,7 +295,7 @@ def test_index_search_matches_the_dict_search():
         tables = oracles.arc_costs(lg), oracles.arc_costs(lg, reverse=True)
         for v in ids:
             for reverse, table in ((False, tables[0]), (True, tables[1])):
-                want = oracles.dict_search({u: row.items() for u, row in table.items()}, v)
+                want = oracles.dict_search({u: row.items() for u, row in table.items()}, g.index, v)
                 dist, prev = tso.dijkstra(lg, v, reverse)
                 assert {u: repr(d) for u, d in dist.items() if d < INF} == {u: repr(d) for u, d in want[0].items()}, (seed, v)
                 assert {u: p for u, p in prev.items() if p is not None} == want[1], (seed, v)
@@ -292,8 +309,8 @@ def test_index_search_matches_the_dict_search():
             src, dst = (int(i) for i in rng.choice(len(ids), 2, replace=False))
             banned = {i for i in range(len(ids)) if i != src and rng.uniform() < 0.3} | {src}
             cost, extra = (float(rng.choice([0.0, rng.uniform(0.0, lg.limit)])) for _ in range(2))
-            want = oracles.dict_search(by_id, ids[src], ids[dst], {ids[i] for i in banned}, cost, extra, lg.limit)
-            dist, prev = tso.graph.search(rows, ids, src, dst, banned, cost, extra, lg.limit)
+            want = oracles.dict_search(by_id, g.index, ids[src], ids[dst], {ids[i] for i in banned}, cost, extra, lg.limit)
+            dist, prev = tso.graph.search(rows, src, dst, banned, cost, extra, lg.limit)
             assert {ids[i]: repr(d) for i, d in enumerate(dist) if d < INF} == {u: repr(d) for u, d in want[0].items()}
             assert {ids[i]: ids[p] for i, p in enumerate(prev) if p is not None} == want[1]
             seen["reached" if ids[dst] in want[0] else "missed"] += 1
@@ -381,7 +398,7 @@ def test_feasibility_internal_consistency():
             cut = set(zip(leg, leg[1:]))
             # search runs over node indices: rows by index, heads as indices.
             rows = [[(g.index[u], w) for u, w in row.items() if (v, u) not in cut] for v, row in oracles.arc_costs(lg).items()]
-            cost = dist[j] + tso.graph.search(rows, g.node_ids, g.index[j])[0][g.index[g.terminal]]
+            cost = dist[j] + tso.graph.search(rows, g.index[j])[0][g.index[g.terminal]]
             assert rep.reachable[j] == (cost <= -math.log(g.p_s) + 1e-9)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import math
 import re
@@ -303,6 +304,38 @@ def test_heuristic_oracle_close_and_uncertified():
         assert exact_cert.certified
 
 
+@pytest.mark.parametrize("p_s", [0.5, 0.6, 0.7])
+def test_renaming_the_nodes_changes_no_plan(p_s):
+    # Every tie goes by position in node_ids, so renaming the nodes with
+    # their order kept changes no greedy plan and no GRASP call, read
+    # through the renaming. Hex's repeated survivals tie many paths, and
+    # 1000 - 7v runs the ids against the index order.
+    rng = np.random.default_rng((41, round(10 * p_s)))
+    base = tso.hex_instance(p_s)
+    g = dataclasses.replace(
+        base, edge_rewards={(u, v): float(rng.uniform(0.5, 1.5)) for u, v, _ in base.edges},
+        multi_visit=tso.MultiVisitTable(M=3, d={v: sorted(rng.uniform(0.2, 1.0, 3).tolist(), reverse=True) for v in base.node_ids}),
+    )
+    new = {v: 1000 - 7 * v for v in g.node_ids}
+    h = oracles.renamed(g, new)
+    for team in (2, 4, 6):
+        for variant, oracle in [("node", "exact"), ("node", "heuristic"), ("edge", "exact"),
+                                ("multi_visit", "exact"), ("multi_visit", "heuristic")]:
+            cfg = tso.GreedyConfig(team_size=team, oracle=oracle, variant=variant)
+            want, got = tso.greedy_survivors(g, cfg), tso.greedy_survivors(h, cfg)
+            assert got.paths == [tuple(new[v] for v in p) for p in want.paths], (team, variant, oracle)
+            assert repr(got.plan.objective) == repr(want.plan.objective), (team, variant, oracle)
+            assert repr(got.variant_value) == repr(want.variant_value), (team, variant, oracle)
+    lg, lh = tso.log_transform(g), tso.log_transform(h)
+    for draw in range(20):
+        rewards = {v: float(rng.uniform(0.0, 1.0)) if rng.uniform() < 0.6 else 0.0 for v in g.node_ids}
+        for seed in range(3):
+            want = tso.solve_heuristic(lg, rewards, seed=seed)
+            got = tso.solve_heuristic(lh, {new[v]: r for v, r in rewards.items()}, seed=seed)
+            assert (list(got.path), repr(got.reward), got.nodes_expanded) == (
+                [new[v] for v in want.path], repr(want.reward), want.nodes_expanded), (draw, seed)
+
+
 def test_heuristic_run_searches_each_source_once(monkeypatch):
     # A GRASP run reads every tree through the LogGraph's memo: the start's
     # for ζ and the first skeleton, one per leg source, and one reverse tree,
@@ -320,9 +353,9 @@ def test_heuristic_run_searches_each_source_once(monkeypatch):
         finally:
             building.pop()
 
-    def counted_search(rows, ids, src, *args):
-        calls.append((ids[src], building[-1]))
-        return search(rows, ids, src, *args)
+    def counted_search(rows, src, *args):
+        calls.append((g.node_ids[src], building[-1]))
+        return search(rows, src, *args)
 
     monkeypatch.setattr(tso.graph.LogGraph, "tree", counted_tree)
     monkeypatch.setattr(tso.graph, "search", counted_search)

@@ -378,8 +378,9 @@ def _heuristic_cases():
 
     About 40% of the rewards are 0, so local search has free nodes to drop,
     and on the complete digraphs its segment reversal finds gains. Hex's
-    repeated survivals tie many paths, so on its shuffled copy a search that
-    broke ties by index rather than by node id would take other legs.
+    repeated survivals tie many paths, and its shuffled copy lists the nodes
+    in another order, so every search there pops tied nodes in the shuffled
+    index order; a search that broke ties by node id would take other legs.
     """
     graphs = [(f"ratio-p{p_s}", tso.feasible_random_instance(20, 0.3, 1.0, p_s, seed=(0, 0))) for p_s in (0.5, 0.8)]
     graphs.append(("hex-p0.6", tso.hex_instance(p_s=0.6)))
@@ -836,9 +837,9 @@ def test_legs_match_the_reference_at_every_cost(monkeypatch):
     banned_searches = []
     search = orienteering.search
 
-    def counted(rows, ids, src, dst, *args):
+    def counted(rows, src, dst, *args):
         banned_searches.append(dst is not None)
-        return search(rows, ids, src, dst, *args)
+        return search(rows, src, dst, *args)
 
     monkeypatch.setattr(orienteering, "search", counted)
     for k, (name, g) in enumerate(_scan_graphs()):
@@ -876,9 +877,9 @@ def test_banned_leg_is_returned_only_where_it_fits(monkeypatch):
     searches = []
     search = orienteering.search
 
-    def counted(rows, ids, src, dst, *args):
-        searches.append(ids[dst])
-        return search(rows, ids, src, dst, *args)
+    def counted(rows, src, dst, *args):
+        searches.append(g.node_ids[dst])
+        return search(rows, src, dst, *args)
 
     monkeypatch.setattr(orienteering, "search", counted)
     # cost + leg + dist_to(3)[2] exceeds the budget ln 2 at 0.5 and above; it fits at 0.0.
@@ -1430,9 +1431,9 @@ def test_bounded_search_keeps_its_tables_on_the_log_graph(monkeypatch):
     sources = []
     search = orienteering.search
 
-    def counted(rows, ids, src, *args, **kwargs):
+    def counted(rows, src, *args, **kwargs):
         sources.append(src)
-        return search(rows, ids, src, *args, **kwargs)
+        return search(rows, src, *args, **kwargs)
 
     monkeypatch.setattr(orienteering, "search", counted)
     g, cfg = _effort_case("node")
@@ -1565,7 +1566,7 @@ def test_stopped_searches_read_the_shared_rows_cut_at_limit(monkeypatch):
             {ids[i]: [(ids[u], w) for u, w in row] for i, row in enumerate(rows)} == filtered for rows in read)
         dropped += sum(map(len, shared)) > sum(map(len, filtered.values()))
         for i, v in enumerate(ids):
-            dist = search(shared, ids, i, limit=lg.limit)[0]
+            dist = search(shared, i, limit=lg.limit)[0]
             assert repr(within[i].tolist()) == repr(dist), v
     assert dropped
 
