@@ -138,9 +138,10 @@ def cmd_simulate(args) -> int:
 def cmd_feasible(args) -> int:
     g = _checked(load_instance(args.instance))
     rep = feasibility_check(g)
+    # A guard refusal comes before the first line: no half report.
+    brute = brute_force_reachable(g) if args.brute_force else None
     print(f"X nonempty: {str(rep.x_nonempty).lower()}")
     print("node reachable brute agree" if args.brute_force else "node reachable")
-    brute = brute_force_reachable(g) if args.brute_force else None
     for v in g.node_ids:
         line = f"{v} {str(rep.reachable[v]).lower()}"
         if brute is not None:
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)
 
-    e = sub.add_parser("exact", help="exhaustive optimum (small instances only)")
+    e = sub.add_parser("exact", help="exhaustive optimum (guarded by catalog size and team count)")
     e.add_argument("instance")
     e.add_argument("--team", type=int, help="defaults to the instance team size")
     e.add_argument("--out")

@@ -150,8 +150,8 @@ def test_criterion_6_hex_depot_team(hexg):
         assert j >= (1.0 - math.exp(-0.70)) * cert.upper - 1e-9
         values.append(j)
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-    assert tso.solve_exact_tso(hexg, 1, max_nodes=19).objective == pytest.approx(4.1455671684, abs=1e-12)
-    assert tso.solve_exact_tso(hexg, 2, max_nodes=19).objective == pytest.approx(7.767349819674367, abs=1e-12)
+    assert tso.solve_exact_tso(hexg, 1).objective == pytest.approx(4.1455671684, abs=1e-12)
+    assert tso.solve_exact_tso(hexg, 2).objective == pytest.approx(7.767349819674367, abs=1e-12)
 
 
 def test_criterion_7_simulation_agreement():

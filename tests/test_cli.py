@@ -310,17 +310,59 @@ def test_exit_code_infeasible(tmp_path, capsys):
 
 
 def test_exit_code_guard(tmp_path, capsys):
-    inst = _gen(tmp_path, nodes=13, p_s=0.5)
+    # The prefix cap refuses the catalog of a 20-node graph at p_s 0.3. The
+    # brute set is computed before the report's first line, so the refusal
+    # leaves stdout empty and says one line on stderr.
+    inst = _gen(tmp_path, nodes=20, p_s=0.3, seed=1)
     assert main(["exact", str(inst)]) == 3
-    assert "guard violation:" in capsys.readouterr().err
+    assert "guard violation: path enumeration limited to 1048576 prefixes" in capsys.readouterr().err
     assert main(["feasible", str(inst), "--brute-force"]) == 3
-    assert "guard violation: brute-force feasibility limited to 12 nodes, instance has 13" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "guard violation: brute-force feasibility limited to 1048576 prefixes\n")
     # n ** 2000 teams overflow a float, which counts as over the limit.
     six = _gen(tmp_path, name="six.json", nodes=6, p_s=0.6)
     assert main(["exact", str(six), "--team", "2000"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("guard violation: ") and err.endswith(
         "^2000 candidate teams times 2000 robots exceed the enumeration limit 10000000\n"), err
+
+
+# repr of the optimum of hex_instance(p_s) per team size, recorded through
+# solve_exact_tso before the 12-node guard was removed; None where the team
+# guard refuses.
+HEX_OPTIMA = {
+    0.6: ["4.752466123244001", "9.071186287856264", None],
+    0.7: ["4.1455671684", "7.767349819674367", "11.244426306812729"],
+    0.8: ["2.745764", "4.727714926704", "6.613397908902066"],
+    0.9: ["1.9404", "2.95843184", "3.939937900864"],
+}
+
+
+@pytest.mark.parametrize("p_s", sorted(HEX_OPTIMA))
+def test_exact_answers_on_the_hex_depot(tmp_path, capsys, p_s):
+    # The paper's 19-node benchmark graph: catalogs of 6 to 258 leaves, so
+    # only the team guard can refuse. Greedy (exact oracle) stays within the
+    # paper's 1 - e^{-p_s} of the optimum.
+    inst, plan = tmp_path / "hex.json", tmp_path / "plan.json"
+    assert main(["gen", "--preset", "hex", "--p-s", str(p_s), "--out", str(inst)]) == 0
+    for k, want in enumerate(HEX_OPTIMA[p_s], 1):
+        capsys.readouterr()
+        if want is None:
+            assert main(["exact", str(inst), "--team", str(k)]) == 3
+            assert capsys.readouterr().err == (
+                f"guard violation: 258^{k} candidate teams times {k} robots exceed the enumeration limit 10000000\n")
+            continue
+        assert main(["exact", str(inst), "--team", str(k), "--out", str(plan)]) == 0
+        opt = json.loads(plan.read_text())["objective"]
+        assert repr(opt) == want
+        assert main(["solve", str(inst), "--team", str(k), "--out", str(plan)]) == 0
+        j = json.loads(plan.read_text())["objective"]
+        assert j <= opt
+        assert j / opt >= 1.0 - math.exp(-p_s)
+    capsys.readouterr()
+    assert main(["feasible", str(inst), "--brute-force"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 19 and all(ln.endswith(" yes") for ln in rows)
+    assert sum(ln.split()[2] == "true" for ln in rows) == (19 if p_s < 0.8 else 7)
 
 
 def test_huge_team_sizes_exit_three(tmp_path, capsys):

@@ -33,32 +33,40 @@ def test_catalog_matches_enumeration_oracle():
 
 
 def test_catalog_rejects_oversized_instance():
+    # The prefix cap, not a node count, bounds the catalog: a 13-node graph
+    # whose catalog fits is enumerated, and a 20-node one at p_s 0.3 (CLI
+    # `gen --complete --nodes 20 --p-s 0.3 --seed 1`) is refused.
     g = tso.random_complete_instance(13, 0.5, 1.0, 0.5, seed=0)
-    with pytest.raises(tso.SizeGuardError):
-        tso.enumerate_feasible_paths(g)
-    paths = tso.enumerate_feasible_paths(g, max_nodes=13)
-    assert len(paths) > 0
+    n = len(tso.enumerate_feasible_paths(g))
+    assert n > 0
+    with pytest.raises(tso.SizeGuardError, match=rf"^{n}\^3 candidate teams times 3 robots exceed the enumeration limit 10000000$"):
+        tso.solve_exact_tso(g, team_size=3)
+    big = tso.random_complete_instance(20, 0.3, 1.0, 0.3, seed=1)
+    with pytest.raises(tso.SizeGuardError, match=r"^path enumeration limited to 1048576 prefixes$"):
+        tso.enumerate_feasible_paths(big)
 
 
-def test_team_enumeration_guard():
+def test_team_enumeration_guard(monkeypatch):
     g = tso.feasible_random_instance(6, 0.4, 1.0, 0.6, seed=91)
-    with pytest.raises(tso.SizeGuardError):
-        tso.solve_exact_tso(g, team_size=3, enumeration_limit=10)
     # n ** 2000 overflows a float; the guard counts that as over the limit.
     n = len(tso.enumerate_feasible_paths(g))
     assert n > 1
     with pytest.raises(tso.SizeGuardError,
                        match=rf"^{n}\^2000 candidate teams times 2000 robots exceed the enumeration limit 10000000$"):
         tso.solve_exact_tso(g, team_size=2000)
+    monkeypatch.setattr(tso.exact, "ENUMERATION_LIMIT", 10)
+    with pytest.raises(tso.SizeGuardError):
+        tso.solve_exact_tso(g, team_size=3)
 
 
-def test_team_guard_counts_the_robots():
+def test_team_guard_counts_the_robots(monkeypatch):
     # One path makes one team at any size, but the team's work grows with
     # it: 1^K teams times K robots meets the limit, before a profile is built.
     g = tso.SurvivalGraph(node_ids=[1, 2], priorities={1: 1.0, 2: 1.0}, edges=[(1, 2, 0.9)], start=1, terminal=2, p_s=0.5)
-    assert tso.solve_exact_tso(g, team_size=3, enumeration_limit=3).paths == [(1, 2)] * 3
+    monkeypatch.setattr(tso.exact, "ENUMERATION_LIMIT", 3)
+    assert tso.solve_exact_tso(g, team_size=3).paths == [(1, 2)] * 3
     with pytest.raises(tso.SizeGuardError, match=r"^1\^4 candidate teams times 4 robots exceed the enumeration limit 3$"):
-        tso.solve_exact_tso(g, team_size=4, enumeration_limit=3)
+        tso.solve_exact_tso(g, team_size=4)
     tracemalloc.start()
     try:
         with pytest.raises(tso.SizeGuardError, match=r"^1\^20000000 candidate teams times 20000000 robots"):
@@ -67,6 +75,30 @@ def test_team_guard_counts_the_robots():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_every_guard_fires_before_a_path_is_built(monkeypatch):
+    # A miss table of exactly TABLE_LIMIT cells is built. Then, with
+    # PrefixCatalog.paths raising, each refusal still comes as a
+    # SizeGuardError: the team guard on the six-node CLI test graph and on a
+    # 12-node graph of 475,132 leaves, and the table guard one cell lower.
+    six = tso.random_complete_instance(6, 0.3, 1.0, 0.6, seed=0)
+    n = sum(tso.log_transform(six).table(tso.orienteering.prefix_catalog).level_leaves)
+    monkeypatch.setattr(tso.exact, "TABLE_LIMIT", n * 6)
+    assert tso.solve_exact_tso(six, team_size=1).objective > 0
+
+    def no_paths(self):
+        raise AssertionError("paths built before a guard")
+
+    monkeypatch.setattr(tso.orienteering.PrefixCatalog, "paths", no_paths)
+    with pytest.raises(tso.SizeGuardError, match=r"\^2000 candidate teams times 2000 robots"):
+        tso.solve_exact_tso(six, team_size=2000)
+    dense = tso.random_complete_instance(12, 0.9, 1.0, 0.7, seed=10)
+    with pytest.raises(tso.SizeGuardError, match=r"^475132\^2 candidate teams times 2 robots"):
+        tso.solve_exact_tso(dense, team_size=2)
+    monkeypatch.setattr(tso.exact, "TABLE_LIMIT", n * 6 - 1)
+    with pytest.raises(tso.SizeGuardError, match=rf"^{n} paths times 6 nodes exceed the table limit {n * 6 - 1} cells$"):
+        tso.solve_exact_tso(six, team_size=1)
 
 
 def test_one_path_serves_a_team_deeper_than_the_recursion_limit():
@@ -140,7 +172,7 @@ def test_exact_never_below_greedy():
 
 
 def test_hex_single_robot_exact(hexg):
-    plan = tso.solve_exact_tso(hexg, team_size=1, max_nodes=19)
+    plan = tso.solve_exact_tso(hexg, team_size=1)
     assert plan.paths == [(0, 1, 6, 16, 5, 0)]
     assert plan.objective == pytest.approx(4.1455671684, abs=5e-10)
 

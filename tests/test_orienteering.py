@@ -299,7 +299,7 @@ def test_depot_with_no_affordable_tour_stays_home(monkeypatch, loop5):
 def test_depot_with_affordable_tours_and_zero_rewards_stays_home(monkeypatch, loop5):
     # Three tours fit, but each collects 0.0, no more than staying home,
     # which comes first: both engines keep the robot at the depot.
-    assert len(tso.enumerate_feasible_paths(loop5, max_nodes=5)) == 3
+    assert len(tso.enumerate_feasible_paths(loop5)) == 3
     for cap in (orienteering.CATALOG_CAP, 0):
         monkeypatch.setattr(orienteering, "CATALOG_CAP", cap)
         lg = tso.log_transform(loop5)
@@ -1224,7 +1224,7 @@ def test_a_single_leaf_catalog_pads_its_tile_with_a_sentinel_column():
     # rewards of mixed magnitude give the reference's float to the bit.
     g = tso.feasible_random_instance(20, 0.3, 1.0, 0.9, seed=(0, 0))
     lg = tso.log_transform(g)
-    paths = tso.enumerate_feasible_paths(g, max_nodes=20)
+    paths = tso.enumerate_feasible_paths(g)
     assert len(paths) == 1
     rng = np.random.default_rng(406)
     levels = [1e-16, 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52]
