@@ -14,7 +14,7 @@ import numpy as np
 
 from . import orienteering
 from .graph import INF, InfeasibleInstanceError, SizeGuardError, SurvivalGraph, log_transform
-from .objective import TeamPlan, team_plan, visit_profile
+from .objective import TeamPlan, team_plan
 
 # Candidate teams times robots that solve_exact_tso may score.
 ENUMERATION_LIMIT = 10**7
@@ -92,9 +92,11 @@ def solve_exact_tso(g: SurvivalGraph, team_size: int) -> TeamPlan:
     paths = cat.paths()
     d = np.array([g.priority(v) for v in g.node_ids])
     miss = np.ones((n, g.num_nodes))
-    for i, path in enumerate(paths):
-        for v, z in visit_profile(g, path).visit_prob.items():
-            miss[i, g.index[v]] = 1.0 - z
+    for row, path in zip(miss, paths):  # visit_profile's running products: catalog paths are valid
+        z = 1.0
+        for a, b in zip(path, path[1:]):
+            z *= g.survival[(a, b)]
+            row[g.index[b]] = 1.0 - z
     weight_total = d.sum()
 
     best, team, head = -INF, None, None

@@ -210,7 +210,7 @@ def edge_team_objective(g: SurvivalGraph, paths, rewards) -> float:
 # ---------------------------------------------------------------------------
 # Monte-Carlo validation
 
-DRAW_BLOCK = 1 << 16  # floats (512 KiB) of uniforms simulate_team holds at once
+DRAW_BLOCK = 1 << 16  # floats (512 KiB) in the buffer simulate_team reads the stream into
 
 
 @dataclass
@@ -222,57 +222,53 @@ class SimulationResult:
 
 
 def simulate_team(g: SurvivalGraph, paths, trials: int, seed=0) -> SimulationResult:
-    """Sample the team objective by simulating every edge traversal.
+    """Sample the team objective by drawing where each robot first fails.
 
-    Each trial draws one uniform per step of every path from one seeded
-    PCG64 stream read trial-major, so a seed gives the same draws however
-    the stream is cut. They pass through one reused buffer of DRAW_BLOCK
-    floats, each block compared into its columns of the chunk's node-major
-    bool mask (one row per step); a path ANDs each step's row into the next
-    and ORs it into its node's row. Chunks stay 2^16 trials, since they fix
-    what is summed at once: the visited.T @ d_vec product, which BLAS blocks
-    by row count, and the two sums of the samples. So every output float is
-    the one tests/oracles.py's trial-major loop gives over the same draws:
-    the compare is elementwise, AND and OR on bools are exact, and the
-    survival counts are integers.
+    Each trial draws one uniform u_k per robot, in robot order, from one
+    seeded PCG64 stream read trial-major through a reused DRAW_BLOCK buffer,
+    so a seed gives the same draws however the stream is cut. Robot k visits
+    its step-n node iff u_k < survival_prefix[n] of its visit profile (the
+    inverse-transform draw of its first failed edge), so a sample's
+    expectation is the plan's J. Each step is one compare and one in-place
+    OR into its node's row of a bool mask over the plan's nodes; a sample
+    adds d_j of each visited node, one row at a time in node-index order
+    from 0.0, with no BLAS call. Chunks stay 2^16 trials, since they fix the
+    two sums of the samples. Every output float is the one tests/oracles.py's
+    trial-major loop gives over the same draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for p in paths:
-        check_path(g, p)
-    w_all = np.array([g.survival[(p[n - 1], p[n])] for p in paths for n in range(1, len(p))])
-    slot = np.cumsum([0] + [len(p) - 1 for p in paths])
-    width = slot[-1]
-    d_vec = np.array([g.priority(v) for v in g.node_ids])
-    node_pos = g.index
+    prefixes = [visit_profile(g, p).survival_prefix for p in paths]
+    nodes = sorted({v for p in paths for v in p[1:]}, key=g.index.get)  # the plan's nodes, in index order
+    row = {v: r for r, v in enumerate(nodes)}
+    d = [g.priority(v) for v in nodes]
 
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     alive_counts = np.zeros(len(paths))
-    done = 0
     chunk = 1 << 16
-    block = max(1, DRAW_BLOCK // max(1, width))
-    draws = np.empty((min(block, trials), width))
-    while done < trials:
+    block = max(1, DRAW_BLOCK // max(1, len(paths)))
+    draws = np.empty((min(block, trials), len(paths)))
+    for done in range(0, trials, chunk):
         rows = min(chunk, trials - done)
-        ok = np.empty((width, rows), dtype=bool)
+        u = np.empty((len(paths), rows))
         for lo in range(0, rows, block):
-            u = draws[:min(block, rows - lo)]
-            rng.random(out=u)
-            ok[:, lo:lo + len(u)] = (u < w_all).T
-        visited = np.zeros((g.num_nodes, rows), dtype=bool)
+            b = draws[:min(block, rows - lo)]
+            rng.random(out=b)
+            u[:, lo:lo + len(b)] = b.T
+        visited = np.zeros((len(nodes), rows), dtype=bool)
         for k, p in enumerate(paths):
-            steps = ok[slot[k]:slot[k + 1]]  # row n - 1: path k survived steps 1..n
             for n in range(1, len(p)):
-                if n > 1:
-                    steps[n - 1] &= steps[n - 2]
-                visited[node_pos[p[n]]] |= steps[n - 1]
-            alive_counts[k] += np.count_nonzero(steps[-1]) if len(steps) else rows
-        samples = np.ascontiguousarray(visited.T) @ d_vec
+                mark = visited[row[p[n]]]
+                np.logical_or(mark, u[k] < prefixes[k][n], out=mark)
+            alive_counts[k] += np.count_nonzero(u[k] < prefixes[k][-1])
+        del u  # frees the uniforms before the sums allocate theirs
+        samples = np.zeros(rows)
+        for r, dj in enumerate(d):
+            samples += visited[r] * dj  # dj or 0.0 (d is finite), and x + 0.0 == x
         total += samples.sum()
         total_sq += (samples * samples).sum()
-        done += rows
 
     mean = total / trials
     if trials > 1:

@@ -6,11 +6,14 @@ budget stops. The point
 is to pin the fast implementations against code that shares none of their
 machinery, so values these produce are frozen into tests as ground truth.
 
-``simulate_team_reference`` is one exception: a verbatim copy of the
-library's original trial-major Monte-Carlo loop, result type and path check
-included. A random estimate has no brute-force value to pin, so any faster
-loop is instead held to this one's exact output: the same stream, the same
-chunks and the same ``repr`` of the result.
+``simulate_team_reference`` is one exception: a random estimate has no
+brute-force value to pin, so the library's Monte-Carlo loop is held to this
+plain trial-major loop's exact output instead: the same stream, the same
+law (one uniform per robot per trial, compared with the robot's survival
+prefixes), the same chunks, the same sum order and the same ``repr`` of the
+result. It builds each robot's whole reach matrix and adds every node's
+term, where the library compares one step at a time and adds only the
+plan's nodes.
 
 ``branch_and_bound`` is another: a verbatim copy of the library's
 recursive branch and bound, which once ran the exact oracle above its
@@ -39,7 +42,7 @@ import math
 import numpy as np
 
 from tso import orienteering
-from tso.graph import INF, InfeasibleInstanceError, MultiVisitTable, SurvivalGraph, check_path, dijkstra, ordered_sum
+from tso.graph import INF, InfeasibleInstanceError, MultiVisitTable, SurvivalGraph, dijkstra, ordered_sum
 from tso.objective import SimulationResult
 from tso.orienteering import OracleResult
 
@@ -550,44 +553,45 @@ def random_skeleton(lg, rng, hops: int):
 
 
 def simulate_team_reference(g, paths, trials: int, seed=0) -> SimulationResult:
-    """Sample the team objective by simulating every edge traversal.
+    """Sample the team objective with one first-failure uniform per robot per trial.
 
-    Each trial draws one Bernoulli per edge per robot. Randomness comes from
-    a single seeded generator consumed in a fixed (trial-major) layout: trial
-    t always sees the same uniform block regardless of chunking, so results
-    are reproducible bit for bit.
+    A plain trial-major loop over chunks of up to 2^16 trials: each chunk
+    draws rng.random((rows, K)), robot k's uniform in column k. Robot k
+    reaches step n iff its uniform is below the product of its first n edge
+    survivals, multiplied left to right, and survives iff it reaches its
+    last step (a robot that stays home always does). A sample adds
+    np.where(visited, d_j, 0.0) over every node in index order from 0.0.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    ew = edge_weights(g)
+    prefixes = []
     for p in paths:
-        check_path(g, p)
-    weights = [np.array([g.survival[(p[n - 1], p[n])] for n in range(1, len(p))]) for p in paths]
-    slot = np.cumsum([0] + [len(w) for w in weights])
-    width = slot[-1]
-    d_vec = np.array([g.priority(v) for v in g.node_ids])
-    node_pos = g.index
+        s, prefix = 1.0, []
+        for a, b in zip(p, p[1:]):
+            s *= ew[(a, b)]
+            prefix.append(s)
+        prefixes.append(np.array(prefix))
+    column = {v: j for j, v in enumerate(g.node_ids)}
+    d = [g.priorities.get(v, 1.0) for v in g.node_ids]
 
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    alive_counts = np.zeros(len(paths))
+    alive_counts = [0] * len(paths)
     done = 0
-    chunk = 1 << 16
     while done < trials:
-        rows = min(chunk, trials - done)
-        u = rng.random((rows, width)) if width else np.zeros((rows, 0))
+        rows = min(1 << 16, trials - done)
+        u = rng.random((rows, len(paths)))
         visited = np.zeros((rows, g.num_nodes), dtype=bool)
         for k, p in enumerate(paths):
-            w = weights[k]
-            if len(w) == 0:
-                alive_counts[k] += rows
-                continue
-            ok = u[:, slot[k]:slot[k + 1]] < w
-            reach = np.logical_and.accumulate(ok, axis=1)
+            reach = u[:, k:k + 1] < prefixes[k]  # (rows, steps)
             for n in range(1, len(p)):
-                visited[:, node_pos[p[n]]] |= reach[:, n - 1]
-            alive_counts[k] += reach[:, -1].sum()
-        samples = visited @ d_vec
+                visited[:, column[p[n]]] |= reach[:, n - 1]
+            alive_counts[k] += int(reach[:, -1].sum()) if len(p) > 1 else rows
+        samples = np.zeros(rows)
+        for j in range(g.num_nodes):
+            samples = samples + np.where(visited[:, j], d[j], 0.0)
         total += samples.sum()
         total_sq += (samples * samples).sum()
         done += rows

@@ -273,6 +273,27 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert abs(doc["estimate"] - plan_doc["objective"]) <= 5.0 * doc["std_error"]
 
 
+def test_simulate_matches_golden(tmp_path, capsys):
+    """simulate's bits are pinned across commits and numpy builds: its sums are plain IEEE adds in a fixed order.
+
+    The committed multi-visit plan runs on hex p_s 0.7 with priorities
+    1 + i/7, which are not integers, so the sum order shows in the
+    estimate's last bits; 100,001 trials run a full 2^16 chunk and a
+    partial one.
+    """
+    doc = tso.instance_to_dict(tso.hex_instance(p_s=0.7))
+    for i, node in enumerate(doc["nodes"]):
+        node["priority"] = 1.0 + i / 7
+    inst, out = tmp_path / "inst.json", tmp_path / "sim.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    plan = DATA / "solve-hex-p0.7-multi_visit.plan.json"
+    argv = ["simulate", str(inst), "--plan", str(plan), "--trials", "100001", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    golden = json.loads((DATA / "simulate-hex-p0.7.json").read_text(encoding="utf-8"))
+    assert capsys.readouterr().out == golden["stdout"]
+    assert out.read_text(encoding="utf-8") == golden["out"]
+
+
 def test_feasible_subcommand(tmp_path, capsys):
     g = tso.SurvivalGraph(
         node_ids=[1, 2, 3, 4],

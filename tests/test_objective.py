@@ -306,8 +306,8 @@ def sim_plans():
     The ratio plans are five-robot GRASP teams on the bench suite's first
     20-node graph at each p_s; at p_s 0.5 the team takes 71 steps. The hex
     graph gets random non-integer priorities, and its team ends with a robot
-    that stays home; "home" is a team of two robots that stay home, which
-    draws no number, and "empty" is no team.
+    that stays home; "home" is a team of two robots that stay home, whose
+    draws visit nothing, and "empty" is no team, which draws no number.
     """
     plans = {}
     for p_s in (0.5, 0.7, 0.9):
@@ -355,10 +355,10 @@ def test_simulate_team_matches_reference_bits(sim_plans, name, trials, seed):
 @pytest.mark.parametrize("trials", [1, 20000, 65537, 100001])
 def test_simulate_team_draw_block_moves_no_bit(sim_plans, monkeypatch, block, name, trials):
     # The draw block is free: any number of trials per block reads the same
-    # stream, trial-major, into the same chunk of the mask.
+    # stream, trial-major, into the same chunk of the uniforms.
     g, paths = sim_plans[name]
     if block is not None:
-        monkeypatch.setattr(tso.objective, "DRAW_BLOCK", block * max(1, sum(len(p) - 1 for p in paths)))
+        monkeypatch.setattr(tso.objective, "DRAW_BLOCK", block * max(1, len(paths)))
     got = tso.simulate_team(g, paths, trials, seed=0)
     assert repr(got) == repr(_reference(g, paths, trials, 0))
 
@@ -390,6 +390,32 @@ def test_simulate_team_peak_memory_below_the_draws(sim_plans, trials):
     width = sum(len(p) - 1 for p in paths)
     peak = _traced_peak(tso.simulate_team, g, paths, trials, 0)
     assert peak < trials * width * 8, (peak, trials * width * 8)
+
+
+def test_simulate_team_peak_memory_below_a_float_mask(sim_plans):
+    # The samples read the bool mask one node row at a time; a float64 copy
+    # of the whole (nodes, trials) mask, as a matrix product makes, is more
+    # than the whole call may hold.
+    g, paths = sim_plans["ratio-0.5"]
+    trials = 65536
+    peak = _traced_peak(tso.simulate_team, g, paths, trials, 0)
+    assert peak < g.num_nodes * trials * 8, (peak, g.num_nodes * trials * 8)
+
+
+def test_simulate_team_survives_each_step_with_its_prefix(sim_plans):
+    # Each robot of the 71-step plan, cut after every step n and simulated
+    # alone, survives with chance survival_prefix[n]. The floor, as in
+    # acceptance criterion 7, covers a deviation too rare to show at this
+    # trial count (the stay-home cut n = 0 has no sampling error).
+    g, paths = sim_plans["ratio-0.5"]
+    trials = 10**5
+    floor = 8.0 / trials
+    for k, p in enumerate(paths):
+        prefix = tso.visit_profile(g, p).survival_prefix
+        for n in range(len(p)):
+            freq = tso.simulate_team(g, [p[:n + 1]], trials, seed=11).survival_freq[0]
+            se = math.sqrt(prefix[n] * (1.0 - prefix[n]) / trials)
+            assert abs(freq - prefix[n]) <= 4 * se + floor, (k, n, freq, prefix[n])
 
 
 def test_simulate_team_rejects_zero_trials(loop5):
